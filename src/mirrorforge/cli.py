@@ -63,7 +63,6 @@ from .twisted_sheaves import (
     canonical_twisted_module,
     fiber_cohomology,
     global_sections,
-    stabilisation_threshold,
     validate_module,
 )
 
@@ -468,9 +467,6 @@ def cmd_sheaf(args):
     space = global_sections(
         module, precision, max_window=window + 2, min_window=window
     )
-    threshold = stabilisation_threshold(
-        module, precision, max_window=window + 2, min_window=window
-    )
     rng = random.Random(args.seed)
     samples = []
     for i, cid in enumerate(cover.chart_ids):
@@ -499,7 +495,7 @@ def cmd_sheaf(args):
         "sections": {
             "rank": space.rank,
             "window": space.window,
-            "stabilisation_threshold": threshold,
+            "stabilisation_threshold": space.threshold,
         },
         "fiber_cohomology": samples,
     }

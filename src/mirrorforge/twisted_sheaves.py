@@ -13,10 +13,13 @@ radius is grown until the rank stops moving.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
+from math import lcm
 
 from .affine import dot
 from .errors import (
@@ -415,12 +418,28 @@ def validate_module(module, precision, stop_early=False):
 
 @dataclass
 class SectionSpace:
-    """Kernel of the edge comparison system at a working precision."""
+    """Kernel of the edge comparison system at a working precision.
+
+    ranks[p - 1] is the section rank at the integer precision p, for p
+    from 1 to the integer part of the working precision, read off the
+    same elimination as the sections themselves.
+    """
 
     rank: int
     precision: Fraction
     window: int
     sections: tuple
+    ranks: tuple
+
+    @property
+    def threshold(self):
+        """Least integer precision from which the rank at every integer
+        precision equals the rank at the integer part of the working
+        precision; 0 when the working precision is below 1."""
+        threshold = len(self.ranks)
+        while threshold > 1 and self.ranks[threshold - 2] == self.ranks[-1]:
+            threshold -= 1
+        return threshold
 
 
 def _window_exponents(dimension, radius):
@@ -436,37 +455,75 @@ def _hop_table(module, radius):
     transition plus the valuation of the restriction entry.  Returns
     (moves by source, contributions by target), both carrying the
     rational shift and the signed rational coefficient of the hop.
+
+    Restriction sends z^a to t^<offset, a> z^(M a), linear in a, so only
+    the unit exponents are restricted and every window exponent is
+    moved by the same linear combination.
     """
     cover = module.cover
     rank = module.rank
-    exponents = _window_exponents(cover.dimension, radius)
+    n = cover.dimension
+    exponents = _window_exponents(n, radius)
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
     moves = {}
     targets = {}
     for edge in cover.faces_of_degree(1):
         for sign, i in ((1, edge[0]), (-1, edge[1])):
             mat = module.restriction((i,), edge)
-            for a in exponents:
-                restricted = AffinoidElement.monomial(cover, (i,), 1, a).restrict(
+            images = []
+            for unit in units:
+                restricted = AffinoidElement.monomial(cover, (i,), 1, unit).restrict(
                     edge
                 )
                 ((moved, anchor),) = restricted.terms.items()
-                ((base, unit),) = anchor.terms
+                ((base, _),) = anchor.terms
+                images.append((moved, base))
+            entries = [
+                [
+                    [
+                        (b, texp, sign * c)
+                        for b, coeff in mat[r][col].terms.items()
+                        for texp, c in coeff.terms
+                    ]
+                    for col in range(rank)
+                ]
+                for r in range(rank)
+            ]
+            for a in exponents:
+                moved = tuple(
+                    sum(x * image[d] for x, (image, _) in zip(a, images))
+                    for d in range(n)
+                )
+                base = sum(x * b for x, (_, b) in zip(a, images))
                 for r in range(rank):
                     for col in range(rank):
                         source = (i, a, col)
-                        for b, coeff in mat[r][col].terms.items():
+                        for b, texp, c in entries[r][col]:
                             target = (
                                 edge,
                                 tuple(x + y for x, y in zip(moved, b)),
                                 r,
                             )
-                            for texp, c in coeff.terms:
-                                hop = (target, base + texp, sign * unit * c)
-                                moves.setdefault(source, []).append(hop)
-                                targets.setdefault(target, []).append(
-                                    (source, base + texp, sign * unit * c)
-                                )
+                            shift = base + texp
+                            moves.setdefault(source, []).append((target, shift, c))
+                            targets.setdefault(target, []).append((source, shift, c))
     return moves, targets
+
+
+@dataclass
+class _SectionSystem:
+    """The edge comparison system with integer column indices.
+
+    columns[i] is the unknown (source, lam) of column i, in sorted
+    order.  rows are dicts from column index to rational coefficient,
+    ordered by appears: scale times the least precision at which the
+    row is asserted, rows of equal appearance keeping sorted key order.
+    """
+
+    columns: list
+    rows: list
+    appears: list
+    scale: int
 
 
 def _monomial_system(module, radius, precision):
@@ -477,130 +534,185 @@ def _monomial_system(module, radius, precision):
     headroom an edge hop can amplify).  Nodes grow breadth-first from
     the lam = 0 seeds, which is where a solution scaled to least
     valuation zero keeps its lowest coefficient.  An equation is
-    asserted for every reachable edge coefficient whose valuation plus
-    the weight of its exponent sits below the precision, which is what
-    vanishing of the residual element means; hops landing outside the
-    window contribute nothing, which is what pins towers whose
+    asserted for every reachable edge coefficient whose valuation mu
+    plus the weight of its exponent sits below the precision, which is
+    what vanishing of the residual element means; hops landing outside
+    the window contribute nothing, which is what pins towers whose
     valuations keep falling.
+
+    Every valuation is scaled by the common denominator of the
+    precision, the edge chart vertices and the hop shifts, so the search
+    and the row assembly run on integers.  Each row is tagged with mu
+    plus the weight, the precision from which it is asserted, and the
+    rows come out sorted by that tag: the rows of the system at a lower
+    precision p are a leading block of these.
     """
     cover = module.cover
     moves, targets = _hop_table(module, radius)
-    thresholds = {}
-    for target in targets:
-        edge, cexp, _ = target
+    sources = sorted(moves)
+    target_list = sorted(targets)
+    offsets = {}
+    for edge in cover.faces_of_degree(1):
         chart = cover.face_chart(edge)
-        weight = min(
-            dot(tuple(x - y for x, y in zip(v, chart.basepoint)), cexp)
+        offsets[edge] = [
+            tuple(x - y for x, y in zip(v, chart.basepoint))
             for v in chart.polytope.vertices
-        )
-        thresholds[target] = precision - weight
-    headroom = max(
-        (-shift for hops in moves.values() for _, shift, _ in hops),
-        default=Fraction(0),
+        ]
+    scale = lcm(
+        precision.denominator,
+        *(x.denominator for vs in offsets.values() for v in vs for x in v),
+        *(shift.denominator for hops in moves.values() for _, shift, _ in hops),
     )
-    top = max(thresholds.values(), default=precision) + max(
-        headroom, Fraction(0)
-    )
-    nodes = set()
-    queue = deque()
-    for source in moves:
-        node = (source, Fraction(0))
-        nodes.add(node)
-        queue.append(node)
+
+    def scaled(x):
+        return x.numerator * (scale // x.denominator)
+
+    for edge, vs in offsets.items():
+        offsets[edge] = [tuple(scaled(x) for x in v) for v in vs]
+    weight = [
+        min(dot(v, cexp) for v in offsets[edge]) for edge, cexp, _ in target_list
+    ]
+    threshold = [scaled(precision) - w for w in weight]
+    source_ids = {source: n for n, source in enumerate(sources)}
+    target_ids = {target: n for n, target in enumerate(target_list)}
+    hops = [
+        [(target_ids[t], scaled(shift), c) for t, shift, c in moves[source]]
+        for source in sources
+    ]
+    feeds = [
+        [(source_ids[s], scaled(shift)) for s, shift, _ in targets[target]]
+        for target in target_list
+    ]
+    headroom = max((-shift for out in hops for _, shift, _ in out), default=0)
+    top = max(threshold, default=scaled(precision)) + max(headroom, 0)
+    nodes = {(source, 0) for source in range(len(hops))}
+    queue = deque(sorted(nodes))
     while queue:
         source, lam = queue.popleft()
-        for target, shift, _ in moves[source]:
+        for target, shift, _ in hops[source]:
             mu = lam + shift
-            if mu >= thresholds[target]:
+            if mu >= threshold[target]:
                 continue
-            for other, shift2, _ in targets[target]:
+            for other, shift2 in feeds[target]:
                 lam2 = mu - shift2
                 if 0 <= lam2 < top:
                     node = (other, lam2)
                     if node not in nodes:
                         nodes.add(node)
                         queue.append(node)
+    ordered = sorted(nodes)
+    index = {node: n for n, node in enumerate(ordered)}
     rows = {}
-    for node in nodes:
+    for node in ordered:
         source, lam = node
-        for target, shift, c in moves[source]:
+        column = index[node]
+        for target, shift, c in hops[source]:
             mu = lam + shift
-            if mu >= thresholds[target]:
+            if mu >= threshold[target]:
                 continue
-            row = rows.setdefault((target, mu), {})
-            value = row.get(node, Fraction(0)) + c
+            row = rows.setdefault((mu + weight[target], target, mu), {})
+            value = row.get(column)
+            value = c if value is None else value + c
             if value:
-                row[node] = value
+                row[column] = value
             else:
-                row.pop(node, None)
-    columns = sorted(nodes)
-    return columns, [rows[key] for key in sorted(rows)]
+                del row[column]
+    keys = sorted(key for key, row in rows.items() if row)
+    return _SectionSystem(
+        columns=[(sources[s], Fraction(lam, scale)) for s, lam in ordered],
+        rows=[rows[key] for key in keys],
+        appears=[key[0] for key in keys],
+        scale=scale,
+    )
 
 
-def _reduce_row(row, pivots):
-    row = dict(row)
-    for c in [c for c in row if c in pivots]:
-        factor = row.pop(c)
-        if not factor:
-            continue
-        for j, v in pivots[c].items():
-            if j == c:
-                continue
-            value = row.get(j, Fraction(0)) - factor * v
-            if value:
-                row[j] = value
-            else:
-                row.pop(j, None)
-    return {c: v for c, v in row.items() if v}
+def _sparse_kernel(rows, n_columns, cuts):
+    """Right kernels of the leading row blocks rows[:cut], one per cut.
 
-
-def _sparse_kernel(rows, columns):
-    """Right kernel of a sparse rational system, one vector per free
-    column, as dicts keyed by column."""
+    Echelon elimination over columns 0..n_columns-1: each incoming row
+    is reduced by the stored pivot rows, smallest pivot column first,
+    until its lowest column is not a pivot, and that column becomes its
+    pivot.  At each cut a copy of the stored rows is back-substituted
+    into reduced row echelon form, which the column order fixes
+    uniquely, and the kernel is read off with one vector per free
+    column, in column order, as dicts keyed by column index.  Yields one
+    basis per cut; cuts must not decrease.
+    """
     pivots = {}
-    for raw in rows:
-        row = _reduce_row(raw, pivots)
-        if not row:
+    done = 0
+    basis = None
+    for cut in cuts:
+        if basis is not None and cut == done:
+            yield basis
             continue
-        lead = min(row)
-        inv = 1 / row[lead]
-        normal = {c: v * inv for c, v in row.items()}
-        for prow in pivots.values():
-            f = prow.pop(lead, None)
-            if f:
-                for j, v in normal.items():
-                    if j == lead:
-                        continue
-                    value = prow.get(j, Fraction(0)) - f * v
-                    if value:
-                        prow[j] = value
+        for raw in rows[done:cut]:
+            row = dict(raw)
+            heap = list(row)
+            heapify(heap)
+            lead = None
+            while heap:
+                c = heappop(heap)
+                pivot = pivots.get(c)
+                if pivot is None:
+                    if c in row:
+                        lead = c
+                        break
+                    continue
+                f = row.pop(c, None)
+                if f is None:
+                    continue
+                for j, v in pivot.items():
+                    value = row.get(j)
+                    if value is None:
+                        row[j] = -f * v
+                        heappush(heap, j)
                     else:
-                        prow.pop(j, None)
-        pivots[lead] = normal
-    basis = []
-    for column in columns:
-        if column in pivots:
-            continue
-        vector = {column: Fraction(1)}
-        for pc, prow in pivots.items():
-            v = prow.get(column)
-            if v:
-                vector[pc] = -v
-        basis.append(vector)
-    return basis
+                        value -= f * v
+                        if value:
+                            row[j] = value
+                        else:
+                            del row[j]
+            if lead is None:
+                continue
+            inv = 1 / row.pop(lead)
+            pivots[lead] = {j: v * inv for j, v in row.items()}
+        done = cut
+        reduced = {}
+        for lead in sorted(pivots, reverse=True):
+            row = {}
+            for j, v in pivots[lead].items():
+                sub = reduced.get(j)
+                if sub is None:
+                    row[j] = row.get(j, 0) + v
+                else:
+                    for k, w in sub.items():
+                        row[k] = row.get(k, 0) - v * w
+            reduced[lead] = {k: v for k, v in row.items() if v}
+        tails = {}
+        for lead, row in reduced.items():
+            for k, w in row.items():
+                tails.setdefault(k, {})[lead] = -w
+        basis = []
+        for column in range(n_columns):
+            if column not in pivots:
+                vector = {column: Fraction(1)}
+                vector.update(tails.get(column, ()))
+                basis.append(vector)
+        yield basis
 
 
-def _ground_vectors(basis):
-    """Kernel vectors whose lowest supported valuation is zero.
+def _ground_vectors(basis, columns):
+    """Kernel vectors whose lowest supported valuation is zero, keyed by
+    their (source, lam) columns.
 
     A solution line scaled to least valuation zero must still solve the
     system at the full precision to count; vectors supported strictly
     above zero are t-shifted copies of other solutions or slack living
     too close to the precision to certify."""
     return [
-        vector
+        {columns[c]: v for c, v in vector.items()}
         for vector in basis
-        if min(lam for _, lam in vector) == 0
+        if any(not columns[c][1] for c in vector)
     ]
 
 
@@ -667,6 +779,28 @@ def _assemble_sections(module, chosen):
     return tuple(sections)
 
 
+def _solve_window(module, radius, precision, all_precisions):
+    """Ground kernel vectors of the radius-r system at the working
+    precision and, with all_precisions, at each integer precision up to
+    it, from one build and one elimination.
+
+    The system at a lower precision p is the leading block of rows
+    tagged below p, but over the columns reachable at the working
+    precision.  That does not change the ground vectors: every node on
+    a row asserted at p is itself reachable at p, so the extra columns
+    form separate blocks, all with lam > 0, whose kernel vectors are
+    never grounded.
+    """
+    system = _monomial_system(module, radius, precision)
+    stops = range(1, int(precision) + 1) if all_precisions else ()
+    cuts = [bisect_left(system.appears, p * system.scale) for p in stops]
+    cuts.append(len(system.rows))
+    return [
+        _ground_vectors(basis, system.columns)
+        for basis in _sparse_kernel(system.rows, len(system.columns), cuts)
+    ]
+
+
 def global_sections(module, precision, max_window=8, min_window=1):
     """Sections over the whole cover, modulo the working precision.
 
@@ -678,22 +812,32 @@ def global_sections(module, precision, max_window=8, min_window=1):
     only becomes visible at a large radius can stall the sweep at a
     smaller rank; callers who know how fast their restriction exponents
     grow should start the sweep at min_window.
+
+    Each radius is built and eliminated once.  The rank at every integer
+    precision up to the working one comes out of the same elimination,
+    so the returned space also carries the ranks and the stabilisation
+    threshold of the final window.
     """
     precision = _frac(precision)
     previous = None
     for radius in range(min_window, max_window + 1):
-        columns, rows = _monomial_system(module, radius, precision)
-        basis = _sparse_kernel(rows, columns)
-        rank, chosen = _collapse(_ground_vectors(basis), precision)
-        space = SectionSpace(
-            rank=rank,
-            precision=precision,
-            window=radius,
-            sections=_assemble_sections(module, chosen),
+        *lower, ground = _solve_window(
+            module, radius, precision, all_precisions=previous is not None
         )
-        if previous is not None and previous.rank == space.rank:
-            return space
-        previous = space
+        rank, chosen = _collapse(ground, precision)
+        if previous is not None and previous == rank:
+            ranks = tuple(
+                rank if p == precision else _collapse(g, Fraction(p))[0]
+                for p, g in enumerate(lower, 1)
+            )
+            return SectionSpace(
+                rank=rank,
+                precision=precision,
+                window=radius,
+                sections=_assemble_sections(module, chosen),
+                ranks=ranks,
+            )
+        previous = rank
     raise UndecidableDescriptionError(
         f"section rank kept moving up to window radius {max_window}"
     )
@@ -701,22 +845,9 @@ def global_sections(module, precision, max_window=8, min_window=1):
 
 def stabilisation_threshold(module, precision, max_window=8, min_window=1):
     """Least integer precision from which the section rank stays put
-    all the way up to the requested one."""
-    precision = _frac(precision)
-    space = global_sections(module, precision, max_window, min_window)
-    top = int(precision)
-    ranks = {}
-    for p in range(1, top + 1):
-        columns, rows = _monomial_system(module, space.window, Fraction(p))
-        basis = _sparse_kernel(rows, columns)
-        ranks[p], _ = _collapse(_ground_vectors(basis), Fraction(p))
-    threshold = top
-    for p in range(top - 1, 0, -1):
-        if ranks[p] == ranks[top]:
-            threshold = p
-        else:
-            break
-    return threshold
+    all the way up to the integer part of the requested one; 0 below
+    precision 1.  See SectionSpace.threshold."""
+    return global_sections(module, precision, max_window, min_window).threshold
 
 
 # -- complexes and fibers ----------------------------------------------------

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mirrorforge
 from mirrorforge.catalog import catalog_ids, load_catalog
 from mirrorforge.cli import main
 from mirrorforge.manifest import fibration_to_manifest
@@ -231,10 +234,14 @@ class TestSelftest:
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    root = str(Path(mirrorforge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "mirrorforge", "build", "--catalog", "split-torus-2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "mirror atlas" in result.stdout

@@ -18,18 +18,15 @@ Every quantitative line states its cutoff; rationals are printed as
 ``p/q`` strings.  ``--output json`` emits the same report as a JSON
 document with identical numeric content.  Exit codes: 0 clean, 1 for a
 validation failure or exhausted precision, 2 for usage and parse
-errors.  The environment variable ``MIRROR_FORGE_THREADS`` caps the
-worker count used by ``selftest``; output order does not depend on it.
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .affine import AffineFunction, PolyFunction
@@ -207,21 +204,6 @@ def _lagrangian(args):
     if args.slope == 0:
         raise UsageError("a slope-zero line is not transverse to the fibres")
     return LinearLagrangian(args.slope, args.offset)
-
-
-def _thread_cap():
-    raw = os.environ.get("MIRROR_FORGE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(
-            f"MIRROR_FORGE_THREADS must be a positive integer, got {raw!r}"
-        )
-    return threads
 
 
 # -- shared serialisation ----------------------------------------------------
@@ -793,8 +775,7 @@ def _random_cochain(cover, degree, rng, span=4):
     return AffCochain(cover, degree, values)
 
 
-def _catalog_selftest(job):
-    label, fibration, seed, precision = job
+def _catalog_selftest(label, fibration, seed, precision):
     rng = random.Random(seed)
     cover = fibration.cover
     cochains = 20
@@ -826,7 +807,6 @@ def _catalog_selftest(job):
 
 
 def cmd_selftest(args):
-    threads = _thread_cap()
     precision = args.precision
     if args.catalog is not None or args.manifest is not None:
         fibration, label = _load_fibration(args)
@@ -836,23 +816,16 @@ def cmd_selftest(args):
     rng = random.Random(args.seed)
     scalars = _scalar_selftest(rng, 100)
     transport = _transport_selftest(rng, 100)
-    # separate streams per catalog keep the draws identical whether the
-    # jobs run sequentially or on a pool
-    jobs = [
-        (label, fibration, args.seed + k + 1, precision)
+    # each catalog draws from its own seeded stream
+    catalogs = [
+        _catalog_selftest(label, fibration, args.seed + k + 1, precision)
         for k, (label, fibration) in enumerate(targets)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            catalogs = list(pool.map(_catalog_selftest, jobs))
-    else:
-        catalogs = [_catalog_selftest(job) for job in jobs]
     ok = scalars["ok"] and transport["ok"] and all(c["ok"] for c in catalogs)
     report = {
         "command": "selftest",
         "seed": args.seed,
         "precision": str(precision),
-        "threads": threads,
         "scalars": scalars,
         "transport": transport,
         "catalogs": catalogs,
@@ -866,7 +839,6 @@ def _text_selftest(report):
         "selftest",
         f"seed: {report['seed']}",
         f"precision: {report['precision']}",
-        f"threads: {report['threads']}",
         f"scalar axioms: {report['scalars']['cases']} cases, "
         f"{report['scalars']['failures']} failures",
         f"energy transport: {report['transport']['cases']} cases, "

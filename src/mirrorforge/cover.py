@@ -66,6 +66,7 @@ class Cover:
         self._polytopes = {
             tuple(sorted(set(face))): poly for face, poly in polytopes.items()
         }
+        # both directions of every transition, built once for ``transition``
         self._transitions = {}
         for (i, j), phi in transitions.items():
             i, j = int(i), int(j)
@@ -74,6 +75,8 @@ class Cover:
                     f"transitions must be keyed by increasing pairs, got ({i},{j})"
                 )
             self._transitions[(i, j)] = phi
+            self._transitions[(j, i)] = phi.inverse()
+        self._identity = IntegralAffineMap.identity(self._dimension)
         self._validate()
         self._cert_cache = None
 
@@ -176,15 +179,14 @@ class Cover:
     def transition(self, i, j):
         """Coordinate change from chart i to chart j."""
         if i == j:
-            return IntegralAffineMap.identity(self._dimension)
-        key = (min(i, j), max(i, j))
-        if key not in self._transitions:
+            return self._identity
+        phi = self._transitions.get((i, j))
+        if phi is None:
             raise ChartMismatchError(
                 f"charts {self._chart_ids[i]!r} and {self._chart_ids[j]!r} "
                 "do not share an edge"
             )
-        phi = self._transitions[key]
-        return phi if (i, j) == key else phi.inverse()
+        return phi
 
     def face_chart(self, face):
         face = tuple(sorted(face))

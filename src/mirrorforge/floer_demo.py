@@ -21,16 +21,8 @@ from math import isqrt
 from .affine import PolyFunction
 from .errors import ChartMismatchError
 from .mirror_charts import AffinoidElement
-from .novikov import NovikovScalar
+from .novikov import NovikovScalar, _frac
 from .twisted_sheaves import ModuleComplex, TwistedModule, nested_pairs
-
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected a rational number, got {x!r}")
 
 
 def _point(x):

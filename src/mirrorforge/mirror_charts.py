@@ -20,22 +20,15 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 
-from .affine import AffineFunction, dot, recession_cone_is_trivial
+from .affine import (
+    AffineFunction,
+    _frac_vec,
+    _int_vec,
+    dot,
+    recession_cone_is_trivial,
+)
 from .errors import ChartMismatchError, UndecidableDescriptionError
-from .novikov import NovikovScalar, _frac
-
-
-def _frac_vec(values):
-    return tuple(_frac(x) for x in values)
-
-
-def _int_vec(values):
-    out = []
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"exponent vectors must be integers, got {x!r}")
-        out.append(x)
-    return tuple(out)
+from .novikov import INF, NovikovScalar, _frac
 
 
 def _coerce_scalar(value):
@@ -65,7 +58,7 @@ class MirrorPoint:
 class AffinoidElement:
     """Finite monomial combination on one face chart."""
 
-    __slots__ = ("_cover", "_face", "_basepoint", "_terms", "_restrict_cache")
+    __slots__ = ("_cover", "_face", "_basepoint", "_terms")
 
     def __init__(self, cover, face, terms=(), basepoint=None):
         self._cover = cover
@@ -83,7 +76,7 @@ class AffinoidElement:
         data = dict(terms)
         cleaned = {}
         for exponent, coeff in data.items():
-            exponent = _int_vec(exponent)
+            exponent = _int_vec(exponent, "exponent vectors")
             if len(exponent) != cover.dimension:
                 raise ChartMismatchError("exponent vector has wrong length")
             coeff = _coerce_scalar(coeff)
@@ -93,7 +86,27 @@ class AffinoidElement:
         self._terms = {
             a: c for a, c in cleaned.items() if c.terms or c.cutoff is not None
         }
-        self._restrict_cache = None
+
+    @classmethod
+    def _trusted(cls, cover, face, basepoint, terms):
+        """Build an element from parts that are already valid.
+
+        Only exact-zero coefficients are dropped; nothing is coerced or
+        checked.  The caller guarantees that ``face`` is a sorted face
+        of ``cover``, that ``basepoint`` is a tuple of Fractions inside
+        that face's polytope, and that ``terms`` is a dict from tuples
+        of ``cover.dimension`` ints to NovikovScalars.  Results of ring
+        operations and restrictions come through here; data from
+        outside goes through ``__init__``.
+        """
+        self = object.__new__(cls)
+        self._cover = cover
+        self._face = face
+        self._basepoint = basepoint
+        self._terms = {
+            a: c for a, c in terms.items() if c._terms or c._cutoff is not None
+        }
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -135,7 +148,10 @@ class AffinoidElement:
 
     def weight(self, exponent):
         """min over the polytope of <x - basepoint, exponent>."""
-        exponent = _int_vec(exponent)
+        return self._weight(_int_vec(exponent, "exponent vectors"))
+
+    def _weight(self, exponent):
+        # ``weight`` for an exponent already known to be an int tuple
         poly = self._cover.face_chart(self._face).polytope
         return min(
             dot(tuple(a - b for a, b in zip(v, self._basepoint)), exponent)
@@ -144,11 +160,9 @@ class AffinoidElement:
 
     def valuation_lower_bound(self):
         """A bound below the t-adic size of the element; INF for zero."""
-        from .novikov import INF
-
         best = INF
         for exponent, coeff in self._terms.items():
-            floor = coeff._val_floor() + self.weight(exponent)
+            floor = coeff._val_floor() + self._weight(exponent)
             if floor < best:
                 best = floor
         return best
@@ -156,7 +170,7 @@ class AffinoidElement:
     def is_zero_at(self, precision):
         precision = _frac(precision)
         for exponent, coeff in self._terms.items():
-            if not coeff.is_zero_at(precision - self.weight(exponent)):
+            if not coeff.is_zero_at(precision - self._weight(exponent)):
                 return False
         return True
 
@@ -164,6 +178,12 @@ class AffinoidElement:
         return not self._terms
 
     # -- ring operations ---------------------------------------------------
+
+    def _with_terms(self, terms):
+        # a result on this element's chart and basepoint
+        return AffinoidElement._trusted(
+            self._cover, self._face, self._basepoint, terms
+        )
 
     def _check_companion(self, other):
         if not isinstance(other, AffinoidElement):
@@ -180,37 +200,27 @@ class AffinoidElement:
         self._check_companion(other)
         merged = dict(self._terms)
         for a, c in other._terms.items():
-            merged[a] = merged.get(a, NovikovScalar.zero()) + c
-        return AffinoidElement(self._cover, self._face, merged, self._basepoint)
+            merged[a] = merged[a] + c if a in merged else c
+        return self._with_terms(merged)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AffinoidElement(
-            self._cover,
-            self._face,
-            {a: -c for a, c in self._terms.items()},
-            self._basepoint,
-        )
+        return self._with_terms({a: -c for a, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, NovikovScalar)):
             scalar = _coerce_scalar(other)
-            return AffinoidElement(
-                self._cover,
-                self._face,
-                {a: c * scalar for a, c in self._terms.items()},
-                self._basepoint,
-            )
+            return self._with_terms({a: c * scalar for a, c in self._terms.items()})
         self._check_companion(other)
         out = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
                 prod = ca * cb
-                out[key] = out.get(key, NovikovScalar.zero()) + prod
-        return AffinoidElement(self._cover, self._face, out, self._basepoint)
+                out[key] = out[key] + prod if key in out else prod
+        return self._with_terms(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, NovikovScalar)):
@@ -224,20 +234,17 @@ class AffinoidElement:
                 "only single-monomial elements are inverted exactly"
             )
         (exponent, coeff), = self._terms.items()
-        return AffinoidElement(
-            self._cover,
-            self._face,
-            {tuple(-x for x in exponent): coeff.inverse()},
-            self._basepoint,
-        )
+        return self._with_terms({tuple(-x for x in exponent): coeff.inverse()})
 
     def truncate(self, precision):
         """Forget everything of t-adic size >= precision."""
         precision = _frac(precision)
-        out = {}
-        for exponent, coeff in self._terms.items():
-            out[exponent] = coeff.truncate(precision - self.weight(exponent))
-        return AffinoidElement(self._cover, self._face, out, self._basepoint)
+        return self._with_terms(
+            {
+                exponent: coeff.truncate(precision - self._weight(exponent))
+                for exponent, coeff in self._terms.items()
+            }
+        )
 
     def with_basepoint(self, new_basepoint):
         """The same element written against another basepoint."""
@@ -251,8 +258,6 @@ class AffinoidElement:
     def restrict(self, to_face):
         """Restriction along an inclusion of faces (finer index set)."""
         to_face = tuple(sorted(to_face))
-        if self._restrict_cache is not None and to_face in self._restrict_cache:
-            return self._restrict_cache[to_face]
         if not set(self._face) < set(to_face):
             raise ChartMismatchError(
                 f"{to_face} does not refine {self._face}"
@@ -268,12 +273,8 @@ class AffinoidElement:
         for exponent, coeff in self._terms.items():
             moved = tuple(dot(row, exponent) for row in mt)
             scaled = coeff * NovikovScalar.monomial(1, dot(offset, exponent))
-            out[moved] = out.get(moved, NovikovScalar.zero()) + scaled
-        result = AffinoidElement(cover, to_face, out)
-        if self._restrict_cache is None:
-            self._restrict_cache = {}
-        self._restrict_cache[to_face] = result
-        return result
+            out[moved] = out[moved] + scaled if moved in out else scaled
+        return AffinoidElement._trusted(cover, to_face, tgt.basepoint, out)
 
     def evaluate(self, point):
         """Value at a mirror point, as a scalar."""
@@ -485,7 +486,7 @@ class MonomialChartMap:
 
     def apply_exponent(self, exponent):
         """Image exponent and accumulated t-power of one monomial."""
-        exponent = _int_vec(exponent)
+        exponent = _int_vec(exponent, "exponent vectors")
         moved = tuple(dot(row, exponent) for row in self.matrix)
         return moved, dot(self.shift, exponent)
 

@@ -23,7 +23,14 @@ INF = math.inf
 
 
 def _frac(x):
-    """Coerce to Fraction, refusing floats outright."""
+    """Coerce to Fraction, refusing floats outright.
+
+    Fractions pass through unchanged; ints and rational strings such as
+    ``"3/4"`` or ``"-2"`` are converted with ``Fraction``.  Floats (and
+    anything else) raise TypeError: a float has already rounded the
+    value it was meant to hold.  This is the package's one coercion to
+    exact rationals.
+    """
     if isinstance(x, float):
         raise TypeError("floats are not allowed here; use Fraction or int")
     if isinstance(x, Fraction):
@@ -61,6 +68,41 @@ class NovikovScalar:
             (e, c) for e, c in sorted(merged.items()) if c != 0
         )
         self._cutoff = cutoff
+
+    @classmethod
+    def _trusted(cls, terms, cutoff):
+        """Build a scalar from parts that are already in normal form.
+
+        Nothing is coerced or checked.  The caller guarantees that
+        ``cutoff`` is None or a Fraction, and that ``terms`` is a tuple
+        of ``(exponent, coefficient)`` Fraction pairs with strictly
+        increasing exponents, every coefficient nonzero and every
+        exponent below the cutoff.  Results of arithmetic on scalars
+        come through here; values from outside go through ``__init__``.
+        """
+        self = object.__new__(cls)
+        self._terms = terms
+        self._cutoff = cutoff
+        return self
+
+    @classmethod
+    def _collect(cls, pairs, cutoff):
+        """Normal form of a sum of Fraction ``(exponent, coefficient)``
+        pairs: equal exponents merged, zero coefficients and exponents at
+        or above ``cutoff`` dropped, exponents sorted.  The cutoff must
+        be None or a Fraction."""
+        merged = {}
+        for e, c in pairs:
+            if e in merged:
+                merged[e] += c
+            else:
+                merged[e] = c
+        terms = tuple(
+            (e, c)
+            for e, c in sorted(merged.items())
+            if c and (cutoff is None or e < cutoff)
+        )
+        return cls._trusted(terms, cutoff)
 
     # -- constructors ------------------------------------------------
 
@@ -160,12 +202,14 @@ class NovikovScalar:
         if other is NotImplemented:
             return NotImplemented
         cutoff = _cutoff_min(self._cutoff, other._cutoff)
-        return NovikovScalar(self._terms + other._terms, cutoff)
+        return NovikovScalar._collect(self._terms + other._terms, cutoff)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovScalar(tuple((e, -c) for e, c in self._terms), self._cutoff)
+        return NovikovScalar._trusted(
+            tuple((e, -c) for e, c in self._terms), self._cutoff
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -202,7 +246,7 @@ class NovikovScalar:
             for ea, xa in self._terms
             for eb, xb in other._terms
         ]
-        return NovikovScalar(prod, cutoff)
+        return NovikovScalar._collect(prod, cutoff)
 
     __rmul__ = __mul__
 
@@ -236,9 +280,10 @@ class NovikovScalar:
                 f"inverse needs a leading term, none known below t^({self._cutoff})"
             )
         v, c = self._terms[0]
+        lead = NovikovScalar._trusted(((-v, 1 / c),), None)
         if self._cutoff is None:
             if len(self._terms) == 1:
-                return NovikovScalar.monomial(1 / c, -v)
+                return lead
             raise PrecisionExhaustedError(
                 "inverse of an exact multi-term scalar is an infinite series; "
                 "truncate first"
@@ -247,13 +292,13 @@ class NovikovScalar:
         # self = c * t^v * (1 + u) with val(u) > 0; invert the unit by a
         # geometric series mod t^prec, then shift back.
         scaled = tuple((e - v, x / c) for e, x in self._terms)
-        u = NovikovScalar(scaled[1:], prec)
+        u = NovikovScalar._trusted(scaled[1:], prec)
         acc = NovikovScalar.one().truncate(prec)
         term = NovikovScalar.one().truncate(prec)
         while term._terms:
             term = (term * (-u)).truncate(prec)
             acc = acc + term
-        return acc * NovikovScalar.monomial(1 / c, -v)
+        return acc * lead
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -268,8 +313,10 @@ class NovikovScalar:
         return other * self.inverse()
 
     def truncate(self, precision):
-        precision = _frac(precision)
-        return NovikovScalar(self._terms, _cutoff_min(self._cutoff, precision))
+        cutoff = _cutoff_min(self._cutoff, _frac(precision))
+        return NovikovScalar._trusted(
+            tuple(t for t in self._terms if t[0] < cutoff), cutoff
+        )
 
     def agrees_with(self, other):
         """Equality of the parts both sides actually know.

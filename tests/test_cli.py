@@ -56,12 +56,6 @@ class TestUsageErrors:
         assert code == 2
         assert "one-dimensional" in err
 
-    def test_bad_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("MIRROR_FORGE_THREADS", "zero")
-        code, _, err = run(capsys, "selftest")
-        assert code == 2
-        assert "MIRROR_FORGE_THREADS" in err
-
 
 class TestBuild:
     def test_split_torus_atlas(self, capsys):
@@ -215,15 +209,6 @@ class TestSelftest:
         assert code == 0
         assert "result: OK" in out
         assert "rank-1 refusal verified" in out
-
-    def test_thread_cap_does_not_change_results(self, capsys, monkeypatch):
-        _, sequential, _ = run(capsys, "selftest", "--output", "json")
-        monkeypatch.setenv("MIRROR_FORGE_THREADS", "3")
-        _, pooled, _ = run(capsys, "selftest", "--output", "json")
-        a, b = json.loads(sequential), json.loads(pooled)
-        assert a["threads"] == 1 and b["threads"] == 3
-        del a["threads"], b["threads"]
-        assert a == b
 
     def test_single_catalog_restriction(self, capsys):
         code, out, _ = run(

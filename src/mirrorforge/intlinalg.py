@@ -1,14 +1,19 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers, the rationals and other rings.
 
-Small dense matrices only: plain lists of ints or Fractions.  The Smith
-normal form drives every integer solvability question in the package
-(coboundary certificates, lattice classes), and the rational routines
-back the affine-constant solves.
+Small dense matrices only.  The Smith normal form drives every integer
+solvability question in the package (coboundary certificates, lattice
+classes), and the rational routines back the affine-constant solves;
+both take plain lists of ints or Fractions.  The principal-minor sums
+and the determinant are ring-generic: they use only ``+``, ``-`` and
+``*`` of the entries, so they serve Fractions, Novikov scalars and
+affinoid elements alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 
 def xgcd(a, b):
@@ -139,41 +144,13 @@ def solve_integer(mat, rhs):
     Returns (x0, kernel_basis) or None when no integer solution exists.
     kernel_basis is a list of integer vectors spanning the kernel.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if m == 0:
-        return [0] * n, [
-            [1 if i == j else 0 for i in range(n)] for j in range(n)
-        ]
-    u, s, v = smith_normal_form(mat)
-    c = mat_vec(u, list(rhs))
-    y = [0] * n
-    for i in range(m):
-        d = s[i][i] if i < min(m, n) else 0
-        if d != 0:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
-            return None
-    x0 = mat_vec(v, y)
-    kernel = []
-    for j in range(n):
-        d = s[j][j] if j < min(m, n) else 0
-        if d == 0:
-            kernel.append([v[i][j] for i in range(n)])
-    return x0, kernel
+    system = PresolvedIntegerSystem(mat)
+    x0 = system.solve(rhs)
+    return None if x0 is None else (x0, system.kernel_basis())
 
 
 def integer_kernel_basis(mat):
-    n = len(mat[0]) if mat else 0
-    solved = solve_integer(mat, [0] * len(mat))
-    if solved is None:
-        raise AssertionError("homogeneous system is always solvable")
-    _, kernel = solved
-    if not mat:
-        return kernel
-    return kernel
+    return PresolvedIntegerSystem(mat).kernel_basis()
 
 
 def rational_rref(mat):
@@ -269,10 +246,7 @@ class PresolvedIntegerSystem:
     def kernel_basis(self):
         if self._kernel is None:
             if self._m == 0:
-                self._kernel = [
-                    [1 if i == j else 0 for i in range(self._n)]
-                    for j in range(self._n)
-                ]
+                self._kernel = identity_matrix(self._n)
             else:
                 basis = []
                 for j in range(self._n):
@@ -328,3 +302,60 @@ class PresolvedRationalSystem:
         for r, col in enumerate(self._pivots):
             x[col] = transformed[r]
         return x
+
+
+def principal_minor_sums(rows):
+    """[e_1, ..., e_n], where e_k sums the k x k principal minors.
+
+    These are the coefficients of det(I + xA), found by Berkowitz's
+    division-free recurrence (Inf. Proc. Letters 18, 1984) over the
+    leading principal blocks in O(n^4) ring operations.
+    """
+    e = []
+    for r in range(len(rows)):
+        q = _border_products(rows, r)
+        e = [_next_sum(e, rows[r][r], q, k) for k in range(1, r + 2)]
+    return e
+
+
+def determinant(rows):
+    """Determinant of a nonempty square matrix over a commutative ring.
+
+    Only the last sum of the final Berkowitz step is formed; a 1 x 1
+    matrix gives its entry itself.
+    """
+    r = len(rows) - 1
+    if r < 0:
+        raise ValueError("a 0 x 0 determinant needs the ring's one")
+    e = principal_minor_sums([row[:r] for row in rows[:r]])
+    return _next_sum(e, rows[r][r], _border_products(rows, r), r + 1)
+
+
+def _border_products(rows, r):
+    # q_m = h A^m c for m < r: A is the leading r x r block, h is row r
+    # and c column r cut to the block (_dot stops at the shorter vector)
+    vec = [row[r] for row in rows[:r]]
+    q = []
+    for m in range(r):
+        if m:
+            vec = [_dot(row, vec) for row in rows[:r]]
+        q.append(_dot(rows[r], vec))
+    return q
+
+
+def _next_sum(e, a, q, k):
+    # e'_k = e_k + a e_(k-1) - q_0 e_(k-2) + q_1 e_(k-3) - ... once the
+    # block with sums e is bordered by diagonal entry a; e_0 = 1 and
+    # e_(r+1) = 0 stay implicit, so no ring one, zero or negation is used
+    r = len(e)
+    if k == 1:
+        return e[0] + a if r else a
+    total = a * e[k - 2] if k > r else e[k - 1] + a * e[k - 2]
+    for m in range(k - 1):
+        term = q[m] if m == k - 2 else q[m] * e[k - 3 - m]
+        total = total - term if m % 2 == 0 else total + term
+    return total
+
+
+def _dot(u, v):
+    return reduce(add, map(mul, u, v))

@@ -28,6 +28,7 @@ from .affine import (
     recession_cone_is_trivial,
 )
 from .errors import ChartMismatchError, UndecidableDescriptionError
+from .intlinalg import principal_minor_sums
 from .novikov import INF, NovikovScalar, _frac
 
 
@@ -379,26 +380,9 @@ class QuadraticValuation:
 
 
 def _is_psd(quad):
-    n = len(quad)
-    indices = range(n)
-    for size in range(1, n + 1):
-        for subset in combinations(indices, size):
-            minor = [[quad[i][j] for j in subset] for i in subset]
-            if _det(minor) < 0:
-                return False
-    return True
-
-
-def _det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        sub = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det(sub)
-        total += term if j % 2 == 0 else -term
-    return total
+    # symmetric and PSD iff no principal-minor sum is negative: the
+    # characteristic polynomial then alternates in sign, no negative root
+    return all(e >= 0 for e in principal_minor_sums(quad))
 
 
 def _integer_rows(rows):
@@ -528,8 +512,8 @@ class MonomialChartMap:
 
 def chart_monomial_map(cover, i, j):
     """Mirror coordinate change from chart i to chart j over an edge."""
-    phi = cover.transition(i, j)
-    inv = phi.inverse()
+    cover.transition(i, j)  # a non-edge raises here, naming i before j
+    inv = cover.transition(j, i)
     matrix = tuple(zip(*inv.linear))
     q_i = cover.face_chart((i,)).basepoint
     q_j = cover.face_chart((j,)).basepoint

@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 
 from .errors import PrecisionExhaustedError
+from .intlinalg import determinant
 
 INF = math.inf
 
@@ -605,24 +606,19 @@ class NovikovMatrix:
         )
 
     def determinant(self):
+        """Determinant by the division-free Berkowitz recurrence.
+
+        Exact entries give the exact determinant.  On truncated entries
+        every known term is right, but the cutoff can sit below a
+        cofactor expansion's: the recurrence multiplies partial sums
+        whose low-order terms cancel later, and a product is known only
+        to one factor's cutoff plus the other factor's valuation.
+        """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
+        if not self._rows:
             return NovikovScalar.one()
-        if n == 1:
-            return self._rows[0][0]
-        total = NovikovScalar.zero()
-        for j in range(n):
-            minor = NovikovMatrix(
-                [
-                    [self._rows[i][k] for k in range(n) if k != j]
-                    for i in range(1, n)
-                ]
-            )
-            piece = self._rows[0][j] * minor.determinant()
-            total = total + (piece if j % 2 == 0 else -piece)
-        return total
+        return determinant(self._rows)
 
     # -- elimination ---------------------------------------------------
 

@@ -27,6 +27,7 @@ from .errors import (
     InvalidFibrationError,
     UndecidableDescriptionError,
 )
+from .intlinalg import determinant
 from .mirror_charts import AffinoidElement, exp_aff, gerbe_value
 from .novikov import INF, NovikovMatrix, NovikovScalar, _frac
 
@@ -68,20 +69,6 @@ def _aff_restrict(mat, face):
 
 def _aff_scale(mat, element):
     return tuple(tuple(element * entry for entry in row) for row in mat)
-
-
-def _aff_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = None
-    for j in range(n):
-        sub = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _aff_det(sub)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
 
 
 def element_is_unit_at(element, precision):
@@ -397,7 +384,7 @@ def validate_module(module, precision, stop_early=False):
     det_failures = []
     if not (stop_early and cocycle_failures):
         for low, top in module.pairs:
-            det = _aff_det(module.restriction(low, top))
+            det = determinant(module.restriction(low, top))
             if not element_is_unit_at(det, precision):
                 det_failures.append((low, top))
                 if stop_early:

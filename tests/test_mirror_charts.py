@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from mirrorforge.mirror_charts import (
     MirrorPoint,
     MonomialChartMap,
     QuadraticValuation,
+    _is_psd,
     chart_monomial_map,
     converges_on,
     exp_aff,
@@ -218,6 +220,77 @@ def oracle_converges(valuation, cover, face, bound=4):
     return all(ray_growth(valuation, vertices, q, d) for d in directions)
 
 
+def small_det(mat):
+    if not mat:
+        return F(1)
+    return sum(
+        (-1) ** j * mat[0][j] * small_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j in range(len(mat))
+    )
+
+
+def psd_by_principal_minors(quad):
+    """Symmetric Q is PSD iff every principal minor, not only the leading
+    ones, is nonnegative."""
+    n = len(quad)
+    return all(
+        small_det([[quad[i][j] for j in subset] for i in subset]) >= 0
+        for k in range(1, n + 1)
+        for subset in combinations(range(n), k)
+    )
+
+
+def random_symmetric(rng, n):
+    kind = rng.choice(("gram", "gram", "negated", "plain"))
+    if kind == "plain":
+        upper = {(i, j): F(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(n) for j in range(i, n)}
+        return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    # B^T B is PSD, and singular whenever B has fewer rows than columns
+    b = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    sign = -1 if kind == "negated" else 1
+    return tuple(
+        tuple(sign * sum(row[i] * row[j] for row in b) for j in range(n)) for i in range(n)
+    )
+
+
+class TestPositiveSemidefinite:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_principal_minor_enumeration(self, n):
+        rng = random.Random(70 + n)
+        verdicts = []
+        for _ in range(150):
+            quad = random_symmetric(rng, n)
+            verdicts.append(psd_by_principal_minors(quad))
+            assert _is_psd(quad) == verdicts[-1], quad
+        assert 30 < sum(verdicts) < 120
+
+    @pytest.mark.parametrize(
+        "quad, psd",
+        [
+            (((1, 2), (2, 4)), True),  # v v^T for v = (1, 2), singular
+            (((1, -1, 2), (-1, 1, -2), (2, -2, 4)), True),  # v v^T in 3d
+            (((0, 0), (0, 0)), True),
+            (((0, 0, 0), (0, 0, 0), (0, 0, 0)), True),
+            (((1, 2), (2, 1)), False),  # nonnegative diagonal, indefinite
+            (((0, 1), (1, 0)), False),  # zero diagonal, indefinite
+            (((2, 0, 1), (0, 0, 0), (1, 0, 1)), True),  # PSD with a zero pivot
+            (((-2, 1), (1, -2)), False),  # negative definite
+            (((-1, 0, 0), (0, -2, 0), (0, 0, -3)), False),
+            (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), True),
+        ],
+    )
+    def test_named_cases(self, quad, psd):
+        quad = tuple(tuple(F(x) for x in row) for row in quad)
+        assert psd_by_principal_minors(quad) == psd
+        assert _is_psd(quad) == psd
+
+    def test_two_dimensional_quadratic_on_the_torus(self):
+        definite = QuadraticValuation(((2, 1), (1, 2)), (0, 0), 0)
+        assert converges_on(definite, TORUS, (0,))
+        indefinite = QuadraticValuation(((1, 2), (2, 1)), (0, 0), 0)
+        assert not converges_on(indefinite, TORUS, (0,))
+
+
 class TestConvergence:
     def test_definite_quadratic_converges(self):
         desc = QuadraticValuation(((1,),), (0,), 0)
@@ -299,6 +372,32 @@ class TestMonomialMaps:
         loop = path_monomial_map(F2.cover, [0, 1, 2, 0])
         lines = loop.describe(names=["zu", "zv"])
         assert lines == ["zu -> zu*zv", "zv -> T^(1) * zv"]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["elliptic-demo", "split-torus-2", "split-torus-4", "thurston-f1", "thurston-f2"],
+    )
+    def test_stored_reverse_transition_gives_the_inverse_built_map(self, name):
+        cover = load_catalog(name).cover
+
+        def inverse_built(i, j):
+            inv = cover.transition(i, j).inverse()
+            moved = inv.apply(cover.face_chart((j,)).basepoint)
+            q_i = cover.face_chart((i,)).basepoint
+            return MonomialChartMap(
+                tuple(zip(*inv.linear)), tuple(a - b for a, b in zip(moved, q_i))
+            )
+
+        for i, j in cover.edges():
+            assert chart_monomial_map(cover, i, j) == inverse_built(i, j)
+            assert chart_monomial_map(cover, j, i) == inverse_built(j, i)
+
+    def test_non_edge_names_the_charts_in_the_callers_order(self):
+        cover = load_catalog("split-torus-2").cover
+        with pytest.raises(ChartMismatchError, match="^charts '0' and '2' do not share an edge$"):
+            chart_monomial_map(cover, 0, 2)
+        with pytest.raises(ChartMismatchError, match="^charts '2' and '0' do not share an edge$"):
+            chart_monomial_map(cover, 2, 0)
 
     def test_edge_map_matches_restriction_on_the_overlap(self):
         # moving a monomial through chart coordinates agrees with the two

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidPolytopeError
-from .intlinalg import rational_rref, rational_solve
+from .intlinalg import determinant, rational_rref, rational_solve
 from .novikov import _frac
 
 
@@ -243,14 +243,22 @@ class IntegralAffinePolytope:
 
     def apply_map(self, phi):
         """Image polytope under y = M x + tau."""
-        inv = phi.inverse()
-        minv_t = tuple(zip(*inv.linear))
-        ineqs = []
-        for normal, bound in self._inequalities:
-            new_normal = tuple(dot(row, normal) for row in minv_t)
-            ineqs.append((new_normal, bound + dot(new_normal, phi.translation)))
+        ineqs = self.image_inequalities(phi, phi.inverse())
         verts = [phi.apply(v) for v in self._vertices]
         return IntegralAffinePolytope(self._dimension, ineqs, verts)
+
+    def image_inequalities(self, phi, inverse):
+        """Halfspaces of the image under y = M x + tau, unchecked.
+
+        ``inverse`` is phi's inverse; n.x <= b becomes n'.y <= b + n'.tau
+        with n' = M^-T n.
+        """
+        minv_t = tuple(zip(*inverse.linear))
+        out = []
+        for normal, bound in self._inequalities:
+            new_normal = tuple(dot(row, normal) for row in minv_t)
+            out.append((new_normal, bound + dot(new_normal, phi.translation)))
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, IntegralAffinePolytope):
@@ -325,22 +333,7 @@ class IntegralAffineMap:
 
     @property
     def det(self):
-        n = len(self._linear)
-        rows = [[Fraction(x) for x in row] for row in self._linear]
-        det = Fraction(1)
-        for col in range(n):
-            sel = next((i for i in range(col, n) if rows[i][col] != 0), None)
-            if sel is None:
-                return 0
-            if sel != col:
-                rows[col], rows[sel] = rows[sel], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
-            for i in range(col + 1, n):
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-        return int(det)
+        return determinant(self._linear) if self._linear else 1
 
     def apply(self, point):
         point = _frac_vec(point)

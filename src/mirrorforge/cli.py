@@ -357,7 +357,7 @@ def cmd_gerbe(args):
             "chain": [_face_ids(cover, f) for f in (low, mid, top)],
             "value": str(gerbe_value(fibration, low, mid, top)),
         }
-        for low, mid, top in sorted(nested_triples(cover))
+        for low, mid, top in nested_triples(cover)
     ]
     report = {
         "command": "gerbe",
@@ -545,7 +545,7 @@ def cmd_demo(args):
             }
         )
     restrictions = []
-    for low, top in sorted(module.pairs):
+    for low, top in module.pairs:
         mat = module.restriction(low, top)
         restrictions.append(
             {

@@ -15,7 +15,8 @@ affine functions with integral differentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import lcm
 
 from .affine import AffineFunction, IntegralAffineMap, PolyFunction, dot
@@ -41,8 +42,31 @@ class FaceChart:
     basepoint: tuple
 
 
+def _directed_transitions(transitions):
+    """Both directions of every edge transition, keyed by ordered pair.
+
+    ``transitions`` maps increasing index pairs to the map from the
+    lower chart to the higher one; each reverse map is inverted once.
+    """
+    out = {}
+    for (i, j), phi in transitions.items():
+        i, j = int(i), int(j)
+        if i >= j:
+            raise InvalidCoverError(
+                f"transitions must be keyed by increasing pairs, got ({i},{j})"
+            )
+        out[(i, j)] = phi
+        out[(j, i)] = phi.inverse()
+    return out
+
+
 class Cover:
-    """Charts, nerve, overlap polytopes, and transitions."""
+    """Charts, nerve, overlap polytopes, and transitions.
+
+    Tables derived from these (face charts, nested face pairs and
+    chains, the certificate system) are cached properties, each built
+    once per cover on first use.
+    """
 
     def __init__(self, dimension, chart_ids, faces, polytopes, transitions):
         self._dimension = int(dimension)
@@ -66,19 +90,9 @@ class Cover:
         self._polytopes = {
             tuple(sorted(set(face))): poly for face, poly in polytopes.items()
         }
-        # both directions of every transition, built once for ``transition``
-        self._transitions = {}
-        for (i, j), phi in transitions.items():
-            i, j = int(i), int(j)
-            if i >= j:
-                raise InvalidCoverError(
-                    f"transitions must be keyed by increasing pairs, got ({i},{j})"
-                )
-            self._transitions[(i, j)] = phi
-            self._transitions[(j, i)] = phi.inverse()
+        self._transitions = _directed_transitions(transitions)
         self._identity = IntegralAffineMap.identity(self._dimension)
         self._validate()
-        self._cert_cache = None
 
     # -- validation ----------------------------------------------------
 
@@ -125,13 +139,12 @@ class Cover:
         for face in self._faces:
             if len(face) < 2:
                 continue
-            poly = self._polytopes[face]
+            vertices = self._polytopes[face].vertices
             for k in range(len(face)):
                 sub = face[:k] + face[k + 1 :]
-                moved = poly
-                if sub[0] != face[0]:
-                    moved = poly.apply_map(self.transition(face[0], sub[0]))
-                if not self._polytopes[sub].contains_polytope(moved):
+                phi = self.transition(face[0], sub[0])
+                target = self._polytopes[sub]
+                if not all(target.contains(phi.apply(v)) for v in vertices):
                     raise InvalidCoverError(
                         f"overlap of {self._fmt(face)} is not inside "
                         f"that of {self._fmt(sub)}"
@@ -190,18 +203,50 @@ class Cover:
 
     def face_chart(self, face):
         face = tuple(sorted(face))
-        cache = self.__dict__.setdefault("_face_chart_cache", {})
-        chart = cache.get(face)
-        if chart is None:
-            poly = self.polytope(face)
-            chart = FaceChart(
+        try:
+            return self._face_charts[face]
+        except KeyError:
+            raise ChartMismatchError(f"{self._fmt(face)} is not a face") from None
+
+    @cached_property
+    def _face_charts(self):
+        return {
+            face: FaceChart(
                 face=face,
                 ambient=face[0],
                 polytope=poly,
                 basepoint=poly.lex_least_vertex(),
             )
-            cache[face] = chart
-        return chart
+            for face, poly in self._polytopes.items()
+        }
+
+    @cached_property
+    def nested_pairs(self):
+        """Proper nested face pairs (low, top), sorted."""
+        return tuple(
+            sorted(
+                (low, top)
+                for top in self._faces
+                for size in range(1, len(top))
+                for low in combinations(top, size)
+            )
+        )
+
+    @cached_property
+    def nested_chains(self):
+        """Proper chains (low, mid, top) of faces, sorted."""
+        return tuple(
+            sorted(
+                (low, mid, top)
+                for mid, top in self.nested_pairs
+                for size in range(1, len(mid))
+                for low in combinations(mid, size)
+            )
+        )
+
+    @cached_property
+    def _certificate_system(self):
+        return _CertificateSystem(self)
 
     def __eq__(self, other):
         if not isinstance(other, Cover):
@@ -219,13 +264,6 @@ class Cover:
             f"Cover({len(self._chart_ids)} charts, "
             f"{len(self._faces)} faces, dim {self._dimension})"
         )
-
-    # -- certificate machinery (cached per cover) ----------------------
-
-    def _certificate_system(self):
-        if self._cert_cache is None:
-            self._cert_cache = _CertificateSystem(self)
-        return self._cert_cache
 
 
 class AffCochain:
@@ -385,6 +423,31 @@ class FibrationData:
 
     def obstruction_cocycle(self):
         return self._alpha
+
+    @cached_property
+    def twist_factors(self):
+        """The twist of every nested chain of the cover, built once.
+
+        A chain whose final charts strictly increase maps to exp of the
+        obstruction on the triangle of final charts, written on the top
+        face; a chain whose final charts repeat carries a degenerate
+        obstruction value of zero, so its factor is the unit.
+        """
+        from .mirror_charts import AffinoidElement, exp_aff
+
+        cover = self._cover
+        units = {face: AffinoidElement.one(cover, face) for face in cover.faces}
+        out = {}
+        for low, mid, top in cover.nested_chains:
+            finals = (low[-1], mid[-1], top[-1])
+            if finals[0] < finals[1] < finals[2]:
+                moved = self._alpha.value(finals).compose_with_map(
+                    cover.transition(top[0], finals[0])
+                )
+                out[(low, mid, top)] = exp_aff(cover, top, moved)
+            else:
+                out[(low, mid, top)] = units[top]
+        return out
 
 
 @dataclass
@@ -559,23 +622,17 @@ def face_polytopes_from_charts(dimension, chart_polytopes, faces, transitions):
     """
     from .affine import IntegralAffinePolytope
 
-    def phi(i, j):
-        if i == j:
-            return IntegralAffineMap.identity(dimension)
-        key = (min(i, j), max(i, j))
-        if key not in transitions:
-            raise InvalidCoverError(f"no transition declared for edge {key}")
-        base = transitions[key]
-        return base if (i, j) == key else base.inverse()
-
+    directed = _directed_transitions(transitions)
     out = {}
     for face in faces:
         face = tuple(sorted(face))
         lv = face[0]
         ineqs = list(chart_polytopes[lv].inequalities)
         for j in face[1:]:
-            moved = chart_polytopes[j].apply_map(phi(j, lv))
-            ineqs.extend(moved.inequalities)
+            if (lv, j) not in directed:
+                raise InvalidCoverError(f"no transition declared for edge {(lv, j)}")
+            to_lv, from_lv = directed[(j, lv)], directed[(lv, j)]
+            ineqs.extend(chart_polytopes[j].image_inequalities(to_lv, from_lv))
         try:
             out[face] = IntegralAffinePolytope.from_inequalities(dimension, ineqs)
         except Exception as exc:
@@ -589,20 +646,20 @@ def coboundary_certificate(alpha):
     """Solve d(beta) = alpha in affine cochains; None when impossible."""
     if alpha.degree != 2:
         raise ChartMismatchError("certificates are defined for degree-2 cochains")
-    return alpha.cover._certificate_system().certificate(alpha)
+    return alpha.cover._certificate_system.certificate(alpha)
 
 
 def lattice_image_vanishes(alpha):
     """Does the differential part of alpha bound over the integers?"""
     if alpha.degree != 2:
         raise ChartMismatchError("lattice image is defined for degree-2 cochains")
-    return alpha.cover._certificate_system().lattice_image_vanishes(alpha)
+    return alpha.cover._certificate_system.lattice_image_vanishes(alpha)
 
 
 def analyze_obstruction(fibration):
     """Full triviality analysis of a fibration's obstruction cochain."""
     alpha = fibration.obstruction_cocycle()
-    system = fibration.cover._certificate_system()
+    system = fibration.cover._certificate_system
     return ObstructionReport(
         alpha=alpha,
         certificate=system.certificate(alpha),

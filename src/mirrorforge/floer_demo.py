@@ -22,7 +22,7 @@ from .affine import PolyFunction
 from .errors import ChartMismatchError
 from .mirror_charts import AffinoidElement
 from .novikov import NovikovScalar, _frac
-from .twisted_sheaves import ModuleComplex, TwistedModule, nested_pairs
+from .twisted_sheaves import ModuleComplex, TwistedModule
 
 
 def _point(x):
@@ -296,7 +296,7 @@ def patch_global(lagrangian, fibration, cutoff=None):
         for i in range(len(cover.chart_ids))
     }
     restrictions = {}
-    for low, top in nested_pairs(cover):
+    for low, top in cover.nested_pairs:
         (member,) = low
         chart = cover.face_chart(top)
         q_edge = chart.basepoint

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
 from math import lcm
 
 from .affine import (
@@ -535,26 +534,13 @@ def path_monomial_map(cover, path):
 # -- the multiplicative cocycle of an obstruction ---------------------------
 
 
-def _proper_subsets(face):
-    return chain.from_iterable(
-        combinations(face, size) for size in range(1, len(face))
-    )
-
-
 def nested_triples(cover):
     """Chains I < J < K of faces with strictly increasing final charts."""
-    out = []
-    for top in cover.faces:
-        if len(top) < 1:
-            continue
-        for mid in _proper_subsets(top):
-            if mid[-1] >= top[-1]:
-                continue
-            for low in _proper_subsets(mid):
-                if low[-1] >= mid[-1]:
-                    continue
-                out.append((low, mid, top))
-    return sorted(out)
+    return [
+        (low, mid, top)
+        for low, mid, top in cover.nested_chains
+        if low[-1] < mid[-1] < top[-1]
+    ]
 
 
 def nested_quadruples(cover):
@@ -570,20 +556,23 @@ def gerbe_value(fibration, low, mid, top):
     """Multiplicative cocycle entry on a nested face chain.
 
     The entry is exp of the obstruction on the triangle of final
-    charts, written on the top face of the chain.
+    charts, written on the top face of the chain; it is read from the
+    fibration's ``twist_factors`` table.
     """
     cover = fibration.cover
     low, mid, top = tuple(sorted(low)), tuple(sorted(mid)), tuple(sorted(top))
     if not (set(low) < set(mid) < set(top)):
         raise ChartMismatchError("gerbe entries need strictly nested faces")
-    finals = (low[-1], mid[-1], top[-1])
-    if not (finals[0] < finals[1] < finals[2]):
+    if not (low[-1] < mid[-1] < top[-1]):
         raise ChartMismatchError(
             "gerbe entries need strictly increasing final charts"
         )
-    alpha = fibration.obstruction_cocycle().value(finals)
-    moved = alpha.compose_with_map(cover.transition(top[0], finals[0]))
-    return exp_aff(cover, top, moved)
+    entry = fibration.twist_factors.get((low, mid, top))
+    if entry is None:
+        # top is not a face; fail the way the direct computation does
+        cover.transition(top[0], low[-1])
+        cover.face_chart(top)
+    return entry
 
 
 @dataclass
@@ -603,13 +592,14 @@ def verify_gerbe(fibration):
     """Check the cocycle identity of exp(obstruction) on every nested
     quadruple, exactly."""
     cover = fibration.cover
+    gerbe = fibration.twist_factors
     failures = []
     quads = nested_quadruples(cover)
     for low, mid, top, deep in quads:
-        g_mtd = gerbe_value(fibration, mid, top, deep)
-        g_ltd = gerbe_value(fibration, low, top, deep)
-        g_lmd = gerbe_value(fibration, low, mid, deep)
-        g_lmt = gerbe_value(fibration, low, mid, top).restrict(deep)
+        g_mtd = gerbe[(mid, top, deep)]
+        g_ltd = gerbe[(low, top, deep)]
+        g_lmd = gerbe[(low, mid, deep)]
+        g_lmt = gerbe[(low, mid, top)].restrict(deep)
         product = g_mtd * g_ltd.inverse() * g_lmd * g_lmt.inverse()
         if product != AffinoidElement.one(cover, deep):
             failures.append((low, mid, top, deep))

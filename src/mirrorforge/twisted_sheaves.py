@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 
 from .affine import dot
@@ -28,7 +28,7 @@ from .errors import (
     UndecidableDescriptionError,
 )
 from .intlinalg import determinant
-from .mirror_charts import AffinoidElement, exp_aff, gerbe_value
+from .mirror_charts import AffinoidElement, exp_aff
 from .novikov import INF, NovikovMatrix, NovikovScalar, _frac
 
 
@@ -99,61 +99,6 @@ def element_is_unit_at(element, precision):
     return False
 
 
-# -- the twist on a nested triple -------------------------------------------
-
-
-def twist_factor(fibration, low, mid, top):
-    """exp of the obstruction on the final charts of a nested triple.
-
-    Chains whose final charts repeat carry a degenerate obstruction
-    value of zero, so their factor is the unit.
-    """
-    low, mid, top = tuple(sorted(low)), tuple(sorted(mid)), tuple(sorted(top))
-    cache = fibration.__dict__.setdefault("_twist_cache", {})
-    factor = cache.get((low, mid, top))
-    if factor is None:
-        if low[-1] < mid[-1] < top[-1]:
-            factor = gerbe_value(fibration, low, mid, top)
-        else:
-            factor = AffinoidElement.one(fibration.cover, top)
-        cache[(low, mid, top)] = factor
-    return factor
-
-
-def nested_pairs(cover):
-    """Proper nested face pairs, sorted."""
-    cached = cover.__dict__.get("_nested_pairs_cache")
-    if cached is not None:
-        return cached
-    out = set()
-    for top in cover.faces:
-        if len(top) < 2:
-            continue
-        for size in range(1, len(top)):
-            for low in combinations(top, size):
-                out.add((low, top))
-    result = sorted(out)
-    cover.__dict__["_nested_pairs_cache"] = result
-    return result
-
-
-def nested_chains(cover):
-    """Proper chains low < mid < top of faces, sorted."""
-    cached = cover.__dict__.get("_nested_chains_cache")
-    if cached is not None:
-        return cached
-    out = []
-    for mid, top in nested_pairs(cover):
-        if len(mid) < 2:
-            continue
-        for size in range(1, len(mid)):
-            for low in combinations(mid, size):
-                out.append((low, mid, top))
-    result = sorted(out)
-    cover.__dict__["_nested_chains_cache"] = result
-    return result
-
-
 class TwistedModule:
     """Free module data on every face with restriction matrices for
     every proper nested pair."""
@@ -167,7 +112,7 @@ class TwistedModule:
         if _trusted:
             self._restrictions = dict(restrictions)
             return
-        required = nested_pairs(cover)
+        required = cover.nested_pairs
         data = {}
         for key, mat in restrictions.items():
             low, top = tuple(sorted(key[0])), tuple(sorted(key[1]))
@@ -219,7 +164,7 @@ class TwistedModule:
 
     @property
     def pairs(self):
-        return tuple(sorted(self._restrictions))
+        return self.cover.nested_pairs
 
     def restriction(self, low, top):
         low, top = tuple(sorted(low)), tuple(sorted(top))
@@ -259,7 +204,7 @@ def rank_one_module_from_cochain(fibration, cochain):
     if cochain.degree != 1:
         raise ValueError("expected a degree-1 cochain")
     restrictions = {}
-    for low, top in nested_pairs(cover):
+    for low, top in cover.nested_pairs:
         a, b = low[-1], top[-1]
         if a == b:
             entry = AffinoidElement.one(cover, top)
@@ -363,16 +308,14 @@ def validate_module(module, precision, stop_early=False):
     precision = _frac(precision)
     cover = module.cover
     cocycle_failures = []
-    chains = nested_chains(cover)
+    chains = cover.nested_chains
+    twists = module.fibration.twist_factors
     for low, mid, top in chains:
         left = _aff_matmul(
             module.restriction(mid, top),
             _aff_restrict(module.restriction(low, mid), top),
         )
-        right = _aff_scale(
-            module.restriction(low, top),
-            twist_factor(module.fibration, low, mid, top),
-        )
+        right = _aff_scale(module.restriction(low, top), twists[(low, mid, top)])
         residual = _aff_matsub(left, right)
         clean = all(
             entry.is_zero_at(precision) for row in residual for entry in row

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from mirrorforge.affine import (
     recession_cone_is_trivial,
 )
 from mirrorforge.errors import InvalidPolytopeError
+from test_determinant import cofactor_det
 
 F = Fraction
 
@@ -154,6 +156,53 @@ class TestIntegralAffineMap:
         }
         back = p.apply_map(shear.inverse())
         assert back == unit_square()
+
+
+class TestMapDeterminant:
+    # integer matrices of sizes 2 to 4 with determinant 0, 1, -1 or 2
+    MATRICES = [
+        [[1, 2], [2, 4]],
+        [[2, 1], [1, 1]],
+        [[0, 1], [1, 0]],
+        [[2, 0], [0, 1]],
+        [[3, 2], [4, 3]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[1, 1, 0], [0, 2, 1], [0, 0, 1]],
+        [[2, -1, 0], [-1, 2, -1], [0, -1, 1]],
+        [[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+        [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        [[1, 1, 1, 1], [1, 2, 3, 4], [1, 3, 6, 10], [1, 4, 10, 20]],
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, 1]],
+        [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 1, 0]],
+    ]
+
+    def test_the_matrices_cover_every_case(self):
+        assert {len(m) for m in self.MATRICES} == {2, 3, 4}
+        assert {cofactor_det(m) for m in self.MATRICES} == {0, 1, -1, 2}
+
+    @pytest.mark.parametrize("linear", MATRICES)
+    def test_det_matches_the_cofactor_reference(self, linear):
+        expected = cofactor_det(linear)
+        n = len(linear)
+        if expected not in (1, -1):
+            message = rf"^linear part must be unimodular, det = {expected}$"
+            with pytest.raises(ValueError, match=message):
+                IntegralAffineMap(linear, [0] * n)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            phi = IntegralAffineMap(linear, [0] * n)
+        reversing = [w for w in caught if "det = -1" in str(w.message)]
+        assert len(reversing) == (1 if expected == -1 else 0)
+        assert phi.det == expected
+        assert type(phi.det) is int
+
+    def test_empty_map_has_det_one(self):
+        phi = IntegralAffineMap([], [])
+        assert phi.det == 1
+        assert type(phi.det) is int
 
 
 class TestAffineFunction:

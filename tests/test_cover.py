@@ -85,6 +85,25 @@ class TestCoverValidation:
         with pytest.raises(InvalidCoverError, match="not inside"):
             Cover(2, torus.chart_ids, torus.faces, polys, transitions)
 
+    def test_containment_is_checked_in_the_smaller_face_chart(self):
+        # the overlap of a and b, written in a's coordinates, sits inside
+        # a; a transition of 2 moves it to [5/2, 3], inside b = [0, 3]
+        # but not inside b = [0, 2]
+        def path_cover(b_hi):
+            polys = {
+                (0,): IntegralAffinePolytope.from_box([(0, 1)]),
+                (1,): IntegralAffinePolytope.from_box([(0, b_hi)]),
+                (0, 1): IntegralAffinePolytope.from_box([(F(1, 2), 1)]),
+            }
+            shift = IntegralAffineMap.translation_by([2])
+            return Cover(1, "ab", polys, polys, {(0, 1): shift})
+
+        assert path_cover(3).polytope((0, 1)).vertices == ((F(1, 2),), (F(1),))
+        with pytest.raises(
+            InvalidCoverError, match=r"^overlap of \{a,b\} is not inside that of \{b\}$"
+        ):
+            path_cover(2)
+
     def test_transition_for_non_edge_refused(self):
         # opposite arcs of the four-arc circle never meet
         cover = load_catalog("split-torus-2").cover

@@ -15,11 +15,8 @@ from mirrorforge.twisted_sheaves import (
     element_is_unit_at,
     fiber_cohomology,
     global_sections,
-    nested_chains,
-    nested_pairs,
     rank_one_module_from_cochain,
     stabilisation_threshold,
-    twist_factor,
     validate_module,
 )
 from mirrorforge.affine import AffineFunction
@@ -78,8 +75,8 @@ def section_solves_the_edges(module, section, precision, slack=3):
 
 class TestStructure:
     def test_nested_pair_and_chain_counts_on_the_nine_chart_torus(self):
-        pairs = nested_pairs(TORUS.cover)
-        chains = nested_chains(TORUS.cover)
+        pairs = TORUS.cover.nested_pairs
+        chains = TORUS.cover.nested_chains
         assert len(pairs) == 414
         assert len(chains) == 540
         assert all(set(a) < set(b) for a, b in pairs)
@@ -112,15 +109,15 @@ class TestStructure:
 
 class TestTwistFactor:
     def test_obstructed_triangle_gives_a_monomial(self):
-        factor = twist_factor(F1, (0,), (0, 2), (0, 2, 6))
+        factor = F1.twist_factors[((0,), (0, 2), (0, 2, 6))]
         assert factor.terms == {(0, 1): mono(1, F(1, 2))}
 
     def test_repeated_final_charts_are_untwisted(self):
-        factor = twist_factor(F1, (3,), (0, 3), (0, 3, 4))
+        factor = F1.twist_factors[((3,), (0, 3), (0, 3, 4))]
         assert factor == AffinoidElement.one(F1.cover, (0, 3, 4))
 
     def test_trivial_catalog_factors_are_units(self):
-        factor = twist_factor(TORUS, (0,), (0, 1), (0, 1, 3))
+        factor = TORUS.twist_factors[((0,), (0, 1), (0, 1, 3))]
         assert factor == AffinoidElement.one(TORUS.cover, (0, 1, 3))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .errors import InvalidPolytopeError
@@ -158,7 +159,8 @@ class IntegralAffinePolytope:
             lo, hi = max(los), min(his)
             if lo > hi:
                 raise InvalidPolytopeError("empty interval")
-            return cls(1, [((-1,), -lo), ((1,), hi)], [(lo,), (hi,)])
+            ineqs = [((-1,), -lo), ((1,), hi)]
+            return cls._trusted(1, ineqs, sorted({(lo,), (hi,)}))
         if dimension != 2:
             raise InvalidPolytopeError(
                 "vertex enumeration implemented for dimensions 1 and 2 only"
@@ -182,7 +184,33 @@ class IntegralAffinePolytope:
             for n, b in ineqs
             if sum(1 for p in points if dot(n, p) == b) >= 2
         ]
-        return cls(2, kept, sorted(points))
+        # every point meets every inequality and each kept one is tight
+        # at two points; the checked constructor's other tests follow, in
+        # its order and with its messages
+        if not kept:
+            raise InvalidPolytopeError("polytope has no inequalities")
+        vertices = sorted(points)
+        for v in vertices:
+            tight = [n for n, b in kept if dot(n, v) == b]
+            if not any(
+                n[0] * m[1] != n[1] * m[0] for n, m in combinations(tight, 2)
+            ):
+                raise InvalidPolytopeError(
+                    f"declared vertex {v} is not an extreme point"
+                )
+        if not recession_cone_is_trivial([n for n, _ in kept], 2):
+            raise InvalidPolytopeError("inequalities cut out an unbounded set")
+        return cls._trusted(2, kept, vertices)
+
+    @classmethod
+    def _trusted(cls, dimension, inequalities, vertices):
+        """A polytope from data already proved valid: int-tuple normals,
+        Fraction bounds, sorted distinct Fraction-tuple vertices."""
+        polytope = object.__new__(cls)
+        polytope._dimension = dimension
+        polytope._inequalities = tuple(inequalities)
+        polytope._vertices = tuple(vertices)
+        return polytope
 
     @classmethod
     def from_box(cls, bounds):

@@ -21,11 +21,7 @@ from math import lcm
 
 from .affine import AffineFunction, IntegralAffineMap, PolyFunction, dot
 from .errors import ChartMismatchError, InvalidCoverError, InvalidFibrationError
-from .intlinalg import (
-    PresolvedIntegerSystem,
-    PresolvedRationalSystem,
-    rational_nullspace,
-)
+from .intlinalg import PresolvedIntegerSystem, SparseRationalSystem, sparse_kernel
 
 
 @dataclass(frozen=True)
@@ -482,9 +478,9 @@ class _CertificateSystem:
 
         lattice_rows = []
         incidence = []
+        edge_rows = [{} for _ in range(ne)]
         taus = []
-        for tri in self._tris:
-            i, j, k = tri
+        for t, (i, j, k) in enumerate(self._tris):
             phi = cover.transition(i, j)
             taus.append(phi.translation)
             m = phi.linear
@@ -496,23 +492,18 @@ class _CertificateSystem:
                 for c in range(n):
                     row[a_jk * n + c] += m[c][r]
                 lattice_rows.append(row)
-            inc = [0] * ne
-            inc[a_ij] += 1
-            inc[a_jk] += 1
-            inc[a_ik] -= 1
+            inc = {a_ij: 1, a_jk: 1, a_ik: -1}
             incidence.append(inc)
-        self._jk_index = [
-            eidx[(tri[1], tri[2])] for tri in self._tris
-        ]
+            for a, v in inc.items():
+                edge_rows[a][t] = v
+        self._jk_index = [eidx[(tri[1], tri[2])] for tri in self._tris]
         self._taus = taus
         self._n = n
         self._lattice = PresolvedIntegerSystem(lattice_rows, ncols=n * ne)
-        self._constants = PresolvedRationalSystem(incidence, ncols=ne)
-        # rows spanning the cokernel of the incidence map
-        transposed = (
-            [list(col) for col in zip(*incidence)] if incidence else []
-        )
-        self._pi = rational_nullspace(transposed) if incidence else []
+        self._constants = SparseRationalSystem(incidence, ne)
+        # sparse rows spanning the cokernel of the incidence map: the
+        # kernel of its transpose, whose rows are the edges
+        (self._pi,) = sparse_kernel(edge_rows, nt, [ne])
 
         kernel = self._lattice.kernel_basis()
         self._kernel = kernel
@@ -527,7 +518,6 @@ class _CertificateSystem:
                     for vec in kernel
                 ]
             )
-        self._coupling = coupling
         # integer form of the projected coupling system, one row per
         # cokernel generator; the scale factors turn rational rows into
         # integer ones and are reapplied to each right-hand side
@@ -535,7 +525,7 @@ class _CertificateSystem:
         scales = []
         for p in self._pi:
             row = [
-                sum(p[t] * coupling[t][l] for t in range(nt))
+                sum(v * coupling[t][l] for t, v in p.items())
                 for l in range(len(kernel))
             ]
             scale = lcm(*(x.denominator for x in row)) if row else 1
@@ -545,10 +535,9 @@ class _CertificateSystem:
         self._projected = PresolvedIntegerSystem(proj_rows)
 
     def _alpha_vectors(self, alpha):
-        n = self._n
         d_vec = []
         consts = []
-        for t, tri in enumerate(self._tris):
+        for tri in self._tris:
             fn = alpha.value(tri)
             d_vec.extend(fn.linear)
             consts.append(fn.constant)
@@ -578,7 +567,7 @@ class _CertificateSystem:
         # in the image of the incidence map
         rhs = []
         for p, scale in zip(self._pi, self._proj_scales):
-            val = sum(p[t] * r0[t] for t in range(nt)) * scale
+            val = sum(v * r0[t] for t, v in p.items()) * scale
             if val.denominator != 1:
                 return None
             rhs.append(int(val))

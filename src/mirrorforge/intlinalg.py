@@ -1,19 +1,24 @@
 """Exact linear algebra over the integers, the rationals and other rings.
 
-Small dense matrices only.  The Smith normal form drives every integer
-solvability question in the package (coboundary certificates, lattice
-classes), and the rational routines back the affine-constant solves;
-both take plain lists of ints or Fractions.  The principal-minor sums
-and the determinant are ring-generic: they use only ``+``, ``-`` and
-``*`` of the entries, so they serve Fractions, Novikov scalars and
-affinoid elements alike.
+The Smith normal form, on small dense integer matrices, drives every
+integer solvability question in the package (coboundary certificates,
+lattice classes).  One sparse echelon elimination over the rationals,
+on rows given as ``{column: value}`` dicts, serves every rational
+solve: the section solver's kernels, the certificate's constant solve
+and the cokernel of the incidence map.  The principal-minor sums and
+the determinant are ring-generic: they use only ``+``, ``-`` and ``*``
+of the entries, so they serve Fractions, Novikov scalars and affinoid
+elements alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from operator import add, mul
+
+_ONE = Fraction(1)
 
 
 def xgcd(a, b):
@@ -155,62 +160,27 @@ def integer_kernel_basis(mat):
 
 def rational_rref(mat):
     """Reduced row echelon form over Fraction.  Returns (rows, pivot_cols)."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    rank = 0
-    for col in range(n):
-        sel = None
-        for i in range(rank, m):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows, pivots
+    n = len(mat[0]) if mat else 0
+    pivots = {}
+    for raw in mat:
+        row = {j: x for j, x in enumerate(raw) if x}
+        lead = _reduce(row, pivots)
+        if lead is not None:
+            _store_pivot(pivots, row, lead)
+    reduced = _back_substitute(pivots)
+    leads = sorted(reduced)
+    rows = [[reduced[lead].get(j, Fraction(0)) for j in range(n)] for lead in leads]
+    for lead, row in zip(leads, rows):
+        row[lead] = _ONE
+    rows += ([Fraction(0)] * n for _ in range(len(mat) - len(leads)))
+    return rows, leads
 
 
 def rational_solve(mat, rhs):
-    """One rational solution of mat*x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    rows, pivots = rational_rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][n]
-    return x
-
-
-def rational_nullspace(mat):
-    """Basis of the rational kernel of mat (columns -> vectors)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rows, pivots = rational_rref(mat)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][fc]
-        basis.append(vec)
-    return basis
+    """One rational solution of mat*x = rhs (free variables zero), or None."""
+    n = len(mat[0]) if mat else 0
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    return SparseRationalSystem(rows, n).solve(rhs)
 
 
 class PresolvedIntegerSystem:
@@ -257,50 +227,133 @@ class PresolvedIntegerSystem:
         return self._kernel
 
 
-class PresolvedRationalSystem:
-    """mat*x = rhs over Q, row-reduced once and solved for many rhs."""
+def _reduce(row, pivots):
+    # reduce the dict row in place by the stored pivot rows, smallest
+    # pivot column first, until its lowest column is not a pivot; return
+    # that column, or None once the row vanishes
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        pivot = pivots.get(c)
+        if pivot is None:
+            if c in row:
+                return c
+            continue
+        f = row.pop(c, None)
+        if f is None:
+            continue
+        for j, v in pivot.items():
+            value = row.get(j)
+            if value is None:
+                row[j] = -f * v
+                heappush(heap, j)
+            else:
+                value -= f * v
+                if value:
+                    row[j] = value
+                else:
+                    del row[j]
+    return None
 
-    def __init__(self, mat, ncols=None):
-        self._m = len(mat)
-        self._n = len(mat[0]) if self._m else (ncols or 0)
-        rows = [
-            [Fraction(x) for x in row]
-            + [Fraction(1 if i == j else 0) for j in range(self._m)]
-            for i, row in enumerate(mat)
+
+def _store_pivot(pivots, row, lead):
+    # scale the row so its lead entry is 1 and keep the rest of it
+    inv = _ONE / row.pop(lead)
+    pivots[lead] = {j: v * inv for j, v in row.items()}
+
+
+def _back_substitute(pivots):
+    # reduced row echelon form, which the column order fixes uniquely:
+    # each stored row with every later pivot column eliminated
+    reduced = {}
+    for lead in sorted(pivots, reverse=True):
+        row = {}
+        for j, v in pivots[lead].items():
+            sub = reduced.get(j)
+            if sub is None:
+                row[j] = row.get(j, 0) + v
+            else:
+                for k, w in sub.items():
+                    row[k] = row.get(k, 0) - v * w
+        reduced[lead] = {k: v for k, v in row.items() if v}
+    return reduced
+
+
+def sparse_kernel(rows, n_columns, cuts):
+    """Right kernels of the leading row blocks rows[:cut], one per cut.
+
+    Echelon elimination over columns 0..n_columns-1 of rows given as
+    ``{column: value}`` dicts: each incoming row is reduced by the stored
+    pivot rows, smallest pivot column first, until its lowest column is
+    not a pivot, and that column becomes its pivot.  At each cut the
+    stored rows are back-substituted into reduced row echelon form and
+    the kernel is read off with one vector per free column, in column
+    order, as dicts keyed by column index.  Yields one basis per cut;
+    cuts must not decrease.
+    """
+    pivots = {}
+    done = 0
+    basis = None
+    for cut in cuts:
+        if basis is not None and cut == done:
+            yield basis
+            continue
+        for raw in rows[done:cut]:
+            row = dict(raw)
+            lead = _reduce(row, pivots)
+            if lead is not None:
+                _store_pivot(pivots, row, lead)
+        done = cut
+        tails = {}
+        for lead, row in _back_substitute(pivots).items():
+            for k, w in row.items():
+                tails.setdefault(k, {})[lead] = -w
+        basis = []
+        for column in range(n_columns):
+            if column not in pivots:
+                vector = {column: _ONE}
+                vector.update(tails.get(column, ()))
+                basis.append(vector)
+        yield basis
+
+
+class SparseRationalSystem:
+    """rows*x = rhs over Q, eliminated once and solved for many rhs.
+
+    Rows are ``{column: value}`` dicts over columns 0..n_columns-1.
+    Equation i carries a tag column n_columns + i with entry 1, so every
+    stored row also records which combination of the equations it is.
+    A row that reduces to tags alone is a relation among the equations,
+    which a consistent right-hand side must satisfy.
+    """
+
+    def __init__(self, rows, n_columns):
+        n = self._n = n_columns
+        pivots = {}
+        self._relations = []
+        for i, raw in enumerate(rows):
+            row = dict(raw)
+            row[n + i] = _ONE
+            lead = _reduce(row, pivots)
+            if lead < n:
+                _store_pivot(pivots, row, lead)
+            else:
+                self._relations.append([(k - n, v) for k, v in row.items()])
+        self._solution = [
+            (lead, [(k - n, v) for k, v in row.items() if k >= n])
+            for lead, row in _back_substitute(pivots).items()
         ]
-        pivots = []
-        rank = 0
-        for col in range(self._n):
-            sel = next(
-                (i for i in range(rank, self._m) if rows[i][col] != 0), None
-            )
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            inv = 1 / rows[rank][col]
-            rows[rank] = [x * inv for x in rows[rank]]
-            for i in range(self._m):
-                if i != rank and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        self._rows = rows
-        self._pivots = pivots
 
     def solve(self, rhs):
-        """One rational solution with free variables zero, or None."""
-        rhs = [Fraction(x) for x in rhs]
-        transformed = [
-            sum(row[self._n + j] * rhs[j] for j in range(self._m))
-            for row in self._rows
-        ]
-        for i in range(len(self._pivots), self._m):
-            if transformed[i] != 0:
+        """The solution in reduced row echelon form with free variables
+        zero, or None when the system is inconsistent."""
+        for relation in self._relations:
+            if sum(v * rhs[i] for i, v in relation):
                 return None
         x = [Fraction(0)] * self._n
-        for r, col in enumerate(self._pivots):
-            x[col] = transformed[r]
+        for lead, combination in self._solution:
+            x[lead] = sum(v * rhs[i] for i, v in combination)
         return x
 
 

@@ -17,7 +17,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import product
 from math import lcm
 
@@ -27,7 +26,7 @@ from .errors import (
     InvalidFibrationError,
     UndecidableDescriptionError,
 )
-from .intlinalg import determinant
+from .intlinalg import determinant, sparse_kernel
 from .mirror_charts import AffinoidElement, exp_aff
 from .novikov import INF, NovikovMatrix, NovikovScalar, _frac
 
@@ -122,7 +121,8 @@ class TwistedModule:
             raise ChartMismatchError(
                 f"missing restriction for nested pair {missing[0]}"
             )
-        extra = [pair for pair in data if pair not in required]
+        nested = set(required)
+        extra = [pair for pair in data if pair not in nested]
         if extra:
             raise ChartMismatchError(
                 f"restriction given for a pair that is not nested: {extra[0]}"
@@ -556,81 +556,6 @@ def _monomial_system(module, radius, precision):
     )
 
 
-def _sparse_kernel(rows, n_columns, cuts):
-    """Right kernels of the leading row blocks rows[:cut], one per cut.
-
-    Echelon elimination over columns 0..n_columns-1: each incoming row
-    is reduced by the stored pivot rows, smallest pivot column first,
-    until its lowest column is not a pivot, and that column becomes its
-    pivot.  At each cut a copy of the stored rows is back-substituted
-    into reduced row echelon form, which the column order fixes
-    uniquely, and the kernel is read off with one vector per free
-    column, in column order, as dicts keyed by column index.  Yields one
-    basis per cut; cuts must not decrease.
-    """
-    pivots = {}
-    done = 0
-    basis = None
-    for cut in cuts:
-        if basis is not None and cut == done:
-            yield basis
-            continue
-        for raw in rows[done:cut]:
-            row = dict(raw)
-            heap = list(row)
-            heapify(heap)
-            lead = None
-            while heap:
-                c = heappop(heap)
-                pivot = pivots.get(c)
-                if pivot is None:
-                    if c in row:
-                        lead = c
-                        break
-                    continue
-                f = row.pop(c, None)
-                if f is None:
-                    continue
-                for j, v in pivot.items():
-                    value = row.get(j)
-                    if value is None:
-                        row[j] = -f * v
-                        heappush(heap, j)
-                    else:
-                        value -= f * v
-                        if value:
-                            row[j] = value
-                        else:
-                            del row[j]
-            if lead is None:
-                continue
-            inv = 1 / row.pop(lead)
-            pivots[lead] = {j: v * inv for j, v in row.items()}
-        done = cut
-        reduced = {}
-        for lead in sorted(pivots, reverse=True):
-            row = {}
-            for j, v in pivots[lead].items():
-                sub = reduced.get(j)
-                if sub is None:
-                    row[j] = row.get(j, 0) + v
-                else:
-                    for k, w in sub.items():
-                        row[k] = row.get(k, 0) - v * w
-            reduced[lead] = {k: v for k, v in row.items() if v}
-        tails = {}
-        for lead, row in reduced.items():
-            for k, w in row.items():
-                tails.setdefault(k, {})[lead] = -w
-        basis = []
-        for column in range(n_columns):
-            if column not in pivots:
-                vector = {column: Fraction(1)}
-                vector.update(tails.get(column, ()))
-                basis.append(vector)
-        yield basis
-
-
 def _ground_vectors(basis, columns):
     """Kernel vectors whose lowest supported valuation is zero, keyed by
     their (source, lam) columns.
@@ -727,7 +652,7 @@ def _solve_window(module, radius, precision, all_precisions):
     cuts.append(len(system.rows))
     return [
         _ground_vectors(basis, system.columns)
-        for basis in _sparse_kernel(system.rows, len(system.columns), cuts)
+        for basis in sparse_kernel(system.rows, len(system.columns), cuts)
     ]
 
 

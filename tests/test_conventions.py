@@ -1,10 +1,14 @@
-"""One caching convention in the library.
+"""One caching convention and one sparse solver in the library.
 
 A table derived from an object is a ``functools.cached_property`` of
 that object, built once on first use.  The one ``lru_cache`` memoises
 catalog construction in ``catalog.py``.  This guard fails on any other
 memo: a write to an instance ``__dict__``, an attribute or key named
 ``*_cache``, or an ``lru_cache`` outside ``catalog.py``.
+
+Rational elimination lives in ``intlinalg.py`` alone; a second guard
+fails on a function or class whose name reads like a sparse or rational
+kernel, nullspace, row reduction or system defined in any other module.
 """
 
 import re
@@ -14,6 +18,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mirrorforge"
 LRU_CACHE_ALLOWED = {"catalog.py"}
+SOLVER_HOME = "intlinalg.py"
+SOLVER_NAME = re.compile(
+    r"^\s*(?:def|class)\s+(\w*(?:sparse|rational)\w*(?:kernel|nullspace|rref|system)\w*)",
+    re.IGNORECASE,
+)
 
 
 def violations(filename, text):
@@ -56,3 +65,42 @@ def test_the_guard_allows_cached_properties_and_the_catalog_cache():
     memo = "from functools import lru_cache\n@lru_cache(maxsize=None)"
     assert not violations("cover.py", prop)
     assert not violations("catalog.py", memo)
+
+
+def solver_definitions(filename, text):
+    if filename == SOLVER_HOME:
+        return []
+    return [
+        f"{filename}:{number}: solver {match.group(1)} outside {SOLVER_HOME}"
+        for number, line in enumerate(text.splitlines(), 1)
+        if (match := SOLVER_NAME.match(line))
+    ]
+
+
+def test_rational_elimination_lives_in_intlinalg_alone():
+    files = sorted(SRC.glob("*.py"))
+    assert SOLVER_HOME in {path.name for path in files}
+    found = [
+        v for path in files for v in solver_definitions(path.name, path.read_text())
+    ]
+    assert not found, "\n".join(found)
+
+
+@pytest.mark.parametrize(
+    "filename, line",
+    [
+        ("twisted_sheaves.py", "def _sparse_kernel(rows, n_columns, cuts):"),
+        ("cover.py", "class PresolvedRationalSystem:"),
+        ("cover.py", "    def rational_nullspace(mat):"),
+        ("affine.py", "def _rational_rref(rows):"),
+    ],
+)
+def test_the_solver_guard_sees_a_second_solver(filename, line):
+    assert solver_definitions(filename, line)
+
+
+def test_the_solver_guard_allows_intlinalg_and_other_names():
+    text = "def sparse_kernel(rows, n_columns, cuts):\nclass SparseRationalSystem:"
+    assert not solver_definitions(SOLVER_HOME, text)
+    others = "class _SectionSystem:\ndef _monomial_system(module):\n    # sparse kernel"
+    assert not solver_definitions("twisted_sheaves.py", others)

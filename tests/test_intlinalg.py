@@ -6,11 +6,11 @@ from mirrorforge.intlinalg import (
     integer_kernel_basis,
     mat_mul,
     mat_vec,
-    rational_nullspace,
     rational_rref,
     rational_solve,
     smith_normal_form,
     solve_integer,
+    sparse_kernel,
     xgcd,
 )
 
@@ -112,9 +112,10 @@ def test_rational_rref_and_solve():
 
 def test_rational_nullspace():
     mat = [[1, 2, 3], [0, 1, 1]]
-    basis = rational_nullspace(mat)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    (basis,) = sparse_kernel(rows, 3, [2])
     assert len(basis) == 1
-    vec = basis[0]
+    vec = [basis[0].get(j, 0) for j in range(3)]
     assert mat_vec(mat, vec) == [0, 0]
 
 

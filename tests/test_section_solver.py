@@ -23,13 +23,13 @@ from mirrorforge import cli
 from mirrorforge.affine import dot
 from mirrorforge.catalog import load_catalog
 from mirrorforge.floer_demo import LinearLagrangian, patch_global, section_window
+from mirrorforge.intlinalg import sparse_kernel
 from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.twisted_sheaves import (
     _collapse,
     _hop_table,
     _monomial_system,
     _window_exponents,
-    _sparse_kernel,
     canonical_twisted_module,
     global_sections,
     stabilisation_threshold,
@@ -209,7 +209,7 @@ def keyed(basis, columns):
 
 
 def full_kernel(system):
-    (basis,) = _sparse_kernel(
+    (basis,) = sparse_kernel(
         system.rows, len(system.columns), [len(system.rows)]
     )
     return basis
@@ -308,7 +308,7 @@ def test_random_blocks_match_gauss_jordan():
             rows.append({c: v for c, v in combo.items() if v})
         cuts = sorted(rng.randint(0, len(rows)) for _ in range(3)) + [len(rows)]
         columns = list(range(n_columns))
-        bases = list(_sparse_kernel(rows, n_columns, cuts))
+        bases = list(sparse_kernel(rows, n_columns, cuts))
         assert len(bases) == len(cuts)
         for cut, basis in zip(cuts, bases):
             assert basis == reference_kernel(rows[:cut], columns)

@@ -6,6 +6,10 @@ rational bounds) and a declared vertex list; construction validates that
 the two agree: vertices are feasible and extreme, every inequality is
 tight somewhere, and the recession cone is trivial, so the set is
 bounded and nonempty.
+
+These comparisons run on ints: the bounds and points of one test are
+scaled once by their least common denominator (``integer_scaling``).
+Unimodular maps invert on ints too, by the adjugate over det = +-1.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidPolytopeError
-from .intlinalg import determinant, rational_rref, rational_solve
+from .intlinalg import determinant, mat_mul, principal_minor_sums, rational_rref
 from .novikov import _frac
 
 
@@ -35,6 +39,16 @@ def _frac_vec(values):
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def integer_scaling(inequalities, points=()):
+    """(d, B, P): the bounds and the point coordinates times their least
+    common denominator d, as ints, so that n.p <= b reads n.P <= B."""
+    values = [b for _, b in inequalities] + [x for p in points for x in p]
+    d = lcm(*(x.denominator for x in values))
+    ints = iter([x.numerator * (d // x.denominator) for x in values])
+    bounds = [next(ints) for _ in inequalities]
+    return d, bounds, [tuple(next(ints) for _ in p) for p in points]
 
 
 def _fm_eliminate(rows, j):
@@ -110,19 +124,21 @@ class IntegralAffinePolytope:
             raise InvalidPolytopeError("polytope has no vertices")
         if not self._inequalities:
             raise InvalidPolytopeError("polytope has no inequalities")
-        for v in self._vertices:
-            for normal, bound in self._inequalities:
-                if dot(normal, v) > bound:
+        _, bounds, points = integer_scaling(self._inequalities, self._vertices)
+        scaled = [(n, b, c) for (n, b), c in zip(self._inequalities, bounds)]
+        for v, p in zip(self._vertices, points):
+            for normal, bound, c in scaled:
+                if dot(normal, p) > c:
                     raise InvalidPolytopeError(
                         f"vertex {v} violates inequality {normal}*x <= {bound}"
                     )
-        for normal, bound in self._inequalities:
-            if not any(dot(normal, v) == bound for v in self._vertices):
+        for normal, bound, c in scaled:
+            if not any(dot(normal, p) == c for p in points):
                 raise InvalidPolytopeError(
                     f"inequality {normal}*x <= {bound} is tight at no vertex"
                 )
-        for v in self._vertices:
-            tight = [n for n, b in self._inequalities if dot(n, v) == b]
+        for v, p in zip(self._vertices, points):
+            tight = [n for n, _, c in scaled if dot(n, p) == c]
             _, pivots = rational_rref(tight) if tight else ([], [])
             if len(pivots) < self._dimension:
                 raise InvalidPolytopeError(
@@ -165,42 +181,52 @@ class IntegralAffinePolytope:
             raise InvalidPolytopeError(
                 "vertex enumeration implemented for dimensions 1 and 2 only"
             )
-        points = set()
-        for i in range(len(ineqs)):
-            for j in range(i + 1, len(ineqs)):
-                (a1, b1), (a2, b2) = ineqs[i][0], ineqs[j][0]
-                c1, c2 = ineqs[i][1], ineqs[j][1]
-                det = a1 * b2 - b1 * a2
-                if det == 0:
+        # lines a*X + b*Y = c in coordinates scaled by d; each crossing
+        # is the primitive triple (X, Y, w), w > 0, of the point (X, Y)/(w d)
+        d, bounds, _ = integer_scaling(ineqs)
+        lines = [(a, b, c) for ((a, b), _), c in zip(ineqs, bounds)]
+        crossings = set()
+        for i, (a1, b1, c1) in enumerate(lines):
+            for a2, b2, c2 in lines[i + 1 :]:
+                w = a1 * b2 - b1 * a2
+                if w == 0:
                     continue
-                x = Fraction(c1 * b2 - b1 * c2, det)
-                y = Fraction(a1 * c2 - c1 * a2, det)
-                if all(dot(n, (x, y)) <= b for n, b in ineqs):
-                    points.add((x, y))
-        if not points:
+                x, y = c1 * b2 - b1 * c2, a1 * c2 - c1 * a2
+                if w < 0:
+                    x, y, w = -x, -y, -w
+                g = gcd(x, y, w)
+                x, y, w = x // g, y // g, w // g
+                if all(a * x + b * y <= c * w for a, b, c in lines):
+                    crossings.add((x, y, w))
+        if not crossings:
             raise InvalidPolytopeError("inequalities have empty intersection")
         kept = [
-            (n, b)
-            for n, b in ineqs
-            if sum(1 for p in points if dot(n, p) == b) >= 2
+            (ineq, (a, b, c))
+            for ineq, (a, b, c) in zip(ineqs, lines)
+            if sum(a * x + b * y == c * w for x, y, w in crossings) >= 2
         ]
         # every point meets every inequality and each kept one is tight
         # at two points; the checked constructor's other tests follow, in
         # its order and with its messages
         if not kept:
             raise InvalidPolytopeError("polytope has no inequalities")
+        points = {
+            (Fraction(x, w * d), Fraction(y, w * d)): (x, y, w)
+            for x, y, w in crossings
+        }
         vertices = sorted(points)
         for v in vertices:
-            tight = [n for n, b in kept if dot(n, v) == b]
+            x, y, w = points[v]
+            tight = [n for (n, _), (a, b, c) in kept if a * x + b * y == c * w]
             if not any(
                 n[0] * m[1] != n[1] * m[0] for n, m in combinations(tight, 2)
             ):
                 raise InvalidPolytopeError(
                     f"declared vertex {v} is not an extreme point"
                 )
-        if not recession_cone_is_trivial([n for n, _ in kept], 2):
+        if not recession_cone_is_trivial([n for (n, _), _ in kept], 2):
             raise InvalidPolytopeError("inequalities cut out an unbounded set")
-        return cls._trusted(2, kept, vertices)
+        return cls._trusted(2, [ineq for ineq, _ in kept], vertices)
 
     @classmethod
     def _trusted(cls, dimension, inequalities, vertices):
@@ -371,35 +397,30 @@ class IntegralAffineMap:
 
     def compose(self, other):
         """self after other: x -> self(other(x))."""
-        m = tuple(
-            tuple(
-                sum(self._linear[i][k] * other._linear[k][j] for k in range(self.dimension))
-                for j in range(self.dimension)
-            )
-            for i in range(self.dimension)
-        )
-        tau = self.apply(other._translation)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return IntegralAffineMap(m, tau)
+        cols = tuple(zip(*other._linear))
+        m = tuple(tuple(dot(row, col) for col in cols) for row in self._linear)
+        return IntegralAffineMap._trusted(m, self.apply(other._translation))
 
     def inverse(self):
-        n = self.dimension
-        cols = []
-        for j in range(n):
-            rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-            sol = rational_solve([list(r) for r in self._linear], rhs)
-            cols.append(sol)
-        minv = tuple(
-            tuple(int(cols[j][i]) for j in range(n)) for i in range(n)
-        )
-        tau = tuple(
-            -sum(minv[i][j] * self._translation[j] for j in range(n))
-            for i in range(n)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return IntegralAffineMap(minv, tau)
+        """By Cayley-Hamilton, M^-1 = (-1)^(n+1) e_n (M^(n-1) - e_1 M^(n-2)
+        + ... +- e_(n-1)), e_k the principal-minor sums; e_n = det = +-1."""
+        a, n = self._linear, len(self._linear)
+        e = [1] + principal_minor_sums(a)
+        minv = [[0] * n for _ in range(n)]
+        for k in range(n):
+            minv = mat_mul(a, minv)
+            for i in range(n):
+                minv[i][i] += (-1) ** (n + 1 + k) * e[n] * e[k]
+        tau = tuple(-dot(row, self._translation) for row in minv)
+        return IntegralAffineMap._trusted(tuple(map(tuple, minv)), tau)
+
+    @classmethod
+    def _trusted(cls, linear, translation):
+        """Unchecked: an inverse or a product of unimodular maps is one."""
+        phi = object.__new__(cls)
+        phi._linear = linear
+        phi._translation = translation
+        return phi
 
     def is_identity(self):
         return self == IntegralAffineMap.identity(self.dimension)

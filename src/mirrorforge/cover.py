@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .affine import AffineFunction, IntegralAffineMap, PolyFunction, dot
+from .affine import AffineFunction, IntegralAffineMap, PolyFunction, dot, integer_scaling
 from .errors import ChartMismatchError, InvalidCoverError, InvalidFibrationError
 from .intlinalg import PresolvedIntegerSystem, SparseRationalSystem, sparse_kernel
 
@@ -138,9 +138,18 @@ class Cover:
             vertices = self._polytopes[face].vertices
             for k in range(len(face)):
                 sub = face[:k] + face[k + 1 :]
+                # n.y <= b on the sub-face, y = M x + tau, reads (M^T n).x
+                # <= b - n.tau in the face's chart, all on one scaling
                 phi = self.transition(face[0], sub[0])
-                target = self._polytopes[sub]
-                if not all(target.contains(phi.apply(v)) for v in vertices):
+                target = self._polytopes[sub].inequalities
+                _, bounds, points = integer_scaling(target, vertices + (phi.translation,))
+                tau = points.pop()
+                columns = tuple(zip(*phi.linear))
+                pulled = [
+                    (tuple(dot(col, n) for col in columns), b - dot(n, tau))
+                    for (n, _), b in zip(target, bounds)
+                ]
+                if not all(dot(n, p) <= b for p in points for n, b in pulled):
                     raise InvalidCoverError(
                         f"overlap of {self._fmt(face)} is not inside "
                         f"that of {self._fmt(sub)}"

@@ -1,19 +1,26 @@
-"""``gerbe --output json`` byte for byte against stored reports.
+"""``gerbe --output json`` and the face polytopes, byte for byte
+against stored reports.
 
-The files under ``golden/`` were written by the dense certificate
+The ``gerbe-*.json`` files were written by the dense certificate
 solver, before the sparse elimination replaced it.  A solver change
 that alters a printed certificate, gerbe entry or obstruction verdict
-fails here; regenerate a file only for an intended change of report.
+fails here.  The ``faces-*.json`` files were written by the Fraction
+vertex search, before the integer-scaled one replaced it; they hold the
+repr of every inequality and vertex of every face of a cover read back
+from its manifest, so a change of value, type or order fails here.
+Regenerate a file only for an intended change of report.
 """
 
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from mirrorforge import cli
-from mirrorforge.catalog import catalog_ids
+from mirrorforge.catalog import catalog_ids, load_catalog
+from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,3 +37,29 @@ def test_gerbe_json_matches_the_golden_report(name):
         code = cli.main(["gerbe", "--catalog", name, "--output", "json"])
     assert code == 0
     assert out.getvalue().encode() == (GOLDEN / f"gerbe-{name}.json").read_bytes()
+
+
+def faces_report(name):
+    """Every face's inequalities and vertices, in stored order, as reprs."""
+    cover = manifest_to_fibration(fibration_to_manifest(load_catalog(name))).cover
+    ids = cover.chart_ids
+    faces = [
+        {
+            "face": [ids[i] for i in face],
+            "inequalities": [repr(ineq) for ineq in cover.polytope(face).inequalities],
+            "vertices": [repr(v) for v in cover.polytope(face).vertices],
+        }
+        for face in sorted(cover.faces, key=lambda f: (len(f), f))
+    ]
+    return json.dumps({"catalog": name, "faces": faces}, indent=2) + "\n"
+
+
+def test_every_catalog_has_golden_faces():
+    names = sorted(p.name for p in GOLDEN.glob("faces-*.json"))
+    assert names == sorted(f"faces-{name}.json" for name in catalog_ids())
+
+
+@pytest.mark.parametrize("name", catalog_ids())
+def test_face_polytopes_match_the_golden_faces(name):
+    want = (GOLDEN / f"faces-{name}.json").read_bytes()
+    assert faces_report(name).encode() == want

@@ -43,9 +43,7 @@ from .floer_demo import (
     energy_transport,
     intersections,
     local_module,
-    loop_monodromy,
     patch_global,
-    section_window,
 )
 from .manifest import manifest_to_fibration
 from .mirror_charts import (
@@ -60,6 +58,7 @@ from .twisted_sheaves import (
     canonical_twisted_module,
     fiber_cohomology,
     global_sections,
+    loop_monodromy,
     validate_module,
 )
 
@@ -445,10 +444,7 @@ def cmd_sheaf(args):
     precision = args.precision
     module = patch_global(lagrangian, fibration)
     validation = validate_module(module, precision)
-    window = section_window(lagrangian, precision)
-    space = global_sections(
-        module, precision, max_window=window + 2, min_window=window
-    )
+    space = global_sections(module, precision)
     rng = random.Random(args.seed)
     samples = []
     for i, cid in enumerate(cover.chart_ids):

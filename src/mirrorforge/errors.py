@@ -34,8 +34,9 @@ class UndecidableDescriptionError(MirrorForgeError):
     """A convergence query was asked about a function with no recognised
 
     exact description.  Convergence is only decided for the declared
-    classes (max of affine valuations, positive-semidefinite quadratic);
-    anything else is refused rather than guessed.
+    classes (max of affine valuations, positive-semidefinite quadratic),
+    and a section radius only for modules whose coefficient towers have
+    a recognised shape; anything else is refused rather than guessed.
     """
 
 

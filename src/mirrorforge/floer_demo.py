@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
 
 from .affine import PolyFunction
 from .errors import ChartMismatchError
 from .mirror_charts import AffinoidElement
 from .novikov import NovikovScalar, _frac
-from .twisted_sheaves import ModuleComplex, TwistedModule
+from .twisted_sheaves import ModuleComplex, TwistedModule, _quadratic_radius
 
 
 def _point(x):
@@ -323,75 +322,14 @@ def patch_global(lagrangian, fibration, cutoff=None):
     return TwistedModule(fibration, count, restrictions)
 
 
-@dataclass(frozen=True)
-class SheetMonodromy:
-    """Action of the base loop on one sheet's coefficient tower:
-    a[m + shift] = T^(constant + weight*m) * a[m]."""
-
-    shift: int
-    constant: Fraction
-    weight: Fraction
-
-
-def _single_monomial(element):
-    items = list(element.terms.items())
-    if len(items) != 1:
-        raise ChartMismatchError("monomial restriction entries required")
-    (exponent,), coeff = items[0]
-    terms = list(coeff.terms)
-    if len(terms) != 1 or coeff.terms[0][1] == 0:
-        raise ChartMismatchError("monomial restriction entries required")
-    return exponent, terms[0][0]
-
-
-def loop_monodromy(module, loop=None):
-    """Compose the sheet recursions around a loop of charts.
-
-    The default loop walks 0, 1, ..., n-1 and closes back to 0.  For
-    the slope-k line each sheet comes back with shift sign(k) and
-    weight one, the signature of a degree-k line on the mirror curve.
-    """
-    cover = module.cover
-    if loop is None:
-        loop = list(range(len(cover.chart_ids))) + [0]
-    state = [
-        SheetMonodromy(0, Fraction(0), Fraction(0))
-        for _ in range(module.rank)
-    ]
-    for a, b in zip(loop, loop[1:]):
-        edge = tuple(sorted((a, b)))
-        chart = cover.face_chart(edge)
-        q_edge = chart.basepoint
-        mat_a = module.restriction((a,), edge)
-        mat_b = module.restriction((b,), edge)
-        ta = cover.transition(edge[0], a).apply(q_edge)[0] - cover.face_chart(
-            (a,)
-        ).basepoint[0]
-        tb = cover.transition(edge[0], b).apply(q_edge)[0] - cover.face_chart(
-            (b,)
-        ).basepoint[0]
-        for j in range(module.rank):
-            ea, va = _single_monomial(mat_a[j][j])
-            eb, vb = _single_monomial(mat_b[j][j])
-            shift = ea - eb
-            weight = ta - tb
-            constant = va - vb - tb * shift
-            prev = state[j]
-            state[j] = SheetMonodromy(
-                prev.shift + shift,
-                prev.constant + constant + weight * prev.shift,
-                prev.weight + weight,
-            )
-    return tuple(state)
-
-
 def section_window(lagrangian, precision):
     """Monomial radius by which every section coefficient below the
     precision is visible.
 
     Sheet coefficients of the slope-k line grow like m^2/2 minus a
     linear term controlled by the sheet gammas, so the radius is the
-    positive root of that quadratic, rounded up.
+    positive root of that quadratic, rounded up.  It is the radius
+    twisted_sheaves.section_radius reads off the line's patched module.
     """
     k = lagrangian.slope
     if k == 0:
@@ -400,10 +338,4 @@ def section_window(lagrangian, precision):
     bound = 1 + max(
         abs((lagrangian.offset + j) / count) for j in range(count)
     )
-    target = bound * bound + 2 * _frac(precision)
-    n = -((-target.numerator) // target.denominator)
-    root = isqrt(n)
-    if root * root < n:
-        root += 1
-    b = -((-bound.numerator) // bound.denominator)
-    return b + root
+    return _quadratic_radius(bound, _frac(precision))

@@ -7,8 +7,9 @@ obstruction on the triangle of final charts; the validator measures the
 residuals exactly and reports their t-adic norms.
 
 Global sections are computed as the kernel, at a working precision, of
-the edge comparison system over a finite monomial window; the window
-radius is grown until the rank stops moving.
+the edge comparison system over a finite monomial window.  The window
+radius is read off the sheet recursions of the module, so each section
+space comes from one build and one elimination.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 
 from .affine import dot
 from .errors import (
@@ -350,9 +351,10 @@ def validate_module(module, precision, stop_early=False):
 class SectionSpace:
     """Kernel of the edge comparison system at a working precision.
 
-    ranks[p - 1] is the section rank at the integer precision p, for p
-    from 1 to the integer part of the working precision, read off the
-    same elimination as the sections themselves.
+    window is the monomial radius the system was solved at.  ranks[p - 1]
+    is the section rank at the integer precision p, for p from 1 to the
+    integer part of the working precision, read off the same elimination
+    as the sections themselves; below precision 1 it is empty.
     """
 
     rank: int
@@ -634,10 +636,10 @@ def _assemble_sections(module, chosen):
     return tuple(sections)
 
 
-def _solve_window(module, radius, precision, all_precisions):
-    """Ground kernel vectors of the radius-r system at the working
-    precision and, with all_precisions, at each integer precision up to
-    it, from one build and one elimination.
+def _solve_window(module, radius, precision):
+    """Ground kernel vectors of the radius-r system at each integer
+    precision up to the working one and then at the working precision
+    itself, from one build and one elimination.
 
     The system at a lower precision p is the leading block of rows
     tagged below p, but over the columns reachable at the working
@@ -647,8 +649,10 @@ def _solve_window(module, radius, precision, all_precisions):
     never grounded.
     """
     system = _monomial_system(module, radius, precision)
-    stops = range(1, int(precision) + 1) if all_precisions else ()
-    cuts = [bisect_left(system.appears, p * system.scale) for p in stops]
+    cuts = [
+        bisect_left(system.appears, p * system.scale)
+        for p in range(1, int(precision) + 1)
+    ]
     cuts.append(len(system.rows))
     return [
         _ground_vectors(basis, system.columns)
@@ -656,52 +660,228 @@ def _solve_window(module, radius, precision, all_precisions):
     ]
 
 
-def global_sections(module, precision, max_window=8, min_window=1):
+# -- the certified section radius ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class SheetMonodromy:
+    """Action of the base loop on one sheet's coefficient tower:
+    a[m + shift] = T^(constant + weight*m) * a[m]."""
+
+    shift: int
+    constant: Fraction
+    weight: Fraction
+
+
+def _edge_monomials(module):
+    """(exponent, valuation) of the diagonal entries of every chart to
+    edge restriction, keyed by (chart, edge).
+
+    These are the entries the edge comparison system reads.  A module
+    with an entry there that is not a single monomial, or with a nonzero
+    entry off the diagonal, has no recognised coefficient tower and is
+    refused with UndecidableDescriptionError.
+    """
+    monomials = {}
+    for edge in module.cover.faces_of_degree(1):
+        for i in edge:
+            sheets = []
+            for r, row in enumerate(module.restriction((i,), edge)):
+                for col, entry in enumerate(row):
+                    terms = list(entry.terms.items())
+                    if r != col and not terms:
+                        continue
+                    single = len(terms) == 1 and len(terms[0][1].terms) == 1
+                    if r != col or not single:
+                        raise UndecidableDescriptionError(
+                            f"no recognised coefficient tower: the restriction "
+                            f"of chart {i} to edge {edge} is not diagonal with "
+                            "single-monomial entries"
+                        )
+                    ((exponent, coeff),) = terms
+                    sheets.append((exponent, coeff.terms[0][0]))
+            monomials[(i, edge)] = tuple(sheets)
+    return monomials
+
+
+def loop_monodromy(module, loop=None):
+    """Compose the sheet recursions around a loop of charts.
+
+    The default loop walks 0, 1, ..., n-1 and closes back to 0.  For
+    the slope-k line each sheet comes back with shift sign(k) and
+    weight one, the signature of a degree-k line on the mirror curve.
+    """
+    cover = module.cover
+    monomials = _edge_monomials(module)
+    if loop is None:
+        loop = list(range(len(cover.chart_ids))) + [0]
+    state = [
+        SheetMonodromy(0, Fraction(0), Fraction(0))
+        for _ in range(module.rank)
+    ]
+    for a, b in zip(loop, loop[1:]):
+        edge = tuple(sorted((a, b)))
+        chart = cover.face_chart(edge)
+        q_edge = chart.basepoint
+        ta = cover.transition(edge[0], a).apply(q_edge)[0] - cover.face_chart(
+            (a,)
+        ).basepoint[0]
+        tb = cover.transition(edge[0], b).apply(q_edge)[0] - cover.face_chart(
+            (b,)
+        ).basepoint[0]
+        for j in range(module.rank):
+            (ea,), va = monomials[(a, edge)][j]
+            (eb,), vb = monomials[(b, edge)][j]
+            shift = ea - eb
+            weight = ta - tb
+            constant = va - vb - tb * shift
+            prev = state[j]
+            state[j] = SheetMonodromy(
+                prev.shift + shift,
+                prev.constant + constant + weight * prev.shift,
+                prev.weight + weight,
+            )
+    return tuple(state)
+
+
+def _quadratic_radius(bound, precision):
+    """ceil(bound) + ceil(sqrt(ceil(bound^2 + 2*precision))), an integer
+    at least the positive root of m^2/2 - bound*m = precision."""
+    target = bound * bound + 2 * precision
+    n = -((-target.numerator) // target.denominator)
+    root = isqrt(n)
+    if root * root < n:
+        root += 1
+    return -((-bound.numerator) // bound.denominator) + root
+
+
+def _zero_tower_closes(cover, monomials):
+    """Do the z^0 entry valuations of a rank-one module add up to zero
+    around every loop of charts?
+
+    Crossing edge (i, j) moves a z^0 coefficient from valuation lam on
+    chart i to lam + v(i) - v(j) on chart j; the tower closes when these
+    steps have a potential on the charts.
+    """
+    steps = {}
+    for i, j in cover.faces_of_degree(1):
+        ((_, vi),), ((_, vj),) = monomials[(i, (i, j))], monomials[(j, (i, j))]
+        steps.setdefault(i, []).append((j, vi - vj))
+        steps.setdefault(j, []).append((i, vj - vi))
+    level = {}
+    for start in range(len(cover.chart_ids)):
+        if start in level:
+            continue
+        level[start] = Fraction(0)
+        queue = [start]
+        for i in queue:
+            for j, step in steps.get(i, ()):
+                reached = level[i] + step
+                if j not in level:
+                    level[j] = reached
+                    queue.append(j)
+                elif level[j] != reached:
+                    return False
+    return True
+
+
+def section_radius(module, precision):
+    """Monomial window radius that holds every section coefficient below
+    the precision, read off the sheet recursions of the module.
+
+    Two kinds of module have one, and both need every chart to edge
+    restriction diagonal with single-monomial entries (_edge_monomials):
+
+    - Rank one with every edge entry z^0, whose valuations add up to
+      zero around every loop of charts: the exponent-zero tower closes
+      on itself and no hop leaves exponent zero, so the radius-0 system
+      holds it whole.  A tower at a nonzero exponent a picks up the
+      pairing of a with the loop's period, so none closes: radius 0.
+      The canonical module of a fibration and its twists by constant
+      coboundaries are of this kind.
+    - On a circle cover, every sheet with a nonzero loop shift s: its
+      coefficients obey a[m + s] = T^(c + w*m) a[m], a parabola in m of
+      curvature w/s with its vertex at m* = s/2 - c/w.  With bound
+      |s| + |m* - s|, at least |m*|, the radius is the rounded root of
+      m^2/2 - bound*m = precision*|s/w|: beyond it every coefficient of
+      a rising tower (w/s > 0) sits at least the precision above the
+      tower's least one; a falling tower has no least coefficient and
+      carries no section, and the same radius bounds the window that
+      pins it to zero.  For the slope-k line |s| = w = 1 and m* - s is the fibre
+      coordinate (offset + j)/|k| of sheet j, so this is section_window.
+
+    Any other module raises UndecidableDescriptionError.
+    """
+    precision = _frac(precision)
+    cover = module.cover
+    monomials = _edge_monomials(module)
+    if module.rank == 1 and all(
+        not any(exponent) for ((exponent, _),) in monomials.values()
+    ):
+        if _zero_tower_closes(cover, monomials):
+            return 0
+    elif cover.dimension == 1:
+        sheets = loop_monodromy(module)
+        if all(sheet.shift and sheet.weight for sheet in sheets):
+            return max(
+                _quadratic_radius(
+                    abs(sheet.shift)
+                    + abs(sheet.constant / sheet.weight + Fraction(sheet.shift, 2)),
+                    precision * abs(sheet.shift / sheet.weight),
+                )
+                for sheet in sheets
+            )
+    raise UndecidableDescriptionError(
+        "no certified section radius: the coefficient towers of this module "
+        "neither close at exponent zero nor shift around a circle"
+    )
+
+
+def global_sections(module, precision, max_window=None, min_window=0):
     """Sections over the whole cover, modulo the working precision.
 
     Solves the edge comparison system over rational monomial unknowns
     of valuation below the precision (plus edge headroom), then counts
     the series-field-independent solutions among those scaled to least
-    valuation zero.  The monomial window is grown until the section
-    rank repeats on two consecutive radii.  A section whose support
-    only becomes visible at a large radius can stall the sweep at a
-    smaller rank; callers who know how fast their restriction exponents
-    grow should start the sweep at min_window.
+    valuation zero.  The monomial window has the radius section_radius
+    certifies, or min_window if that is larger; a radius above
+    max_window raises ValueError.  The system is built and eliminated
+    once.
 
-    Each radius is built and eliminated once.  The rank at every integer
-    precision up to the working one comes out of the same elimination,
-    so the returned space also carries the ranks and the stabilisation
-    threshold of the final window.
+    The rank at every integer precision p = 1, ..., floor(precision)
+    comes out of the same elimination, so the returned space also
+    carries these ranks and the stabilisation threshold.  A fractional
+    precision compares ranks only up to its integer part, and below
+    precision 1 there is no integer precision to compare: the ranks are
+    empty and the threshold is 0.
     """
     precision = _frac(precision)
-    previous = None
-    for radius in range(min_window, max_window + 1):
-        *lower, ground = _solve_window(
-            module, radius, precision, all_precisions=previous is not None
+    radius = max(section_radius(module, precision), min_window)
+    if max_window is not None and radius > max_window:
+        raise ValueError(
+            f"the certified section radius {radius} exceeds "
+            f"max_window={max_window}"
         )
-        rank, chosen = _collapse(ground, precision)
-        if previous is not None and previous == rank:
-            ranks = tuple(
-                rank if p == precision else _collapse(g, Fraction(p))[0]
-                for p, g in enumerate(lower, 1)
-            )
-            return SectionSpace(
-                rank=rank,
-                precision=precision,
-                window=radius,
-                sections=_assemble_sections(module, chosen),
-                ranks=ranks,
-            )
-        previous = rank
-    raise UndecidableDescriptionError(
-        f"section rank kept moving up to window radius {max_window}"
+    *lower, ground = _solve_window(module, radius, precision)
+    rank, chosen = _collapse(ground, precision)
+    ranks = tuple(
+        rank if p == precision else _collapse(g, Fraction(p))[0]
+        for p, g in enumerate(lower, 1)
+    )
+    return SectionSpace(
+        rank=rank,
+        precision=precision,
+        window=radius,
+        sections=_assemble_sections(module, chosen),
+        ranks=ranks,
     )
 
 
-def stabilisation_threshold(module, precision, max_window=8, min_window=1):
+def stabilisation_threshold(module, precision, max_window=None, min_window=0):
     """Least integer precision from which the section rank stays put
     all the way up to the integer part of the requested one; 0 below
-    precision 1.  See SectionSpace.threshold."""
+    precision 1.  Solves the same one system as global_sections; see
+    SectionSpace.threshold."""
     return global_sections(module, precision, max_window, min_window).threshold
 
 

@@ -352,14 +352,15 @@ def test_criterion_5_elliptic_section_ranks():
         fibration = load_catalog("elliptic-demo")
         cover = fibration.cover
         precision = F(10)
-        # (rank, window, stabilisation threshold) per slope, as reported
-        # when every integer precision was solved from scratch
+        # (rank, window, stabilisation threshold) per slope: ranks and
+        # thresholds as reported when every integer precision was solved
+        # from scratch, windows the certified radius section_window(line, 10)
         pinned = {
-            1: (1, 7, 1),
-            2: (2, 8, 1),
-            3: (3, 8, 1),
-            -1: (0, 7, 1),
-            -2: (0, 8, 1),
+            1: (1, 6, 1),
+            2: (2, 7, 1),
+            3: (3, 7, 1),
+            -1: (0, 6, 1),
+            -2: (0, 7, 1),
         }
         for slope in (1, 2, 3, -1, -2):
             line = LinearLagrangian(slope)

@@ -145,6 +145,27 @@ class TestSheaf:
         assert code == 0
         assert "global sections rank: 0" in out
 
+    @pytest.mark.parametrize(
+        "precision,window,threshold", [("1/2", 3, 0), ("21/2", 6, 1)]
+    )
+    def test_threshold_below_one_and_at_a_fractional_precision(
+        self, capsys, precision, window, threshold
+    ):
+        # below precision 1 there is no integer precision to compare, so
+        # the threshold is 0; at 21/2 ranks are compared up to 10
+        argv = ["sheaf", "--catalog", "elliptic-demo", "--slope", "1", "-E", precision]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert f"global sections rank: 1 (window {window})\n" in out
+        assert f"stabilisation threshold: {threshold}\n" in out
+        code, raw, _ = run(capsys, *argv, "--output", "json")
+        assert code == 0
+        assert json.loads(raw)["sections"] == {
+            "rank": 1,
+            "window": window,
+            "stabilisation_threshold": threshold,
+        }
+
     def test_json_and_text_numeric_parity(self, capsys):
         _, text, _ = run(
             capsys, "sheaf", "--catalog", "elliptic-demo", "--slope", "1"

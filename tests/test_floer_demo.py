@@ -16,7 +16,6 @@ from mirrorforge.floer_demo import (
     intersections,
     local_floer_data,
     local_module,
-    loop_monodromy,
     patch_global,
     restriction_factor,
     section_window,
@@ -26,6 +25,7 @@ from mirrorforge.mirror_charts import AffinoidElement, MirrorPoint
 from mirrorforge.novikov import NovikovMatrix, NovikovScalar
 from mirrorforge.twisted_sheaves import (
     global_sections,
+    loop_monodromy,
     stabilisation_threshold,
     validate_module,
 )
@@ -437,7 +437,7 @@ class TestSections:
         space = global_sections(
             module, 6, max_window=window + 2, min_window=window
         )
-        assert (space.rank, space.window, space.threshold) == (1, 6, 1)
+        assert (space.rank, space.window, space.threshold) == (1, 5, 1)
 
     def test_brute_force_solve_matches_for_slope_one(self):
         # rational system assembled directly from the transport

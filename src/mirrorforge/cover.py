@@ -15,6 +15,7 @@ affine functions with integral differentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
@@ -60,8 +61,8 @@ class Cover:
     """Charts, nerve, overlap polytopes, and transitions.
 
     Tables derived from these (face charts, nested face pairs and
-    chains, the certificate system) are cached properties, each built
-    once per cover on first use.
+    chains, restriction moves, the certificate system) are cached
+    properties, each built once per cover on first use.
     """
 
     def __init__(self, dimension, chart_ids, faces, polytopes, transitions):
@@ -248,6 +249,43 @@ class Cover:
                 for low in combinations(mid, size)
             )
         )
+
+    @cached_property
+    def restriction_moves(self):
+        """How a monomial moves when restricted to a face, keyed by
+        (face, chart i of the face).
+
+        Each entry holds the transposed linear part of the transition
+        from the face's least chart to chart i, which carries a chart-i
+        exponent to the face's, and the face's basepoint written in
+        chart i's coordinates.  The basepoints are moved on ints, all on
+        one integer scaling with the translations.
+        """
+        charts = self._face_charts
+        faces = tuple(charts)
+        steps = sorted({(face[0], i) for face in faces for i in face[1:]})
+        maps = [self.transition(a, b) for a, b in steps]
+        d, _, points = integer_scaling(
+            (),
+            [charts[face].basepoint for face in faces]
+            + [phi.translation for phi in maps],
+        )
+        moves = {
+            step: (phi.linear, tuple(zip(*phi.linear)), tau)
+            for step, phi, tau in zip(steps, maps, points[len(faces) :])
+        }
+        identity = self._identity.linear
+        table = {}
+        for face, q in zip(faces, points):
+            # the face's own least chart needs no move
+            table[(face, face[0])] = (identity, charts[face].basepoint)
+            for i in face[1:]:
+                linear, transposed, tau = moves[(face[0], i)]
+                table[(face, i)] = (
+                    transposed,
+                    tuple(Fraction(dot(row, q) + t, d) for row, t in zip(linear, tau)),
+                )
+        return table
 
     @cached_property
     def _certificate_system(self):

@@ -297,9 +297,7 @@ def patch_global(lagrangian, fibration, cutoff=None):
     restrictions = {}
     for low, top in cover.nested_pairs:
         (member,) = low
-        chart = cover.face_chart(top)
-        q_edge = chart.basepoint
-        spot = cover.transition(top[0], member).apply(q_edge)
+        _, spot = cover.restriction_moves[(top, member)]
         wrap = _edge_wrap(cover, offsets, top, member)
         matrix = []
         for r in range(count):

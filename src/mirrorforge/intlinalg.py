@@ -8,7 +8,9 @@ solve: the section solver's kernels, the certificate's constant solve
 and the cokernel of the incidence map.  The principal-minor sums and
 the determinant are ring-generic: they use only ``+``, ``-`` and ``*``
 of the entries, so they serve Fractions, Novikov scalars and affinoid
-elements alike.
+elements alike.  The determinant first splits the matrix into the
+diagonal blocks of its block-triangular form, so a diagonal or
+triangular matrix costs a product of entries, not a dense recurrence.
 """
 
 from __future__ import annotations
@@ -374,14 +376,84 @@ def principal_minor_sums(rows):
 def determinant(rows):
     """Determinant of a nonempty square matrix over a commutative ring.
 
-    Only the last sum of the final Berkowitz step is formed; a 1 x 1
-    matrix gives its entry itself.
+    The pattern of entries that are not exact zeros is split into its
+    strongly connected components (Tarjan, SIAM J. Comput. 1, 1972):
+    ordered by them, the matrix is block triangular (Duff and Reid), so
+    the determinant is the product of the determinants of its diagonal
+    blocks.  An exact zero is ``== 0`` for ints and Fractions and
+    ``is_exact_zero()`` for Novikov scalars and affinoid elements; a
+    truncated zero may hide a term, so it stays in its block.  A block
+    of one entry gives that entry itself; a larger one forms only the
+    last sum of the final Berkowitz step.  A matrix that is one block
+    goes through the recurrence whole, and so does one of size at most
+    2 x 2, where the recurrence already is the product of the blocks.
     """
-    r = len(rows) - 1
-    if r < 0:
+    if not rows:
         raise ValueError("a 0 x 0 determinant needs the ring's one")
+    if len(rows) > 2:
+        blocks = _diagonal_blocks(rows)
+        if len(blocks) > 1:
+            return reduce(
+                mul,
+                (
+                    _berkowitz_determinant([[rows[i][j] for j in b] for i in b])
+                    for b in blocks
+                ),
+            )
+    return _berkowitz_determinant(rows)
+
+
+def _berkowitz_determinant(rows):
+    r = len(rows) - 1
     e = principal_minor_sums([row[:r] for row in rows[:r]])
     return _next_sum(e, rows[r][r], _border_products(rows, r), r + 1)
+
+
+def _is_exact_zero(x):
+    check = getattr(x, "is_exact_zero", None)
+    return x == 0 if check is None else check()
+
+
+def _diagonal_blocks(rows):
+    # strongly connected components of the graph with an arc i -> j for
+    # every off-diagonal entry (i, j) that is not an exact zero, each a
+    # sorted index list, sorted by least index: Tarjan's depth-first
+    # search, run on an explicit path of (node, remaining arcs)
+    arcs = [
+        [j for j, x in enumerate(row) if j != i and not _is_exact_zero(x)]
+        for i, row in enumerate(rows)
+    ]
+    order, low, path, open_nodes, blocks = {}, {}, [], [], []
+    is_open = set()
+
+    def enter(v):
+        order[v] = low[v] = len(order)
+        open_nodes.append(v)
+        is_open.add(v)
+        path.append((v, iter(arcs[v])))
+
+    for root in range(len(rows)):
+        if root in order:
+            continue
+        enter(root)
+        while path:
+            v, rest = path[-1]
+            w = next(rest, None)
+            if w is None:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    cut = open_nodes.index(v)
+                    blocks.append(sorted(open_nodes[cut:]))
+                    is_open.difference_update(open_nodes[cut:])
+                    del open_nodes[cut:]
+            elif w not in order:
+                enter(w)
+            elif w in is_open:
+                low[v] = min(low[v], order[w])
+    return sorted(blocks)
 
 
 def _border_products(rows, r):

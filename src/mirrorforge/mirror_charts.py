@@ -252,29 +252,31 @@ class AffinoidElement:
         shift = tuple(a - b for a, b in zip(new_basepoint, self._basepoint))
         out = {}
         for exponent, coeff in self._terms.items():
-            out[exponent] = coeff * NovikovScalar.monomial(1, dot(shift, exponent))
+            out[exponent] = coeff._shift(dot(shift, exponent))
         return AffinoidElement(self._cover, self._face, out, new_basepoint)
 
     def restrict(self, to_face):
-        """Restriction along an inclusion of faces (finer index set)."""
+        """Restriction along an inclusion of faces (finer index set).
+
+        The exponent map and the target basepoint come from the cover's
+        ``restriction_moves`` table; each coefficient is shifted by the
+        t-power of its monomial's basepoint move.
+        """
         to_face = tuple(sorted(to_face))
         if not set(self._face) < set(to_face):
             raise ChartMismatchError(
                 f"{to_face} does not refine {self._face}"
             )
         cover = self._cover
-        src = cover.face_chart(self._face)
-        tgt = cover.face_chart(to_face)
-        phi = cover.transition(tgt.ambient, src.ambient)
-        mt = tuple(zip(*phi.linear))
-        q_tgt_in_src = phi.apply(tgt.basepoint)
+        target = cover.face_chart(to_face)
+        mt, q_tgt_in_src = cover.restriction_moves[(to_face, self._face[0])]
         offset = tuple(a - b for a, b in zip(q_tgt_in_src, self._basepoint))
         out = {}
         for exponent, coeff in self._terms.items():
             moved = tuple(dot(row, exponent) for row in mt)
-            scaled = coeff * NovikovScalar.monomial(1, dot(offset, exponent))
+            scaled = coeff._shift(dot(offset, exponent))
             out[moved] = out[moved] + scaled if moved in out else scaled
-        return AffinoidElement._trusted(cover, to_face, tgt.basepoint, out)
+        return AffinoidElement._trusted(cover, to_face, target.basepoint, out)
 
     def evaluate(self, point):
         """Value at a mirror point, as a scalar."""

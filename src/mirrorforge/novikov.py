@@ -105,6 +105,17 @@ class NovikovScalar:
         )
         return cls._trusted(terms, cutoff)
 
+    def _shift(self, s):
+        """This scalar times t^s, for a rational s: every exponent and
+        the cutoff move by s.  The normal form carries over, so nothing
+        is checked; the caller guarantees that s is an int or Fraction.
+        """
+        cutoff = self._cutoff
+        return NovikovScalar._trusted(
+            tuple((e + s, c) for e, c in self._terms),
+            None if cutoff is None else cutoff + s,
+        )
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -606,13 +617,17 @@ class NovikovMatrix:
         )
 
     def determinant(self):
-        """Determinant by the division-free Berkowitz recurrence.
+        """Determinant by ``intlinalg.determinant``: the product over the
+        diagonal blocks of the block-triangular form, each by the
+        division-free Berkowitz recurrence.
 
         Exact entries give the exact determinant.  On truncated entries
         every known term is right, but the cutoff can sit below a
         cofactor expansion's: the recurrence multiplies partial sums
         whose low-order terms cancel later, and a product is known only
-        to one factor's cutoff plus the other factor's valuation.
+        to one factor's cutoff plus the other factor's valuation.  Only
+        exact zeros split blocks, so a truncated zero, which may hide a
+        term, keeps its entries in one block.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")

@@ -200,19 +200,27 @@ class TwistedModule:
 
 
 def rank_one_module_from_cochain(fibration, cochain):
-    """The rank-1 module with restrictions exp of a degree-1 cochain."""
+    """The rank-1 module with restrictions exp of a degree-1 cochain.
+
+    The entry of a pair depends only on the final chart of its low face
+    and on its top face, so each distinct entry is formed once.
+    """
     cover = fibration.cover
     if cochain.degree != 1:
         raise ValueError("expected a degree-1 cochain")
+    entries = {}
     restrictions = {}
     for low, top in cover.nested_pairs:
         a, b = low[-1], top[-1]
-        if a == b:
-            entry = AffinoidElement.one(cover, top)
-        else:
-            value = cochain.value((a, b))
-            moved = value.compose_with_map(cover.transition(top[0], a))
-            entry = exp_aff(cover, top, moved)
+        entry = entries.get((a, top))
+        if entry is None:
+            if a == b:
+                entry = AffinoidElement.one(cover, top)
+            else:
+                value = cochain.value((a, b))
+                moved = value.compose_with_map(cover.transition(top[0], a))
+                entry = exp_aff(cover, top, moved)
+            entries[(a, top)] = entry
         restrictions[(low, top)] = ((entry,),)
     return TwistedModule(fibration, 1, restrictions)
 

@@ -215,3 +215,17 @@ def test_slope_twelve_validates_without_a_factorial_cliff(catalog):
     assert report.ok
     assert not report.determinant_failures
     assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
+
+
+@pytest.mark.parametrize("catalog", CIRCLES)
+def test_slope_forty_validates_within_a_second(catalog):
+    # the k x k restriction matrices are diagonal, so the determinant is
+    # a product of k entries; the dense recurrence took 5.2 s at slope 30
+    budget = 1.0
+    module = patch_global(LinearLagrangian(40), load_catalog(catalog))
+    start = time.perf_counter()
+    report = validate_module(module, 10)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert not report.determinant_failures
+    assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"

@@ -1,0 +1,391 @@
+"""``validate_module`` at the cost the module's structure asks for.
+
+Restriction reads its exponent map and basepoint move from the cover's
+``restriction_moves`` table and shifts coefficients by a power of t in
+place of a general product; the determinant multiplies the determinants
+of the diagonal blocks of the block-triangular form.  The references
+below are the code these replaced: the restriction that applied the
+chart transition on Fractions per call, and the Berkowitz recurrence
+run on the whole matrix.  Every result must match them down to the
+types, and the count guards keep per-chain map application from
+coming back.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from mirrorforge.affine import IntegralAffineMap, dot
+from mirrorforge.catalog import catalog_ids, load_catalog
+from mirrorforge.cover import Cover, coboundary_certificate
+from mirrorforge.errors import ChartMismatchError
+from mirrorforge.floer_demo import LinearLagrangian, patch_global
+from mirrorforge.intlinalg import _diagonal_blocks, determinant, principal_minor_sums
+from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
+from mirrorforge.mirror_charts import AffinoidElement, exp_aff
+from mirrorforge.novikov import NovikovScalar
+from mirrorforge.twisted_sheaves import (
+    canonical_twisted_module,
+    rank_one_module_from_cochain,
+    validate_module,
+)
+
+F = Fraction
+S = NovikovScalar
+CATALOGS = catalog_ids()
+CIRCLES = ("elliptic-demo", "split-torus-2")
+TRIVIAL = ("elliptic-demo", "split-torus-2", "split-torus-4", "thurston-f2")
+TORUS_TRIVIAL = ("split-torus-4", "thurston-f2")
+
+
+def typed(value):
+    return (type(value), value)
+
+
+def scalar_data(x):
+    assert type(x) is S
+    return (tuple((typed(e), typed(c)) for e, c in x.terms), typed(x.cutoff))
+
+
+def element_data(x):
+    assert type(x) is AffinoidElement
+    return (
+        x.cover,
+        tuple(typed(i) for i in x.face),
+        tuple(typed(v) for v in x.basepoint),
+        {
+            tuple(typed(v) for v in exponent): scalar_data(coeff)
+            for exponent, coeff in x.terms.items()
+        },
+    )
+
+
+def fresh(name):
+    """A fibration equal to the catalog entry on a cover of its own."""
+    return manifest_to_fibration(fibration_to_manifest(load_catalog(name)))
+
+
+# -- the replaced code, kept as references ----------------------------------
+
+
+def reference_restrict(element, to_face):
+    """Restriction with the chart transition applied on Fractions and
+    each coefficient multiplied by a unit monomial."""
+    to_face = tuple(sorted(to_face))
+    if not set(element.face) < set(to_face):
+        raise ChartMismatchError(f"{to_face} does not refine {element.face}")
+    cover = element.cover
+    src = cover.face_chart(element.face)
+    tgt = cover.face_chart(to_face)
+    phi = cover.transition(tgt.ambient, src.ambient)
+    mt = tuple(zip(*phi.linear))
+    q_tgt_in_src = phi.apply(tgt.basepoint)
+    offset = tuple(a - b for a, b in zip(q_tgt_in_src, element.basepoint))
+    out = {}
+    for exponent, coeff in element.terms.items():
+        moved = tuple(dot(row, exponent) for row in mt)
+        scaled = coeff * S.monomial(1, dot(offset, exponent))
+        out[moved] = out[moved] + scaled if moved in out else scaled
+    return AffinoidElement(cover, to_face, out, tgt.basepoint)
+
+
+def reference_with_basepoint(element, new_basepoint):
+    shift = tuple(a - b for a, b in zip(new_basepoint, element.basepoint))
+    out = {
+        exponent: coeff * S.monomial(1, dot(shift, exponent))
+        for exponent, coeff in element.terms.items()
+    }
+    return AffinoidElement(element.cover, element.face, out, new_basepoint)
+
+
+def reference_determinant(rows):
+    """The Berkowitz recurrence on the whole matrix: its last
+    principal-minor sum."""
+    return principal_minor_sums(rows)[-1]
+
+
+def reference_rank_one_module(fibration, cochain):
+    """One exp entry formed per nested pair."""
+    cover = fibration.cover
+    out = {}
+    for low, top in cover.nested_pairs:
+        a, b = low[-1], top[-1]
+        if a == b:
+            entry = AffinoidElement.one(cover, top)
+        else:
+            moved = cochain.value((a, b)).compose_with_map(cover.transition(top[0], a))
+            entry = exp_aff(cover, top, moved)
+        out[(low, top)] = entry
+    return out
+
+
+# -- restriction moves --------------------------------------------------------
+
+
+def off_basepoint(cover, face):
+    """A point inside the face polytope that is not its basepoint."""
+    chart = cover.face_chart(face)
+    vertices = chart.polytope.vertices
+    point = tuple(sum(coords) / len(vertices) for coords in zip(*vertices))
+    assert point != chart.basepoint
+    return point
+
+
+def sample_elements(rng, cover, face):
+    """Multi-term elements with exact, truncated and truncated-zero
+    coefficients, on the canonical basepoint and moved off it."""
+    n = cover.dimension
+    out = []
+    for truncation in ("exact", "truncated", "zero"):
+        terms = {}
+        for _ in range(3):
+            exponent = tuple(rng.randint(-2, 2) for _ in range(n))
+            coeff = S(
+                [(F(rng.randint(-4, 8), rng.choice((1, 2, 3))), rng.choice((-2, 1, 3)))
+                 for _ in range(rng.randint(1, 3))]
+            )
+            if truncation == "truncated":
+                coeff = coeff.truncate(F(rng.randint(2, 12), 2))
+            terms[exponent] = coeff
+        if truncation == "zero":
+            terms[(0,) * n] = S.zero(F(rng.randint(1, 9), 2))
+        out.append(AffinoidElement(cover, face, terms))
+    point = off_basepoint(cover, face)
+    for element in list(out):
+        moved = element.with_basepoint(point)
+        assert element_data(moved) == element_data(reference_with_basepoint(element, point))
+        out.append(moved)
+    return out
+
+
+@pytest.mark.parametrize("name", CATALOGS)
+def test_restriction_matches_the_transition_on_every_nested_pair(name):
+    cover = load_catalog(name).cover
+    rng = random.Random(f"restrict:{name}")
+    lows = sorted({low for low, _ in cover.nested_pairs})
+    elements = {low: sample_elements(rng, cover, low) for low in lows}
+    for low, top in cover.nested_pairs:
+        for element in elements[low]:
+            got = element.restrict(top)
+            assert element_data(got) == element_data(reference_restrict(element, top))
+            assert got.basepoint is cover.face_chart(top).basepoint
+
+
+@pytest.mark.parametrize("name", CATALOGS)
+def test_restriction_refusals_keep_their_messages(name):
+    cover = load_catalog(name).cover
+    for low, top in cover.nested_pairs[::7]:
+        element = AffinoidElement.monomial(cover, top, 1, (1,) * cover.dimension)
+        for to_face in (low, top, tuple(reversed(low))):
+            with pytest.raises(ChartMismatchError) as got:
+                element.restrict(to_face)
+            with pytest.raises(ChartMismatchError) as want:
+                reference_restrict(element, to_face)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).endswith(f"does not refine {top}")
+
+
+def test_restriction_to_a_set_that_is_not_a_face_names_it():
+    cover = load_catalog("split-torus-4").cover
+    element = AffinoidElement.one(cover, (0,))
+    with pytest.raises(ChartMismatchError, match=r"^\{0,0,0,1,0,2\} is not a face$"):
+        element.restrict((0, 1, 2))
+
+
+@pytest.mark.parametrize("name", CATALOGS)
+def test_move_table_has_one_entry_per_chart_of_each_face(name):
+    cover = load_catalog(name).cover
+    table = cover.restriction_moves
+    assert set(table) == {(face, i) for face in cover.faces for i in face}
+    for (face, i), (transposed, basepoint) in table.items():
+        phi = cover.transition(face[0], i)
+        assert transposed == tuple(zip(*phi.linear))
+        assert basepoint == phi.apply(cover.face_chart(face).basepoint)
+        assert all(type(x) is Fraction for x in basepoint)
+
+
+def test_the_shift_is_the_product_with_a_unit_monomial():
+    rng = random.Random(17)
+    for _ in range(200):
+        cutoff = F(rng.randint(-4, 12), rng.choice((1, 2))) if rng.random() < 0.5 else None
+        terms = [(F(rng.randint(-6, 6), 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))]
+        x = S([(e, c) for e, c in terms if cutoff is None or e < cutoff], cutoff)
+        s = F(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+        assert scalar_data(x._shift(s)) == scalar_data(x * S.monomial(1, s))
+
+
+# -- block-triangular determinant -----------------------------------------------
+
+
+@pytest.mark.parametrize("catalog", CIRCLES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_circle_restriction_determinants_match_berkowitz(catalog, sign):
+    fibration = load_catalog(catalog)
+    for k in range(1, 13):
+        for offset in (F(0), F(1, 3), F(2, 7)):
+            module = patch_global(LinearLagrangian(sign * k, offset), fibration)
+            for low, top in module.pairs:
+                mat = module.restriction(low, top)
+                assert len(_diagonal_blocks(mat)) == k
+                got = determinant(mat)
+                assert element_data(got) == element_data(reference_determinant(mat))
+
+
+def permuted_block_triangular(rng, sizes, draw, zero):
+    """P A P^T for a block lower-triangular A whose diagonal blocks have
+    no zero entry, with a random simultaneous permutation P."""
+    n = sum(sizes)
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rows = [
+        [
+            draw() if block_of[i] == block_of[j]
+            else (draw() if block_of[i] > block_of[j] and rng.random() < 0.6 else zero)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def nonzero(rng, draw):
+    while True:
+        x = draw()
+        if x != 0:
+            return x
+
+
+RINGS = {
+    "int": (lambda rng: rng.randint(-9, 9), 0),
+    "fraction": (lambda rng: F(rng.randint(-9, 9), rng.randint(1, 4)), F(0)),
+    "scalar": (
+        lambda rng: S(
+            [(F(rng.randint(-2, 8), rng.choice((1, 2))), rng.randint(-4, 4))
+             for _ in range(rng.randint(1, 2))]
+        ),
+        S.zero(),
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_permuted_block_triangular_determinants_match_berkowitz(ring):
+    make, zero = RINGS[ring]
+    rng = random.Random(f"blocks:{ring}")
+    split = 0
+    for _ in range(40):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        mat = permuted_block_triangular(rng, sizes, lambda: nonzero(rng, lambda: make(rng)), zero)
+        assert len(_diagonal_blocks(mat)) == len(sizes)
+        got, want = determinant(mat), reference_determinant(mat)
+        if ring == "scalar":
+            assert scalar_data(got) == scalar_data(want)
+        else:
+            assert typed(got) == typed(want)
+        split += len(sizes) > 1
+    assert split >= 20
+
+
+def test_blocks_are_the_strongly_connected_components():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        mat = [[rng.choice((0, 0, 0, 2, -1)) for _ in range(n)] for _ in range(n)]
+        reach = [[i == j or mat[i][j] != 0 for j in range(n)] for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+        want = {tuple(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)}
+        assert [tuple(block) for block in _diagonal_blocks(mat)] == sorted(want)
+        assert determinant(mat) == reference_determinant(mat)
+
+
+def test_a_truncated_zero_link_keeps_the_blocks_together():
+    a, c = S.one(), S.one()
+    b = S.monomial(1, 1)
+    link = S.zero(F(2))
+    mat = [[a, link], [b, c]]
+    assert _diagonal_blocks(mat) == [[0, 1]]
+    got = determinant(mat)
+    assert scalar_data(got) == scalar_data(reference_determinant(mat))
+    # the link may hide a term times b, so the product is known mod t^3
+    assert got.cutoff == 3
+    assert scalar_data(determinant([[a, S.zero()], [b, c]])) == scalar_data(S.one())
+
+
+def test_truncated_zero_affinoid_link_keeps_the_blocks_together():
+    cover = load_catalog("split-torus-4").cover
+    face = (0, 1)
+    one = AffinoidElement.one(cover, face)
+    link = AffinoidElement(cover, face, {(0, 0): S.zero(F(2))})
+    exact_zero = AffinoidElement.zero(cover, face)
+    t = AffinoidElement.monomial(cover, face, S.monomial(1, 1), (1, 0))
+    linked = [[one, link], [t, one]]
+    assert not link.is_exact_zero()
+    assert _diagonal_blocks(linked) == [[0, 1]]
+    assert element_data(determinant(linked)) == element_data(reference_determinant(linked))
+    split = [[one, exact_zero], [t, one]]
+    assert _diagonal_blocks(split) == [[0], [1]]
+    assert element_data(determinant(split)) == element_data(one)
+
+
+# -- rank-one modules ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_rank_one_module_matches_one_entry_per_pair(name):
+    fibration = load_catalog(name)
+    cover = fibration.cover
+    certificate = coboundary_certificate(fibration.obstruction_cocycle())
+    module = rank_one_module_from_cochain(fibration, certificate)
+    want = reference_rank_one_module(fibration, certificate)
+    exp_entries, units = set(), set()
+    for low, top in cover.nested_pairs:
+        ((entry,),) = module.restriction(low, top)
+        assert element_data(entry) == element_data(want[(low, top)])
+        (units if low[-1] == top[-1] else exp_entries).add(id(entry))
+    tops_with_units = {top for low, top in cover.nested_pairs if low[-1] == top[-1]}
+    assert len(units) == len(tops_with_units)
+    distinct = {(low[-1], top) for low, top in cover.nested_pairs if low[-1] != top[-1]}
+    assert len(exp_entries) == len(distinct)
+    if name in TORUS_TRIVIAL:
+        assert (len(exp_entries), len(cover.nested_pairs)) == (135, 414)
+
+
+# -- count guards -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", TORUS_TRIVIAL)
+def test_validation_applies_no_chart_map_once_the_table_is_warm(name, monkeypatch):
+    built = []
+    build = Cover.restriction_moves.func
+
+    def counting_build(cover):
+        built.append(cover)
+        return build(cover)
+
+    monkeypatch.setattr(Cover.restriction_moves, "func", counting_build)
+    fibration = fresh(name)
+    module = canonical_twisted_module(fibration)
+    assert validate_module(module, 10).ok
+    assert built == [fibration.cover]
+
+    applied = []
+    apply = IntegralAffineMap.apply
+
+    def counting_apply(self, point):
+        applied.append(self)
+        return apply(self, point)
+
+    monkeypatch.setattr(IntegralAffineMap, "apply", counting_apply)
+    assert validate_module(module, 10).ok
+    low, _, top = fibration.cover.nested_chains[0]
+    scaled = module.restriction(low, top)[0][0] * S.monomial(1, 1)
+    mutant = module.with_entry(low, top, 0, 0, scaled)
+    report = validate_module(mutant, 3)
+    assert not report.ok and not report.determinant_failures
+    assert applied == []
+    assert built == [fibration.cover]

@@ -171,7 +171,7 @@ def rational_rref(mat):
             _store_pivot(pivots, row, lead)
     reduced = _back_substitute(pivots)
     leads = sorted(reduced)
-    rows = [[reduced[lead].get(j, Fraction(0)) for j in range(n)] for lead in leads]
+    rows = [[Fraction(reduced[lead].get(j, 0)) for j in range(n)] for lead in leads]
     for lead, row in zip(leads, rows):
         row[lead] = _ONE
     rows += ([Fraction(0)] * n for _ in range(len(mat) - len(leads)))
@@ -260,18 +260,36 @@ def _reduce(row, pivots):
 
 
 def _store_pivot(pivots, row, lead):
-    # scale the row so its lead entry is 1 and keep the rest of it
-    inv = _ONE / row.pop(lead)
-    pivots[lead] = {j: v * inv for j, v in row.items()}
+    # keep the rest of the row scaled so its lead entry is 1: as it is
+    # for a lead of 1, negated for -1, so a unit-pivot system stays on
+    # the integers, and divided by the lead otherwise
+    value = row.pop(lead)
+    if value == 1:
+        pivots[lead] = row
+    elif value == -1:
+        pivots[lead] = {j: -v for j, v in row.items()}
+    else:
+        inv = _ONE / value
+        pivots[lead] = {j: v * inv for j, v in row.items()}
 
 
-def _back_substitute(pivots):
+def _back_substitute(pivots, earlier=None):
     # reduced row echelon form, which the column order fixes uniquely:
-    # each stored row with every later pivot column eliminated
+    # each stored row with every later pivot column eliminated.  Given
+    # the form of a subset of the same stored rows, a row of it that
+    # holds no pivot column added since is already reduced, and one
+    # that does is reduced from there
     reduced = {}
+    added = pivots.keys() - earlier.keys() if earlier else None
     for lead in sorted(pivots, reverse=True):
+        source = earlier.get(lead) if earlier else None
+        if source is None:
+            source = pivots[lead]
+        elif added.isdisjoint(source):
+            reduced[lead] = source
+            continue
         row = {}
-        for j, v in pivots[lead].items():
+        for j, v in source.items():
             sub = reduced.get(j)
             if sub is None:
                 row[j] = row.get(j, 0) + v
@@ -292,9 +310,16 @@ def sparse_kernel(rows, n_columns, cuts):
     stored rows are back-substituted into reduced row echelon form and
     the kernel is read off with one vector per free column, in column
     order, as dicts keyed by column index.  Yields one basis per cut;
-    cuts must not decrease.
+    cuts must not decrease.  Each cut starts from the reduced form of the
+    one before, and back-substitutes only the rows that hold a pivot
+    column added in between.
+
+    Values may be ints or Fractions.  A row is divided only by a pivot
+    other than 1 or -1, so rows of ints that meet only unit pivots, as
+    in the section systems, are eliminated on ints and give int kernel
+    values (the free column's own entry is the Fraction 1).
     """
-    pivots = {}
+    pivots, reduced = {}, {}
     done = 0
     basis = None
     for cut in cuts:
@@ -307,8 +332,9 @@ def sparse_kernel(rows, n_columns, cuts):
             if lead is not None:
                 _store_pivot(pivots, row, lead)
         done = cut
+        reduced = _back_substitute(pivots, reduced)
         tails = {}
-        for lead, row in _back_substitute(pivots).items():
+        for lead, row in reduced.items():
             for k, w in row.items():
                 tails.setdefault(k, {})[lead] = -w
         basis = []

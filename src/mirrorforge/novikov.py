@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import PrecisionExhaustedError
 from .intlinalg import determinant
@@ -510,6 +511,90 @@ def _parse_scalar(cls, text):
     return cls(terms, cutoff)
 
 
+def _valuation_below(x, precision):
+    # the valuation of x when it is below the precision, else None; an
+    # entry whose vanishing there is undecidable raises
+    terms = x._terms
+    if terms and terms[0][0] < precision:
+        return terms[0][0]
+    x.is_zero_at(precision)
+    return None
+
+
+def _has_terms(row, column):
+    x = row.get(column)
+    return x is not None and bool(x._terms)
+
+
+def _eliminate(row, pivot, column, working):
+    # subtract from the dict row the multiple of the pivot row that
+    # clears its entry in column; an entry that comes out with no terms
+    # and the full working cutoff is dropped, as if never stored.  The
+    # pivot's lead inverse is formed on first use.
+    pivot_row = pivot[0]
+    if pivot[2] is None:
+        pivot[2] = pivot_row[column].inverse()
+    factor = row.pop(column) * pivot[2]
+    for j, y in pivot_row.items():
+        if j == column:
+            continue
+        x = row.get(j)
+        value = (-(factor * y) if x is None else x - factor * y).truncate(working)
+        if value._terms or value._cutoff < working:
+            row[j] = value
+        elif x is not None:
+            del row[j]
+
+
+def _echelon_insert(slots, spare, row, precision, working):
+    # add the dict row to an echelon state: slots maps each pivot column
+    # to [row, lead valuation, lead inverse or None], spare holds rows with no
+    # pivot that still carry terms; stored rows are never changed in
+    # place, so a copy of slots is an independent state
+    pending = [row]
+    while pending:
+        row = dict(pending.pop())
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            x = row.get(c)
+            if x is None:
+                continue
+            v = _valuation_below(x, precision)
+            held = slots.get(c)
+            if held is None:
+                if v is None:
+                    continue
+                slots[c] = [row, v, None]
+                # rows that passed over a term in column c go round again
+                for d in [
+                    d for d, (other, _, _) in slots.items()
+                    if d > c and _has_terms(other, c)
+                ]:
+                    pending.append(slots.pop(d)[0])
+                pending.extend(other for other in spare if _has_terms(other, c))
+                spare[:] = [other for other in spare if not _has_terms(other, c)]
+                break
+            if not x._terms:
+                # a husk known to vanish below the precision: elimination
+                # column by column passes it over, and so does this
+                del row[c]
+                continue
+            if v is not None and v < held[1]:
+                slots[c] = [row, v, None]
+                row, held = dict(held[0]), slots[c]
+                heap = [j for j in row if j > c]
+                heapify(heap)
+            _eliminate(row, held, c, working)
+            for j in held[0]:
+                if j > c and j in row:
+                    heappush(heap, j)
+        else:
+            if any(x._terms for x in row.values()):
+                spare.append(row)
+
+
 class NovikovMatrix:
     """Rectangular matrix of scalars with precision-aware elimination."""
 
@@ -518,12 +603,14 @@ class NovikovMatrix:
     def __init__(self, rows):
         coerced = []
         for row in rows:
-            out = []
-            for x in row:
-                if not isinstance(x, NovikovScalar):
-                    x = NovikovScalar.from_rational(x)
-                out.append(x)
-            coerced.append(tuple(out))
+            row = tuple(row)
+            if set(map(type, row)) - {NovikovScalar}:
+                row = tuple(
+                    x if isinstance(x, NovikovScalar)
+                    else NovikovScalar.from_rational(x)
+                    for x in row
+                )
+            coerced.append(row)
         self._rows = tuple(coerced)
         if self._rows:
             width = len(self._rows[0])
@@ -645,17 +732,17 @@ class NovikovMatrix:
         retried with extra headroom instead of giving up.
         """
         precision = _frac(precision)
-        deep_enough = all(
-            x.cutoff is None or x.cutoff >= precision
-            for row in self._rows
-            for x in row
-        )
         last_error = None
         for pad in (0, 4, 16, 64, 256):
             try:
                 return attempt(precision, precision + pad)
             except PrecisionExhaustedError as err:
                 last_error = err
+                deep_enough = all(
+                    x.cutoff is None or x.cutoff >= precision
+                    for row in self._rows
+                    for x in row
+                )
                 if not deep_enough:
                     raise
         raise last_error
@@ -733,6 +820,69 @@ class NovikovMatrix:
         """
         _, pivots = self._rref_at(precision)
         return len(pivots)
+
+    def greedy_rank_at_precision(self, precision, choose=True):
+        """Rank at the precision and a greedy choice of rows, from one
+        valuation-ordered echelon pass over the rows in their order.
+
+        Returns (rank, chosen).  At one working cutoff, rank is the pivot
+        count of the column-by-column elimination of rank_at_precision,
+        and chosen lists, in order, the indices of the rows that raise
+        that count for the rows chosen before them, up to rank of them;
+        it is empty with choose=False.  The pass keeps two echelon
+        states, one of every row and one of the chosen rows: a row joins
+        the chosen state only when it raises that state's pivot count,
+        and a row that does not join leaves it untouched.  Both states
+        are needed: the rank of all rows can exceed the number chosen.
+
+        Rows are sparse ``{column: scalar}`` dicts truncated to the
+        working cutoff, exact zeros skipped.  An incoming row is reduced
+        by the pivot rows, least column first.  A column with no pivot
+        becomes the row's pivot when its entry has valuation below the
+        precision, and is passed over otherwise.  A row of lower
+        valuation at an occupied pivot column swaps in, and the row it
+        displaces is reduced and moves on.  When a new pivot column
+        appears, every stored row with a term there that it passed over
+        is reduced by the new pivot row and inserted again.  Reductions
+        use factors of nonnegative valuation, so the rows keep spanning
+        the same module over the valuation ring, and with no passed-over
+        term left in a pivot column, elimination column by column as in
+        rank_at_precision reads the same pivot columns off the stored
+        rows.  Runs through the same headroom ladder as
+        rank_at_precision.  The ladder settles on the first working
+        cutoff whose attempt decides every comparison, and an attempt
+        reads no term at or past its cutoff, so where the prefix loop
+        over rank_at_precision settles on different cutoffs for different
+        prefixes the two can disagree.
+        """
+        return self._with_headroom(
+            precision,
+            lambda precision, working: self._greedy_attempt(
+                precision, working, choose
+            ),
+        )
+
+    def _greedy_attempt(self, precision, working, choose):
+        every, spare = {}, []
+        chosen_slots, chosen = {}, []
+        for index, dense in enumerate(self._rows):
+            row = {}
+            for j, x in enumerate(dense):
+                if x._terms or x._cutoff is not None:
+                    x = x.truncate(working)
+                    if x._terms or x._cutoff < working:
+                        row[j] = x
+            if not row:
+                continue
+            _echelon_insert(every, spare, row, precision, working)
+            if choose:
+                trial = dict(chosen_slots)
+                _echelon_insert(trial, [], row, precision, working)
+                if len(trial) > len(chosen_slots):
+                    chosen_slots = trial
+                    chosen.append(index)
+        rank = len(every)
+        return rank, chosen[:rank]
 
     def kernel_basis_at_precision(self, precision):
         """Basis of the right kernel modulo t**precision.

@@ -43,15 +43,34 @@ def _aff_identity(cover, face, rank):
     )
 
 
+def _is_exact_unit(element):
+    terms = element.terms
+    if len(terms) != 1:
+        return False
+    ((exponent, coeff),) = terms.items()
+    return not any(exponent) and coeff.terms == ((0, 1),) and coeff.cutoff is None
+
+
+def _aff_product(x, y):
+    # x * y; a factor that is the exact unit on the other's chart gives
+    # the other factor itself, with no product formed
+    if x.face == y.face and x.basepoint == y.basepoint and x.cover is y.cover:
+        if _is_exact_unit(x):
+            return y
+        if _is_exact_unit(y):
+            return x
+    return x * y
+
+
 def _aff_matmul(a, b):
     n, mid, m = len(a), len(b), len(b[0])
     out = []
     for i in range(n):
         row = []
         for j in range(m):
-            total = a[i][0] * b[0][j]
+            total = _aff_product(a[i][0], b[0][j])
             for k in range(1, mid):
-                total = total + a[i][k] * b[k][j]
+                total = total + _aff_product(a[i][k], b[k][j])
             row.append(total)
         out.append(tuple(row))
     return tuple(out)
@@ -68,7 +87,7 @@ def _aff_restrict(mat, face):
 
 
 def _aff_scale(mat, element):
-    return tuple(tuple(element * entry for entry in row) for row in mat)
+    return tuple(tuple(_aff_product(element, entry) for entry in row) for row in mat)
 
 
 def element_is_unit_at(element, precision):
@@ -394,7 +413,9 @@ def _hop_table(module, radius):
     sheet row, shifting its valuation by the anchor move of the chart
     transition plus the valuation of the restriction entry.  Returns
     (moves by source, contributions by target), both carrying the
-    rational shift and the signed rational coefficient of the hop.
+    rational shift and the signed rational coefficient of the hop; an
+    integral coefficient comes as an int (every patch_global entry has
+    coefficient 1), so the section system eliminates on ints.
 
     Restriction sends z^a to t^<offset, a> z^(M a), linear in a, so only
     the unit exponents are restricted and every window exponent is
@@ -421,7 +442,7 @@ def _hop_table(module, radius):
             entries = [
                 [
                     [
-                        (b, texp, sign * c)
+                        (b, texp, sign * (int(c) if c.denominator == 1 else c))
                         for b, coeff in mat[r][col].terms.items()
                         for texp, c in coeff.terms
                     ]
@@ -455,9 +476,10 @@ class _SectionSystem:
     """The edge comparison system with integer column indices.
 
     columns[i] is the unknown (source, lam) of column i, in sorted
-    order.  rows are dicts from column index to rational coefficient,
-    ordered by appears: scale times the least precision at which the
-    row is asserted, rows of equal appearance keeping sorted key order.
+    order.  rows are dicts from column index to an int or Fraction
+    coefficient, ordered by appears: scale times the least precision at
+    which the row is asserted, rows of equal appearance keeping sorted
+    key order.
     """
 
     columns: list
@@ -566,9 +588,10 @@ def _monomial_system(module, radius, precision):
     )
 
 
-def _ground_vectors(basis, columns):
+def _ground_vectors(basis, columns, ground):
     """Kernel vectors whose lowest supported valuation is zero, keyed by
-    their (source, lam) columns.
+    their (source, lam) columns; ground holds the indices of the columns
+    at valuation zero.
 
     A solution line scaled to least valuation zero must still solve the
     system at the full precision to count; vectors supported strictly
@@ -577,52 +600,47 @@ def _ground_vectors(basis, columns):
     return [
         {columns[c]: v for c, v in vector.items()}
         for vector in basis
-        if any(not columns[c][1] for c in vector)
+        if not ground.isdisjoint(vector)
     ]
 
 
-def _scalar_from_terms(pairs):
-    total = NovikovScalar.zero()
-    for lam, c in pairs:
-        total = total + NovikovScalar.monomial(c, lam)
-    return total
-
-
-def _collapse(basis, precision):
+def _collapse(basis, precision, choose=True):
     """Independent section directions among normalised kernel vectors.
 
     Distinct rational solutions can present the same section shifted by
     a power of t, so the count is the rank over the series field of the
-    assembled vectors at the working precision.  Returns the rank and a
-    spanning subset, each vector grouped per (chart, exponent, sheet).
+    assembled vectors at the working precision, with the vectors as rows
+    over their sorted (chart, exponent, sheet) support.  Returns the rank
+    and the vectors, each grouped per (chart, exponent, sheet), that
+    raise the rank of the ones taken before them, up to the rank of
+    them, in basis order; with choose=False only the rank, and an empty
+    list.  Both come from one pass of
+    NovikovMatrix.greedy_rank_at_precision.
     """
     grouped = []
     for vector in basis:
         slots = {}
         for (source, lam), c in vector.items():
-            slots.setdefault(source, []).append((lam, c))
+            slots.setdefault(source, []).append((lam, Fraction(c)))
         grouped.append(
-            {source: _scalar_from_terms(pairs) for source, pairs in slots.items()}
+            {
+                source: NovikovScalar._collect(pairs, None)
+                for source, pairs in slots.items()
+            }
         )
     support = sorted({source for g in grouped for source in g})
     if not grouped or not support:
         return 0, []
-    matrix_rows = [
-        [g.get(source, NovikovScalar.zero()) for source in support]
-        for g in grouped
-    ]
-    total = NovikovMatrix(matrix_rows).rank_at_precision(precision)
-    chosen = []
-    chosen_rows = []
-    for g, row in zip(grouped, matrix_rows):
-        if len(chosen) == total:
-            break
-        if NovikovMatrix(chosen_rows + [row]).rank_at_precision(precision) > len(
-            chosen
-        ):
-            chosen.append(g)
-            chosen_rows.append(row)
-    return total, chosen
+    position = {source: j for j, source in enumerate(support)}
+    rows = []
+    for g in grouped:
+        row = [NovikovScalar.zero()] * len(support)
+        for source, value in g.items():
+            row[position[source]] = value
+        rows.append(row)
+    matrix = NovikovMatrix(rows)
+    rank, chosen = matrix.greedy_rank_at_precision(precision, choose)
+    return rank, [grouped[i] for i in chosen]
 
 
 def _assemble_sections(module, chosen):
@@ -662,8 +680,9 @@ def _solve_window(module, radius, precision):
         for p in range(1, int(precision) + 1)
     ]
     cuts.append(len(system.rows))
+    ground = {c for c, (_, lam) in enumerate(system.columns) if not lam}
     return [
-        _ground_vectors(basis, system.columns)
+        _ground_vectors(basis, system.columns, ground)
         for basis in sparse_kernel(system.rows, len(system.columns), cuts)
     ]
 
@@ -873,7 +892,7 @@ def global_sections(module, precision, max_window=None, min_window=0):
     *lower, ground = _solve_window(module, radius, precision)
     rank, chosen = _collapse(ground, precision)
     ranks = tuple(
-        rank if p == precision else _collapse(g, Fraction(p))[0]
+        rank if p == precision else _collapse(g, Fraction(p), choose=False)[0]
         for p, g in enumerate(lower, 1)
     )
     return SectionSpace(

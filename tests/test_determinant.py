@@ -20,7 +20,11 @@ from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.intlinalg import determinant, principal_minor_sums
 from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.novikov import NovikovMatrix, NovikovScalar
-from mirrorforge.twisted_sheaves import canonical_twisted_module, validate_module
+from mirrorforge.twisted_sheaves import (
+    canonical_twisted_module,
+    global_sections,
+    validate_module,
+)
 
 F = Fraction
 S = NovikovScalar
@@ -228,4 +232,18 @@ def test_slope_forty_validates_within_a_second(catalog):
     elapsed = time.perf_counter() - start
     assert report.ok
     assert not report.determinant_failures
+    assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
+
+
+@pytest.mark.parametrize("catalog", CIRCLES)
+@pytest.mark.parametrize("slope", [30, -30])
+def test_slope_thirty_sections_within_two_seconds(catalog, slope):
+    # the collapse took one rank per prefix of the chosen vectors at
+    # every integer precision: about 13 s a call at slope 30
+    budget = 2.0
+    module = patch_global(LinearLagrangian(slope), load_catalog(catalog))
+    start = time.perf_counter()
+    space = global_sections(module, 10)
+    elapsed = time.perf_counter() - start
+    assert (space.rank, space.threshold) == (max(slope, 0), 1)
     assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"

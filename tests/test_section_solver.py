@@ -146,16 +146,24 @@ def reference_system(module, radius, precision):
 
 def reference_kernel(rows, columns):
     """Right kernel by Gauss-Jordan elimination: every new pivot row
-    sweeps its column out of all stored ones."""
+    sweeps its column out of all stored ones.  Columns are numbered in
+    sorted order, so the sweeps hash ints rather than (source, lam)
+    keys; integral values are kept as ints, and a row is divided only by
+    a pivot other than 1 or -1."""
+    names = sorted(columns)
+    number = {column: i for i, column in enumerate(names)}
     pivots = {}
     for raw in rows:
-        row = dict(raw)
+        row = {
+            number[c]: v.numerator if v.denominator == 1 else v
+            for c, v in raw.items()
+        }
         for c in [c for c in row if c in pivots]:
             factor = row.pop(c)
             for j, v in pivots[c].items():
                 if j == c:
                     continue
-                value = row.get(j, F(0)) - factor * v
+                value = row.get(j, 0) - factor * v
                 if value:
                     row[j] = value
                 else:
@@ -164,15 +172,20 @@ def reference_kernel(rows, columns):
         if not row:
             continue
         lead = min(row)
-        inv = 1 / F(row[lead])
-        normal = {c: v * inv for c, v in row.items()}
+        if row[lead] == 1:
+            normal = row
+        elif row[lead] == -1:
+            normal = {c: -v for c, v in row.items()}
+        else:
+            inv = 1 / F(row[lead])
+            normal = {c: v * inv for c, v in row.items()}
         for prow in pivots.values():
             f = prow.pop(lead, None)
             if f:
                 for j, v in normal.items():
                     if j == lead:
                         continue
-                    value = prow.get(j, F(0)) - f * v
+                    value = prow.get(j, 0) - f * v
                     if value:
                         prow[j] = value
                     else:
@@ -180,13 +193,13 @@ def reference_kernel(rows, columns):
         pivots[lead] = normal
     basis = []
     for column in columns:
-        if column in pivots:
+        if number[column] in pivots:
             continue
         vector = {column: F(1)}
         for pc, prow in pivots.items():
-            v = prow.get(column)
+            v = prow.get(number[column])
             if v:
-                vector[pc] = -v
+                vector[names[pc]] = -v
         basis.append(vector)
     return basis
 

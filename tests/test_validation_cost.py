@@ -8,7 +8,10 @@ below are the code these replaced: the restriction that applied the
 chart transition on Fractions per call, and the Berkowitz recurrence
 run on the whole matrix.  Every result must match them down to the
 types, and the count guards keep per-chain map application from
-coming back.
+coming back.  The cocycle pass takes a product with the exact unit,
+which every twist factor of a trivial torus is, as the other factor:
+a guard counts such products, and the reports must match the pass that
+forms them.
 """
 
 import random
@@ -25,6 +28,7 @@ from mirrorforge.intlinalg import _diagonal_blocks, determinant, principal_minor
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 from mirrorforge.mirror_charts import AffinoidElement, exp_aff
 from mirrorforge.novikov import NovikovScalar
+from mirrorforge import twisted_sheaves
 from mirrorforge.twisted_sheaves import (
     canonical_twisted_module,
     rank_one_module_from_cochain,
@@ -389,3 +393,63 @@ def test_validation_applies_no_chart_map_once_the_table_is_warm(name, monkeypatc
     assert not report.ok and not report.determinant_failures
     assert applied == []
     assert built == [fibration.cover]
+
+
+def exact_unit(element):
+    if len(element.terms) != 1:
+        return False
+    ((exponent, coeff),) = element.terms.items()
+    return not any(exponent) and coeff == S.one()
+
+
+@pytest.mark.parametrize("name", TORUS_TRIVIAL)
+def test_every_twist_factor_of_a_trivial_torus_is_the_unit(name):
+    factors = load_catalog(name).twist_factors
+    assert len(factors) == 540
+    assert all(exact_unit(factor) for factor in factors.values())
+
+
+def test_the_cocycle_pass_forms_no_product_with_the_unit(monkeypatch):
+    module = canonical_twisted_module(fresh("split-torus-4"))
+    products = []
+    multiply = AffinoidElement.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, AffinoidElement) and (exact_unit(self) or exact_unit(other)):
+            products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(AffinoidElement, "__mul__", counting_mul)
+    assert validate_module(module, 10).ok
+    assert products == []
+
+
+def validation_cases():
+    cases = []
+    for name in TRIVIAL:
+        module = canonical_twisted_module(load_catalog(name))
+        low, top = module.pairs[-1]
+        scaled = module.restriction(low, top)[0][0] * S.monomial(1, 1)
+        mutant = module.with_entry(low, top, 0, 0, scaled)
+        cases += [(module, 10), (module, F(1, 2)), (mutant, 3)]
+    for name in CIRCLES:
+        for slope in (3, -2):
+            line = LinearLagrangian(slope, F(1, 3))
+            cases.append((patch_global(line, load_catalog(name)), 10))
+    return cases
+
+
+def test_reports_match_the_pass_that_multiplies_by_the_unit(monkeypatch):
+    expected = []
+    with monkeypatch.context() as patched:
+        patched.setattr(twisted_sheaves, "_aff_product", lambda x, y: x * y)
+        for module, precision in validation_cases():
+            for stop_early in (False, True):
+                expected.append(validate_module(module, precision, stop_early))
+    got = [
+        validate_module(module, precision, stop_early)
+        for module, precision in validation_cases()
+        for stop_early in (False, True)
+    ]
+    assert got == expected
+    assert any(not report.ok for report in got)

@@ -295,29 +295,29 @@ def patch_global(lagrangian, fibration, cutoff=None):
         for i in range(len(cover.chart_ids))
     }
     restrictions = {}
+    zeros = {}
     for low, top in cover.nested_pairs:
         (member,) = low
         _, spot = cover.restriction_moves[(top, member)]
         wrap = _edge_wrap(cover, offsets, top, member)
+        basepoint = cover.face_chart(top).basepoint
+        zero = zeros.get(top)
+        if zero is None:
+            zero = zeros[top] = AffinoidElement._trusted(cover, top, basepoint, {})
+        exponent = (-sigma * wrap,)
         matrix = []
         for r in range(count):
-            row = []
-            for c in range(count):
-                if r != c:
-                    row.append(AffinoidElement.zero(cover, top))
-                    continue
-                g = data[member].primitives[r]
-                coeff = NovikovScalar.monomial(1, -g.evaluate(spot))
-                if cutoff is not None:
-                    coeff = coeff.truncate(cutoff)
-                row.append(
-                    AffinoidElement.monomial(
-                        cover, top, coeff, (-sigma * wrap,)
-                    )
-                )
+            g = data[member].primitives[r]
+            coeff = NovikovScalar.monomial(1, -g.evaluate(spot))
+            if cutoff is not None:
+                coeff = coeff.truncate(cutoff)
+            row = [zero] * count
+            row[r] = AffinoidElement._trusted(
+                cover, top, basepoint, {exponent: coeff}
+            )
             matrix.append(tuple(row))
         restrictions[(low, top)] = tuple(matrix)
-    return TwistedModule(fibration, count, restrictions)
+    return TwistedModule(fibration, count, restrictions, _trusted=True)
 
 
 def section_window(lagrangian, precision):

@@ -23,21 +23,6 @@ from operator import add, mul
 _ONE = Fraction(1)
 
 
-def xgcd(a, b):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -145,21 +130,6 @@ def smith_normal_form(mat):
     return u, s, v
 
 
-def solve_integer(mat, rhs):
-    """Solve mat*x = rhs over the integers.
-
-    Returns (x0, kernel_basis) or None when no integer solution exists.
-    kernel_basis is a list of integer vectors spanning the kernel.
-    """
-    system = PresolvedIntegerSystem(mat)
-    x0 = system.solve(rhs)
-    return None if x0 is None else (x0, system.kernel_basis())
-
-
-def integer_kernel_basis(mat):
-    return PresolvedIntegerSystem(mat).kernel_basis()
-
-
 def rational_rref(mat):
     """Reduced row echelon form over Fraction.  Returns (rows, pivot_cols)."""
     n = len(mat[0]) if mat else 0
@@ -176,13 +146,6 @@ def rational_rref(mat):
         row[lead] = _ONE
     rows += ([Fraction(0)] * n for _ in range(len(mat) - len(leads)))
     return rows, leads
-
-
-def rational_solve(mat, rhs):
-    """One rational solution of mat*x = rhs (free variables zero), or None."""
-    n = len(mat[0]) if mat else 0
-    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    return SparseRationalSystem(rows, n).solve(rhs)
 
 
 class PresolvedIntegerSystem:
@@ -273,34 +236,40 @@ def _store_pivot(pivots, row, lead):
         pivots[lead] = {j: v * inv for j, v in row.items()}
 
 
-def _back_substitute(pivots, earlier=None):
+def _back_substitute(pivots, reduced=None, holders=None, added=None):
     # reduced row echelon form, which the column order fixes uniquely:
     # each stored row with every later pivot column eliminated.  Given
-    # the form of a subset of the same stored rows, a row of it that
-    # holds no pivot column added since is already reduced, and one
-    # that does is reduced from there
-    reduced = {}
-    added = pivots.keys() - earlier.keys() if earlier else None
-    for lead in sorted(pivots, reverse=True):
-        source = earlier.get(lead) if earlier else None
-        if source is None:
-            source = pivots[lead]
-        elif added.isdisjoint(source):
-            reduced[lead] = source
-            continue
+    # the form ``reduced`` of the stored rows other than those of the
+    # pivot columns in ``added``, with ``holders`` mapping each column to
+    # the leads of the reduced rows that hold it, only the added rows
+    # and the rows that hold an added column are reduced again, in place
+    if reduced is None:
+        reduced, holders, added = {}, {}, pivots
+    affected = set(added)
+    for column in added:
+        affected.update(holders.pop(column, ()))
+    for lead in sorted(affected, reverse=True):
+        earlier = reduced.get(lead)
         row = {}
-        for j, v in source.items():
+        for j, v in (pivots[lead] if earlier is None else earlier).items():
             sub = reduced.get(j)
             if sub is None:
                 row[j] = row.get(j, 0) + v
             else:
                 for k, w in sub.items():
                     row[k] = row.get(k, 0) - v * w
-        reduced[lead] = {k: v for k, v in row.items() if v}
+        row = {k: v for k, v in row.items() if v}
+        for k in earlier or ():
+            held = holders.get(k)
+            if held is not None:
+                held.discard(lead)
+        for k in row:
+            holders.setdefault(k, set()).add(lead)
+        reduced[lead] = row
     return reduced
 
 
-def sparse_kernel(rows, n_columns, cuts):
+def sparse_kernel(rows, n_columns, cuts, ground=None):
     """Right kernels of the leading row blocks rows[:cut], one per cut.
 
     Echelon elimination over columns 0..n_columns-1 of rows given as
@@ -311,38 +280,50 @@ def sparse_kernel(rows, n_columns, cuts):
     the kernel is read off with one vector per free column, in column
     order, as dicts keyed by column index.  Yields one basis per cut;
     cuts must not decrease.  Each cut starts from the reduced form of the
-    one before, and back-substitutes only the rows that hold a pivot
-    column added in between.
+    one before, and back-substitutes only the rows added since and the
+    rows that hold a pivot column added since; an index from each column
+    to the reduced rows that hold it finds them, and gives each free
+    column's vector without a pass over the other rows.
+
+    Given a set of columns ``ground``, each basis holds only the vectors
+    that meet it, still in free-column order: the vector of a free
+    column in ground, and that of every free column in the reduced row
+    of a pivot column in ground.  Only those vectors are built.
 
     Values may be ints or Fractions.  A row is divided only by a pivot
     other than 1 or -1, so rows of ints that meet only unit pivots, as
     in the section systems, are eliminated on ints and give int kernel
     values (the free column's own entry is the Fraction 1).
     """
-    pivots, reduced = {}, {}
+    pivots, reduced, holders = {}, {}, {}
     done = 0
     basis = None
     for cut in cuts:
         if basis is not None and cut == done:
             yield basis
             continue
+        added = []
         for raw in rows[done:cut]:
             row = dict(raw)
             lead = _reduce(row, pivots)
             if lead is not None:
                 _store_pivot(pivots, row, lead)
+                added.append(lead)
         done = cut
-        reduced = _back_substitute(pivots, reduced)
-        tails = {}
-        for lead, row in reduced.items():
-            for k, w in row.items():
-                tails.setdefault(k, {})[lead] = -w
+        _back_substitute(pivots, reduced, holders, added)
+        if ground is None:
+            free = [c for c in range(n_columns) if c not in pivots]
+        else:
+            wanted = {c for c in ground if c not in pivots}
+            for lead in ground:
+                wanted.update(reduced.get(lead, ()))
+            free = sorted(wanted)
         basis = []
-        for column in range(n_columns):
-            if column not in pivots:
-                vector = {column: _ONE}
-                vector.update(tails.get(column, ()))
-                basis.append(vector)
+        for column in free:
+            vector = {column: _ONE}
+            for lead in sorted(holders.get(column, ()), reverse=True):
+                vector[lead] = -reduced[lead][column]
+            basis.append(vector)
         yield basis
 
 

@@ -595,6 +595,70 @@ def _echelon_insert(slots, spare, row, precision, working):
                 spare.append(row)
 
 
+def _with_headroom(entries, precision, attempt):
+    """Run an elimination attempt, retrying with extra working cutoff.
+
+    Divisions by pivots of positive valuation spend working cutoff;
+    when the input data, every scalar that entries() yields, is known
+    deeply enough, the attempt is retried with extra headroom instead of
+    giving up.
+    """
+    precision = _frac(precision)
+    last_error = None
+    for pad in (0, 4, 16, 64, 256):
+        try:
+            return attempt(precision, precision + pad)
+        except PrecisionExhaustedError as err:
+            last_error = err
+            deep_enough = all(
+                x.cutoff is None or x.cutoff >= precision for x in entries()
+            )
+            if not deep_enough:
+                raise
+    raise last_error
+
+
+def _greedy_pass(rows, precision, working, choose):
+    # one attempt of the greedy echelon pass over rows given as
+    # iterables of (column, scalar) pairs; see greedy_rank
+    every, spare = {}, []
+    chosen_slots, chosen = {}, []
+    for index, pairs in enumerate(rows):
+        row = {}
+        for j, x in pairs:
+            if x._terms or x._cutoff is not None:
+                x = x.truncate(working)
+                if x._terms or x._cutoff < working:
+                    row[j] = x
+        if not row:
+            continue
+        _echelon_insert(every, spare, row, precision, working)
+        if choose:
+            trial = dict(chosen_slots)
+            _echelon_insert(trial, [], row, precision, working)
+            if len(trial) > len(chosen_slots):
+                chosen_slots = trial
+                chosen.append(index)
+    rank = len(every)
+    return rank, chosen[:rank]
+
+
+def greedy_rank(rows, precision, choose=True):
+    """NovikovMatrix.greedy_rank_at_precision of sparse rows.
+
+    Rows are ``{column: scalar}`` dicts; a column a row does not hold is
+    an exact zero there.  Returns (rank, chosen) from the same pass and
+    the same headroom ladder, with no dense matrix formed.
+    """
+    return _with_headroom(
+        lambda: (x for row in rows for x in row.values()),
+        precision,
+        lambda precision, working: _greedy_pass(
+            [row.items() for row in rows], precision, working, choose
+        ),
+    )
+
+
 class NovikovMatrix:
     """Rectangular matrix of scalars with precision-aware elimination."""
 
@@ -725,27 +789,9 @@ class NovikovMatrix:
     # -- elimination ---------------------------------------------------
 
     def _with_headroom(self, precision, attempt):
-        """Run an elimination attempt, retrying with extra working cutoff.
-
-        Divisions by pivots of positive valuation spend working cutoff;
-        when the input data is known deeply enough, the attempt is
-        retried with extra headroom instead of giving up.
-        """
-        precision = _frac(precision)
-        last_error = None
-        for pad in (0, 4, 16, 64, 256):
-            try:
-                return attempt(precision, precision + pad)
-            except PrecisionExhaustedError as err:
-                last_error = err
-                deep_enough = all(
-                    x.cutoff is None or x.cutoff >= precision
-                    for row in self._rows
-                    for x in row
-                )
-                if not deep_enough:
-                    raise
-        raise last_error
+        return _with_headroom(
+            lambda: (x for row in self._rows for x in row), precision, attempt
+        )
 
     def _rref_at(self, precision):
         """Forward-eliminate with valuation-minimal pivots, trusting data
@@ -863,26 +909,9 @@ class NovikovMatrix:
         )
 
     def _greedy_attempt(self, precision, working, choose):
-        every, spare = {}, []
-        chosen_slots, chosen = {}, []
-        for index, dense in enumerate(self._rows):
-            row = {}
-            for j, x in enumerate(dense):
-                if x._terms or x._cutoff is not None:
-                    x = x.truncate(working)
-                    if x._terms or x._cutoff < working:
-                        row[j] = x
-            if not row:
-                continue
-            _echelon_insert(every, spare, row, precision, working)
-            if choose:
-                trial = dict(chosen_slots)
-                _echelon_insert(trial, [], row, precision, working)
-                if len(trial) > len(chosen_slots):
-                    chosen_slots = trial
-                    chosen.append(index)
-        rank = len(every)
-        return rank, chosen[:rank]
+        return _greedy_pass(
+            [enumerate(row) for row in self._rows], precision, working, choose
+        )
 
     def kernel_basis_at_precision(self, precision):
         """Basis of the right kernel modulo t**precision.

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .intlinalg import determinant, sparse_kernel
 from .mirror_charts import AffinoidElement, exp_aff
-from .novikov import INF, NovikovMatrix, NovikovScalar, _frac
+from .novikov import INF, NovikovMatrix, NovikovScalar, _frac, greedy_rank
 
 
 # -- matrices of affinoid elements ----------------------------------------
@@ -412,25 +412,26 @@ def _hop_table(module, radius):
     Restricting to an edge carries it to the edge monomial z^target on a
     sheet row, shifting its valuation by the anchor move of the chart
     transition plus the valuation of the restriction entry.  Returns
-    (moves by source, contributions by target), both carrying the
-    rational shift and the signed rational coefficient of the hop; an
-    integral coefficient comes as an int (every patch_global entry has
-    coefficient 1), so the section system eliminates on ints.
+    (moves by source, contributions by target, scale), both tables
+    carrying the shift times scale, an int, and the signed rational
+    coefficient of the hop; an integral coefficient comes as an int
+    (every patch_global entry has coefficient 1), so the section system
+    eliminates on ints.
 
     Restriction sends z^a to t^<offset, a> z^(M a), linear in a, so only
-    the unit exponents are restricted and every window exponent is
-    moved by the same linear combination.
+    the unit exponents are restricted, once per (chart, edge) side, and
+    every window exponent is moved by the same linear combination.  The
+    anchor valuations of the units and the valuations of the entries
+    are scaled by their common denominator before the exponent loop,
+    which then adds ints, and only the terms of entries that are not
+    exact zeros are visited.
     """
     cover = module.cover
-    rank = module.rank
     n = cover.dimension
-    exponents = _window_exponents(n, radius)
     units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    moves = {}
-    targets = {}
+    sides = []
     for edge in cover.faces_of_degree(1):
         for sign, i in ((1, edge[0]), (-1, edge[1])):
-            mat = module.restriction((i,), edge)
             images = []
             for unit in units:
                 restricted = AffinoidElement.monomial(cover, (i,), 1, unit).restrict(
@@ -439,53 +440,65 @@ def _hop_table(module, radius):
                 ((moved, anchor),) = restricted.terms.items()
                 ((base, _),) = anchor.terms
                 images.append((moved, base))
-            entries = [
-                [
-                    [
-                        (b, texp, sign * (int(c) if c.denominator == 1 else c))
-                        for b, coeff in mat[r][col].terms.items()
-                        for texp, c in coeff.terms
-                    ]
-                    for col in range(rank)
-                ]
-                for r in range(rank)
+            hops = [
+                (r, col, b, texp, sign * (int(c) if c.denominator == 1 else c))
+                for r, row in enumerate(module.restriction((i,), edge))
+                for col, entry in enumerate(row)
+                if entry._terms
+                for b, coeff in entry._terms.items()
+                for texp, c in coeff.terms
             ]
-            for a in exponents:
-                moved = tuple(
-                    sum(x * image[d] for x, (image, _) in zip(a, images))
-                    for d in range(n)
-                )
-                base = sum(x * b for x, (_, b) in zip(a, images))
-                for r in range(rank):
-                    for col in range(rank):
-                        source = (i, a, col)
-                        for b, texp, c in entries[r][col]:
-                            target = (
-                                edge,
-                                tuple(x + y for x, y in zip(moved, b)),
-                                r,
-                            )
-                            shift = base + texp
-                            moves.setdefault(source, []).append((target, shift, c))
-                            targets.setdefault(target, []).append((source, shift, c))
-    return moves, targets
+            sides.append((edge, i, images, hops))
+    scale = lcm(
+        *(base.denominator for _, _, images, _ in sides for _, base in images),
+        *(texp.denominator for *_, hops in sides for _, _, _, texp, _ in hops),
+    )
+
+    def scaled(x):
+        return x.numerator * (scale // x.denominator)
+
+    exponents = _window_exponents(n, radius)
+    moves = {}
+    targets = {}
+    for edge, i, images, hops in sides:
+        bases = [scaled(base) for _, base in images]
+        hops = [(r, col, b, scaled(texp), c) for r, col, b, texp, c in hops]
+        for a in exponents:
+            moved = tuple(
+                sum(x * image[d] for x, (image, _) in zip(a, images))
+                for d in range(n)
+            )
+            base = sum(x * y for x, y in zip(a, bases))
+            for r, col, b, texp, c in hops:
+                source = (i, a, col)
+                target = (edge, tuple(x + y for x, y in zip(moved, b)), r)
+                shift = base + texp
+                moves.setdefault(source, []).append((target, shift, c))
+                targets.setdefault(target, []).append((source, shift, c))
+    return moves, targets, scale
 
 
 @dataclass
 class _SectionSystem:
     """The edge comparison system with integer column indices.
 
-    columns[i] is the unknown (source, lam) of column i, in sorted
-    order.  rows are dicts from column index to an int or Fraction
-    coefficient, ordered by appears: scale times the least precision at
-    which the row is asserted, rows of equal appearance keeping sorted
-    key order.
+    columns[i] is the unknown of column i as (source index, lam times
+    scale), in sorted order, with sources[source index] its (chart,
+    exponent, sheet); label(i) gives it as (source, lam).  rows are dicts
+    from column index to an int or Fraction coefficient, ordered by
+    appears: scale times the least precision at which the row is
+    asserted, rows of equal appearance keeping sorted key order.
     """
 
+    sources: list
     columns: list
     rows: list
     appears: list
     scale: int
+
+    def label(self, column):
+        source, lam = self.columns[column]
+        return self.sources[source], Fraction(lam, self.scale)
 
 
 def _monomial_system(module, radius, precision):
@@ -503,14 +516,15 @@ def _monomial_system(module, radius, precision):
     valuations keep falling.
 
     Every valuation is scaled by the common denominator of the
-    precision, the edge chart vertices and the hop shifts, so the search
-    and the row assembly run on integers.  Each row is tagged with mu
-    plus the weight, the precision from which it is asserted, and the
-    rows come out sorted by that tag: the rows of the system at a lower
-    precision p are a leading block of these.
+    precision, the edge chart vertices and the hop table's scale, so the
+    search and the row assembly run on integers, and lam stays a scaled
+    int.  Each row is tagged with mu plus the weight, the precision from
+    which it is asserted, and the rows come out sorted by that tag: the
+    rows of the system at a lower precision p are a leading block of
+    these.
     """
     cover = module.cover
-    moves, targets = _hop_table(module, radius)
+    moves, targets, hop_scale = _hop_table(module, radius)
     sources = sorted(moves)
     target_list = sorted(targets)
     offsets = {}
@@ -521,10 +535,11 @@ def _monomial_system(module, radius, precision):
             for v in chart.polytope.vertices
         ]
     scale = lcm(
+        hop_scale,
         precision.denominator,
         *(x.denominator for vs in offsets.values() for v in vs for x in v),
-        *(shift.denominator for hops in moves.values() for _, shift, _ in hops),
     )
+    factor = scale // hop_scale
 
     def scaled(x):
         return x.numerator * (scale // x.denominator)
@@ -538,11 +553,11 @@ def _monomial_system(module, radius, precision):
     source_ids = {source: n for n, source in enumerate(sources)}
     target_ids = {target: n for n, target in enumerate(target_list)}
     hops = [
-        [(target_ids[t], scaled(shift), c) for t, shift, c in moves[source]]
+        [(target_ids[t], shift * factor, c) for t, shift, c in moves[source]]
         for source in sources
     ]
     feeds = [
-        [(source_ids[s], scaled(shift)) for s, shift, _ in targets[target]]
+        [(source_ids[s], shift * factor) for s, shift, _ in targets[target]]
         for target in target_list
     ]
     headroom = max((-shift for out in hops for _, shift, _ in out), default=0)
@@ -563,11 +578,8 @@ def _monomial_system(module, radius, precision):
                         nodes.add(node)
                         queue.append(node)
     ordered = sorted(nodes)
-    index = {node: n for n, node in enumerate(ordered)}
     rows = {}
-    for node in ordered:
-        source, lam = node
-        column = index[node]
+    for column, (source, lam) in enumerate(ordered):
         for target, shift, c in hops[source]:
             mu = lam + shift
             if mu >= threshold[target]:
@@ -581,27 +593,12 @@ def _monomial_system(module, radius, precision):
                 del row[column]
     keys = sorted(key for key, row in rows.items() if row)
     return _SectionSystem(
-        columns=[(sources[s], Fraction(lam, scale)) for s, lam in ordered],
+        sources=sources,
+        columns=ordered,
         rows=[rows[key] for key in keys],
         appears=[key[0] for key in keys],
         scale=scale,
     )
-
-
-def _ground_vectors(basis, columns, ground):
-    """Kernel vectors whose lowest supported valuation is zero, keyed by
-    their (source, lam) columns; ground holds the indices of the columns
-    at valuation zero.
-
-    A solution line scaled to least valuation zero must still solve the
-    system at the full precision to count; vectors supported strictly
-    above zero are t-shifted copies of other solutions or slack living
-    too close to the precision to certify."""
-    return [
-        {columns[c]: v for c, v in vector.items()}
-        for vector in basis
-        if not ground.isdisjoint(vector)
-    ]
 
 
 def _collapse(basis, precision, choose=True):
@@ -614,58 +611,69 @@ def _collapse(basis, precision, choose=True):
     and the vectors, each grouped per (chart, exponent, sheet), that
     raise the rank of the ones taken before them, up to the rank of
     them, in basis order; with choose=False only the rank, and an empty
-    list.  Both come from one pass of
-    NovikovMatrix.greedy_rank_at_precision.
+    list.  Both come from one pass of novikov.greedy_rank over the
+    grouped vectors as sparse rows.
     """
     grouped = []
     for vector in basis:
+        # a vector holds each (source, lam) once, with a nonzero value, so
+        # a slot's terms sorted by lam are a scalar's normal form
         slots = {}
         for (source, lam), c in vector.items():
             slots.setdefault(source, []).append((lam, Fraction(c)))
         grouped.append(
             {
-                source: NovikovScalar._collect(pairs, None)
+                source: NovikovScalar._trusted(tuple(sorted(pairs)), None)
                 for source, pairs in slots.items()
             }
         )
     support = sorted({source for g in grouped for source in g})
-    if not grouped or not support:
+    if not support:
         return 0, []
     position = {source: j for j, source in enumerate(support)}
-    rows = []
-    for g in grouped:
-        row = [NovikovScalar.zero()] * len(support)
-        for source, value in g.items():
-            row[position[source]] = value
-        rows.append(row)
-    matrix = NovikovMatrix(rows)
-    rank, chosen = matrix.greedy_rank_at_precision(precision, choose)
+    rows = [{position[source]: value for source, value in g.items()} for g in grouped]
+    rank, chosen = greedy_rank(rows, precision, choose)
     return rank, [grouped[i] for i in chosen]
 
 
 def _assemble_sections(module, chosen):
+    # every chart's slots share one zero element; the grouped values are
+    # exact scalars on int exponents, so the elements are built trusted
     cover = module.cover
+    charts = range(len(cover.chart_ids))
+    basepoints = [cover.face_chart((i,)).basepoint for i in charts]
+    zeros = [AffinoidElement._trusted(cover, (i,), basepoints[i], {}) for i in charts]
     sections = []
     for g in chosen:
-        per_chart = {
-            i: [dict() for _ in range(module.rank)]
-            for i in range(len(cover.chart_ids))
-        }
+        slots = {}
         for (i, a, col), value in g.items():
-            slot = per_chart[i][col]
-            slot[a] = slot.get(a, NovikovScalar.zero()) + value
-        assembled = {
-            i: tuple(AffinoidElement(cover, (i,), slot) for slot in slots)
-            for i, slots in per_chart.items()
-        }
-        sections.append(assembled)
+            slots.setdefault((i, col), {})[a] = value
+        sections.append(
+            {
+                i: tuple(
+                    AffinoidElement._trusted(cover, (i,), basepoints[i], slots[(i, col)])
+                    if (i, col) in slots
+                    else zeros[i]
+                    for col in range(module.rank)
+                )
+                for i in charts
+            }
+        )
     return tuple(sections)
 
 
 def _solve_window(module, radius, precision):
     """Ground kernel vectors of the radius-r system at each integer
     precision up to the working one and then at the working precision
-    itself, from one build and one elimination.
+    itself, from one build and one elimination, keyed by (source, lam).
+
+    A kernel vector is grounded when it meets a column at valuation
+    zero: a solution line scaled to least valuation zero must still
+    solve the system at the full precision to count; vectors supported
+    strictly above zero are t-shifted copies of other solutions or slack
+    living too close to the precision to certify.  The elimination
+    builds only the grounded vectors, and a column's (source, lam) label
+    is formed once, when a grounded vector first holds it.
 
     The system at a lower precision p is the leading block of rows
     tagged below p, but over the columns reachable at the working
@@ -681,9 +689,17 @@ def _solve_window(module, radius, precision):
     ]
     cuts.append(len(system.rows))
     ground = {c for c, (_, lam) in enumerate(system.columns) if not lam}
+    labels = {}
+
+    def label(c):
+        name = labels.get(c)
+        if name is None:
+            name = labels[c] = system.label(c)
+        return name
+
     return [
-        _ground_vectors(basis, system.columns, ground)
-        for basis in sparse_kernel(system.rows, len(system.columns), cuts)
+        [{label(c): v for c, v in vector.items()} for vector in basis]
+        for basis in sparse_kernel(system.rows, len(system.columns), cuts, ground)
     ]
 
 
@@ -715,18 +731,19 @@ def _edge_monomials(module):
             sheets = []
             for r, row in enumerate(module.restriction((i,), edge)):
                 for col, entry in enumerate(row):
-                    terms = list(entry.terms.items())
+                    terms = entry._terms
                     if r != col and not terms:
                         continue
-                    single = len(terms) == 1 and len(terms[0][1].terms) == 1
-                    if r != col or not single:
-                        raise UndecidableDescriptionError(
-                            f"no recognised coefficient tower: the restriction "
-                            f"of chart {i} to edge {edge} is not diagonal with "
-                            "single-monomial entries"
-                        )
-                    ((exponent, coeff),) = terms
-                    sheets.append((exponent, coeff.terms[0][0]))
+                    if r == col and len(terms) == 1:
+                        ((exponent, coeff),) = terms.items()
+                        if len(coeff.terms) == 1:
+                            sheets.append((exponent, coeff.terms[0][0]))
+                            continue
+                    raise UndecidableDescriptionError(
+                        f"no recognised coefficient tower: the restriction "
+                        f"of chart {i} to edge {edge} is not diagonal with "
+                        "single-monomial entries"
+                    )
             monomials[(i, edge)] = tuple(sheets)
     return monomials
 
@@ -738,8 +755,14 @@ def loop_monodromy(module, loop=None):
     the slope-k line each sheet comes back with shift sign(k) and
     weight one, the signature of a degree-k line on the mirror curve.
     """
+    return _compose_loop(module, _edge_monomials(module), loop)
+
+
+def _compose_loop(module, monomials, loop=None):
+    # loop_monodromy on the module's _edge_monomials; the edge basepoint
+    # in each member chart comes from the cover's restriction moves
     cover = module.cover
-    monomials = _edge_monomials(module)
+    moves = cover.restriction_moves
     if loop is None:
         loop = list(range(len(cover.chart_ids))) + [0]
     state = [
@@ -748,19 +771,13 @@ def loop_monodromy(module, loop=None):
     ]
     for a, b in zip(loop, loop[1:]):
         edge = tuple(sorted((a, b)))
-        chart = cover.face_chart(edge)
-        q_edge = chart.basepoint
-        ta = cover.transition(edge[0], a).apply(q_edge)[0] - cover.face_chart(
-            (a,)
-        ).basepoint[0]
-        tb = cover.transition(edge[0], b).apply(q_edge)[0] - cover.face_chart(
-            (b,)
-        ).basepoint[0]
+        ta = moves[(edge, a)][1][0] - cover.face_chart((a,)).basepoint[0]
+        tb = moves[(edge, b)][1][0] - cover.face_chart((b,)).basepoint[0]
+        weight = ta - tb
         for j in range(module.rank):
             (ea,), va = monomials[(a, edge)][j]
             (eb,), vb = monomials[(b, edge)][j]
             shift = ea - eb
-            weight = ta - tb
             constant = va - vb - tb * shift
             prev = state[j]
             state[j] = SheetMonodromy(
@@ -848,7 +865,7 @@ def section_radius(module, precision):
         if _zero_tower_closes(cover, monomials):
             return 0
     elif cover.dimension == 1:
-        sheets = loop_monodromy(module)
+        sheets = _compose_loop(module, monomials)
         if all(sheet.shift and sheet.weight for sheet in sheets):
             return max(
                 _quadratic_radius(

@@ -29,7 +29,7 @@ from mirrorforge.affine import (
 from mirrorforge.catalog import catalog_ids, load_catalog
 from mirrorforge.cover import Cover, analyze_obstruction
 from mirrorforge.errors import InvalidCoverError, InvalidPolytopeError
-from mirrorforge.intlinalg import rational_rref, rational_solve
+from mirrorforge.intlinalg import SparseRationalSystem, rational_rref
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 from mirrorforge.mirror_charts import verify_gerbe
 from mirrorforge.novikov import _frac
@@ -171,12 +171,10 @@ class ReferenceCover(Cover):
 
 def reference_inverse(phi):
     n = phi.dimension
-    cols = [
-        rational_solve(
-            [list(r) for r in phi.linear], [F(1 if i == j else 0) for i in range(n)]
-        )
-        for j in range(n)
-    ]
+    system = SparseRationalSystem(
+        [{j: x for j, x in enumerate(r) if x} for r in phi.linear], n
+    )
+    cols = [system.solve([F(1 if i == j else 0) for i in range(n)]) for j in range(n)]
     minv = tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
     tau = tuple(
         -sum(minv[i][j] * phi.translation[j] for j in range(n)) for i in range(n)

@@ -2,16 +2,14 @@ import random
 from fractions import Fraction
 
 from mirrorforge.intlinalg import (
+    PresolvedIntegerSystem,
+    SparseRationalSystem,
     identity_matrix,
-    integer_kernel_basis,
     mat_mul,
     mat_vec,
     rational_rref,
-    rational_solve,
     smith_normal_form,
-    solve_integer,
     sparse_kernel,
-    xgcd,
 )
 
 
@@ -35,8 +33,11 @@ def det_int(mat):
 
 
 def test_xgcd():
+    # the gcd and its Bezout coefficients, read off the Smith form of the
+    # 1 x 2 matrix (a b): U (a b) V = (g 0), so (a b) V U e_1 = g
     for a, b in [(12, 18), (-4, 6), (0, 5), (7, 0), (0, 0), (13, 29)]:
-        g, x, y = xgcd(a, b)
+        u, s, v = smith_normal_form([[a, b]])
+        g, x, y = s[0][0], u[0][0] * v[0][0], u[0][0] * v[1][0]
         assert a * x + b * y == g
         assert g >= 0
         if a or b:
@@ -74,9 +75,10 @@ def test_solve_integer_consistent():
         mat = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)]
         hidden = [rng.randrange(-4, 5) for _ in range(n)]
         rhs = mat_vec(mat, hidden)
-        solved = solve_integer(mat, rhs)
-        assert solved is not None
-        x0, kernel = solved
+        system = PresolvedIntegerSystem(mat)
+        x0 = system.solve(rhs)
+        assert x0 is not None
+        kernel = system.kernel_basis()
         assert mat_vec(mat, x0) == rhs
         for k in kernel:
             assert mat_vec(mat, k) == [0] * m
@@ -84,20 +86,22 @@ def test_solve_integer_consistent():
 
 def test_solve_integer_detects_gaps():
     # 2x = 1 has no integer solution
-    assert solve_integer([[2]], [1]) is None
+    assert PresolvedIntegerSystem([[2]]).solve([1]) is None
     # consistent over Q but not over Z
-    assert solve_integer([[2, 0], [0, 3]], [1, 3]) is None
+    assert PresolvedIntegerSystem([[2, 0], [0, 3]]).solve([1, 3]) is None
 
 
 def test_kernel_spans():
     mat = [[1, 2, 3]]
-    kernel = integer_kernel_basis(mat)
+    kernel = PresolvedIntegerSystem(mat).kernel_basis()
     assert len(kernel) == 2
     for k in kernel:
         assert mat_vec(mat, k) == [0]
     # (1, 1, -1) must be an integer combination of the basis
     target = [1, 1, -1]
-    sol = solve_integer([[kernel[0][i], kernel[1][i]] for i in range(3)], target)
+    sol = PresolvedIntegerSystem(
+        [[kernel[0][i], kernel[1][i]] for i in range(3)]
+    ).solve(target)
     assert sol is not None
 
 
@@ -106,8 +110,9 @@ def test_rational_rref_and_solve():
     rows, pivots = rational_rref(mat)
     assert pivots == [0]
     assert rows[0] == [Fraction(1), Fraction(2)]
-    assert rational_solve(mat, [3, 6]) == [Fraction(3), Fraction(0)]
-    assert rational_solve(mat, [3, 7]) is None
+    system = SparseRationalSystem([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
+    assert system.solve([3, 6]) == [Fraction(3), Fraction(0)]
+    assert system.solve([3, 7]) is None
 
 
 def test_rational_nullspace():

@@ -255,6 +255,25 @@ def keyed(basis, columns):
     return [{columns[c]: v for c, v in vector.items()} for vector in basis]
 
 
+def labels(system):
+    """The system's columns as (source, lam), mapped back through the
+    scale."""
+    return [system.label(c) for c in range(len(system.columns))]
+
+
+def unscaled(hops):
+    """The integer hop table's moves and targets with every shift
+    mapped back through its scale."""
+    moves, targets, scale = hops
+    return tuple(
+        {
+            key: [(other, F(shift, scale), c) for other, shift, c in out]
+            for key, out in table.items()
+        }
+        for table in (moves, targets)
+    )
+
+
 def full_kernel(system):
     (basis,) = sparse_kernel(
         system.rows, len(system.columns), [len(system.rows)]
@@ -284,7 +303,8 @@ def test_circle_kernel_matches_gauss_jordan(name, slope, offset, radius, precisi
     module = patch_global(LinearLagrangian(slope, offset), CIRCLES[name])
     system = _monomial_system(module, radius, precision)
     columns, rows = reference_system(module, radius, precision)
-    assert system.columns == columns
+    assert labels(system) == columns
+    assert all(type(lam) is int for _, lam in system.columns)
     assert sorted(map(sorted, keyed(system.rows, columns))) == sorted(
         map(sorted, rows)
     )
@@ -295,7 +315,9 @@ def test_circle_kernel_matches_gauss_jordan(name, slope, offset, radius, precisi
 def test_hop_table_matches_per_monomial_restriction(name):
     module = canonical_twisted_module(load_catalog(name))
     for radius in (1, 2):
-        assert _hop_table(module, radius) == reference_hops(module, radius)
+        hops = _hop_table(module, radius)
+        assert all(type(shift) is int for out in hops[0].values() for _, shift, _ in out)
+        assert unscaled(hops) == reference_hops(module, radius)
 
 
 def test_torus_kernel_matches_gauss_jordan():
@@ -303,7 +325,7 @@ def test_torus_kernel_matches_gauss_jordan():
     for precision in (F(1), F(5, 2)):
         system = _monomial_system(module, 1, precision)
         columns, rows = reference_system(module, 1, precision)
-        assert system.columns == columns
+        assert labels(system) == columns
         assert keyed(full_kernel(system), columns) == reference_kernel(
             rows, columns
         )
@@ -326,7 +348,7 @@ def test_rows_appear_in_precision_order():
                 for row, tag in zip(system.rows, system.appears)
                 if tag < p * system.scale
             ],
-            system.columns,
+            labels(system),
         )
         reached = set(columns)
         own = [row for row in block if set(row) & reached]
@@ -359,6 +381,32 @@ def test_random_blocks_match_gauss_jordan():
         assert len(bases) == len(cuts)
         for cut, basis in zip(cuts, bases):
             assert basis == reference_kernel(rows[:cut], columns)
+
+
+def test_ground_only_kernel_matches_the_filtered_full_kernel():
+    # sparse_kernel given a set of columns yields, per cut, the vectors of
+    # the full kernel that meet the set, in the same order
+    rng = random.Random(47)
+    met = missed = 0
+    for _ in range(300):
+        n_columns = rng.randint(1, 14)
+        rows = []
+        for _ in range(rng.randint(0, 16)):
+            support = rng.sample(range(n_columns), rng.randint(1, min(4, n_columns)))
+            rows.append(
+                {c: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for c in support}
+            )
+        ground = set(rng.sample(range(n_columns), rng.randint(0, n_columns)))
+        cuts = sorted(rng.randint(0, len(rows)) for _ in range(3)) + [len(rows)]
+        full = list(sparse_kernel(rows, n_columns, cuts))
+        grounded = list(sparse_kernel(rows, n_columns, cuts, ground))
+        assert len(grounded) == len(cuts)
+        for basis, kept in zip(full, grounded):
+            expected = [v for v in basis if not ground.isdisjoint(v)]
+            assert kept == expected
+            met += len(expected)
+            missed += len(basis) - len(expected)
+    assert met > 300 and missed > 300, (met, missed)
 
 
 # -- ranks at every integer precision --------------------------------------------

@@ -18,6 +18,7 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InvalidPolytopeError
 from .intlinalg import determinant, mat_mul, principal_minor_sums, rational_rref
@@ -38,7 +39,7 @@ def _frac_vec(values):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def integer_scaling(inequalities, points=()):
@@ -49,6 +50,12 @@ def integer_scaling(inequalities, points=()):
     ints = iter([x.numerator * (d // x.denominator) for x in values])
     bounds = [next(ints) for _ in inequalities]
     return d, bounds, [tuple(next(ints) for _ in p) for p in points]
+
+
+def _scaled_halfspaces(inequalities):
+    # (d, [(n, B)]): the halfspaces n.x <= B/d on their integer scaling
+    d, bounds, _ = integer_scaling(inequalities)
+    return d, [(n, b) for (n, _), b in zip(inequalities, bounds)]
 
 
 def _fm_eliminate(rows, j):
@@ -85,15 +92,6 @@ def recession_cone_is_trivial(normals, dimension):
         if not any(c > 0 for c in coeffs) or not any(c < 0 for c in coeffs):
             return False
     return True
-
-
-def _primitive(normal, bound):
-    g = 0
-    for x in normal:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise InvalidPolytopeError("zero normal vector in inequality")
-    return tuple(x // g for x in normal), bound / g
 
 
 class IntegralAffinePolytope:
@@ -157,19 +155,33 @@ class IntegralAffinePolytope:
         Vertices are computed exactly; redundant inequalities are pruned.
         """
         dimension = int(dimension)
-        cleaned = {}
+        checked = []
         for normal, bound in inequalities:
-            normal, bound = _primitive(
-                _int_vec(normal, "inequality normals"), _frac(bound)
-            )
-            if normal in cleaned:
-                cleaned[normal] = min(cleaned[normal], bound)
-            else:
-                cleaned[normal] = bound
+            normal, bound = _int_vec(normal, "inequality normals"), _frac(bound)
+            if not any(normal):
+                raise InvalidPolytopeError("zero normal vector in inequality")
+            checked.append((normal, bound))
+        return cls._from_scaled(dimension, *_scaled_halfspaces(checked))
+
+    @classmethod
+    def _from_scaled(cls, dimension, d, lines):
+        """from_inequalities on the int pairs (n, b) of halfspaces n.x <= b/d;
+        only the kept halfspaces and the vertices become Fractions."""
+        # primitive normals, n/g.x <= b/(g d) on the scale d lcm(g), least b kept
+        gs = [gcd(*normal) for normal, _ in lines]
+        if not all(gs):
+            raise InvalidPolytopeError("zero normal vector in inequality")
+        scale = lcm(*gs)
+        cleaned = {}
+        for (normal, b), g in zip(lines, gs):
+            normal, b = tuple(x // g for x in normal), b * (scale // g)
+            if normal not in cleaned or b < cleaned[normal]:
+                cleaned[normal] = b
+        d *= scale
         ineqs = sorted(cleaned.items())
         if dimension == 1:
-            los = [b / n[0] for n, b in ineqs if n[0] < 0]
-            his = [b / n[0] for n, b in ineqs if n[0] > 0]
+            los = [Fraction(b, d * n[0]) for n, b in ineqs if n[0] < 0]
+            his = [Fraction(b, d * n[0]) for n, b in ineqs if n[0] > 0]
             if not los or not his:
                 raise InvalidPolytopeError("interval is unbounded")
             lo, hi = max(los), min(his)
@@ -183,8 +195,7 @@ class IntegralAffinePolytope:
             )
         # lines a*X + b*Y = c in coordinates scaled by d; each crossing
         # is the primitive triple (X, Y, w), w > 0, of the point (X, Y)/(w d)
-        d, bounds, _ = integer_scaling(ineqs)
-        lines = [(a, b, c) for ((a, b), _), c in zip(ineqs, bounds)]
+        lines = [(a, b, c) for (a, b), c in ineqs]
         crossings = set()
         for i, (a1, b1, c1) in enumerate(lines):
             for a2, b2, c2 in lines[i + 1 :]:
@@ -201,8 +212,8 @@ class IntegralAffinePolytope:
         if not crossings:
             raise InvalidPolytopeError("inequalities have empty intersection")
         kept = [
-            (ineq, (a, b, c))
-            for ineq, (a, b, c) in zip(ineqs, lines)
+            (a, b, c)
+            for a, b, c in lines
             if sum(a * x + b * y == c * w for x, y, w in crossings) >= 2
         ]
         # every point meets every inequality and each kept one is tight
@@ -210,23 +221,23 @@ class IntegralAffinePolytope:
         # its order and with its messages
         if not kept:
             raise InvalidPolytopeError("polytope has no inequalities")
-        points = {
-            (Fraction(x, w * d), Fraction(y, w * d)): (x, y, w)
-            for x, y, w in crossings
-        }
-        vertices = sorted(points)
-        for v in vertices:
-            x, y, w = points[v]
-            tight = [n for (n, _), (a, b, c) in kept if a * x + b * y == c * w]
+        # sorted as points are, by their coordinates over the lcm m of the w
+        m = lcm(*(w for _, _, w in crossings))
+        order = sorted((x * (m // w), y * (m // w), x, y, w) for x, y, w in crossings)
+        crossings = [c[2:] for c in order]
+        vertices = [(Fraction(x, w * d), Fraction(y, w * d)) for x, y, w in crossings]
+        for v, (x, y, w) in zip(vertices, crossings):
+            tight = [(a, b) for a, b, c in kept if a * x + b * y == c * w]
             if not any(
                 n[0] * m[1] != n[1] * m[0] for n, m in combinations(tight, 2)
             ):
                 raise InvalidPolytopeError(
                     f"declared vertex {v} is not an extreme point"
                 )
-        if not recession_cone_is_trivial([n for (n, _), _ in kept], 2):
+        if not recession_cone_is_trivial([(a, b) for a, b, _ in kept], 2):
             raise InvalidPolytopeError("inequalities cut out an unbounded set")
-        return cls._trusted(2, [ineq for ineq, _ in kept], vertices)
+        ineqs = [((a, b), Fraction(c, d)) for a, b, c in kept]
+        return cls._trusted(2, ineqs, vertices)
 
     @classmethod
     def _trusted(cls, dimension, inequalities, vertices):
@@ -307,12 +318,15 @@ class IntegralAffinePolytope:
         ``inverse`` is phi's inverse; n.x <= b becomes n'.y <= b + n'.tau
         with n' = M^-T n.
         """
+        d, lines = self._scaled_image(phi, inverse)
+        return [(normal, Fraction(b, d)) for normal, b in lines]
+
+    def _scaled_image(self, phi, inverse):
+        # (d, [(n', B)]): n'.y <= B/d, the bounds and tau scaled by d on ints
         minv_t = tuple(zip(*inverse.linear))
-        out = []
-        for normal, bound in self._inequalities:
-            new_normal = tuple(dot(row, normal) for row in minv_t)
-            out.append((new_normal, bound + dot(new_normal, phi.translation)))
-        return out
+        d, bounds, (tau,) = integer_scaling(self._inequalities, [phi.translation])
+        moved = [tuple(dot(row, n) for row in minv_t) for n, _ in self._inequalities]
+        return d, [(n, b + dot(n, tau)) for n, b in zip(moved, bounds)]
 
     def __eq__(self, other):
         if not isinstance(other, IntegralAffinePolytope):

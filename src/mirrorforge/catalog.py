@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .affine import IntegralAffineMap, IntegralAffinePolytope, PolyFunction
-from .cover import Cover, FibrationData, face_polytopes_from_charts
+from .cover import FibrationData, _cover_from_charts
 
 F = Fraction
 
@@ -63,8 +63,7 @@ def _circle_cover(arcs):
                 continue
             faces.add((i, j))
             transitions[(i, j)] = IntegralAffineMap([[1]], [shift])
-    polytopes = face_polytopes_from_charts(1, boxes, faces, transitions)
-    return Cover(1, ids, faces, polytopes, transitions)
+    return _cover_from_charts(1, ids, boxes, faces, transitions)
 
 
 def _torus_faces(count):
@@ -115,8 +114,7 @@ def _torus_cover(arcs, shear_wrap=False):
             linear = [[1, 0], [0, 1]]
             translation = [k, m]
         transitions[(i, j)] = IntegralAffineMap(linear, translation)
-    polytopes = face_polytopes_from_charts(2, boxes, faces, transitions)
-    return Cover(2, ids, faces, polytopes, transitions)
+    return _cover_from_charts(2, ids, boxes, faces, transitions)
 
 
 @lru_cache(maxsize=None)

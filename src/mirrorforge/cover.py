@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .affine import AffineFunction, IntegralAffineMap, PolyFunction, dot, integer_scaling
 from .errors import ChartMismatchError, InvalidCoverError, InvalidFibrationError
@@ -39,13 +39,20 @@ class FaceChart:
     basepoint: tuple
 
 
+class _Directed(dict):
+    """An edge transition table with both directions filled in."""
+
+
 def _directed_transitions(transitions):
     """Both directions of every edge transition, keyed by ordered pair.
 
     ``transitions`` maps increasing index pairs to the map from the
-    lower chart to the higher one; each reverse map is inverted once.
+    lower chart to the higher one; each reverse map is inverted once.  A
+    table this function built is returned as it is.
     """
-    out = {}
+    if isinstance(transitions, _Directed):
+        return transitions
+    out = _Directed()
     for (i, j), phi in transitions.items():
         i, j = int(i), int(j)
         if i >= j:
@@ -133,24 +140,34 @@ class Cover:
                 raise InvalidCoverError(
                     f"transitions fail the cocycle identity on {self._fmt(tri)}"
                 )
+        # n.y <= b on a sub-face, y = M x + tau, reads (M^T n).x <= b - n.tau
+        # in the face's chart, with the whole cover on one integer scaling
+        polys = {face: self._polytopes[face] for face in self._faces}
+        _, bounds, points = integer_scaling(
+            [ineq for poly in polys.values() for ineq in poly.inequalities],
+            [v for poly in polys.values() for v in poly.vertices]
+            + [phi.translation for phi in self._transitions.values()],
+        )
+        bounds, points = iter(bounds), iter(points)
+        lines = {
+            f: [(n, next(bounds)) for n, _ in p.inequalities] for f, p in polys.items()
+        }
+        corners = {f: [next(points) for _ in p.vertices] for f, p in polys.items()}
+        taus = dict(zip(self._transitions, points))
         for face in self._faces:
             if len(face) < 2:
                 continue
-            vertices = self._polytopes[face].vertices
             for k in range(len(face)):
                 sub = face[:k] + face[k + 1 :]
-                # n.y <= b on the sub-face, y = M x + tau, reads (M^T n).x
-                # <= b - n.tau in the face's chart, all on one scaling
-                phi = self.transition(face[0], sub[0])
-                target = self._polytopes[sub].inequalities
-                _, bounds, points = integer_scaling(target, vertices + (phi.translation,))
-                tau = points.pop()
-                columns = tuple(zip(*phi.linear))
-                pulled = [
-                    (tuple(dot(col, n) for col in columns), b - dot(n, tau))
-                    for (n, _), b in zip(target, bounds)
-                ]
-                if not all(dot(n, p) <= b for p in points for n, b in pulled):
+                pulled = lines[sub]
+                if sub[0] != face[0]:
+                    phi, tau = self._transitions[face[0], sub[0]], taus[face[0], sub[0]]
+                    columns = tuple(zip(*phi.linear))
+                    pulled = [
+                        (tuple(dot(col, n) for col in columns), b - dot(n, tau))
+                        for n, b in pulled
+                    ]
+                if not all(dot(n, p) <= b for p in corners[face] for n, b in pulled):
                     raise InvalidCoverError(
                         f"overlap of {self._fmt(face)} is not inside "
                         f"that of {self._fmt(sub)}"
@@ -516,7 +533,8 @@ class _CertificateSystem:
     """
 
     def __init__(self, cover):
-        self._cover = cover
+        # no reference back to the cover, which holds this system: the pair
+        # would be a cycle, and a dropped cover would wait for the collector
         n = cover.dimension
         self._edges = list(cover.faces_of_degree(1))
         self._tris = list(cover.faces_of_degree(2))
@@ -544,7 +562,6 @@ class _CertificateSystem:
             for a, v in inc.items():
                 edge_rows[a][t] = v
         self._jk_index = [eidx[(tri[1], tri[2])] for tri in self._tris]
-        self._taus = taus
         self._n = n
         self._lattice = PresolvedIntegerSystem(lattice_rows, ncols=n * ne)
         self._constants = SparseRationalSystem(incidence, ne)
@@ -552,101 +569,89 @@ class _CertificateSystem:
         # kernel of its transpose, whose rows are the edges
         (self._pi,) = sparse_kernel(edge_rows, nt, [ne])
 
-        kernel = self._lattice.kernel_basis()
-        self._kernel = kernel
-        # coupling of each kernel direction into each triangle's constant
-        coupling = []
-        for t in range(nt):
-            jk = self._jk_index[t]
-            tau = self._taus[t]
-            coupling.append(
-                [
-                    dot(vec[jk * n : (jk + 1) * n], tau)
-                    for vec in kernel
-                ]
-            )
-        # integer form of the projected coupling system, one row per
-        # cokernel generator; the scale factors turn rational rows into
-        # integer ones and are reapplied to each right-hand side
-        proj_rows = []
-        scales = []
+        kernel = self._kernel = self._lattice.kernel_basis()
+        # the coupling of each kernel direction into each triangle's
+        # constant, projected onto each cokernel generator p, on ints: with
+        # tau times the common denominator d and p times the lcm e of its
+        # own, a projected row is N / (d e), on ints N / G at scale d e / G
+        self._d, _, self._taus = integer_scaling((), taus)
+        coupling = [
+            [dot(vec[jk * n : (jk + 1) * n], tau) for vec in kernel]
+            for jk, tau in zip(self._jk_index, self._taus)
+        ]
+        self._generators, self._proj_scales, proj_rows = [], [], []
         for p in self._pi:
-            row = [
-                sum(v * coupling[t][l] for t, v in p.items())
-                for l in range(len(kernel))
-            ]
-            scale = lcm(*(x.denominator for x in row)) if row else 1
-            proj_rows.append([int(x * scale) for x in row])
-            scales.append(scale)
-        self._proj_scales = scales
+            e = lcm(*(v.denominator for v in p.values()))
+            p = {t: v.numerator * (e // v.denominator) for t, v in p.items()}
+            row = [0] * len(kernel)
+            for t, v in p.items():
+                row = [x + v * y for x, y in zip(row, coupling[t])]
+            g = gcd(self._d * e, *row)
+            proj_rows.append([x // g for x in row])
+            self._proj_scales.append(self._d * e // g)
+            self._generators.append((p, e))
         self._projected = PresolvedIntegerSystem(proj_rows)
 
     def _alpha_vectors(self, alpha):
-        d_vec = []
-        consts = []
-        for tri in self._tris:
-            fn = alpha.value(tri)
-            d_vec.extend(fn.linear)
-            consts.append(fn.constant)
-        return d_vec, consts
+        values = [alpha.value(tri) for tri in self._tris]
+        return [a for fn in values for a in fn.linear], [fn.constant for fn in values]
+
+    def _residuals(self, x, consts, c):
+        # consts - <A_jk, tau> per triangle, on ints at a scale c that d divides
+        n, k = self._n, c // self._d
+        return [
+            const - k * dot(x[jk * n : (jk + 1) * n], tau)
+            for const, jk, tau in zip(consts, self._jk_index, self._taus)
+        ]
 
     def lattice_image_vanishes(self, alpha):
-        d_vec, _ = self._alpha_vectors(alpha)
-        return self._lattice.solve(d_vec) is not None
+        return self._lattice.solve(self._alpha_vectors(alpha)[0]) is not None
 
     def certificate(self, alpha):
         """An affine 1-cochain beta with d(beta) = alpha, or None."""
+        return self._solve(alpha)[1]
+
+    def _solve(self, alpha):
+        # (x0, beta): one integer solution of the differential equations,
+        # or None, and the certificate, or None
         n = self._n
         d_vec, consts = self._alpha_vectors(alpha)
         x0 = self._lattice.solve(d_vec)
         if x0 is None:
-            return None
-        nt = len(self._tris)
-        r0 = [
-            consts[t]
-            - dot(
-                x0[self._jk_index[t] * n : (self._jk_index[t] + 1) * n],
-                self._taus[t],
-            )
-            for t in range(nt)
-        ]
+            return None, None
+        c = lcm(self._d, *(x.denominator for x in consts))
+        consts = [x.numerator * (c // x.denominator) for x in consts]
+        r0 = self._residuals(x0, consts, c)
         # choose the integer kernel combination that lands the constants
         # in the image of the incidence map
         rhs = []
-        for p, scale in zip(self._pi, self._proj_scales):
-            val = sum(v * r0[t] for t, v in p.items()) * scale
-            if val.denominator != 1:
-                return None
-            rhs.append(int(val))
+        for (p, e), scale in zip(self._generators, self._proj_scales):
+            val, rest = divmod(sum(v * r0[t] for t, v in p.items()) * scale, c * e)
+            if rest:
+                return x0, None
+            rhs.append(val)
         y = self._projected.solve(rhs)
         if y is None:
-            return None
+            return x0, None
         x = list(x0)
         for l, coeff in enumerate(y):
             if coeff:
                 for idx, v in enumerate(self._kernel[l]):
                     x[idx] += coeff * v
-        r = [
-            consts[t]
-            - dot(
-                x[self._jk_index[t] * n : (self._jk_index[t] + 1) * n],
-                self._taus[t],
-            )
-            for t in range(nt)
-        ]
-        c = self._constants.solve(r)
-        if c is None:
-            return None
-        values = {}
-        for a, edge in enumerate(self._edges):
-            fn = AffineFunction(tuple(x[a * n : (a + 1) * n]), c[a])
-            values[edge] = fn
-        beta = AffCochain(self._cover, 1, values)
+        r = [Fraction(v, c) for v in self._residuals(x, consts, c)]
+        constants = self._constants.solve(r)
+        if constants is None:
+            return x0, None
+        values = {
+            edge: AffineFunction(tuple(x[a * n : (a + 1) * n]), constants[a])
+            for a, edge in enumerate(self._edges)
+        }
+        beta = AffCochain(alpha.cover, 1, values)
         if beta.differential() != alpha:
             raise AssertionError(
                 "certificate solver produced a wrong coboundary"
             )
-        return beta
+        return x0, beta
 
 
 def face_polytopes_from_charts(dimension, chart_polytopes, faces, transitions):
@@ -656,26 +661,42 @@ def face_polytopes_from_charts(dimension, chart_polytopes, faces, transitions):
     ``transitions`` maps increasing index pairs to the edge transition.
     Raises if some declared face has empty intersection.
     """
-    from .affine import IntegralAffinePolytope
+    from .affine import IntegralAffinePolytope, _scaled_halfspaces
 
     directed = _directed_transitions(transitions)
+    # chart j's halfspaces in chart lv, (d, [(normal, int bound)]), per (j, lv)
+    moved = {}
     out = {}
     for face in faces:
         face = tuple(sorted(face))
         lv = face[0]
-        ineqs = list(chart_polytopes[lv].inequalities)
-        for j in face[1:]:
-            if (lv, j) not in directed:
+        for j in face:
+            if (j, lv) in moved:
+                continue
+            if j == lv:
+                moved[(j, lv)] = _scaled_halfspaces(chart_polytopes[lv].inequalities)
+            elif (lv, j) not in directed:
                 raise InvalidCoverError(f"no transition declared for edge {(lv, j)}")
-            to_lv, from_lv = directed[(j, lv)], directed[(lv, j)]
-            ineqs.extend(chart_polytopes[j].image_inequalities(to_lv, from_lv))
+            else:
+                to_lv, from_lv = directed[(j, lv)], directed[(lv, j)]
+                moved[(j, lv)] = chart_polytopes[j]._scaled_image(to_lv, from_lv)
+        groups = [moved[(j, lv)] for j in face]
+        d = lcm(*(g for g, _ in groups))
+        lines = [(n, b * (d // g)) for g, group in groups for n, b in group]
         try:
-            out[face] = IntegralAffinePolytope.from_inequalities(dimension, ineqs)
+            out[face] = IntegralAffinePolytope._from_scaled(dimension, d, lines)
         except Exception as exc:
             raise InvalidCoverError(
                 f"declared face {face} has no valid overlap: {exc}"
             ) from exc
     return out
+
+
+def _cover_from_charts(dimension, chart_ids, chart_polytopes, faces, transitions):
+    """The cover of the chart intersections, each edge inverted once."""
+    directed = _directed_transitions(transitions)
+    polytopes = face_polytopes_from_charts(dimension, chart_polytopes, faces, directed)
+    return Cover(dimension, chart_ids, faces, polytopes, directed)
 
 
 def coboundary_certificate(alpha):
@@ -695,9 +716,7 @@ def lattice_image_vanishes(alpha):
 def analyze_obstruction(fibration):
     """Full triviality analysis of a fibration's obstruction cochain."""
     alpha = fibration.obstruction_cocycle()
-    system = fibration.cover._certificate_system
+    x0, beta = fibration.cover._certificate_system._solve(alpha)
     return ObstructionReport(
-        alpha=alpha,
-        certificate=system.certificate(alpha),
-        lattice_image_vanishes=system.lattice_image_vanishes(alpha),
+        alpha=alpha, certificate=beta, lattice_image_vanishes=x0 is not None
     )

@@ -39,14 +39,16 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def smith_normal_form(mat):
     """Compute U, S, V with U*mat*V = S in Smith normal form.
 
     U and V are unimodular; S is diagonal with nonnegative entries and
-    each diagonal entry divides the next.
+    each diagonal entry divides the next.  Each pivot is the first entry
+    of least |value| in row-major order: printed certificates depend on
+    U and V, so this rule is part of the contract.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
@@ -59,9 +61,7 @@ def smith_normal_form(mat):
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in s + v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
@@ -70,22 +70,22 @@ def smith_normal_form(mat):
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
-        for row in s:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        for row in s + v:
+            if row[src]:
+                row[dst] += q * row[src]
 
     t = 0
     limit = min(m, n)
     while t < limit:
-        # valuation-free analogue of partial pivoting: smallest |entry|
-        pivot = None
+        # valuation-free analogue of partial pivoting: the first least
+        # |entry|, where a row holding a unit entry ends the search
+        pivot, least = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0 and (
-                    pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
+            for j, x in enumerate(s[i][t:], t):
+                if x and (not least or abs(x) < least):
+                    pivot, least = (i, j), abs(x)
+            if least == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -111,18 +111,16 @@ def smith_normal_form(mat):
                         dirty = True
             if dirty:
                 continue
-            # enforce the divisibility chain
-            fixed = True
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % s[t][t] != 0:
-                        add_row(t, i, 1)
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
+            # enforce the divisibility chain, which a unit pivot meets:
+            # add the first row holding an entry the pivot does not divide
+            p = s[t][t]
+            if abs(p) == 1:
                 break
+            rows = (i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :]))
+            bad = next(rows, None)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
             u[t] = [-x for x in u[t]]
@@ -156,7 +154,8 @@ class PresolvedIntegerSystem:
         self._n = len(mat[0]) if self._m else (ncols or 0)
         if self._m:
             self._u, self._s, self._v = smith_normal_form(mat)
-        self._kernel = None
+        else:
+            self._v = identity_matrix(self._n)
 
     @property
     def ncols(self):
@@ -168,28 +167,18 @@ class PresolvedIntegerSystem:
             return [0] * self._n
         c = mat_vec(self._u, list(rhs))
         y = [0] * self._n
-        for i in range(self._m):
-            d = self._s[i][i] if i < min(self._m, self._n) else 0
-            if d != 0:
-                if c[i] % d != 0:
-                    return None
-                y[i] = c[i] // d
-            elif c[i] != 0:
+        for i, value in enumerate(c):
+            d = self._s[i][i] if i < self._n else 0
+            if value % d if d else value:
                 return None
+            if d:
+                y[i] = value // d
         return mat_vec(self._v, y)
 
     def kernel_basis(self):
-        if self._kernel is None:
-            if self._m == 0:
-                self._kernel = identity_matrix(self._n)
-            else:
-                basis = []
-                for j in range(self._n):
-                    d = self._s[j][j] if j < min(self._m, self._n) else 0
-                    if d == 0:
-                        basis.append([self._v[i][j] for i in range(self._n)])
-                self._kernel = basis
-        return self._kernel
+        # the columns of V past the nonzero diagonal entries of S
+        rank = sum(1 for i in range(min(self._m, self._n)) if self._s[i][i])
+        return [[row[j] for row in self._v] for j in range(rank, self._n)]
 
 
 def _reduce(row, pivots):
@@ -332,7 +321,8 @@ class SparseRationalSystem:
 
     Rows are ``{column: value}`` dicts over columns 0..n_columns-1.
     Equation i carries a tag column n_columns + i with entry 1, so every
-    stored row also records which combination of the equations it is.
+    stored row also records which combination of the equations it is (an
+    int 1, so rows of ints that meet only unit pivots stay on the ints).
     A row that reduces to tags alone is a relation among the equations,
     which a consistent right-hand side must satisfy.
     """
@@ -343,7 +333,7 @@ class SparseRationalSystem:
         self._relations = []
         for i, raw in enumerate(rows):
             row = dict(raw)
-            row[n + i] = _ONE
+            row[n + i] = 1
             lead = _reduce(row, pivots)
             if lead < n:
                 _store_pivot(pivots, row, lead)
@@ -362,7 +352,7 @@ class SparseRationalSystem:
                 return None
         x = [Fraction(0)] * self._n
         for lead, combination in self._solution:
-            x[lead] = sum(v * rhs[i] for i, v in combination)
+            x[lead] = Fraction(sum(v * rhs[i] for i, v in combination))
         return x
 
 

@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .affine import IntegralAffineMap, IntegralAffinePolytope, PolyFunction
-from .cover import Cover, FibrationData, face_polytopes_from_charts
+from .cover import FibrationData, _cover_from_charts
 from .errors import ManifestError
 
 
@@ -220,8 +220,7 @@ def manifest_to_fibration(text):
         except ValueError as exc:
             _fail(f"{path}.poly", str(exc))
 
-    polytopes = face_polytopes_from_charts(dimension, chart_polys, faces, transitions)
-    cover = Cover(dimension, ids, faces, polytopes, transitions)
+    cover = _cover_from_charts(dimension, ids, chart_polys, faces, transitions)
     return FibrationData(cover, primitives)
 
 

@@ -9,10 +9,13 @@ what they compute, be built once per object, and keep the errors of the
 direct computation.
 """
 
+import gc
+import weakref
 from itertools import chain, combinations
 
 import pytest
 
+import mirrorforge.catalog as catalog_module
 import mirrorforge.cover as cover_module
 from mirrorforge.affine import IntegralAffineMap, IntegralAffinePolytope
 from mirrorforge.catalog import catalog_ids, load_catalog
@@ -222,6 +225,56 @@ def test_each_table_is_built_once_per_object():
     module = canonical_twisted_module(fresh("split-torus-4"))
     assert module.pairs is module.cover.nested_pairs
     assert validate_module(module, 10).ok
+
+
+def test_each_edge_is_inverted_once_per_load(monkeypatch):
+    inverted = []
+    original = IntegralAffineMap.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return original(self)
+
+    texts = {name: fibration_to_manifest(load_catalog(name)) for name in CATALOGS}
+    monkeypatch.setattr(IntegralAffineMap, "inverse", counting)
+    for name, text in texts.items():
+        inverted.clear()
+        cover = manifest_to_fibration(text).cover
+        assert len(inverted) == len(cover.edges())
+        assert cover == load_catalog(name).cover
+    for build in (
+        lambda: catalog_module._circle_cover(catalog_module._C4),
+        lambda: catalog_module._torus_cover(catalog_module._C3, shear_wrap=True),
+    ):
+        inverted.clear()
+        cover = build()
+        assert len(inverted) == len(cover.edges())
+    # a cover built directly inverts its own transitions, and checks them
+    loaded = load_catalog("split-torus-4").cover
+    polys = {face: loaded.polytope(face) for face in loaded.faces}
+    transitions = {edge: loaded.transition(*edge) for edge in loaded.edges()}
+    inverted.clear()
+    assert Cover(2, loaded.chart_ids, loaded.faces, polys, transitions) == loaded
+    assert len(inverted) == len(loaded.edges())
+
+
+@pytest.mark.parametrize("name", CATALOGS)
+def test_a_dropped_cover_is_freed_without_the_cycle_collector(name):
+    # the tables a cover caches hold no reference back to it, so a cover
+    # read, analysed and checked is freed as soon as it is dropped
+    text = fibration_to_manifest(load_catalog(name))
+    gc.collect()
+    gc.disable()
+    try:
+        fibration = manifest_to_fibration(text)
+        if analyze_obstruction(fibration).is_trivial:
+            canonical_twisted_module(fibration)
+        assert verify_gerbe(fibration).holds
+        cover = weakref.ref(fibration.cover)
+        del fibration
+        assert cover() is None
+    finally:
+        gc.enable()
 
 
 def test_face_charts_cover_every_face():

@@ -1,9 +1,11 @@
 """Integer-scaled cover geometry against the Fraction code it replaced.
 
 The vertex search of ``IntegralAffinePolytope.from_inequalities``, the
-checked constructor's feasibility and tightness loops and the
-containment loop of ``Cover._validate`` compare on ints, after one
-scaling over a common denominator; ``IntegralAffineMap.inverse`` and
+moved bounds of ``image_inequalities``, the checked constructor's
+feasibility and tightness loops and the containment loop of
+``Cover._validate`` compare on ints, after one scaling over a common
+denominator; the manifest path hands the face searches their halfspaces
+on ints, and ``IntegralAffineMap.inverse`` and
 ``compose`` work on ints and build their results unchecked.  The
 Fraction versions live on here as references: every result must agree
 with them in value, type and order, and every refusal in its message.
@@ -14,6 +16,7 @@ import time
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -22,7 +25,6 @@ from mirrorforge.affine import (
     IntegralAffinePolytope,
     _frac_vec,
     _int_vec,
-    _primitive,
     dot,
     recession_cone_is_trivial,
 )
@@ -37,6 +39,15 @@ from mirrorforge.novikov import _frac
 F = Fraction
 
 # -- the Fraction references ---------------------------------------------
+
+
+def _primitive(normal, bound):
+    g = 0
+    for x in normal:
+        g = gcd(g, abs(x))
+    if g == 0:
+        raise InvalidPolytopeError("zero normal vector in inequality")
+    return tuple(x // g for x in normal), bound / g
 
 
 def reference_from_inequalities(dimension, inequalities):
@@ -242,15 +253,15 @@ def recorded_searches(monkeypatch, name):
     """The (dimension, inequalities) of every vertex search made while a
     catalog cover is read back from its manifest."""
     calls = []
-    search = IntegralAffinePolytope.from_inequalities.__func__
+    search = IntegralAffinePolytope._from_scaled.__func__
 
-    def recording(cls, dimension, inequalities):
-        calls.append((dimension, list(inequalities)))
-        return search(cls, dimension, inequalities)
+    def recording(cls, dimension, d, lines):
+        calls.append((dimension, [(n, F(b, d)) for n, b in lines]))
+        return search(cls, dimension, d, lines)
 
     text = fibration_to_manifest(load_catalog(name))
     with monkeypatch.context() as patch:
-        patch.setattr(IntegralAffinePolytope, "from_inequalities", classmethod(recording))
+        patch.setattr(IntegralAffinePolytope, "_from_scaled", classmethod(recording))
         manifest_to_fibration(text)
     return calls
 
@@ -492,6 +503,63 @@ def test_a_face_overhanging_its_sub_face_by_a_hair_is_refused(cover):
     want = "overlap of {a,b} is not inside that of {b}"
     assert cover_outcome(ReferenceCover, *cover(hair)) == want
     assert cover_outcome(Cover, *cover(hair)) == want
+
+
+# -- moved halfspaces ---------------------------------------------------------
+
+
+def reference_image_inequalities(poly, phi, inverse):
+    """n.x <= b moved to n'.y <= b + n'.tau, n' = M^-T n, on Fractions."""
+    minv_t = tuple(zip(*inverse.linear))
+    out = []
+    for normal, bound in poly.inequalities:
+        moved = tuple(dot(row, normal) for row in minv_t)
+        shift = sum(F(a) * t for a, t in zip(moved, phi.translation))
+        out.append((moved, bound + shift))
+    return out
+
+
+def assert_same_image(poly, phi):
+    inverse = phi.inverse()
+    got = poly.image_inequalities(phi, inverse)
+    want = reference_image_inequalities(poly, phi, inverse)
+    assert typed(tuple(got)) == typed(tuple(want))
+    d, lines = poly._scaled_image(phi, inverse)
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for normal, b in lines for x in normal + (b,))
+
+
+def test_moved_halfspaces_match_the_fraction_formula_on_every_catalog_transition():
+    moved = 0
+    for name in catalog_ids():
+        cover = load_catalog(name).cover
+        for i, j in cover.edges():
+            for a, b in ((i, j), (j, i)):
+                for face in cover.faces:
+                    if face[0] == a:
+                        assert_same_image(cover.polytope(face), cover.transition(a, b))
+                        moved += 1
+    assert moved > 1000
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_moved_halfspaces_match_the_fraction_formula_on_seeded_shears(n):
+    rng = random.Random(7600 + n)
+    for _ in range(80):
+        sides = []
+        for _ in range(n):
+            lo = F(rng.randrange(-20, 21), rng.choice(DENOMINATORS))
+            sides.append((lo, lo + F(rng.randrange(0, 15), rng.choice(DENOMINATORS))))
+        polys = [IntegralAffinePolytope.from_box(sides)]
+        if n == 2:
+            top = F(rng.randrange(1, 40), rng.choice(DENOMINATORS))
+            polys.append(
+                IntegralAffinePolytope.from_inequalities(
+                    2, [((-1, 0), 0), ((0, -1), 0), ((1, rng.randrange(1, 4)), top)]
+                )
+            )
+        for poly in polys:
+            assert_same_image(poly, random_unimodular(rng, n))
 
 
 # -- unimodular map algebra ---------------------------------------------------

@@ -8,9 +8,13 @@ here as references, together with the certificate system as it stood on
 them: solutions, inconsistency verdicts, kernel bases, cokernel rows,
 projection scales and certificates must all come out identical.  The
 trusted build of ``IntegralAffinePolytope.from_inequalities`` is held to
-the checked constructor it used to call, error text included.
+the checked constructor it used to call, error text included.  The
+certificate system's coupling and projection run on ints: a count guard
+keeps Fraction products out of the build of a torus system, and the
+projected rows must equal the Fraction ones of the reference.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,9 +27,12 @@ from mirrorforge.affine import (
     dot,
     recession_cone_is_trivial,
 )
+import mirrorforge.cover as cover_module
 from mirrorforge.catalog import catalog_ids, load_catalog
-from mirrorforge.cover import AffCochain
+from mirrorforge.cover import AffCochain, ObstructionReport, analyze_obstruction
 from mirrorforge.errors import InvalidPolytopeError
+from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
+from test_intlinalg import certificate_matrices
 from mirrorforge.intlinalg import (
     PresolvedIntegerSystem,
     SparseRationalSystem,
@@ -367,14 +374,48 @@ def cochain_data(beta):
     }
 
 
-@pytest.mark.parametrize("name", CATALOGS)
-def test_cokernel_and_projection_scales_match_the_dense_system(name):
-    cover = load_catalog(name).cover
-    system = cover._certificate_system
+def scaled_cover(name, s):
+    """The catalog's cover with every coordinate multiplied by s: chart
+    bounds, vertices and translations scale, linear parts stay, so the
+    translations are no longer integers."""
+    data = json.loads(fibration_to_manifest(load_catalog(name)))
+    for chart in data["charts"]:
+        polytope = chart["polytope"]
+        for ineq in polytope["inequalities"]:
+            ineq["bound"] = str(F(ineq["bound"]) * s)
+        vertices = polytope["vertices"]
+        polytope["vertices"] = [[str(F(x) * s) for x in v] for v in vertices]
+    for transition in data["transitions"]:
+        transition["translation"] = [str(F(x) * s) for x in transition["translation"]]
+    data["fibration"] = {"primitives": []}
+    return manifest_to_fibration(json.dumps(data)).cover
+
+
+SCALED = [
+    ("split-torus-4", F(3, 7)), ("thurston-f1", F(2, 9)), ("thurston-f2", F(5, 2))
+]
+COVERS = [(name, None) for name in CATALOGS] + SCALED
+COVER_IDS = [
+    name if s is None else f"{name}-times-{s.numerator}-{s.denominator}"
+    for name, s in COVERS
+]
+
+
+def cover_of(name, s):
+    return load_catalog(name).cover if s is None else scaled_cover(name, s)
+
+
+@pytest.mark.parametrize("name, s", COVERS, ids=COVER_IDS)
+def test_cokernel_and_projection_scales_match_the_dense_system(name, s, monkeypatch):
+    cover = cover_of(name, s)
+    system, (_, rows) = certificate_matrices(monkeypatch, cover)
     reference = ReferenceCertificateSystem(cover)
     nt = len(reference._tris)
     assert [densify(p, nt) for p in system._pi] == reference.pi
     assert system._proj_scales == reference.scales
+    assert rows == reference.proj_rows
+    assert all(type(x) is int for row in rows for x in row)
+    assert (s is None) == (set(system._proj_scales) <= {1})
     if reference.proj_rows:
         # the Smith form of identical rows: U, S and V fix the certificate
         ours, theirs = system._projected, reference._projected
@@ -397,6 +438,100 @@ def test_certificates_match_the_dense_system(name):
     assert verdicts[True] >= 2
     if name in TORI:
         assert verdicts[False] >= 10, verdicts
+
+
+def audit_alphas(cover, rng, count):
+    """Coboundaries of per-edge affine values drawn as the benchmark's
+    ``audit`` workload draws them (differentials in [-4, 4], constants
+    k/q with |k| <= 8, q <= 4), every other one with one triangle's
+    constant or differential moved."""
+    tris = list(cover.faces_of_degree(2))
+    alphas = []
+    for k in range(count):
+        beta = random_cochain(cover, 1, rng, span=4)
+        alpha = beta.differential()
+        if k % 2 and tris:
+            tri = rng.choice(tris)
+            old = alpha.value(tri)
+            if k % 4 == 1:
+                moved = AffineFunction(old.linear, old.constant + F(1, rng.randint(2, 5)))
+            else:
+                lin = list(old.linear)
+                lin[rng.randrange(len(lin))] -= 1
+                moved = AffineFunction(tuple(lin), old.constant)
+            values = {t: alpha.value(t) for t in tris}
+            values[tri] = moved
+            alpha = AffCochain(cover, 2, values)
+        alphas.append(alpha)
+    return alphas
+
+
+@pytest.mark.parametrize("name, s", COVERS, ids=COVER_IDS)
+def test_certificates_match_the_dense_system_on_audit_cochains(name, s):
+    cover = cover_of(name, s)
+    system = cover._certificate_system
+    reference = ReferenceCertificateSystem(cover)
+    rng = random.Random(4000 + sum(map(ord, name)))
+    verdicts = {True: 0, False: 0}
+    for alpha in audit_alphas(cover, rng, 30 if name in TORI else 6):
+        ours = system.certificate(alpha)
+        assert cochain_data(ours) == cochain_data(reference.certificate(alpha))
+        if ours is not None:
+            assert all(
+                type(ours.value(e).constant) is F for e in cover.faces_of_degree(1)
+            )
+        verdicts[ours is not None] += 1
+    assert verdicts[True] >= 3
+    if name in TORI:
+        assert verdicts[False] >= 10, verdicts
+
+
+@pytest.mark.parametrize("name", TORI)
+def test_a_torus_certificate_system_forms_no_fraction_product(name, monkeypatch):
+    cover = load_catalog(name).cover
+    products = []
+
+    def counting(method):
+        def counted(self, other):
+            products.append((self, other))
+            return method(self, other)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__mul__", counting(F.__mul__))
+        patch.setattr(F, "__rmul__", counting(F.__rmul__))
+        F(1, 2) * 3
+        assert len(products) == 1
+        system = cover_module._CertificateSystem(cover)
+    assert products == [(F(1, 2), 3)]
+    assert system._pi and system._kernel
+
+
+@pytest.mark.parametrize("name", CATALOGS)
+def test_analysis_solves_the_lattice_system_once(name, monkeypatch):
+    fibration = manifest_to_fibration(fibration_to_manifest(load_catalog(name)))
+    alpha = fibration.obstruction_cocycle()
+    system = fibration.cover._certificate_system
+    want = ObstructionReport(
+        alpha=alpha,
+        certificate=system.certificate(alpha),
+        lattice_image_vanishes=system.lattice_image_vanishes(alpha),
+    )
+    solves = []
+    original = system._lattice.solve
+
+    def counting(rhs):
+        solves.append(rhs)
+        return original(rhs)
+
+    monkeypatch.setattr(system._lattice, "solve", counting)
+    report = analyze_obstruction(fibration)
+    assert len(solves) == 1
+    assert report.alpha == want.alpha
+    assert cochain_data(report.certificate) == cochain_data(want.certificate)
+    assert report.lattice_image_vanishes is want.lattice_image_vanishes
+    assert report.is_trivial is want.is_trivial is (name != "thurston-f1")
 
 
 # -- the trusted polytope build -------------------------------------------------------

@@ -496,8 +496,7 @@ class FibrationData:
         from .mirror_charts import AffinoidElement, exp_aff
 
         cover = self._cover
-        units = {face: AffinoidElement.one(cover, face) for face in cover.faces}
-        out = {}
+        units, out = {}, {}
         for low, mid, top in cover.nested_chains:
             finals = (low[-1], mid[-1], top[-1])
             if finals[0] < finals[1] < finals[2]:
@@ -506,6 +505,8 @@ class FibrationData:
                 )
                 out[(low, mid, top)] = exp_aff(cover, top, moved)
             else:
+                if top not in units:
+                    units[top] = AffinoidElement.one(cover, top)
                 out[(low, mid, top)] = units[top]
         return out
 

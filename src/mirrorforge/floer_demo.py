@@ -177,7 +177,11 @@ def local_floer_data(lagrangian, cover, chart, tag=None):
     that equally labelled sheets over overlapping charts describe the
     same line, with at worst an integral affine discrepancy.
     """
-    offsets = chart_offsets(cover)
+    return _sheet_data(lagrangian, cover, chart_offsets(cover), chart, tag)
+
+
+def _sheet_data(lagrangian, cover, offsets, chart, tag=None):
+    # local_floer_data with the cover's chart offsets given
     k = lagrangian.slope
     if k == 0:
         raise ValueError("a slope-zero line is not transverse to the fibres")
@@ -285,15 +289,12 @@ def patch_global(lagrangian, fibration, cutoff=None):
     """
     cover = fibration.cover
     offsets = chart_offsets(cover)
-    k = lagrangian.slope
-    if k == 0:
-        raise ValueError("a slope-zero line is not transverse to the fibres")
-    sigma = 1 if k > 0 else -1
-    count = abs(k)
-    data = {
-        i: local_floer_data(lagrangian, cover, i)
+    data = [
+        _sheet_data(lagrangian, cover, offsets, i)
         for i in range(len(cover.chart_ids))
-    }
+    ]
+    sigma = 1 if lagrangian.slope > 0 else -1
+    count = abs(lagrangian.slope)
     restrictions = {}
     zeros = {}
     for low, top in cover.nested_pairs:

@@ -145,9 +145,6 @@ class NovikovScalar:
     def cutoff(self):
         return self._cutoff
 
-    def is_exact(self):
-        return self._cutoff is None
-
     def is_exact_zero(self):
         return not self._terms and self._cutoff is None
 
@@ -181,12 +178,6 @@ class NovikovScalar:
         if self._cutoff is None:
             return INF
         return self._cutoff
-
-    def leading(self):
-        if not self._terms:
-            raise PrecisionExhaustedError("no leading term: scalar has no terms")
-        exp, coeff = self._terms[0]
-        return exp, coeff
 
     def coefficient(self, exp):
         exp = _frac(exp)
@@ -521,16 +512,18 @@ def _valuation_below(x, precision):
     return None
 
 
-def _has_terms(row, column):
+def _holds(row, column, husks):
+    # whether the dict row has an entry in column that elimination must
+    # clear: one with terms, or any entry when husks are kept
     x = row.get(column)
-    return x is not None and bool(x._terms)
+    return x is not None and (husks or bool(x._terms))
 
 
-def _eliminate(row, pivot, column, working):
+def _eliminate(row, pivot, column, working, husks):
     # subtract from the dict row the multiple of the pivot row that
     # clears its entry in column; an entry that comes out with no terms
-    # and the full working cutoff is dropped, as if never stored.  The
-    # pivot's lead inverse is formed on first use.
+    # and the full working cutoff is dropped, as if never stored, unless
+    # husks are kept.  The pivot's lead inverse is formed on first use.
     pivot_row = pivot[0]
     if pivot[2] is None:
         pivot[2] = pivot_row[column].inverse()
@@ -540,17 +533,33 @@ def _eliminate(row, pivot, column, working):
             continue
         x = row.get(j)
         value = (-(factor * y) if x is None else x - factor * y).truncate(working)
-        if value._terms or value._cutoff < working:
+        if value._terms or value._cutoff < working or husks:
             row[j] = value
         elif x is not None:
             del row[j]
 
 
-def _echelon_insert(slots, spare, row, precision, working):
+def _dot(row, values):
+    # the sum of row[j] * x over the values whose column the dict row holds
+    total = NovikovScalar.zero()
+    for j, x in values.items():
+        entry = row.get(j)
+        if entry is not None:
+            total = total + entry * x
+    return total
+
+
+def _echelon_insert(slots, spare, row, precision, working, husks=False):
     # add the dict row to an echelon state: slots maps each pivot column
     # to [row, lead valuation, lead inverse or None], spare holds rows with no
     # pivot that still carry terms; stored rows are never changed in
-    # place, so a copy of slots is an independent state
+    # place, so a copy of slots is an independent state.  A column with
+    # no pivot becomes the row's pivot when its entry has valuation below
+    # the precision, and is passed over otherwise.  An entry with no
+    # terms below its cutoff, a husk, is passed over too, unless husks
+    # are kept: then it is eliminated like any entry, so the cutoff it
+    # costs reaches the entries it touches, and a pivot decision that
+    # rests on it raises PrecisionExhaustedError
     pending = [row]
     while pending:
         row = dict(pending.pop())
@@ -570,13 +579,13 @@ def _echelon_insert(slots, spare, row, precision, working):
                 # rows that passed over a term in column c go round again
                 for d in [
                     d for d, (other, _, _) in slots.items()
-                    if d > c and _has_terms(other, c)
+                    if d > c and _holds(other, c, husks)
                 ]:
                     pending.append(slots.pop(d)[0])
-                pending.extend(other for other in spare if _has_terms(other, c))
-                spare[:] = [other for other in spare if not _has_terms(other, c)]
+                pending.extend(other for other in spare if _holds(other, c, husks))
+                spare[:] = [other for other in spare if not _holds(other, c, husks)]
                 break
-            if not x._terms:
+            if not x._terms and not husks:
                 # a husk known to vanish below the precision: elimination
                 # column by column passes it over, and so does this
                 del row[c]
@@ -586,7 +595,7 @@ def _echelon_insert(slots, spare, row, precision, working):
                 row, held = dict(held[0]), slots[c]
                 heap = [j for j in row if j > c]
                 heapify(heap)
-            _eliminate(row, held, c, working)
+            _eliminate(row, held, c, working, husks)
             for j in held[0]:
                 if j > c and j in row:
                     heappush(heap, j)
@@ -618,9 +627,11 @@ def _with_headroom(entries, precision, attempt):
     raise last_error
 
 
-def _greedy_pass(rows, precision, working, choose):
-    # one attempt of the greedy echelon pass over rows given as
-    # iterables of (column, scalar) pairs; see greedy_rank
+def _greedy_pass(rows, precision, working, choose, husks=False):
+    # one attempt of the greedy pass over rows of (column, scalar) pairs,
+    # entries truncated to the working cutoff and exact zeros skipped,
+    # and so are entries that vanish below it unless husks are kept:
+    # the echelon state of every row and the chosen indices
     every, spare = {}, []
     chosen_slots, chosen = {}, []
     for index, pairs in enumerate(rows):
@@ -628,35 +639,48 @@ def _greedy_pass(rows, precision, working, choose):
         for j, x in pairs:
             if x._terms or x._cutoff is not None:
                 x = x.truncate(working)
-                if x._terms or x._cutoff < working:
+                if x._terms or x._cutoff < working or husks:
                     row[j] = x
         if not row:
             continue
-        _echelon_insert(every, spare, row, precision, working)
+        _echelon_insert(every, spare, row, precision, working, husks)
         if choose:
             trial = dict(chosen_slots)
             _echelon_insert(trial, [], row, precision, working)
             if len(trial) > len(chosen_slots):
                 chosen_slots = trial
                 chosen.append(index)
-    rank = len(every)
-    return rank, chosen[:rank]
+    return every, chosen[: len(every)]
 
 
 def greedy_rank(rows, precision, choose=True):
-    """NovikovMatrix.greedy_rank_at_precision of sparse rows.
+    """Rank at the precision and a greedy choice of rows, from one
+    valuation-ordered echelon pass over the rows in their order.
 
-    Rows are ``{column: scalar}`` dicts; a column a row does not hold is
-    an exact zero there.  Returns (rank, chosen) from the same pass and
-    the same headroom ladder, with no dense matrix formed.
+    This is the library's one Novikov elimination; the rank and kernel
+    of a NovikovMatrix run on it too.  Rows are ``{column: scalar}``
+    dicts; a column a row does not hold is an exact zero there.  Returns
+    (rank, chosen): rank is the pivot count of the echelon state of
+    every row, and chosen lists, in order, the indices of the rows that
+    raise the pivot count of the rows chosen before them, up to rank of
+    them, or nothing with choose=False.  A row joins the chosen state
+    only when it raises that state's pivot count; both states are
+    needed, since the rank of all rows can exceed the number chosen.
+
+    Each row, truncated to the working cutoff, goes into the state by
+    _echelon_insert, whose reductions use factors of nonnegative
+    valuation, so the stored rows keep spanning the same module over the
+    valuation ring.  Attempts run through the headroom ladder of
+    _with_headroom; an attempt reads no term at or past its cutoff.
     """
-    return _with_headroom(
+    slots, chosen = _with_headroom(
         lambda: (x for row in rows for x in row.values()),
         precision,
         lambda precision, working: _greedy_pass(
             [row.items() for row in rows], precision, working, choose
         ),
     )
+    return len(slots), chosen
 
 
 class NovikovMatrix:
@@ -686,11 +710,6 @@ class NovikovMatrix:
         one, zero = NovikovScalar.one(), NovikovScalar.zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        zero = NovikovScalar.zero()
-        return cls([[zero] * ncols for _ in range(nrows)])
-
     @property
     def rows(self):
         return self._rows
@@ -702,9 +721,6 @@ class NovikovMatrix:
     @property
     def ncols(self):
         return len(self._rows[0]) if self._rows else 0
-
-    def entry(self, i, j):
-        return self._rows[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, NovikovMatrix):
@@ -759,9 +775,6 @@ class NovikovMatrix:
             return NovikovMatrix([[other * x for x in row] for row in self._rows])
         return NotImplemented
 
-    def transpose(self):
-        return NovikovMatrix(list(zip(*self._rows))) if self._rows else self
-
     def truncate(self, precision):
         return NovikovMatrix(
             [[x.truncate(precision) for x in row] for row in self._rows]
@@ -788,178 +801,65 @@ class NovikovMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def _with_headroom(self, precision, attempt):
-        return _with_headroom(
-            lambda: (x for row in self._rows for x in row), precision, attempt
-        )
-
-    def _rref_at(self, precision):
-        """Forward-eliminate with valuation-minimal pivots, trusting data
-        below t**precision only.  Returns (rows, pivots) where pivots is
-        a list of (row, col) pairs in column order.
-
-        Elimination only runs downward: a pivot is minimal in its column
-        among the remaining rows, so every elimination factor has
-        nonnegative valuation and never erodes what is known about the
-        rows already placed.  The result is echelon, not reduced.
-        """
-        return self._with_headroom(precision, self._rref_attempt)
-
-    def _rref_attempt(self, precision, working):
-        rows = [list(r) for r in self.truncate(working)._rows]
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        pivots = []
-        rank = 0
-        for col in range(nc):
-            best = None
-            for i in range(rank, nr):
-                x = rows[i][col]
-                relevant = [e for e, _ in x.terms if e < precision]
-                if relevant:
-                    v = relevant[0]
-                    if best is None or v < best[0]:
-                        best = (v, i)
-                else:
-                    x.is_zero_at(precision)  # raises if undecidable
-            if best is None:
-                continue
-            _, pr = best
-            rows[rank], rows[pr] = rows[pr], rows[rank]
-            pivot_row = rows[rank]
-            pinv = pivot_row[col].inverse()
-            # pivot-row columns with visible terms need the full update;
-            # husk columns (no terms, finite cutoff) can only lower the
-            # target cutoff, to b.cutoff + val_floor(factor)
-            dense = [j for j, b in enumerate(pivot_row) if b.terms]
-            husks = [
-                (j, b.cutoff)
-                for j, b in enumerate(pivot_row)
-                if not b.terms and b.cutoff is not None
-            ]
-            husk_floor = min((c for _, c in husks), default=None)
-            for i in range(rank + 1, nr):
-                x = rows[i][col]
-                if not x.terms:
-                    continue
-                factor = x * pinv
-                row = rows[i]
-                for j in dense:
-                    row[j] = (row[j] - factor * pivot_row[j]).truncate(working)
-                vf = factor._val_floor()
-                if husk_floor is not None and husk_floor + vf < working:
-                    for j, cb in husks:
-                        limit = cb + vf
-                        a = row[j]
-                        if a.cutoff is None or limit < a.cutoff:
-                            row[j] = a.truncate(limit)
-            pivots.append((rank, col))
-            rank += 1
-        return rows, pivots
-
     def rank_at_precision(self, precision):
-        """Rank certified by the data modulo t**precision.
+        """Rank certified by the data modulo t**precision: the pivot count
+        of the one echelon pass, ``greedy_rank`` of the rows.
 
         Entries whose known terms all vanish below the working precision
         count as zero when their cutoff reaches the precision, and raise
-        :class:`PrecisionExhaustedError` when it does not.
+        :class:`PrecisionExhaustedError` when it does not.  The pass
+        drops husks, as for the section solver, so on rare input the
+        count differs from the kernel's, which keeps them.
         """
-        _, pivots = self._rref_at(precision)
-        return len(pivots)
-
-    def greedy_rank_at_precision(self, precision, choose=True):
-        """Rank at the precision and a greedy choice of rows, from one
-        valuation-ordered echelon pass over the rows in their order.
-
-        Returns (rank, chosen).  At one working cutoff, rank is the pivot
-        count of the column-by-column elimination of rank_at_precision,
-        and chosen lists, in order, the indices of the rows that raise
-        that count for the rows chosen before them, up to rank of them;
-        it is empty with choose=False.  The pass keeps two echelon
-        states, one of every row and one of the chosen rows: a row joins
-        the chosen state only when it raises that state's pivot count,
-        and a row that does not join leaves it untouched.  Both states
-        are needed: the rank of all rows can exceed the number chosen.
-
-        Rows are sparse ``{column: scalar}`` dicts truncated to the
-        working cutoff, exact zeros skipped.  An incoming row is reduced
-        by the pivot rows, least column first.  A column with no pivot
-        becomes the row's pivot when its entry has valuation below the
-        precision, and is passed over otherwise.  A row of lower
-        valuation at an occupied pivot column swaps in, and the row it
-        displaces is reduced and moves on.  When a new pivot column
-        appears, every stored row with a term there that it passed over
-        is reduced by the new pivot row and inserted again.  Reductions
-        use factors of nonnegative valuation, so the rows keep spanning
-        the same module over the valuation ring, and with no passed-over
-        term left in a pivot column, elimination column by column as in
-        rank_at_precision reads the same pivot columns off the stored
-        rows.  Runs through the same headroom ladder as
-        rank_at_precision.  The ladder settles on the first working
-        cutoff whose attempt decides every comparison, and an attempt
-        reads no term at or past its cutoff, so where the prefix loop
-        over rank_at_precision settles on different cutoffs for different
-        prefixes the two can disagree.
-        """
-        return self._with_headroom(
-            precision,
-            lambda precision, working: self._greedy_attempt(
-                precision, working, choose
-            ),
-        )
-
-    def _greedy_attempt(self, precision, working, choose):
-        return _greedy_pass(
-            [enumerate(row) for row in self._rows], precision, working, choose
-        )
+        rows = [dict(enumerate(row)) for row in self._rows]
+        return greedy_rank(rows, precision, choose=False)[0]
 
     def kernel_basis_at_precision(self, precision):
-        """Basis of the right kernel modulo t**precision.
+        """A basis of the right kernel modulo t**precision.
 
-        One vector per free column; entries are truncated scalars.  Each
-        candidate is certified against the original rows before it is
-        returned, so back-substitution shortcuts cannot smuggle in a
-        vector that visibly fails an equation.
+        One vector per free column of the echelon pass, with 1 at its
+        own free column and 0 at the others; entries are truncated
+        scalars.  Kernel vectors modulo t**precision are not unique, so
+        this is one basis among many.  The pass keeps husks, entries with
+        no terms below their cutoff, so a pivot that a term past the
+        working cutoff could take away raises and the ladder reads
+        deeper: the number of vectors is settled.  Each
+        vector is certified against the original rows before it is
+        returned, so back-substitution shortcuts cannot smuggle in one
+        that visibly fails an equation.
         """
-        return self._with_headroom(precision, self._kernel_attempt)
+        return _with_headroom(
+            lambda: (x for row in self._rows for x in row),
+            precision,
+            self._kernel_attempt,
+        )
 
     def _kernel_attempt(self, precision, working):
-        rows, pivots = self._rref_attempt(precision, working)
-        nc = self.ncols
-        pivot_cols = {c for _, c in pivots}
-        free_cols = [c for c in range(nc) if c not in pivot_cols]
-        exact_zero = NovikovScalar.zero()
+        slots, _ = _greedy_pass(
+            [enumerate(row) for row in self._rows], precision, working, False, husks=True
+        )
+        rows = [
+            {j: x for j, x in enumerate(row) if not x.is_exact_zero()}
+            for row in self._rows
+        ]
+        zero = NovikovScalar.zero()
         basis = []
-        for fc in free_cols:
-            values = {fc: NovikovScalar.one()}
-            # rows are echelon: row r holds husks left of its pivot and
-            # live entries right of it, so reverse pivot order only ever
-            # consumes values that are already assigned
-            for r, c in reversed(pivots):
-                row = rows[r]
-                total = exact_zero
-                for j, xj in values.items():
-                    entry = row[j]
-                    if entry.terms or entry.cutoff is not None:
-                        total = total + entry * xj
-                if total.terms or total.cutoff is not None:
+        for free in (c for c in range(self.ncols) if c not in slots):
+            values = {free: NovikovScalar.one()}
+            # a pivot row holds no term in a pivot column left of its own,
+            # so reverse pivot order only ever consumes assigned values
+            for c in sorted(slots, reverse=True):
+                row = slots[c][0]
+                total = _dot(row, values)
+                if not total.is_exact_zero():
                     values[c] = -(total * row[c].inverse())
-            for row in self._rows:
-                residual = exact_zero
-                for j, xj in values.items():
-                    entry = row[j]
-                    if entry.terms or entry.cutoff is not None:
-                        residual = residual + entry * xj
-                if not residual.is_zero_at(precision):
-                    raise PrecisionExhaustedError(
-                        "kernel candidate fails a row at precision "
-                        f"t^({precision})"
-                    )
-            vec = [
-                values.get(c, exact_zero).truncate(precision)
-                for c in range(nc)
-            ]
-            basis.append(tuple(vec))
+            if not all(_dot(row, values).is_zero_at(precision) for row in rows):
+                raise PrecisionExhaustedError(
+                    f"kernel candidate fails a row at precision t^({precision})"
+                )
+            basis.append(
+                tuple(values.get(c, zero).truncate(precision) for c in range(self.ncols))
+            )
         return basis
 
     def __str__(self):

@@ -9,6 +9,11 @@ memo: a write to an instance ``__dict__``, an attribute or key named
 Rational elimination lives in ``intlinalg.py`` alone; a second guard
 fails on a function or class whose name reads like a sparse or rational
 kernel, nullspace, row reduction or system defined in any other module.
+
+Novikov elimination is the one echelon pass of ``novikov.py``; a third
+guard fails on any other function whose name reads like a row
+reduction, an echelon or elimination step, a greedy pass or an attempt
+of the headroom ladder, outside the rational home.
 """
 
 import re
@@ -104,3 +109,75 @@ def test_the_solver_guard_allows_intlinalg_and_other_names():
     assert not solver_definitions(SOLVER_HOME, text)
     others = "class _SectionSystem:\ndef _monomial_system(module):\n    # sparse kernel"
     assert not solver_definitions("twisted_sheaves.py", others)
+
+
+NOVIKOV_PASS = {
+    ("novikov.py", "_eliminate"),
+    ("novikov.py", "_echelon_insert"),
+    ("novikov.py", "_greedy_pass"),
+    ("novikov.py", "greedy_rank"),
+    ("novikov.py", "_kernel_attempt"),
+    # Fourier-Motzkin elimination of a variable from halfspaces
+    ("affine.py", "_fm_eliminate"),
+}
+ELIMINATION_NAME = re.compile(
+    r"^\s*def\s+(\w*(?:rref|echelon|eliminat|greedy|_attempt)\w*)", re.IGNORECASE
+)
+
+
+def elimination_definitions(filename, text):
+    if filename == SOLVER_HOME:
+        return []
+    return [
+        f"{filename}:{number}: second Novikov elimination {match.group(1)}"
+        for number, line in enumerate(text.splitlines(), 1)
+        if (match := ELIMINATION_NAME.match(line))
+        and (filename, match.group(1)) not in NOVIKOV_PASS
+    ]
+
+
+def test_novikov_elimination_is_one_pass():
+    files = sorted(SRC.glob("*.py"))
+    defined = {
+        (path.name, match.group(1))
+        for path in files
+        for line in path.read_text().splitlines()
+        if (match := ELIMINATION_NAME.match(line))
+    }
+    assert NOVIKOV_PASS <= defined
+    found = [
+        v
+        for path in files
+        for v in elimination_definitions(path.name, path.read_text())
+    ]
+    assert not found, "\n".join(found)
+
+
+@pytest.mark.parametrize(
+    "filename, line",
+    [
+        ("novikov.py", "def _rref_attempt(self, precision, working):"),
+        ("novikov.py", "    def _rref_attempt(self, precision, working):"),
+        ("novikov.py", "    def _rref_at(self, precision):"),
+        ("novikov.py", "    def greedy_rank_at_precision(self, precision, choose=True):"),
+        ("novikov.py", "    def _greedy_attempt(self, precision, working, choose):"),
+        ("twisted_sheaves.py", "def _echelon_rows(rows, precision):"),
+        ("floer_demo.py", "def _eliminate(row, pivot, column, working):"),
+    ],
+)
+def test_the_elimination_guard_sees_a_second_pass(filename, line):
+    assert elimination_definitions(filename, line)
+
+
+def test_the_elimination_guard_allows_the_one_pass_and_other_names():
+    text = (
+        "def _echelon_insert(slots, spare, row, precision, working, husks=False):\n"
+        "def greedy_rank(rows, precision, choose=True):"
+    )
+    assert not elimination_definitions("novikov.py", text)
+    assert not elimination_definitions(SOLVER_HOME, "def rational_rref(mat):")
+    others = (
+        "def rank_at_precision(self, precision):\n"
+        "def _with_headroom(entries, precision, attempt):"
+    )
+    assert not elimination_definitions("novikov.py", others)

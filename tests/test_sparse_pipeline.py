@@ -7,10 +7,10 @@ collapse sparse rows and builds the section and restriction entries
 through the trusted constructor.  The path before that is kept here as
 the reference: the hop table summed on Fractions, the system labelled
 by (source, Fraction lam) columns, the full kernel at every cut filtered
-to its ground vectors, the collapse through a dense ``NovikovMatrix``,
-and every element built through the checked constructor.  Section
-spaces and modules must come out equal, and the count guards keep the
-k^2 walks and the per-monomial restrictions from coming back.
+to its ground vectors, the collapse through dense rows, and every
+element built through the checked constructor.  Section spaces and
+modules must come out equal, and the count guards keep the k^2 walks
+and the per-monomial restrictions from coming back.
 """
 
 from bisect import bisect_left
@@ -34,7 +34,7 @@ from mirrorforge.floer_demo import (
 )
 from mirrorforge.intlinalg import sparse_kernel
 from mirrorforge.mirror_charts import AffinoidElement
-from mirrorforge.novikov import NovikovMatrix, NovikovScalar
+from mirrorforge.novikov import NovikovScalar, greedy_rank
 from mirrorforge.twisted_sheaves import (
     SectionSpace,
     TwistedModule,
@@ -220,7 +220,7 @@ def reference_collapse(basis, precision, choose=True):
         for source, value in g.items():
             row[position[source]] = value
         rows.append(row)
-    rank, chosen = NovikovMatrix(rows).greedy_rank_at_precision(precision, choose)
+    rank, chosen = greedy_rank([dict(enumerate(row)) for row in rows], precision, choose)
     return rank, [grouped[i] for i in chosen]
 
 

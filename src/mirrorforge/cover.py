@@ -490,20 +490,20 @@ class FibrationData:
 
         A chain whose final charts strictly increase maps to exp of the
         obstruction on the triangle of final charts, written on the top
-        face; a chain whose final charts repeat carries a degenerate
-        obstruction value of zero, so its factor is the unit.
+        face and read off the restriction move from the least final
+        chart to the top face; a chain whose final charts repeat carries
+        a degenerate obstruction value of zero, so its factor is the
+        unit.
         """
-        from .mirror_charts import AffinoidElement, exp_aff
+        from .mirror_charts import AffinoidElement, _exp_entry
 
         cover = self._cover
         units, out = {}, {}
         for low, mid, top in cover.nested_chains:
             finals = (low[-1], mid[-1], top[-1])
             if finals[0] < finals[1] < finals[2]:
-                moved = self._alpha.value(finals).compose_with_map(
-                    cover.transition(top[0], finals[0])
-                )
-                out[(low, mid, top)] = exp_aff(cover, top, moved)
+                value = self._alpha.value(finals)
+                out[(low, mid, top)] = _exp_entry(cover, top, finals[0], value)
             else:
                 if top not in units:
                     units[top] = AffinoidElement.one(cover, top)

@@ -250,10 +250,9 @@ class AffinoidElement:
         """The same element written against another basepoint."""
         new_basepoint = _frac_vec(new_basepoint)
         shift = tuple(a - b for a, b in zip(new_basepoint, self._basepoint))
-        out = {}
-        for exponent, coeff in self._terms.items():
-            out[exponent] = coeff._shift(dot(shift, exponent))
-        return AffinoidElement(self._cover, self._face, out, new_basepoint)
+        identity, _ = self._cover.restriction_moves[(self._face, self._face[0])]
+        moved = self._restricted(self._face, (identity, shift, new_basepoint))
+        return AffinoidElement(self._cover, self._face, moved._terms, new_basepoint)
 
     def restrict(self, to_face):
         """Restriction along an inclusion of faces (finer index set).
@@ -267,16 +266,27 @@ class AffinoidElement:
             raise ChartMismatchError(
                 f"{to_face} does not refine {self._face}"
             )
-        cover = self._cover
-        target = cover.face_chart(to_face)
-        mt, q_tgt_in_src = cover.restriction_moves[(to_face, self._face[0])]
-        offset = tuple(a - b for a, b in zip(q_tgt_in_src, self._basepoint))
+        move = _restriction_move(self._cover, self._face, self._basepoint, to_face)
+        return self._restricted(to_face, move)
+
+    def _restricted(self, to_face, move):
+        """This element carried along a move (mt, offset, basepoint):
+        z^A goes to t^<offset, A> z^(mt A) on to_face, written at
+        basepoint, and monomials that land on one exponent are added.
+
+        Nothing is checked; the move comes from ``_restriction_move``
+        or is the identity move of a change of basepoint.  Every
+        restriction runs through here: ``restrict`` after its checks,
+        and the cocycle passes of the gerbe and of twisted modules on
+        their own data.
+        """
+        mt, offset, basepoint = move
         out = {}
         for exponent, coeff in self._terms.items():
             moved = tuple(dot(row, exponent) for row in mt)
             scaled = coeff._shift(dot(offset, exponent))
             out[moved] = out[moved] + scaled if moved in out else scaled
-        return AffinoidElement._trusted(cover, to_face, target.basepoint, out)
+        return AffinoidElement._trusted(self._cover, to_face, basepoint, out)
 
     def evaluate(self, point):
         """Value at a mirror point, as a scalar."""
@@ -326,6 +336,38 @@ class AffinoidElement:
         return f"AffinoidElement({self._face}, {str(self)!r})"
 
 
+def _restriction_move(cover, face, basepoint, to_face):
+    """How an element on face, written at basepoint, restricts to a
+    finer face: (mt, offset, the finer face's basepoint) for
+    ``AffinoidElement._restricted``.
+
+    mt and the finer basepoint in the chart face[0] come from
+    ``cover.restriction_moves``; offset is that basepoint minus the
+    element's.  A to_face that is not a face raises ChartMismatchError.
+    """
+    target = cover.face_chart(to_face).basepoint
+    mt, q = cover.restriction_moves[(to_face, face[0])]
+    return mt, tuple(a - b for a, b in zip(q, basepoint)), target
+
+
+def _exp_entry(cover, top, a, fn):
+    """exp of an affine function given on chart a, written on face top.
+
+    With (mt, q) = ``restriction_moves[(top, a)]`` that is
+    t^(<A, q> + c) z^(mt A) for fn = <A, x> + c, so the function is
+    never composed with the transition.  Nothing is checked: a must be
+    a chart of the face top of the cover, and fn of the cover's
+    dimension.
+    """
+    mt, q = cover.restriction_moves[(top, a)]
+    linear = fn.linear
+    coeff = NovikovScalar._trusted(((dot(linear, q) + fn.constant, Fraction(1)),), None)
+    exponent = tuple(dot(row, linear) for row in mt)
+    return AffinoidElement._trusted(
+        cover, top, cover.face_chart(top).basepoint, {exponent: coeff}
+    )
+
+
 def exp_aff(cover, face, fn):
     """exp of an affine function: t^(fn(q)) z_q^(d fn).
 
@@ -335,9 +377,10 @@ def exp_aff(cover, face, fn):
     if not isinstance(fn, AffineFunction):
         raise TypeError("exp_aff expects an AffineFunction")
     face = tuple(sorted(face))
-    q = cover.face_chart(face).basepoint
-    coeff = NovikovScalar.monomial(1, fn.evaluate(q))
-    return AffinoidElement(cover, face, {fn.linear: coeff})
+    cover.face_chart(face)  # a set that is not a face raises here
+    if fn.dimension != cover.dimension:
+        raise ChartMismatchError("exponent vector has wrong length")
+    return _exp_entry(cover, face, face[0], fn)
 
 
 # -- convergence ---------------------------------------------------------
@@ -601,7 +644,10 @@ def verify_gerbe(fibration):
         g_mtd = gerbe[(mid, top, deep)]
         g_ltd = gerbe[(low, top, deep)]
         g_lmd = gerbe[(low, mid, deep)]
-        g_lmt = gerbe[(low, mid, top)].restrict(deep)
+        g_lmt = gerbe[(low, mid, top)]
+        g_lmt = g_lmt._restricted(
+            deep, _restriction_move(cover, top, g_lmt.basepoint, deep)
+        )
         product = g_mtd * g_ltd.inverse() * g_lmd * g_lmt.inverse()
         if product != AffinoidElement.one(cover, deep):
             failures.append((low, mid, top, deep))

@@ -235,6 +235,20 @@ def test_slope_forty_validates_within_a_second(catalog):
     assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
 
 
+@pytest.mark.parametrize("catalog", TORUS_TRIVIAL)
+def test_canonical_torus_module_validates_within_a_quarter_second(catalog):
+    # 540 chains and 414 pairs; the pass through the checked restriction
+    # and a residual per chain took 30-48 ms
+    budget = 0.25
+    module = canonical_twisted_module(load_catalog(catalog))
+    start = time.perf_counter()
+    report = validate_module(module, 10)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert (report.pairs_checked, report.triples_checked) == (414, 540)
+    assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
+
+
 @pytest.mark.parametrize("catalog", CIRCLES)
 @pytest.mark.parametrize("slope", [30, -30])
 def test_slope_thirty_sections_within_two_seconds(catalog, slope):

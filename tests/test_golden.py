@@ -8,6 +8,10 @@ fails here.  The ``faces-*.json`` files were written by the Fraction
 vertex search, before the integer-scaled one replaced it; they hold the
 repr of every inequality and vertex of every face of a cover read back
 from its manifest, so a change of value, type or order fails here.
+The ``validate-*.txt`` and ``validate-*.json`` files are the stdout
+of ``validate`` at the default precision, in text and in JSON, written
+before the cocycle pass read its own data trusted; they pin the counts,
+verdicts and layout of that report.
 Regenerate a file only for an intended change of report.
 """
 
@@ -63,3 +67,21 @@ def test_every_catalog_has_golden_faces():
 def test_face_polytopes_match_the_golden_faces(name):
     want = (GOLDEN / f"faces-{name}.json").read_bytes()
     assert faces_report(name).encode() == want
+
+
+def test_every_catalog_has_golden_validate_reports():
+    for suffix in ("txt", "json"):
+        names = sorted(p.name for p in GOLDEN.glob(f"validate-*.{suffix}"))
+        assert names == sorted(f"validate-{name}.{suffix}" for name in catalog_ids())
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("name", catalog_ids())
+def test_validate_matches_the_golden_report(name, output):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["validate", "--catalog", name, "--output", output])
+    assert code == 0
+    suffix = "txt" if output == "text" else "json"
+    want = (GOLDEN / f"validate-{name}.{suffix}").read_bytes()
+    assert out.getvalue().encode() == want

@@ -199,6 +199,55 @@ class TestValidation:
         assert all(norm is not None for norm in norms.values())
 
 
+    def test_a_cochain_of_another_cover_is_refused(self):
+        cochain = AffCochain(ELLIPTIC.cover, 1, {})
+        with pytest.raises(ChartMismatchError, match="another cover"):
+            rank_one_module_from_cochain(TORUS, cochain)
+
+    def test_stop_early_counts_the_chains_it_examined(self):
+        module = canonical_twisted_module(TORUS)
+        chains = TORUS.cover.nested_chains
+        t = mono(1, 1)
+        for k in (0, 1, 7):
+            low, mid, top = chains[k]
+            bad = module.with_entry(
+                low, top, 0, 0, module.restriction(low, top)[0][0] * t
+            )
+            # the first chain through the scaled pair is the first failure
+            first = next(
+                n
+                for n, (a, b, c) in enumerate(chains)
+                if (low, top) in ((a, b), (b, c), (a, c))
+            )
+            report = validate_module(bad, 3, stop_early=True)
+            assert [chain for chain, _ in report.cocycle_failures] == [chains[first]]
+            assert report.triples_checked == first + 1
+            assert report.pairs_checked == 0
+            full = validate_module(bad, 3)
+            assert (full.pairs_checked, full.triples_checked) == (414, 540)
+            assert full.cocycle_failures[0] == report.cocycle_failures[0]
+
+    def test_stop_early_counts_the_pairs_it_examined(self):
+        cover = TORUS.cover
+        zeros = {
+            (low, top): ((AffinoidElement.zero(cover, top),),)
+            for low, top in cover.nested_pairs
+        }
+        module = TwistedModule(TORUS, 1, zeros)
+        report = validate_module(module, 3, stop_early=True)
+        assert not report.ok and not report.cocycle_failures
+        assert report.determinant_failures == (cover.nested_pairs[0],)
+        assert (report.pairs_checked, report.triples_checked) == (1, 540)
+        full = validate_module(module, 3)
+        assert full.determinant_failures == cover.nested_pairs
+        assert (full.pairs_checked, full.triples_checked) == (414, 540)
+
+    def test_stop_early_on_an_accepted_module_counts_everything(self):
+        report = validate_module(canonical_twisted_module(TORUS), 3, stop_early=True)
+        assert report.ok
+        assert (report.pairs_checked, report.triples_checked) == (414, 540)
+
+
 class TestGlobalSections:
     def test_trivial_torus_module_has_constant_sections(self):
         module = canonical_twisted_module(TORUS)

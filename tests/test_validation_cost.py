@@ -12,6 +12,16 @@ coming back.  The cocycle pass takes a product with the exact unit,
 which every twist factor of a trivial torus is, as the other factor:
 a guard counts such products, and the reports must match the pass that
 forms them.
+
+The cocycle pass reads the module's own restriction matrices, carries
+entries along the cover's move table and forms a residual only where
+the two sides of the identity differ or carry a truncated coefficient.
+The pass it replaced, through ``module.restriction``, ``entry.restrict``
+and a residual for every chain, is kept below as a reference: reports,
+and every ``PrecisionExhaustedError``, must match it on canonical
+modules, seeded mutants, a rank-2 module and truncated data.  The exp
+entries of rank-one modules and twist factors are read off the same
+move table, never through ``compose_with_map`` and ``exp_aff``.
 """
 
 import random
@@ -19,18 +29,21 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorforge.affine import IntegralAffineMap, dot
+from mirrorforge.affine import AffineFunction, IntegralAffineMap, dot
 from mirrorforge.catalog import catalog_ids, load_catalog
 from mirrorforge.cover import Cover, coboundary_certificate
-from mirrorforge.errors import ChartMismatchError
+from mirrorforge.errors import ChartMismatchError, PrecisionExhaustedError
 from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.intlinalg import _diagonal_blocks, determinant, principal_minor_sums
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
-from mirrorforge.mirror_charts import AffinoidElement, exp_aff
+from mirrorforge.mirror_charts import AffinoidElement, exp_aff, verify_gerbe
 from mirrorforge.novikov import NovikovScalar
-from mirrorforge import twisted_sheaves
+from mirrorforge import cover as cover_module, mirror_charts, twisted_sheaves
 from mirrorforge.twisted_sheaves import (
+    TwistedModule,
+    ValidationReport,
     canonical_twisted_module,
+    element_is_unit_at,
     rank_one_module_from_cochain,
     validate_module,
 )
@@ -122,6 +135,55 @@ def reference_rank_one_module(fibration, cochain):
             entry = exp_aff(cover, top, moved)
         out[(low, top)] = entry
     return out
+
+
+def reference_validate(module, precision, stop_early=False):
+    """The cocycle pass through the public, checked paths: matrices read
+    by ``module.restriction``, carried by ``entry.restrict``, and a
+    residual formed and tested for every chain.  Chains and pairs are
+    counted as far as the scan went."""
+    precision = F(precision)
+    cover = module.cover
+    twists = module.fibration.twist_factors
+    cocycle_failures = []
+    chains = 0
+    for low, mid, top in cover.nested_chains:
+        chains += 1
+        left = twisted_sheaves._aff_matmul(
+            module.restriction(mid, top),
+            tuple(
+                tuple(entry.restrict(top) for entry in row)
+                for row in module.restriction(low, mid)
+            ),
+        )
+        right = twisted_sheaves._aff_scale(
+            module.restriction(low, top), twists[(low, mid, top)]
+        )
+        residual = twisted_sheaves._aff_matsub(left, right)
+        if not all(entry.is_zero_at(precision) for row in residual for entry in row):
+            norm = twisted_sheaves._residual_norm(residual)
+            cocycle_failures.append(((low, mid, top), norm))
+            if stop_early:
+                break
+    det_failures = []
+    pairs = 0
+    if not (stop_early and cocycle_failures):
+        for low, top in module.pairs:
+            pairs += 1
+            det = determinant(module.restriction(low, top))
+            if not element_is_unit_at(det, precision):
+                det_failures.append((low, top))
+                if stop_early:
+                    break
+    return ValidationReport(
+        ok=not det_failures and not cocycle_failures,
+        precision=precision,
+        rank=module.rank,
+        pairs_checked=pairs,
+        triples_checked=chains,
+        determinant_failures=tuple(det_failures),
+        cocycle_failures=tuple(cocycle_failures),
+    )
 
 
 # -- restriction moves --------------------------------------------------------
@@ -359,6 +421,44 @@ def test_rank_one_module_matches_one_entry_per_pair(name):
         assert (len(exp_entries), len(cover.nested_pairs)) == (135, 414)
 
 
+@pytest.mark.parametrize("name", CATALOGS)
+def test_exp_entries_match_the_composed_function_on_every_chart_of_a_face(name):
+    cover = load_catalog(name).cover
+    rng = random.Random(f"exp:{name}")
+    n = cover.dimension
+    for top in sorted(cover.faces):
+        for a in top:
+            fn = AffineFunction(
+                tuple(rng.choice((-3, -1, 1, 2)) for _ in range(n)),
+                F(rng.randint(-9, 9), rng.randint(1, 4)),
+            )
+            moved = fn.compose_with_map(cover.transition(top[0], a))
+            want = exp_aff(cover, top, moved)
+            got = mirror_charts._exp_entry(cover, top, a, fn)
+            assert element_data(got) == element_data(want)
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_rank_one_modules_of_seeded_cochains_match_one_entry_per_pair(name):
+    fibration = load_catalog(name)
+    cover = fibration.cover
+    rng = random.Random(f"cochains:{name}")
+    for _ in range(3):
+        values = {
+            edge: AffineFunction(
+                tuple(rng.randint(-3, 3) for _ in range(cover.dimension)),
+                F(rng.randint(-8, 8), rng.randint(1, 5)),
+            )
+            for edge in cover.faces_of_degree(1)
+        }
+        cochain = cover_module.AffCochain(cover, 1, values)
+        module = rank_one_module_from_cochain(fibration, cochain)
+        want = reference_rank_one_module(fibration, cochain)
+        for low, top in cover.nested_pairs:
+            ((entry,),) = module.restriction(low, top)
+            assert element_data(entry) == element_data(want[(low, top)])
+
+
 # -- count guards -------------------------------------------------------------------
 
 
@@ -453,3 +553,199 @@ def test_reports_match_the_pass_that_multiplies_by_the_unit(monkeypatch):
     ]
     assert got == expected
     assert any(not report.ok for report in got)
+
+
+# -- the trusted cocycle pass against the checked one -------------------------------
+
+
+def outcome(check, module, precision, stop_early):
+    """The report, with the type of every norm, or the message of the
+    PrecisionExhaustedError raised on the way."""
+    try:
+        report = check(module, precision, stop_early)
+    except PrecisionExhaustedError as exc:
+        return ("raised", str(exc))
+    norms = [typed(norm) for _, norm in report.cocycle_failures]
+    return ("report", report, norms)
+
+
+def assert_same_reports(cases):
+    """Both passes on every case, with stop_early both ways; returns
+    the full-scan outcomes, one per case."""
+    full = []
+    for module, precision in cases:
+        for stop_early in (False, True):
+            got = outcome(validate_module, module, precision, stop_early)
+            want = outcome(reference_validate, module, precision, stop_early)
+            assert got == want, (precision, stop_early)
+            if not stop_early:
+                full.append(got)
+    return full
+
+
+def verdicts(outcomes):
+    return [got[1].ok if got[0] == "report" else "raised" for got in outcomes]
+
+
+def canonical(name):
+    return canonical_twisted_module(load_catalog(name))
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_canonical_reports_match_the_checked_pass(name):
+    module = canonical(name)
+    cases = [(module, precision) for precision in (F(1, 2), 3, 10)]
+    assert verdicts(assert_same_reports(cases)) == [True] * 3
+
+
+@pytest.mark.parametrize("name", TORUS_TRIVIAL)
+def test_seeded_mutant_reports_match_the_checked_pass(name):
+    module = canonical(name)
+    rng = random.Random(f"mutants:{name}")
+    t = S.monomial(1, 1)
+    cases = []
+    for low, top in rng.sample(module.pairs, 12):
+        entry = module.restriction(low, top)[0][0]
+        perturbed = S(
+            [(F(0), F(1)), (F(rng.randint(1, 16), 2), F(rng.choice((-3, -1, 2, 5))))]
+        )
+        cases.append((module.with_entry(low, top, 0, 0, entry * t), 3))
+        for precision in (3, 10):
+            cases.append((module.with_entry(low, top, 0, 0, entry * perturbed), precision))
+    assert set(verdicts(assert_same_reports(cases))) == {False, True}
+
+
+def rank_two(module):
+    """The direct sum of a rank-one module with itself."""
+    cover = module.cover
+    restrictions = {}
+    for low, top in module.pairs:
+        ((entry,),) = module.restriction(low, top)
+        zero = AffinoidElement.zero(cover, top)
+        restrictions[(low, top)] = ((entry, zero), (zero, entry))
+    return TwistedModule(module.fibration, 2, restrictions)
+
+
+def test_rank_two_module_with_an_off_diagonal_entry_matches_the_checked_pass():
+    module = rank_two(canonical("thurston-f2"))
+    cases = [(module, 3), (module, 10)]
+    rng = random.Random("rank-two")
+    for n, (low, top) in enumerate(rng.sample(module.pairs, 4)):
+        entry = module.restriction(low, top)[0][0]
+        row, col = (0, 1) if n % 2 else (1, 0)
+        off = entry * S.monomial(rng.choice((1, -2)), F(rng.randint(0, 8), 2))
+        cases.append((module.with_entry(low, top, row, col, off), 3))
+    got = verdicts(assert_same_reports(cases))
+    assert got[:2] == [True, True]
+    assert set(got[2:]) == {False, True}
+
+
+def truncated(module, cut, pairs=None):
+    """The module with the entries of some pairs, or of all, truncated
+    at t-adic size cut."""
+    restrictions = {}
+    for pair in module.pairs:
+        ((entry,),) = module.restriction(*pair)
+        if pairs is None or pair in pairs:
+            entry = entry.truncate(cut)
+        restrictions[pair] = ((entry,),)
+    return TwistedModule(module.fibration, 1, restrictions)
+
+
+@pytest.mark.parametrize("name", TORUS_TRIVIAL)
+def test_truncated_modules_raise_where_the_checked_pass_raises(name):
+    module = canonical(name)
+    rng = random.Random(f"truncated:{name}")
+    cases = []
+    for cut in (2, F(11, 2), 40):
+        for precision in (3, 10):
+            cases.append((truncated(module, cut), precision))
+    for cut in (1, 4, 12):
+        pairs = set(rng.sample(module.pairs, 3))
+        cases.append((truncated(module, cut, pairs), 3))
+    t = S.monomial(1, 1)
+    for cut in (4, 40):
+        cut_module = truncated(module, cut)
+        low, top = rng.choice(module.pairs)
+        scaled = cut_module.restriction(low, top)[0][0] * t
+        cases.append((cut_module.with_entry(low, top, 0, 0, scaled), 3))
+    assert set(verdicts(assert_same_reports(cases))) == {True, False, "raised"}
+
+
+def test_an_accepted_torus_module_forms_no_residual_and_no_checked_restriction(
+    monkeypatch,
+):
+    calls = []
+    restrict, matsub = AffinoidElement.restrict, twisted_sheaves._aff_matsub
+
+    def counting_restrict(self, to_face):
+        calls.append("restrict")
+        return restrict(self, to_face)
+
+    def counting_matsub(a, b):
+        calls.append("matsub")
+        return matsub(a, b)
+
+    monkeypatch.setattr(AffinoidElement, "restrict", counting_restrict)
+    monkeypatch.setattr(twisted_sheaves, "_aff_matsub", counting_matsub)
+    for name in TORUS_TRIVIAL:
+        module = canonical(name)
+        assert validate_module(module, 10).ok
+        assert calls == []
+        low, top = module.pairs[0]
+        scaled = module.restriction(low, top)[0][0] * S.monomial(1, 1)
+        assert not validate_module(module.with_entry(low, top, 0, 0, scaled), 3).ok
+        assert "matsub" in calls and "restrict" not in calls
+        calls.clear()
+
+
+def test_exp_entries_compose_no_function_and_call_no_exp_aff(monkeypatch):
+    certificates = {}
+    fibrations = {name: fresh(name) for name in CATALOGS}
+    for name in TRIVIAL:
+        alpha = fibrations[name].obstruction_cocycle()
+        certificates[name] = coboundary_certificate(alpha)
+    calls = []
+
+    def counting(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        AffineFunction,
+        "compose_with_map",
+        counting("compose", AffineFunction.compose_with_map),
+    )
+    for module in (mirror_charts, twisted_sheaves, cover_module):
+        monkeypatch.setattr(
+            module, "exp_aff", counting("exp_aff", exp_aff), raising=False
+        )
+    for name, fibration in fibrations.items():
+        assert len(fibration.twist_factors) == len(fibration.cover.nested_chains)
+        if name in certificates:
+            module = rank_one_module_from_cochain(fibration, certificates[name])
+            assert validate_module(module, 10).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", TORUS_TRIVIAL)
+def test_the_move_table_is_built_once_per_cover(name, monkeypatch):
+    built = []
+    build = Cover.restriction_moves.func
+
+    def counting_build(cover):
+        built.append(cover)
+        return build(cover)
+
+    monkeypatch.setattr(Cover.restriction_moves, "func", counting_build)
+    fibration = fresh(name)
+    module = canonical_twisted_module(fibration)
+    assert verify_gerbe(fibration).holds
+    for precision in (3, 10):
+        assert validate_module(module, precision).ok
+    element = module.restriction(*module.pairs[0])[0][0]
+    element.with_basepoint(off_basepoint(fibration.cover, element.face))
+    assert built == [fibration.cover]

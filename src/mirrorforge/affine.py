@@ -21,7 +21,12 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import InvalidPolytopeError
-from .intlinalg import determinant, mat_mul, principal_minor_sums, rational_rref
+from .intlinalg import (
+    PresolvedIntegerSystem,
+    determinant,
+    mat_mul,
+    principal_minor_sums,
+)
 from .novikov import _frac
 
 
@@ -136,9 +141,9 @@ class IntegralAffinePolytope:
                     f"inequality {normal}*x <= {bound} is tight at no vertex"
                 )
         for v, p in zip(self._vertices, points):
+            # extreme exactly when the tight normals leave no kernel
             tight = [n for n, _, c in scaled if dot(n, p) == c]
-            _, pivots = rational_rref(tight) if tight else ([], [])
-            if len(pivots) < self._dimension:
+            if PresolvedIntegerSystem(tight, self._dimension).kernel_basis():
                 raise InvalidPolytopeError(
                     f"declared vertex {v} is not an extreme point"
                 )

@@ -59,6 +59,7 @@ from .twisted_sheaves import (
     fiber_cohomology,
     global_sections,
     loop_monodromy,
+    rank_one_module_from_cochain,
     validate_module,
 )
 
@@ -618,8 +619,10 @@ def _text_demo(report):
 def _module_check(fibration, precision):
     """Canonical rank-1 module audit, or refusal audit when the class
     forbids one."""
-    if analyze_obstruction(fibration).is_trivial:
-        validation = validate_module(canonical_twisted_module(fibration), precision)
+    certificate = analyze_obstruction(fibration).certificate
+    if certificate is not None:
+        module = rank_one_module_from_cochain(fibration, certificate)
+        validation = validate_module(module, precision)
         return {
             "name": "canonical twisted module",
             "ok": validation.ok,

@@ -77,7 +77,6 @@ class Cover:
         self._chart_ids = tuple(str(c) for c in chart_ids)
         if len(set(self._chart_ids)) != len(self._chart_ids):
             raise InvalidCoverError("duplicate chart ids")
-        self._index = {c: i for i, c in enumerate(self._chart_ids)}
         normalized = set()
         for face in faces:
             face = tuple(sorted(set(int(i) for i in face)))
@@ -189,12 +188,6 @@ class Cover:
     @property
     def faces(self):
         return self._faces
-
-    def chart_index(self, chart_id):
-        try:
-            return self._index[chart_id]
-        except KeyError:
-            raise ChartMismatchError(f"unknown chart id {chart_id!r}") from None
 
     def faces_of_degree(self, m):
         return self._by_degree.get(m, ())

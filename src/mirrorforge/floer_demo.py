@@ -44,12 +44,21 @@ class LinearLagrangian:
         object.__setattr__(self, "offset", _frac(self.offset))
 
 
-def _sheet_primitive(sigma, gamma, q):
-    # normalised so the primitive vanishes at the basepoint
-    constant = -(Fraction(sigma, 2) * q * q + gamma * q)
-    return PolyFunction(
-        1, {(2,): Fraction(sigma, 2), (1,): gamma, (0,): constant}
-    )
+def _sheet_primitives(lagrangian, q, shift=0):
+    # the |k| sheet primitives, each normalised to vanish at the basepoint
+    # q, with every gamma moved by sigma times shift
+    k = lagrangian.slope
+    if k == 0:
+        raise ValueError("a slope-zero line is not transverse to the fibres")
+    sigma = 1 if k > 0 else -1
+    count = abs(k)
+    half = Fraction(sigma, 2)
+    primitives = []
+    for j in range(count):
+        gamma = (lagrangian.offset + j) / count + sigma * shift
+        constant = -(half * q * q + gamma * q)
+        primitives.append(PolyFunction(1, {(2,): half, (1,): gamma, (0,): constant}))
+    return tuple(primitives)
 
 
 def intersections(lagrangian, basepoint):
@@ -60,16 +69,7 @@ def intersections(lagrangian, basepoint):
     fibre circle; each primitive is normalised to vanish at the given
     basepoint.
     """
-    k = lagrangian.slope
-    if k == 0:
-        raise ValueError("a slope-zero line is not transverse to the fibres")
-    sigma = 1 if k > 0 else -1
-    count = abs(k)
-    q = _frac(basepoint)
-    return tuple(
-        _sheet_primitive(sigma, (lagrangian.offset + j) / count, q)
-        for j in range(count)
-    )
+    return _sheet_primitives(lagrangian, _frac(basepoint))
 
 
 def sheet_coordinate(primitive, s):
@@ -182,21 +182,9 @@ def local_floer_data(lagrangian, cover, chart, tag=None):
 
 def _sheet_data(lagrangian, cover, offsets, chart, tag=None):
     # local_floer_data with the cover's chart offsets given
-    k = lagrangian.slope
-    if k == 0:
-        raise ValueError("a slope-zero line is not transverse to the fibres")
-    sigma = 1 if k > 0 else -1
-    count = abs(k)
     face = (chart,)
     q = cover.face_chart(face).basepoint[0]
-    primitives = tuple(
-        _sheet_primitive(
-            sigma,
-            (lagrangian.offset + j) / count + sigma * offsets[chart],
-            q,
-        )
-        for j in range(count)
-    )
+    primitives = _sheet_primitives(lagrangian, q, offsets[chart])
     label = cover.chart_ids[chart] if tag is None else tag
     return LocalFloerData(face, q, primitives, label)
 
@@ -318,7 +306,7 @@ def patch_global(lagrangian, fibration, cutoff=None):
             )
             matrix.append(tuple(row))
         restrictions[(low, top)] = tuple(matrix)
-    return TwistedModule(fibration, count, restrictions, _trusted=True)
+    return TwistedModule._trusted(fibration, count, restrictions)
 
 
 def section_window(lagrangian, precision):

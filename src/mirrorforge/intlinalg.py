@@ -128,24 +128,6 @@ def smith_normal_form(mat):
     return u, s, v
 
 
-def rational_rref(mat):
-    """Reduced row echelon form over Fraction.  Returns (rows, pivot_cols)."""
-    n = len(mat[0]) if mat else 0
-    pivots = {}
-    for raw in mat:
-        row = {j: x for j, x in enumerate(raw) if x}
-        lead = _reduce(row, pivots)
-        if lead is not None:
-            _store_pivot(pivots, row, lead)
-    reduced = _back_substitute(pivots)
-    leads = sorted(reduced)
-    rows = [[Fraction(reduced[lead].get(j, 0)) for j in range(n)] for lead in leads]
-    for lead, row in zip(leads, rows):
-        row[lead] = _ONE
-    rows += ([Fraction(0)] * n for _ in range(len(mat) - len(leads)))
-    return rows, leads
-
-
 class PresolvedIntegerSystem:
     """mat*x = rhs over Z, factored once and solved for many rhs."""
 

@@ -42,6 +42,21 @@ def _frac(x):
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+_NUMBER = r"\d+(?:/\d+)?"
+_SIGNED = rf"\(\s*(-?)\s*({_NUMBER})\s*\)"
+# the text form: signed terms c, c*t^e or t^e, where ^e is ^n, ^(r) or
+# left out for t^1, then an optional (mod t^(E))
+_TERM_RE = re.compile(
+    rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?)\s*)?"
+    rf"(?:(t)(?:\s*\^\s*(?:({_NUMBER})|{_SIGNED}))?)?"
+)
+_TAIL_RE = re.compile(rf"\s*(?:\(\s*mod\b\s*t\s*\^\s*{_SIGNED}\s*\))?\s*\Z")
+
+
+def _signed(sign, number):
+    return -Fraction(number) if sign == "-" else Fraction(number)
+
+
 def _cutoff_min(a, b):
     # None plays the role of +infinity.
     if a is None:
@@ -59,16 +74,8 @@ class NovikovScalar:
     def __init__(self, terms=(), cutoff=None):
         if cutoff is not None:
             cutoff = _frac(cutoff)
-        merged = {}
-        for exp, coeff in terms:
-            exp = _frac(exp)
-            coeff = _frac(coeff)
-            if cutoff is not None and exp >= cutoff:
-                continue
-            merged[exp] = merged.get(exp, Fraction(0)) + coeff
-        self._terms = tuple(
-            (e, c) for e, c in sorted(merged.items()) if c != 0
-        )
+        pairs = [(_frac(exp), _frac(coeff)) for exp, coeff in terms]
+        self._terms = self._collect(pairs, cutoff)._terms
         self._cutoff = cutoff
 
     @classmethod
@@ -389,117 +396,29 @@ class NovikovScalar:
     def parse(cls, text):
         """Parse the textual form back into a scalar.
 
-        Accepts exactly the grammar produced by ``str``: signed terms
-        ``c*t^(e)`` with the usual elisions, an optional trailing
-        ``(mod t^(E))``, and ``0`` for zero.  Round-trips bit-exactly.
+        Accepts the grammar produced by ``str``, with any spacing:
+        signed terms ``c*t^(e)`` with the usual elisions, an optional
+        trailing ``(mod t^(E))``, and ``0`` for zero.  A ``*`` must be
+        followed by a power of t.  Round-trips bit-exactly.
         """
-        return _parse_scalar(cls, text)
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<sym>[t^()*+-])|(?P<mod>mod\b))"
-)
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad scalar syntax at {text[pos:]!r}")
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        elif m.lastgroup == "mod":
-            tokens.append(("mod", "mod"))
-        else:
-            tokens.append((m.group("sym"), m.group("sym")))
-        pos = m.end()
-    return tokens
-
-
-def _parse_scalar(cls, text):
-    tokens = _tokenize(text)
-    idx = 0
-
-    def peek(k=0):
-        return tokens[idx + k][0] if idx + k < len(tokens) else None
-
-    def take(kind):
-        nonlocal idx
-        if peek() != kind:
-            raise ValueError(f"expected {kind!r} in {text!r}")
-        tok = tokens[idx]
-        idx += 1
-        return tok[1]
-
-    def parse_rational(signed=True):
-        nonlocal idx
-        sign = 1
-        if signed and peek() == "-":
-            take("-")
-            sign = -1
-        return sign * Fraction(take("num"))
-
-    def parse_exponent():
-        if peek() == "(":
-            take("(")
-            value = parse_rational()
-            take(")")
-            return value
-        return parse_rational(signed=False)
-
-    def parse_term():
-        # A term is coeff, coeff*tpart, or a bare tpart.
-        nonlocal idx
-        coeff = Fraction(1)
-        have_coeff = False
-        if peek() == "num":
-            coeff = parse_rational(signed=False)
-            have_coeff = True
-            if peek() == "*":
-                take("*")
-        if peek() == "t":
-            take("t")
-            if peek() == "^":
-                take("^")
-                exp = parse_exponent()
-            else:
-                exp = Fraction(1)
-            return exp, coeff
-        if not have_coeff:
-            raise ValueError(f"expected a term in {text!r}")
-        return Fraction(0), coeff
-
-    terms = []
-    negate = False
-    if peek() == "-":
-        take("-")
-        negate = True
-    exp, coeff = parse_term()
-    terms.append((exp, -coeff if negate else coeff))
-    while peek() in ("+", "-"):
-        op = take(peek())
-        exp, coeff = parse_term()
-        terms.append((exp, -coeff if op == "-" else coeff))
-
-    cutoff = None
-    if peek() == "(" and peek(1) == "mod":
-        take("(")
-        take("mod")
-        take("t")
-        take("^")
-        take("(")
-        cutoff = parse_rational()
-        take(")")
-        take(")")
-    if idx != len(tokens):
-        raise ValueError(f"trailing junk in scalar text {text!r}")
-    if len(terms) == 1 and terms[0] == (Fraction(0), Fraction(0)):
+        # terms until the tail: the first may not take a "+", the others
+        # need a sign
         terms = []
-    return cls(terms, cutoff)
+        pos = 0
+        while not terms or not (tail := _TAIL_RE.match(text, pos)):
+            m = _TERM_RE.match(text, pos)
+            sign, coeff, star, t, power, neg, exp = m.groups()
+            if not (coeff or t) or (star and not t) or sign == ("" if terms else "+"):
+                raise ValueError(f"bad scalar syntax at {text[pos:]!r}")
+            if exp is not None:
+                exp = _signed(neg, exp)
+            elif t:
+                exp = Fraction(power or 1)
+            else:
+                exp = Fraction(0)
+            terms.append((exp, _signed(sign, coeff or 1)))
+            pos = m.end()
+        return cls(terms, None if tail[2] is None else _signed(*tail.groups()))
 
 
 def _valuation_below(x, precision):

@@ -114,19 +114,27 @@ def element_is_unit_at(element, precision):
     return False
 
 
+def _check_entry(cover, top, entry, what):
+    # a restriction entry must be an affinoid element on the top face,
+    # written at that face's canonical basepoint
+    if not isinstance(entry, AffinoidElement):
+        raise TypeError("restriction entries must be affinoid elements")
+    if entry.face != top:
+        raise ChartMismatchError(f"{what} lives on face {entry.face}, expected {top}")
+    if entry.basepoint != cover.face_chart(top).basepoint:
+        raise ChartMismatchError(
+            "restriction entries must use the canonical basepoint of their face"
+        )
+
+
 class TwistedModule:
     """Free module data on every face with restriction matrices for
     every proper nested pair."""
 
-    def __init__(self, fibration, rank, restrictions, _trusted=False):
-        self._fibration = fibration
+    def __init__(self, fibration, rank, restrictions):
         cover = fibration.cover
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise ValueError("module rank must be a positive integer")
-        self._rank = rank
-        if _trusted:
-            self._restrictions = dict(restrictions)
-            return
         required = cover.nested_pairs
         data = {}
         for key, mat in restrictions.items():
@@ -150,21 +158,27 @@ class TwistedModule:
                 )
             for row in mat:
                 for entry in row:
-                    if not isinstance(entry, AffinoidElement):
-                        raise TypeError(
-                            "restriction entries must be affinoid elements"
-                        )
-                    if entry.face != top:
-                        raise ChartMismatchError(
-                            f"entry for {(low, top)} lives on face "
-                            f"{entry.face}, expected {top}"
-                        )
-                    if entry.basepoint != cover.face_chart(top).basepoint:
-                        raise ChartMismatchError(
-                            "restriction entries must use the canonical "
-                            "basepoint of their face"
-                        )
+                    _check_entry(cover, top, entry, f"entry for {(low, top)}")
+        self._fibration = fibration
+        self._rank = rank
         self._restrictions = data
+
+    @classmethod
+    def _trusted(cls, fibration, rank, restrictions):
+        """Build a module from parts that are already valid.
+
+        Nothing is checked.  The caller guarantees that rank is a
+        positive int and that restrictions maps every nested pair of
+        the cover, and nothing else, to a rank x rank tuple of tuples of
+        affinoid elements on the pair's top face at its canonical
+        basepoint.  Modules built by the library come through here;
+        data from outside goes through ``__init__``.
+        """
+        self = object.__new__(cls)
+        self._fibration = fibration
+        self._rank = rank
+        self._restrictions = dict(restrictions)
+        return self
 
     @property
     def fibration(self):
@@ -194,24 +208,26 @@ class TwistedModule:
             ) from None
 
     def with_entry(self, low, top, row, col, element):
-        """A copy with one restriction entry replaced."""
+        """A copy with one restriction entry replaced.
+
+        The pair must be nested, and row and col must lie in
+        0..rank-1; the entry is checked as the constructor checks it.
+        """
         low, top = tuple(sorted(low)), tuple(sorted(top))
-        if not isinstance(element, AffinoidElement):
-            raise TypeError("restriction entries must be affinoid elements")
-        if element.face != top:
-            raise ChartMismatchError(
-                f"replacement entry lives on face {element.face}, expected {top}"
-            )
-        if element.basepoint != self.cover.face_chart(top).basepoint:
-            raise ChartMismatchError(
-                "restriction entries must use the canonical basepoint "
-                "of their face"
-            )
-        updated = dict(self._restrictions)
-        mat = [list(r) for r in updated[(low, top)]]
+        mat = self._restrictions.get((low, top))
+        if mat is None:
+            raise ChartMismatchError(f"{(low, top)} is not a nested pair of faces")
+        mat = [list(r) for r in mat]
+        for name, index in (("row", row), ("column", col)):
+            if not isinstance(index, int) or not 0 <= index < self._rank:
+                raise IndexError(
+                    f"{name} {index!r} is outside 0..{self._rank - 1}"
+                )
+        _check_entry(self.cover, top, element, "replacement entry")
         mat[row][col] = element
+        updated = dict(self._restrictions)
         updated[(low, top)] = tuple(tuple(r) for r in mat)
-        return TwistedModule(self._fibration, self._rank, updated, _trusted=True)
+        return TwistedModule._trusted(self._fibration, self._rank, updated)
 
 
 def rank_one_module_from_cochain(fibration, cochain):
@@ -239,7 +255,7 @@ def rank_one_module_from_cochain(fibration, cochain):
                 entry = _exp_entry(cover, top, a, cochain.value((a, b)))
             entries[(a, top)] = entry
         restrictions[(low, top)] = ((entry,),)
-    return TwistedModule(fibration, 1, restrictions, _trusted=True)
+    return TwistedModule._trusted(fibration, 1, restrictions)
 
 
 def canonical_twisted_module(fibration):
@@ -453,28 +469,23 @@ def _hop_table(module, radius):
     (every patch_global entry has coefficient 1), so the section system
     eliminates on ints.
 
-    Restriction sends z^a to t^<offset, a> z^(M a), linear in a, so only
-    the unit exponents are restricted, once per (chart, edge) side, and
-    every window exponent is moved by the same linear combination.  The
-    anchor valuations of the units and the valuations of the entries
-    are scaled by their common denominator before the exponent loop,
-    which then adds ints, and only the terms of entries that are not
-    exact zeros are visited.
+    Restriction sends z^a to t^<offset, a> z^(M a), linear in a, so the
+    images of the unit exponents are read off the restriction move, once
+    per (chart, edge) side, and every window exponent is moved by the
+    same linear combination.  The anchor valuations of the units and the
+    valuations of the entries are scaled by their common denominator
+    before the exponent loop, which then adds ints, and only the terms
+    of entries that are not exact zeros are visited.
     """
     cover = module.cover
     n = cover.dimension
-    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
     sides = []
     for edge in cover.faces_of_degree(1):
         for sign, i in ((1, edge[0]), (-1, edge[1])):
-            images = []
-            for unit in units:
-                restricted = AffinoidElement.monomial(cover, (i,), 1, unit).restrict(
-                    edge
-                )
-                ((moved, anchor),) = restricted.terms.items()
-                ((base, _),) = anchor.terms
-                images.append((moved, base))
+            # z^e_k goes to t^offset[k] z^(column k of mt)
+            basepoint = cover.face_chart((i,)).basepoint
+            mt, offset, _ = _restriction_move(cover, (i,), basepoint, edge)
+            images = [(tuple(row[k] for row in mt), offset[k]) for k in range(n)]
             hops = [
                 (r, col, b, texp, sign * (int(c) if c.denominator == 1 else c))
                 for r, row in enumerate(module.restriction((i,), edge))

@@ -9,6 +9,7 @@ import pytest
 import mirrorforge
 from mirrorforge.catalog import catalog_ids, load_catalog
 from mirrorforge.cli import main
+from mirrorforge.cover import _CertificateSystem
 from mirrorforge.manifest import fibration_to_manifest
 
 
@@ -213,6 +214,26 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--catalog", name)
         assert code == 0
         assert "result: OK" in out
+
+    @pytest.mark.parametrize(
+        "name", [name for name in catalog_ids() if name != "thurston-f1"]
+    )
+    def test_a_trivial_class_solves_its_certificate_once(
+        self, capsys, monkeypatch, name
+    ):
+        solves = []
+        solve = _CertificateSystem._solve
+
+        def counting_solve(self, alpha):
+            solves.append(alpha)
+            return solve(self, alpha)
+
+        monkeypatch.setattr(_CertificateSystem, "_solve", counting_solve)
+        code, out, _ = run(capsys, "validate", "--catalog", name)
+        assert code == 0
+        assert len(solves) == 1
+        golden = Path(__file__).resolve().parent / "golden" / f"validate-{name}.txt"
+        assert out.encode() == golden.read_bytes()
 
     def test_broken_cover_is_a_validation_failure(self, capsys, tmp_path):
         data = json.loads(fibration_to_manifest(load_catalog("split-torus-2")))

@@ -4,7 +4,8 @@ The vertex search of ``IntegralAffinePolytope.from_inequalities``, the
 moved bounds of ``image_inequalities``, the checked constructor's
 feasibility and tightness loops and the containment loop of
 ``Cover._validate`` compare on ints, after one scaling over a common
-denominator; the manifest path hands the face searches their halfspaces
+denominator, and the extreme-point test reads the Smith form of the
+tight normals; the manifest path hands the face searches their halfspaces
 on ints, and ``IntegralAffineMap.inverse`` and
 ``compose`` work on ints and build their results unchecked.  The
 Fraction versions live on here as references: every result must agree
@@ -31,7 +32,12 @@ from mirrorforge.affine import (
 from mirrorforge.catalog import catalog_ids, load_catalog
 from mirrorforge.cover import Cover, analyze_obstruction
 from mirrorforge.errors import InvalidCoverError, InvalidPolytopeError
-from mirrorforge.intlinalg import SparseRationalSystem, rational_rref
+from mirrorforge.intlinalg import (
+    SparseRationalSystem,
+    _back_substitute,
+    _reduce,
+    _store_pivot,
+)
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 from mirrorforge.mirror_charts import verify_gerbe
 from mirrorforge.novikov import _frac
@@ -93,6 +99,26 @@ def reference_from_inequalities(dimension, inequalities):
     if not recession_cone_is_trivial([n for n, _ in kept], 2):
         raise InvalidPolytopeError("inequalities cut out an unbounded set")
     return tuple(kept), tuple(vertices)
+
+
+def rational_rref(mat):
+    """Reduced row echelon form over Fraction, as (rows, pivot_cols): the
+    removed ``intlinalg.rational_rref``, which decided extreme points
+    before the Smith form did."""
+    n = len(mat[0]) if mat else 0
+    pivots = {}
+    for raw in mat:
+        row = {j: x for j, x in enumerate(raw) if x}
+        lead = _reduce(row, pivots)
+        if lead is not None:
+            _store_pivot(pivots, row, lead)
+    reduced = _back_substitute(pivots)
+    leads = sorted(reduced)
+    rows = [[Fraction(reduced[lead].get(j, 0)) for j in range(n)] for lead in leads]
+    for lead, row in zip(leads, rows):
+        row[lead] = Fraction(1)
+    rows += ([Fraction(0)] * n for _ in range(len(mat) - len(leads)))
+    return rows, leads
 
 
 def reference_validate(dimension, inequalities, vertices):

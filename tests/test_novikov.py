@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,130 @@ class TestFieldAxioms:
             assert (a * (b + c)).agrees_with(a * b + a * c)
 
 
+# -- the recursive-descent parser the two regexes replaced, as reference ----
+
+REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<sym>[t^()*+-])|(?P<mod>mod\b))"
+)
+
+
+def reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"bad scalar syntax at {text[pos:]!r}")
+        if m.lastgroup == "num":
+            tokens.append(("num", m.group("num")))
+        elif m.lastgroup == "mod":
+            tokens.append(("mod", "mod"))
+        else:
+            tokens.append((m.group("sym"), m.group("sym")))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse(text):
+    tokens = reference_tokenize(text)
+    idx = 0
+
+    def peek(k=0):
+        return tokens[idx + k][0] if idx + k < len(tokens) else None
+
+    def take(kind):
+        nonlocal idx
+        if peek() != kind:
+            raise ValueError(f"expected {kind!r} in {text!r}")
+        tok = tokens[idx]
+        idx += 1
+        return tok[1]
+
+    def parse_rational(signed=True):
+        sign = 1
+        if signed and peek() == "-":
+            take("-")
+            sign = -1
+        return sign * Fraction(take("num"))
+
+    def parse_exponent():
+        if peek() == "(":
+            take("(")
+            value = parse_rational()
+            take(")")
+            return value
+        return parse_rational(signed=False)
+
+    def parse_term():
+        # A term is coeff, coeff*tpart, or a bare tpart.
+        coeff = Fraction(1)
+        have_coeff = False
+        if peek() == "num":
+            coeff = parse_rational(signed=False)
+            have_coeff = True
+            if peek() == "*":
+                take("*")
+        if peek() == "t":
+            take("t")
+            if peek() == "^":
+                take("^")
+                exp = parse_exponent()
+            else:
+                exp = Fraction(1)
+            return exp, coeff
+        if not have_coeff:
+            raise ValueError(f"expected a term in {text!r}")
+        return Fraction(0), coeff
+
+    terms = []
+    negate = False
+    if peek() == "-":
+        take("-")
+        negate = True
+    exp, coeff = parse_term()
+    terms.append((exp, -coeff if negate else coeff))
+    while peek() in ("+", "-"):
+        op = take(peek())
+        exp, coeff = parse_term()
+        terms.append((exp, -coeff if op == "-" else coeff))
+
+    cutoff = None
+    if peek() == "(" and peek(1) == "mod":
+        take("(")
+        take("mod")
+        take("t")
+        take("^")
+        take("(")
+        cutoff = parse_rational()
+        take(")")
+        take(")")
+    if idx != len(tokens):
+        raise ValueError(f"trailing junk in scalar text {text!r}")
+    if len(terms) == 1 and terms[0] == (Fraction(0), Fraction(0)):
+        terms = []
+    return S(terms, cutoff)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def whitespace_variants(text):
+    """Copies of a text form with its spacing changed: doubled, removed,
+    added around every symbol, and padded with tabs and newlines."""
+    return (
+        text.replace(" ", "  "),
+        text.replace(" ", "").replace("mod", "mod "),
+        re.sub(r"([*^()+-])", r" \1 ", text),
+        f"\t{text} \n",
+    )
+
+
 class TestTextForm:
     def test_spec_shape(self):
         x = scalar((F(1, 2), 3), (2, 1), cutoff=10)
@@ -184,6 +309,31 @@ class TestTextForm:
         for bad in ["", "t +", "q^2", "1 2", "t^^2", "t (mod t^2)"]:
             with pytest.raises(ValueError):
                 S.parse(bad)
+
+    def test_parse_matches_the_reference_parser(self):
+        rng = random.Random(1511)
+        texts = [str(random_scalar(rng)) for _ in range(300)]
+        texts += [str(x) for x in (S.zero(), S.zero(cutoff=F(-3, 2)), scalar((0, 1)))]
+        for text in texts:
+            for variant in (text, *whitespace_variants(text)):
+                want = reference_parse(variant)
+                assert S.parse(variant) == want, variant
+                assert str(S.parse(variant)) == str(want)
+
+    def test_parse_refuses_what_the_reference_refuses(self):
+        bad = ["", "t +", "q^2", "1 2", "t^^2", "t (mod t^2)", "t^2 t", "+t", "+ 3",
+               "t - -3", "t^-3", "(mod t^(5))", "t (modt^(5))", "--t"]
+        for text in bad:
+            assert parse_outcome(reference_parse, text) is ValueError, text
+            assert parse_outcome(S.parse, text) is ValueError, text
+
+    def test_a_star_without_a_power_of_t_is_refused(self):
+        # the reference read "3* + t" as 3 + t and "3*" as 3
+        for text, read in (("3* + t", scalar((0, 3), (1, 1))), ("3*", scalar((0, 3)))):
+            assert reference_parse(text) == read
+            with pytest.raises(ValueError):
+                S.parse(text)
+        assert S.parse("3 * t") == S.parse("3 t") == scalar((1, 3))
 
     def test_round_trip_random(self):
         rng = random.Random(23)

@@ -400,23 +400,30 @@ def test_sections_are_assembled_from_linearly_many_elements(monkeypatch):
     assert filled == SLOPE * charts, filled
 
 
-def test_hop_table_restricts_each_unit_once_per_side(monkeypatch):
-    restricted = []
-    restrict = AffinoidElement.restrict
-
-    def counting_restrict(self, face):
-        restricted.append(face)
-        return restrict(self, face)
-
-    monkeypatch.setattr(AffinoidElement, "restrict", counting_restrict)
-    for name, module in (
+def test_hop_table_builds_and_restricts_no_element(monkeypatch):
+    # the unit images come straight off the cover's restriction moves
+    modules = (
         ("elliptic-demo", patch_global(LinearLagrangian(SLOPE), load_catalog("elliptic-demo"))),
         ("split-torus-4", canonical_twisted_module(load_catalog("split-torus-4"))),
-    ):
-        cover = module.cover
+    )
+    calls = []
+    init, restrict = AffinoidElement.__init__, AffinoidElement.restrict
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counting_restrict(self, face):
+        calls.append("restrict")
+        return restrict(self, face)
+
+    monkeypatch.setattr(AffinoidElement, "__init__", counting_init)
+    monkeypatch.setattr(AffinoidElement, "restrict", counting_restrict)
+    for name, module in modules:
         for radius in (1, 3):
-            restricted.clear()
-            twisted_sheaves._hop_table(module, radius)
-            assert len(restricted) == cover.dimension * 2 * len(
-                cover.faces_of_degree(1)
-            ), name
+            moves, _, _ = twisted_sheaves._hop_table(module, radius)
+            assert moves, name
+            assert calls == [], name
+    # the guard sees a call of either
+    AffinoidElement.one(modules[0][1].cover, (0,)).restrict((0, 1))
+    assert calls == ["__init__", "restrict"]

@@ -6,6 +6,7 @@ import pytest
 from mirrorforge.catalog import load_catalog
 from mirrorforge.cover import AffCochain
 from mirrorforge.errors import ChartMismatchError, InvalidFibrationError
+from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.mirror_charts import AffinoidElement, MirrorPoint
 from mirrorforge.novikov import NovikovScalar
 from mirrorforge.twisted_sheaves import (
@@ -306,3 +307,34 @@ class TestComplexes:
         one = AffinoidElement.one(cover, (0,))
         with pytest.raises(ValueError):
             ModuleComplex(cover, (0,), {0: 2, 1: 1}, {0: ((one,),)})
+
+
+class TestWithEntry:
+    def test_negative_indices_are_refused(self):
+        module = canonical_twisted_module(TORUS)
+        low, top = module.pairs[0]
+        entry = module.restriction(low, top)[0][0] * mono(1, 1)
+        for row, col in ((-1, -1), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError, match="outside 0..0"):
+                module.with_entry(low, top, row, col, entry)
+        assert module.with_entry(low, top, 0, 0, entry).restriction(low, top) == (
+            (entry,),
+        )
+
+    def test_out_of_range_indices_are_refused(self):
+        module = patch_global(LinearLagrangian(2), ELLIPTIC)
+        low, top = module.pairs[0]
+        entry = module.restriction(low, top)[1][1]
+        for row, col in ((2, 0), (0, 2), (5, 5)):
+            with pytest.raises(IndexError, match=r"is outside 0\.\.1"):
+                module.with_entry(low, top, row, col, entry)
+        swapped = module.with_entry(low, top, 0, 1, entry)
+        assert swapped.restriction(low, top)[0][1] == entry
+
+    def test_a_pair_that_is_not_nested_is_refused(self):
+        module = canonical_twisted_module(TORUS)
+        low, top = module.pairs[0]
+        entry = module.restriction(low, top)[0][0]
+        for pair in ((top, low), (top, top), ((1,), (0, 2))):
+            with pytest.raises(ChartMismatchError, match="is not a nested pair"):
+                module.with_entry(*pair, 0, 0, entry)

@@ -32,12 +32,7 @@ from fractions import Fraction
 from .affine import AffineFunction, PolyFunction
 from .catalog import catalog_ids, load_catalog
 from .cover import AffCochain, analyze_obstruction, coboundary_certificate
-from .errors import (
-    ManifestError,
-    MirrorForgeError,
-    PrecisionExhaustedError,
-    UndecidableDescriptionError,
-)
+from .errors import InvalidFibrationError, ManifestError, MirrorForgeError
 from .floer_demo import (
     LinearLagrangian,
     energy_transport,
@@ -59,7 +54,6 @@ from .twisted_sheaves import (
     fiber_cohomology,
     global_sections,
     loop_monodromy,
-    rank_one_module_from_cochain,
     validate_module,
 )
 
@@ -619,25 +613,20 @@ def _text_demo(report):
 def _module_check(fibration, precision):
     """Canonical rank-1 module audit, or refusal audit when the class
     forbids one."""
-    certificate = analyze_obstruction(fibration).certificate
-    if certificate is not None:
-        module = rank_one_module_from_cochain(fibration, certificate)
-        validation = validate_module(module, precision)
-        return {
-            "name": "canonical twisted module",
-            "ok": validation.ok,
-            "detail": f"{validation.pairs_checked} pairs, "
-            f"{validation.triples_checked} triples",
-        }
     try:
-        canonical_twisted_module(fibration)
-        refused = False
-    except MirrorForgeError:
-        refused = True
+        module = canonical_twisted_module(fibration)
+    except InvalidFibrationError:
+        return {
+            "name": "rank-1 module refused (nontrivial class)",
+            "ok": True,
+            "detail": "constructor raised",
+        }
+    validation = validate_module(module, precision)
     return {
-        "name": "rank-1 module refused (nontrivial class)",
-        "ok": refused,
-        "detail": "constructor raised" if refused else "constructor did not raise",
+        "name": "canonical twisted module",
+        "ok": validation.ok,
+        "detail": f"{validation.pairs_checked} pairs, "
+        f"{validation.triples_checked} triples",
     }
 
 
@@ -895,9 +884,6 @@ def main(argv=None):
     except (ManifestError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PrecisionExhaustedError, UndecidableDescriptionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MirrorForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -221,6 +221,13 @@ def manifest_to_fibration(text):
             _fail(f"{path}.poly", str(exc))
 
     cover = _cover_from_charts(dimension, ids, chart_polys, faces, transitions)
+    for i, poly in chart_polys.items():
+        # the cover recomputes each chart's vertices from its inequalities
+        if poly.vertices != cover.polytope((i,)).vertices:
+            _fail(
+                f"manifest.charts[{i}].polytope.vertices",
+                "the declared vertices are not the vertices of the inequalities",
+            )
     return FibrationData(cover, primitives)
 
 

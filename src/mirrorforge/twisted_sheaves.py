@@ -456,74 +456,6 @@ def _window_exponents(dimension, radius):
     return sorted(product(range(-radius, radius + 1), repeat=dimension))
 
 
-def _hop_table(module, radius):
-    """Coefficient moves of the edge comparison system.
-
-    A section coefficient lives at a source (chart, exponent, sheet).
-    Restricting to an edge carries it to the edge monomial z^target on a
-    sheet row, shifting its valuation by the anchor move of the chart
-    transition plus the valuation of the restriction entry.  Returns
-    (moves by source, contributions by target, scale), both tables
-    carrying the shift times scale, an int, and the signed rational
-    coefficient of the hop; an integral coefficient comes as an int
-    (every patch_global entry has coefficient 1), so the section system
-    eliminates on ints.
-
-    Restriction sends z^a to t^<offset, a> z^(M a), linear in a, so the
-    images of the unit exponents are read off the restriction move, once
-    per (chart, edge) side, and every window exponent is moved by the
-    same linear combination.  The anchor valuations of the units and the
-    valuations of the entries are scaled by their common denominator
-    before the exponent loop, which then adds ints, and only the terms
-    of entries that are not exact zeros are visited.
-    """
-    cover = module.cover
-    n = cover.dimension
-    sides = []
-    for edge in cover.faces_of_degree(1):
-        for sign, i in ((1, edge[0]), (-1, edge[1])):
-            # z^e_k goes to t^offset[k] z^(column k of mt)
-            basepoint = cover.face_chart((i,)).basepoint
-            mt, offset, _ = _restriction_move(cover, (i,), basepoint, edge)
-            images = [(tuple(row[k] for row in mt), offset[k]) for k in range(n)]
-            hops = [
-                (r, col, b, texp, sign * (int(c) if c.denominator == 1 else c))
-                for r, row in enumerate(module.restriction((i,), edge))
-                for col, entry in enumerate(row)
-                if entry._terms
-                for b, coeff in entry._terms.items()
-                for texp, c in coeff.terms
-            ]
-            sides.append((edge, i, images, hops))
-    scale = lcm(
-        *(base.denominator for _, _, images, _ in sides for _, base in images),
-        *(texp.denominator for *_, hops in sides for _, _, _, texp, _ in hops),
-    )
-
-    def scaled(x):
-        return x.numerator * (scale // x.denominator)
-
-    exponents = _window_exponents(n, radius)
-    moves = {}
-    targets = {}
-    for edge, i, images, hops in sides:
-        bases = [scaled(base) for _, base in images]
-        hops = [(r, col, b, scaled(texp), c) for r, col, b, texp, c in hops]
-        for a in exponents:
-            moved = tuple(
-                sum(x * image[d] for x, (image, _) in zip(a, images))
-                for d in range(n)
-            )
-            base = sum(x * y for x, y in zip(a, bases))
-            for r, col, b, texp, c in hops:
-                source = (i, a, col)
-                target = (edge, tuple(x + y for x, y in zip(moved, b)), r)
-                shift = base + texp
-                moves.setdefault(source, []).append((target, shift, c))
-                targets.setdefault(target, []).append((source, shift, c))
-    return moves, targets, scale
-
-
 @dataclass
 class _SectionSystem:
     """The edge comparison system with integer column indices.
@@ -547,8 +479,18 @@ class _SectionSystem:
         return self.sources[source], Fraction(lam, self.scale)
 
 
-def _monomial_system(module, radius, precision):
+def _monomial_system(module, monomials, radius, precision):
     """The edge comparison system over rational monomial unknowns.
+
+    A section coefficient lives at a source (chart, exponent, sheet).
+    Restricting to an edge carries it to the edge monomial z^target on
+    the same sheet, shifting its valuation by the anchor move of the
+    chart transition plus the valuation of the sheet's monomial, and
+    scaling it by the monomial's coefficient, signed by the side of the
+    edge.  Restriction sends z^a to t^<offset, a> z^(mt a), linear in a,
+    so each (chart, edge) side reads its move once off the cover's
+    restriction moves and its sheets off monomials, the module's
+    _edge_monomials; no element is built or restricted.
 
     One unknown per node (source, lam): the rational coefficient of
     t^lam z^a on a sheet of a chart, for lam in [0, precision plus the
@@ -562,50 +504,69 @@ def _monomial_system(module, radius, precision):
     valuations keep falling.
 
     Every valuation is scaled by the common denominator of the
-    precision, the edge chart vertices and the hop table's scale, so the
-    search and the row assembly run on integers, and lam stays a scaled
-    int.  Each row is tagged with mu plus the weight, the precision from
-    which it is asserted, and the rows come out sorted by that tag: the
-    rows of the system at a lower precision p are a leading block of
-    these.
+    precision, the edge chart vertices, the restriction offsets and the
+    monomials' valuations, so the search and the row assembly run on
+    integers, and lam stays a scaled int; an integral coefficient comes
+    as an int, so the system eliminates on ints.  A source meets each
+    edge once, so every row holds a column once.  Each row is tagged
+    with mu plus the weight, the precision from which it is asserted,
+    and the rows come out sorted by that tag: the rows of the system at
+    a lower precision p are a leading block of these.
     """
     cover = module.cover
-    moves, targets, hop_scale = _hop_table(module, radius)
-    sources = sorted(moves)
-    target_list = sorted(targets)
-    offsets = {}
+    rank = module.rank
+    exponents = _window_exponents(cover.dimension, radius)
+    charts = sorted({i for i, _ in monomials})
+    sources = list(product(charts, exponents, range(rank)))
+    corners = {}
+    sides = []
     for edge in cover.faces_of_degree(1):
         chart = cover.face_chart(edge)
-        offsets[edge] = [
+        corners[edge] = [
             tuple(x - y for x, y in zip(v, chart.basepoint))
             for v in chart.polytope.vertices
         ]
+        for sign, i in ((1, edge[0]), (-1, edge[1])):
+            basepoint = cover.face_chart((i,)).basepoint
+            mt, offset, _ = _restriction_move(cover, (i,), basepoint, edge)
+            sides.append((edge, i, sign, mt, offset))
     scale = lcm(
-        hop_scale,
         precision.denominator,
-        *(x.denominator for vs in offsets.values() for v in vs for x in v),
+        *(x.denominator for vs in corners.values() for v in vs for x in v),
+        *(x.denominator for *_, offset in sides for x in offset),
+        *(v.denominator for sheets in monomials.values() for _, v, _ in sheets),
     )
-    factor = scale // hop_scale
 
     def scaled(x):
         return x.numerator * (scale // x.denominator)
 
-    for edge, vs in offsets.items():
-        offsets[edge] = [tuple(scaled(x) for x in v) for v in vs]
+    corners = {
+        edge: [tuple(scaled(x) for x in v) for v in vs] for edge, vs in corners.items()
+    }
+    ids = {}
+    hops = [[] for _ in sources]
+    feeds = {}
+    for edge, i, sign, mt, offset in sides:
+        base = [scaled(x) for x in offset]
+        sheets = [
+            (b, scaled(v), sign * (c.numerator if c.denominator == 1 else c))
+            for b, v, c in monomials[(i, edge)]
+        ]
+        first = charts.index(i) * len(exponents)
+        for n, a in enumerate(exponents, first):
+            moved = [dot(row, a) for row in mt]
+            lift = dot(a, base)
+            for j, (b, v, c) in enumerate(sheets):
+                target = (edge, tuple(x + y for x, y in zip(moved, b)), j)
+                t = ids.setdefault(target, len(ids))
+                source, shift = n * rank + j, lift + v
+                hops[source].append((t, shift, c))
+                feeds.setdefault(t, []).append((source, shift))
+    targets = list(ids)
     weight = [
-        min(dot(v, cexp) for v in offsets[edge]) for edge, cexp, _ in target_list
+        min(dot(v, cexp) for v in corners[edge]) for edge, cexp, _ in targets
     ]
     threshold = [scaled(precision) - w for w in weight]
-    source_ids = {source: n for n, source in enumerate(sources)}
-    target_ids = {target: n for n, target in enumerate(target_list)}
-    hops = [
-        [(target_ids[t], shift * factor, c) for t, shift, c in moves[source]]
-        for source in sources
-    ]
-    feeds = [
-        [(source_ids[s], shift * factor) for s, shift, _ in targets[target]]
-        for target in target_list
-    ]
     headroom = max((-shift for out in hops for _, shift, _ in out), default=0)
     top = max(threshold, default=scaled(precision)) + max(headroom, 0)
     nodes = {(source, 0) for source in range(len(hops))}
@@ -628,16 +589,9 @@ def _monomial_system(module, radius, precision):
     for column, (source, lam) in enumerate(ordered):
         for target, shift, c in hops[source]:
             mu = lam + shift
-            if mu >= threshold[target]:
-                continue
-            row = rows.setdefault((mu + weight[target], target, mu), {})
-            value = row.get(column)
-            value = c if value is None else value + c
-            if value:
-                row[column] = value
-            else:
-                del row[column]
-    keys = sorted(key for key, row in rows.items() if row)
+            if mu < threshold[target]:
+                rows.setdefault((mu + weight[target], target), {})[column] = c
+    keys = sorted(rows, key=lambda key: (key[0], targets[key[1]]))
     return _SectionSystem(
         sources=sources,
         columns=ordered,
@@ -708,7 +662,7 @@ def _assemble_sections(module, chosen):
     return tuple(sections)
 
 
-def _solve_window(module, radius, precision):
+def _solve_window(module, monomials, radius, precision):
     """Ground kernel vectors of the radius-r system at each integer
     precision up to the working one and then at the working precision
     itself, from one build and one elimination, keyed by (source, lam).
@@ -728,7 +682,7 @@ def _solve_window(module, radius, precision):
     form separate blocks, all with lam > 0, whose kernel vectors are
     never grounded.
     """
-    system = _monomial_system(module, radius, precision)
+    system = _monomial_system(module, monomials, radius, precision)
     cuts = [
         bisect_left(system.appears, p * system.scale)
         for p in range(1, int(precision) + 1)
@@ -763,8 +717,8 @@ class SheetMonodromy:
 
 
 def _edge_monomials(module):
-    """(exponent, valuation) of the diagonal entries of every chart to
-    edge restriction, keyed by (chart, edge).
+    """(exponent, valuation, coefficient) of the diagonal entries of
+    every chart to edge restriction, keyed by (chart, edge).
 
     These are the entries the edge comparison system reads.  A module
     with an entry there that is not a single monomial, or with a nonzero
@@ -783,7 +737,7 @@ def _edge_monomials(module):
                     if r == col and len(terms) == 1:
                         ((exponent, coeff),) = terms.items()
                         if len(coeff.terms) == 1:
-                            sheets.append((exponent, coeff.terms[0][0]))
+                            sheets.append((exponent, *coeff.terms[0]))
                             continue
                     raise UndecidableDescriptionError(
                         f"no recognised coefficient tower: the restriction "
@@ -821,8 +775,8 @@ def _compose_loop(module, monomials, loop=None):
         tb = moves[(edge, b)][1][0] - cover.face_chart((b,)).basepoint[0]
         weight = ta - tb
         for j in range(module.rank):
-            (ea,), va = monomials[(a, edge)][j]
-            (eb,), vb = monomials[(b, edge)][j]
+            (ea,), va, _ = monomials[(a, edge)][j]
+            (eb,), vb, _ = monomials[(b, edge)][j]
             shift = ea - eb
             constant = va - vb - tb * shift
             prev = state[j]
@@ -855,7 +809,7 @@ def _zero_tower_closes(cover, monomials):
     """
     steps = {}
     for i, j in cover.faces_of_degree(1):
-        ((_, vi),), ((_, vj),) = monomials[(i, (i, j))], monomials[(j, (i, j))]
+        ((_, vi, _),), ((_, vj, _),) = monomials[(i, (i, j))], monomials[(j, (i, j))]
         steps.setdefault(i, []).append((j, vi - vj))
         steps.setdefault(j, []).append((i, vj - vi))
     level = {}
@@ -902,11 +856,14 @@ def section_radius(module, precision):
 
     Any other module raises UndecidableDescriptionError.
     """
-    precision = _frac(precision)
+    return _certified_radius(module, _edge_monomials(module), _frac(precision))
+
+
+def _certified_radius(module, monomials, precision):
+    # section_radius on the module's _edge_monomials, at a Fraction precision
     cover = module.cover
-    monomials = _edge_monomials(module)
     if module.rank == 1 and all(
-        not any(exponent) for ((exponent, _),) in monomials.values()
+        not any(exponent) for ((exponent, _, _),) in monomials.values()
     ):
         if _zero_tower_closes(cover, monomials):
             return 0
@@ -935,8 +892,9 @@ def global_sections(module, precision, max_window=None, min_window=0):
     the series-field-independent solutions among those scaled to least
     valuation zero.  The monomial window has the radius section_radius
     certifies, or min_window if that is larger; a radius above
-    max_window raises ValueError.  The system is built and eliminated
-    once.
+    max_window raises ValueError.  The module's _edge_monomials are read
+    once, for the radius and the build, and the system is built and
+    eliminated once.
 
     The rank at every integer precision p = 1, ..., floor(precision)
     comes out of the same elimination, so the returned space also
@@ -946,13 +904,14 @@ def global_sections(module, precision, max_window=None, min_window=0):
     empty and the threshold is 0.
     """
     precision = _frac(precision)
-    radius = max(section_radius(module, precision), min_window)
+    monomials = _edge_monomials(module)
+    radius = max(_certified_radius(module, monomials, precision), min_window)
     if max_window is not None and radius > max_window:
         raise ValueError(
             f"the certified section radius {radius} exceeds "
             f"max_window={max_window}"
         )
-    *lower, ground = _solve_window(module, radius, precision)
+    *lower, ground = _solve_window(module, monomials, radius, precision)
     rank, chosen = _collapse(ground, precision)
     ranks = tuple(
         rank if p == precision else _collapse(g, Fraction(p), choose=False)[0]

@@ -40,6 +40,16 @@ class TestUsageErrors:
         assert code == 2
         assert "line" in err and "column" in err
 
+    def test_manifest_chart_missing_vertices(self, capsys, tmp_path):
+        data = json.loads(fibration_to_manifest(load_catalog("split-torus-4")))
+        polytope = data["charts"][0]["polytope"]
+        polytope["vertices"] = [polytope["vertices"][0], polytope["vertices"][3]]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", "--manifest", str(path))
+        assert (code, out) == (2, "")
+        assert "manifest.charts[0].polytope.vertices" in err
+
     def test_missing_source_is_a_parse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["build"])
@@ -215,9 +225,7 @@ class TestValidate:
         assert code == 0
         assert "result: OK" in out
 
-    @pytest.mark.parametrize(
-        "name", [name for name in catalog_ids() if name != "thurston-f1"]
-    )
+    @pytest.mark.parametrize("name", catalog_ids())
     def test_a_trivial_class_solves_its_certificate_once(
         self, capsys, monkeypatch, name
     ):

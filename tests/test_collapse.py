@@ -41,6 +41,7 @@ from mirrorforge.novikov import (
 )
 from mirrorforge.twisted_sheaves import (
     _collapse,
+    _edge_monomials,
     _solve_window,
     canonical_twisted_module,
     section_radius,
@@ -218,7 +219,7 @@ def assert_collapses_agree(module, radius, precision):
     """One _solve_window: at every integer precision below the working
     one the rank, which is all global_sections reads there, and at the
     working precision the rank and the chosen vectors, in order."""
-    *lower, ground = _solve_window(module, radius, precision)
+    *lower, ground = _solve_window(module, _edge_monomials(module), radius, precision)
     for p, basis in enumerate(lower, 1):
         if p == precision:
             continue

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mirrorforge.catalog import catalog_ids, load_catalog
-from mirrorforge.errors import ManifestError
+from mirrorforge.errors import InvalidPolytopeError, ManifestError
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 
 
@@ -77,4 +77,25 @@ def test_non_unimodular_transition_rejected():
     data = json.loads(fibration_to_manifest(load_catalog("split-torus-4")))
     data["transitions"][0]["linear"] = [[2, 0], [0, 1]]
     with pytest.raises(ManifestError, match="unimodular"):
+        manifest_to_fibration(json.dumps(data))
+
+
+def test_a_torus_chart_missing_vertices_is_refused():
+    data = json.loads(fibration_to_manifest(load_catalog("split-torus-4")))
+    polytope = data["charts"][0]["polytope"]
+    # two opposite corners of the square still touch all four sides, so
+    # the checked polytope accepts them; the cover's vertices do not
+    polytope["vertices"] = [polytope["vertices"][0], polytope["vertices"][3]]
+    with pytest.raises(
+        ManifestError, match=r"^manifest\.charts\[0\]\.polytope\.vertices: "
+    ):
+        manifest_to_fibration(json.dumps(data))
+
+
+def test_a_circle_chart_missing_a_vertex_is_refused():
+    # each side of an interval is tight only at its own end, so the
+    # checked polytope refuses the chart before the cover is built
+    data = json.loads(fibration_to_manifest(load_catalog("elliptic-demo")))
+    data["charts"][1]["polytope"]["vertices"].pop(0)
+    with pytest.raises(InvalidPolytopeError, match="tight at no vertex"):
         manifest_to_fibration(json.dumps(data))

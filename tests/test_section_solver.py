@@ -33,7 +33,7 @@ from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.novikov import NovikovScalar
 from mirrorforge.twisted_sheaves import (
     _collapse,
-    _hop_table,
+    _edge_monomials,
     _monomial_system,
     _solve_window,
     _window_exponents,
@@ -229,7 +229,7 @@ def reference_threshold(ranks):
 
 def solve_at(module, radius, precision):
     """(rank, ranks) of the radius-r system, from one build."""
-    *lower, ground = _solve_window(module, radius, precision)
+    *lower, ground = _solve_window(module, _edge_monomials(module), radius, precision)
     rank = _collapse(ground, precision)[0]
     ranks = tuple(
         rank if p == precision else _collapse(g, F(p))[0]
@@ -261,17 +261,8 @@ def labels(system):
     return [system.label(c) for c in range(len(system.columns))]
 
 
-def unscaled(hops):
-    """The integer hop table's moves and targets with every shift
-    mapped back through its scale."""
-    moves, targets, scale = hops
-    return tuple(
-        {
-            key: [(other, F(shift, scale), c) for other, shift, c in out]
-            for key, out in table.items()
-        }
-        for table in (moves, targets)
-    )
+def system_at(module, radius, precision):
+    return _monomial_system(module, _edge_monomials(module), radius, precision)
 
 
 def full_kernel(system):
@@ -301,7 +292,7 @@ def circle_systems():
 )
 def test_circle_kernel_matches_gauss_jordan(name, slope, offset, radius, precision):
     module = patch_global(LinearLagrangian(slope, offset), CIRCLES[name])
-    system = _monomial_system(module, radius, precision)
+    system = system_at(module, radius, precision)
     columns, rows = reference_system(module, radius, precision)
     assert labels(system) == columns
     assert all(type(lam) is int for _, lam in system.columns)
@@ -312,18 +303,22 @@ def test_circle_kernel_matches_gauss_jordan(name, slope, offset, radius, precisi
 
 
 @pytest.mark.parametrize("name", ["split-torus-4", "thurston-f2"])
-def test_hop_table_matches_per_monomial_restriction(name):
+def test_torus_system_matches_per_monomial_restriction(name):
     module = canonical_twisted_module(load_catalog(name))
     for radius in (1, 2):
-        hops = _hop_table(module, radius)
-        assert all(type(shift) is int for out in hops[0].values() for _, shift, _ in out)
-        assert unscaled(hops) == reference_hops(module, radius)
+        system = system_at(module, radius, F(2))
+        columns, rows = reference_system(module, radius, F(2))
+        assert all(type(lam) is int for _, lam in system.columns)
+        assert labels(system) == columns
+        assert sorted(map(sorted, keyed(system.rows, columns))) == sorted(
+            map(sorted, rows)
+        )
 
 
 def test_torus_kernel_matches_gauss_jordan():
     module = canonical_twisted_module(load_catalog("split-torus-4"))
     for precision in (F(1), F(5, 2)):
-        system = _monomial_system(module, 1, precision)
+        system = system_at(module, 1, precision)
         columns, rows = reference_system(module, 1, precision)
         assert labels(system) == columns
         assert keyed(full_kernel(system), columns) == reference_kernel(
@@ -334,7 +329,7 @@ def test_torus_kernel_matches_gauss_jordan():
 def test_rows_appear_in_precision_order():
     module = patch_global(LinearLagrangian(2, F(3, 7)), ELLIPTIC)
     precision = F(9, 2)
-    system = _monomial_system(module, 4, precision)
+    system = system_at(module, 4, precision)
     assert system.appears == sorted(system.appears)
     assert system.appears[-1] < precision * system.scale
     # the rows tagged below an integer p are the rows of the system built
@@ -590,9 +585,9 @@ def test_each_call_builds_one_system(monkeypatch):
     built = []
     build = twisted_sheaves._monomial_system
 
-    def counted(module, radius, precision):
+    def counted(module, monomials, radius, precision):
         built.append(radius)
-        return build(module, radius, precision)
+        return build(module, monomials, radius, precision)
 
     monkeypatch.setattr(twisted_sheaves, "_monomial_system", counted)
     line = LinearLagrangian(2, F(1, 3))
@@ -607,6 +602,27 @@ def test_each_call_builds_one_system(monkeypatch):
             built.clear()
             call(module, 4, **windows)
             assert built == [section_radius(module, 4)]
+
+
+def test_each_call_reads_the_edge_monomials_once(monkeypatch):
+    read = []
+    edge_monomials = twisted_sheaves._edge_monomials
+
+    def counted(module):
+        read.append(module)
+        return edge_monomials(module)
+
+    monkeypatch.setattr(twisted_sheaves, "_edge_monomials", counted)
+    modules = (
+        patch_global(LinearLagrangian(2, F(1, 3)), ELLIPTIC),
+        patch_global(LinearLagrangian(-1), FOUR_ARCS),
+        TORUS_MODULES["thurston-f2"],
+    )
+    for module in modules:
+        for call in (global_sections, stabilisation_threshold):
+            read.clear()
+            call(module, 4)
+            assert read == [module]
 
 
 DIFFERENTIAL_PRECISIONS = (F(1, 2), F(4), F(9, 2), F(10), F(21, 2))

@@ -1,6 +1,6 @@
 """The section pipeline on ints and sparse data against the path it replaced.
 
-The library builds the hop table on integer shifts over one scale,
+The library builds the section system on integer shifts over one scale,
 keeps every column's valuation a scaled int, asks the elimination only
 for the kernel vectors that meet a valuation-zero column, hands the
 collapse sparse rows and builds the section and restriction entries
@@ -400,8 +400,9 @@ def test_sections_are_assembled_from_linearly_many_elements(monkeypatch):
     assert filled == SLOPE * charts, filled
 
 
-def test_hop_table_builds_and_restricts_no_element(monkeypatch):
-    # the unit images come straight off the cover's restriction moves
+def test_monomial_system_builds_and_restricts_no_element(monkeypatch):
+    # the unit images come straight off the cover's restriction moves and
+    # the sheets off the module's edge monomials
     modules = (
         ("elliptic-demo", patch_global(LinearLagrangian(SLOPE), load_catalog("elliptic-demo"))),
         ("split-torus-4", canonical_twisted_module(load_catalog("split-torus-4"))),
@@ -421,8 +422,9 @@ def test_hop_table_builds_and_restricts_no_element(monkeypatch):
     monkeypatch.setattr(AffinoidElement, "restrict", counting_restrict)
     for name, module in modules:
         for radius in (1, 3):
-            moves, _, _ = twisted_sheaves._hop_table(module, radius)
-            assert moves, name
+            monomials = twisted_sheaves._edge_monomials(module)
+            system = twisted_sheaves._monomial_system(module, monomials, radius, F(2))
+            assert system.rows, name
             assert calls == [], name
     # the guard sees a call of either
     AffinoidElement.one(modules[0][1].cover, (0,)).restrict((0, 1))

@@ -22,7 +22,7 @@ from math import gcd, lcm
 
 from .affine import AffineFunction, IntegralAffineMap, PolyFunction, dot, integer_scaling
 from .errors import ChartMismatchError, InvalidCoverError, InvalidFibrationError
-from .intlinalg import PresolvedIntegerSystem, SparseRationalSystem, sparse_kernel
+from .intlinalg import PresolvedIntegerSystem, SparseRationalSystem
 
 
 @dataclass(frozen=True)
@@ -533,13 +533,12 @@ class _CertificateSystem:
         self._edges = list(cover.faces_of_degree(1))
         self._tris = list(cover.faces_of_degree(2))
         eidx = {e: a for a, e in enumerate(self._edges)}
-        ne, nt = len(self._edges), len(self._tris)
+        ne = len(self._edges)
 
         lattice_rows = []
         incidence = []
-        edge_rows = [{} for _ in range(ne)]
         taus = []
-        for t, (i, j, k) in enumerate(self._tris):
+        for i, j, k in self._tris:
             phi = cover.transition(i, j)
             taus.append(phi.translation)
             m = phi.linear
@@ -551,17 +550,13 @@ class _CertificateSystem:
                 for c in range(n):
                     row[a_jk * n + c] += m[c][r]
                 lattice_rows.append(row)
-            inc = {a_ij: 1, a_jk: 1, a_ik: -1}
-            incidence.append(inc)
-            for a, v in inc.items():
-                edge_rows[a][t] = v
+            incidence.append({a_ij: 1, a_jk: 1, a_ik: -1})
         self._jk_index = [eidx[(tri[1], tri[2])] for tri in self._tris]
         self._n = n
         self._lattice = PresolvedIntegerSystem(lattice_rows, ncols=n * ne)
+        # the relations it finds among the triangle equations span the
+        # cokernel of the incidence map
         self._constants = SparseRationalSystem(incidence, ne)
-        # sparse rows spanning the cokernel of the incidence map: the
-        # kernel of its transpose, whose rows are the edges
-        (self._pi,) = sparse_kernel(edge_rows, nt, [ne])
 
         kernel = self._kernel = self._lattice.kernel_basis()
         # the coupling of each kernel direction into each triangle's
@@ -574,9 +569,9 @@ class _CertificateSystem:
             for jk, tau in zip(self._jk_index, self._taus)
         ]
         self._generators, self._proj_scales, proj_rows = [], [], []
-        for p in self._pi:
-            e = lcm(*(v.denominator for v in p.values()))
-            p = {t: v.numerator * (e // v.denominator) for t, v in p.items()}
+        for relation in self._constants.relations:
+            e = lcm(*(v.denominator for _, v in relation))
+            p = {t: v.numerator * (e // v.denominator) for t, v in relation}
             row = [0] * len(kernel)
             for t, v in p.items():
                 row = [x + v * y for x, y in zip(row, coupling[t])]

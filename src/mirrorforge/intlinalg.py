@@ -207,56 +207,37 @@ def _store_pivot(pivots, row, lead):
         pivots[lead] = {j: v * inv for j, v in row.items()}
 
 
-def _back_substitute(pivots, reduced=None, holders=None, added=None):
+def _back_substitute(pivots):
     # reduced row echelon form, which the column order fixes uniquely:
-    # each stored row with every later pivot column eliminated.  Given
-    # the form ``reduced`` of the stored rows other than those of the
-    # pivot columns in ``added``, with ``holders`` mapping each column to
-    # the leads of the reduced rows that hold it, only the added rows
-    # and the rows that hold an added column are reduced again, in place
-    if reduced is None:
-        reduced, holders, added = {}, {}, pivots
-    affected = set(added)
-    for column in added:
-        affected.update(holders.pop(column, ()))
-    for lead in sorted(affected, reverse=True):
-        earlier = reduced.get(lead)
+    # each stored row with every later pivot column eliminated, last
+    # lead first
+    reduced = {}
+    for lead in sorted(pivots, reverse=True):
         row = {}
-        for j, v in (pivots[lead] if earlier is None else earlier).items():
+        for j, v in pivots[lead].items():
             sub = reduced.get(j)
             if sub is None:
                 row[j] = row.get(j, 0) + v
             else:
                 for k, w in sub.items():
                     row[k] = row.get(k, 0) - v * w
-        row = {k: v for k, v in row.items() if v}
-        for k in earlier or ():
-            held = holders.get(k)
-            if held is not None:
-                held.discard(lead)
-        for k in row:
-            holders.setdefault(k, set()).add(lead)
-        reduced[lead] = row
+        reduced[lead] = {k: v for k, v in row.items() if v}
     return reduced
 
 
-def sparse_kernel(rows, n_columns, cuts, ground=None):
-    """Right kernels of the leading row blocks rows[:cut], one per cut.
+def sparse_kernel(rows, n_columns, ground=None):
+    """Right kernel of the rows, one vector per free column.
 
     Echelon elimination over columns 0..n_columns-1 of rows given as
     ``{column: value}`` dicts: each incoming row is reduced by the stored
     pivot rows, smallest pivot column first, until its lowest column is
-    not a pivot, and that column becomes its pivot.  At each cut the
-    stored rows are back-substituted into reduced row echelon form and
-    the kernel is read off with one vector per free column, in column
-    order, as dicts keyed by column index.  Yields one basis per cut;
-    cuts must not decrease.  Each cut starts from the reduced form of the
-    one before, and back-substitutes only the rows added since and the
-    rows that hold a pivot column added since; an index from each column
-    to the reduced rows that hold it finds them, and gives each free
-    column's vector without a pass over the other rows.
+    not a pivot, and that column becomes its pivot.  The stored rows are
+    then back-substituted into reduced row echelon form, and the kernel
+    is read off with one vector per free column, in column order, as
+    dicts keyed by column index, all filled in one pass over the reduced
+    rows.
 
-    Given a set of columns ``ground``, each basis holds only the vectors
+    Given a set of columns ``ground``, the basis holds only the vectors
     that meet it, still in free-column order: the vector of a free
     column in ground, and that of every free column in the reduced row
     of a pivot column in ground.  Only those vectors are built.
@@ -266,36 +247,27 @@ def sparse_kernel(rows, n_columns, cuts, ground=None):
     in the section systems, are eliminated on ints and give int kernel
     values (the free column's own entry is the Fraction 1).
     """
-    pivots, reduced, holders = {}, {}, {}
-    done = 0
-    basis = None
-    for cut in cuts:
-        if basis is not None and cut == done:
-            yield basis
-            continue
-        added = []
-        for raw in rows[done:cut]:
-            row = dict(raw)
-            lead = _reduce(row, pivots)
-            if lead is not None:
-                _store_pivot(pivots, row, lead)
-                added.append(lead)
-        done = cut
-        _back_substitute(pivots, reduced, holders, added)
-        if ground is None:
-            free = [c for c in range(n_columns) if c not in pivots]
-        else:
-            wanted = {c for c in ground if c not in pivots}
-            for lead in ground:
-                wanted.update(reduced.get(lead, ()))
-            free = sorted(wanted)
-        basis = []
-        for column in free:
-            vector = {column: _ONE}
-            for lead in sorted(holders.get(column, ()), reverse=True):
-                vector[lead] = -reduced[lead][column]
-            basis.append(vector)
-        yield basis
+    pivots = {}
+    for raw in rows:
+        row = dict(raw)
+        lead = _reduce(row, pivots)
+        if lead is not None:
+            _store_pivot(pivots, row, lead)
+    reduced = _back_substitute(pivots)
+    if ground is None:
+        free = [c for c in range(n_columns) if c not in pivots]
+    else:
+        wanted = {c for c in ground if c not in pivots}
+        for lead in ground:
+            wanted.update(reduced.get(lead, ()))
+        free = sorted(wanted)
+    basis = {column: {column: _ONE} for column in free}
+    for lead, row in reduced.items():
+        for column, value in row.items():
+            vector = basis.get(column)
+            if vector is not None:
+                vector[lead] = -value
+    return list(basis.values())
 
 
 class SparseRationalSystem:
@@ -306,13 +278,14 @@ class SparseRationalSystem:
     stored row also records which combination of the equations it is (an
     int 1, so rows of ints that meet only unit pivots stay on the ints).
     A row that reduces to tags alone is a relation among the equations,
-    which a consistent right-hand side must satisfy.
+    which a consistent right-hand side must satisfy; ``relations`` lists
+    them as (equation, coefficient) pairs, in the order they were found.
     """
 
     def __init__(self, rows, n_columns):
         n = self._n = n_columns
         pivots = {}
-        self._relations = []
+        self.relations = []
         for i, raw in enumerate(rows):
             row = dict(raw)
             row[n + i] = 1
@@ -320,7 +293,7 @@ class SparseRationalSystem:
             if lead < n:
                 _store_pivot(pivots, row, lead)
             else:
-                self._relations.append([(k - n, v) for k, v in row.items()])
+                self.relations.append([(k - n, v) for k, v in row.items()])
         self._solution = [
             (lead, [(k - n, v) for k, v in row.items() if k >= n])
             for lead, row in _back_substitute(pivots).items()
@@ -329,7 +302,7 @@ class SparseRationalSystem:
     def solve(self, rhs):
         """The solution in reduced row echelon form with free variables
         zero, or None when the system is inconsistent."""
-        for relation in self._relations:
+        for relation in self.relations:
             if sum(v * rhs[i] for i, v in relation):
                 return None
         x = [Fraction(0)] * self._n

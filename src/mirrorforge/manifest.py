@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .affine import IntegralAffineMap, IntegralAffinePolytope, PolyFunction
 from .cover import FibrationData, _cover_from_charts
-from .errors import ManifestError
+from .errors import InvalidPolytopeError, ManifestError
 
 
 def _fail(path, message):
@@ -88,7 +88,10 @@ def _polytope_from_json(obj, path, dimension):
         tuple(_rat_list(v, f"{path}.vertices[{i}]", dimension))
         for i, v in enumerate(raw_verts)
     ]
-    return IntegralAffinePolytope(dimension, ineqs, verts)
+    try:
+        return IntegralAffinePolytope(dimension, ineqs, verts)
+    except InvalidPolytopeError as exc:
+        _fail(path, str(exc))
 
 
 def _polytope_to_json(poly):

@@ -14,7 +14,6 @@ space comes from one build and one elimination.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -430,9 +429,13 @@ class SectionSpace:
     """Kernel of the edge comparison system at a working precision.
 
     window is the monomial radius the system was solved at.  ranks[p - 1]
-    is the section rank at the integer precision p, for p from 1 to the
-    integer part of the working precision, read off the same elimination
-    as the sections themselves; below precision 1 it is empty.
+    is the rank modulo t^p of the returned sections, as
+    novikov.greedy_rank counts it, for p from 1 to the integer part of
+    the working precision; below precision 1 it is empty.  Each is at
+    most len(sections), and at an integer working precision the last
+    equals it.  Read off the sections rather than off the system cut at
+    p, they do not count the tower segments that a wider window grounds
+    below p.
     """
 
     rank: int
@@ -463,15 +466,12 @@ class _SectionSystem:
     columns[i] is the unknown of column i as (source index, lam times
     scale), in sorted order, with sources[source index] its (chart,
     exponent, sheet); label(i) gives it as (source, lam).  rows are dicts
-    from column index to an int or Fraction coefficient, ordered by
-    appears: scale times the least precision at which the row is
-    asserted, rows of equal appearance keeping sorted key order.
+    from column index to an int or Fraction coefficient.
     """
 
     sources: list
     columns: list
     rows: list
-    appears: list
     scale: int
 
     def label(self, column):
@@ -508,10 +508,8 @@ def _monomial_system(module, monomials, radius, precision):
     monomials' valuations, so the search and the row assembly run on
     integers, and lam stays a scaled int; an integral coefficient comes
     as an int, so the system eliminates on ints.  A source meets each
-    edge once, so every row holds a column once.  Each row is tagged
-    with mu plus the weight, the precision from which it is asserted,
-    and the rows come out sorted by that tag: the rows of the system at
-    a lower precision p are a leading block of these.
+    edge once, so every row holds a column once.  Rows come out in order
+    of mu plus the weight, the precision from which each is asserted.
     """
     cover = module.cover
     rank = module.rank
@@ -593,15 +591,11 @@ def _monomial_system(module, monomials, radius, precision):
                 rows.setdefault((mu + weight[target], target), {})[column] = c
     keys = sorted(rows, key=lambda key: (key[0], targets[key[1]]))
     return _SectionSystem(
-        sources=sources,
-        columns=ordered,
-        rows=[rows[key] for key in keys],
-        appears=[key[0] for key in keys],
-        scale=scale,
+        sources=sources, columns=ordered, rows=[rows[key] for key in keys], scale=scale
     )
 
 
-def _collapse(basis, precision, choose=True):
+def _collapse(basis, precision):
     """Independent section directions among normalised kernel vectors.
 
     Distinct rational solutions can present the same section shifted by
@@ -610,9 +604,8 @@ def _collapse(basis, precision, choose=True):
     over their sorted (chart, exponent, sheet) support.  Returns the rank
     and the vectors, each grouped per (chart, exponent, sheet), that
     raise the rank of the ones taken before them, up to the rank of
-    them, in basis order; with choose=False only the rank, and an empty
-    list.  Both come from one pass of novikov.greedy_rank over the
-    grouped vectors as sparse rows.
+    them, in basis order.  Both come from one pass of
+    novikov.greedy_rank over the grouped vectors as sparse rows.
     """
     grouped = []
     for vector in basis:
@@ -632,7 +625,7 @@ def _collapse(basis, precision, choose=True):
         return 0, []
     position = {source: j for j, source in enumerate(support)}
     rows = [{position[source]: value for source, value in g.items()} for g in grouped]
-    rank, chosen = greedy_rank(rows, precision, choose)
+    rank, chosen = greedy_rank(rows, precision)
     return rank, [grouped[i] for i in chosen]
 
 
@@ -663,9 +656,8 @@ def _assemble_sections(module, chosen):
 
 
 def _solve_window(module, monomials, radius, precision):
-    """Ground kernel vectors of the radius-r system at each integer
-    precision up to the working one and then at the working precision
-    itself, from one build and one elimination, keyed by (source, lam).
+    """Ground kernel vectors of the radius-r system at the working
+    precision, from one build and one elimination, keyed by (source, lam).
 
     A kernel vector is grounded when it meets a column at valuation
     zero: a solution line scaled to least valuation zero must still
@@ -674,20 +666,8 @@ def _solve_window(module, monomials, radius, precision):
     living too close to the precision to certify.  The elimination
     builds only the grounded vectors, and a column's (source, lam) label
     is formed once, when a grounded vector first holds it.
-
-    The system at a lower precision p is the leading block of rows
-    tagged below p, but over the columns reachable at the working
-    precision.  That does not change the ground vectors: every node on
-    a row asserted at p is itself reachable at p, so the extra columns
-    form separate blocks, all with lam > 0, whose kernel vectors are
-    never grounded.
     """
     system = _monomial_system(module, monomials, radius, precision)
-    cuts = [
-        bisect_left(system.appears, p * system.scale)
-        for p in range(1, int(precision) + 1)
-    ]
-    cuts.append(len(system.rows))
     ground = {c for c, (_, lam) in enumerate(system.columns) if not lam}
     labels = {}
 
@@ -698,8 +678,8 @@ def _solve_window(module, monomials, radius, precision):
         return name
 
     return [
-        [{label(c): v for c, v in vector.items()} for vector in basis]
-        for basis in sparse_kernel(system.rows, len(system.columns), cuts, ground)
+        {label(c): v for c, v in vector.items()}
+        for vector in sparse_kernel(system.rows, len(system.columns), ground)
     ]
 
 
@@ -896,12 +876,14 @@ def global_sections(module, precision, max_window=None, min_window=0):
     once, for the radius and the build, and the system is built and
     eliminated once.
 
-    The rank at every integer precision p = 1, ..., floor(precision)
-    comes out of the same elimination, so the returned space also
-    carries these ranks and the stabilisation threshold.  A fractional
-    precision compares ranks only up to its integer part, and below
-    precision 1 there is no integer precision to compare: the ranks are
-    empty and the threshold is 0.
+    The rank at each integer precision p = 1, ..., floor(precision) is
+    the rank modulo t^p of the sections found at the working precision,
+    novikov.greedy_rank at p over the chosen sections, with no further
+    elimination of the system.  The returned space carries these
+    ranks and the stabilisation threshold.  A fractional precision
+    compares ranks only up to its integer part, and below precision 1
+    there is no integer precision to compare: the ranks are empty and
+    the threshold is 0.
     """
     precision = _frac(precision)
     monomials = _edge_monomials(module)
@@ -911,11 +893,11 @@ def global_sections(module, precision, max_window=None, min_window=0):
             f"the certified section radius {radius} exceeds "
             f"max_window={max_window}"
         )
-    *lower, ground = _solve_window(module, monomials, radius, precision)
+    ground = _solve_window(module, monomials, radius, precision)
     rank, chosen = _collapse(ground, precision)
     ranks = tuple(
-        rank if p == precision else _collapse(g, Fraction(p), choose=False)[0]
-        for p, g in enumerate(lower, 1)
+        greedy_rank(chosen, Fraction(p), choose=False)[0]
+        for p in range(1, int(precision) + 1)
     )
     return SectionSpace(
         rank=rank,

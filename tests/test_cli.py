@@ -50,6 +50,16 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "manifest.charts[0].polytope.vertices" in err
 
+    def test_manifest_circle_chart_missing_a_vertex(self, capsys, tmp_path):
+        data = json.loads(fibration_to_manifest(load_catalog("elliptic-demo")))
+        data["charts"][1]["polytope"]["vertices"].pop(0)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", "--manifest", str(path))
+        assert (code, out) == (2, "")
+        assert "manifest.charts[1].polytope: " in err
+        assert "tight at no vertex" in err
+
     def test_missing_source_is_a_parse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["build"])

@@ -198,7 +198,7 @@ def reference_greedy(rows, precision, choose=True):
     return total, chosen
 
 
-def reference_collapse(basis, precision, choose=True):
+def reference_collapse(basis, precision):
     grouped = []
     for vector in basis:
         slots = {}
@@ -211,21 +211,22 @@ def reference_collapse(basis, precision, choose=True):
     if not grouped or not support:
         return 0, []
     rows = [[g.get(source, S.zero()) for source in support] for g in grouped]
-    total, chosen = reference_greedy(rows, precision, choose)
+    total, chosen = reference_greedy(rows, precision)
     return total, [grouped[i] for i in chosen]
 
 
 def assert_collapses_agree(module, radius, precision):
-    """One _solve_window: at every integer precision below the working
-    one the rank, which is all global_sections reads there, and at the
-    working precision the rank and the chosen vectors, in order."""
-    *lower, ground = _solve_window(module, _edge_monomials(module), radius, precision)
-    for p, basis in enumerate(lower, 1):
-        if p == precision:
-            continue
-        got = _collapse(basis, F(p), choose=False)
-        assert got == (reference_collapse(basis, F(p), choose=False)[0], []), p
-    assert _collapse(ground, precision) == reference_collapse(ground, precision)
+    """One _solve_window: at the working precision the rank and the
+    chosen vectors, in order, and at every integer precision the rank of
+    the chosen vectors, which is all global_sections reads there."""
+    ground = _solve_window(module, _edge_monomials(module), radius, precision)
+    rank, chosen = _collapse(ground, precision)
+    assert (rank, chosen) == reference_collapse(ground, precision)
+    support = sorted({source for g in chosen for source in g})
+    rows = [[g.get(source, S.zero()) for source in support] for g in chosen]
+    for p in range(1, int(precision) + 1):
+        got = greedy_rank(chosen, F(p), choose=False)
+        assert got == (reference_greedy(rows, F(p), choose=False)[0], []), p
 
 
 # -- section systems ----------------------------------------------------------

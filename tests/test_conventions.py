@@ -94,7 +94,7 @@ def test_rational_elimination_lives_in_intlinalg_alone():
 @pytest.mark.parametrize(
     "filename, line",
     [
-        ("twisted_sheaves.py", "def _sparse_kernel(rows, n_columns, cuts):"),
+        ("twisted_sheaves.py", "def _sparse_kernel(rows, n_columns):"),
         ("cover.py", "class PresolvedRationalSystem:"),
         ("cover.py", "    def rational_nullspace(mat):"),
         ("affine.py", "def _rational_rref(rows):"),
@@ -105,7 +105,7 @@ def test_the_solver_guard_sees_a_second_solver(filename, line):
 
 
 def test_the_solver_guard_allows_intlinalg_and_other_names():
-    text = "def sparse_kernel(rows, n_columns, cuts):\nclass SparseRationalSystem:"
+    text = "def sparse_kernel(rows, n_columns, ground=None):\nclass SparseRationalSystem:"
     assert not solver_definitions(SOLVER_HOME, text)
     others = "class _SectionSystem:\ndef _monomial_system(module):\n    # sparse kernel"
     assert not solver_definitions("twisted_sheaves.py", others)

@@ -12,6 +12,10 @@ The ``validate-*.txt`` and ``validate-*.json`` files are the stdout
 of ``validate`` at the default precision, in text and in JSON, written
 before the cocycle pass read its own data trusted; they pin the counts,
 verdicts and layout of that report.
+The ``sheaf-*`` files are the stdout of four ``sheaf`` commands, written
+while the section ranks at each integer precision still came from one
+kernel per precision; they pin the rank, window and threshold lines
+(the last with a threshold of 0 below precision 1) and the JSON layout.
 Regenerate a file only for an intended change of report.
 """
 
@@ -85,3 +89,30 @@ def test_validate_matches_the_golden_report(name, output):
     suffix = "txt" if output == "text" else "json"
     want = (GOLDEN / f"validate-{name}.{suffix}").read_bytes()
     assert out.getvalue().encode() == want
+
+
+SHEAF_REPORTS = {
+    "sheaf-elliptic-demo-slope3.txt": ["--catalog", "elliptic-demo", "--slope", "3"],
+    "sheaf-elliptic-demo-slope-2.json": [
+        "--catalog", "elliptic-demo", "--slope", "-2", "--output", "json",
+    ],
+    "sheaf-elliptic-demo-slope2-offset2_7-E21_2.txt": [
+        "--catalog", "elliptic-demo", "--slope", "2", "--offset", "2/7", "-E", "21/2",
+    ],
+    "sheaf-split-torus-2-slope1-E1_2.txt": [
+        "--catalog", "split-torus-2", "--slope", "1", "-E", "1/2",
+    ],
+}
+
+
+def test_every_sheaf_golden_has_a_command():
+    assert sorted(p.name for p in GOLDEN.glob("sheaf-*")) == sorted(SHEAF_REPORTS)
+
+
+@pytest.mark.parametrize("name", sorted(SHEAF_REPORTS))
+def test_sheaf_matches_the_golden_report(name):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["sheaf", *SHEAF_REPORTS[name]])
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / name).read_bytes()

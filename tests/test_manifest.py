@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mirrorforge.catalog import catalog_ids, load_catalog
-from mirrorforge.errors import InvalidPolytopeError, ManifestError
+from mirrorforge.errors import ManifestError
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 
 
@@ -94,8 +94,11 @@ def test_a_torus_chart_missing_vertices_is_refused():
 
 def test_a_circle_chart_missing_a_vertex_is_refused():
     # each side of an interval is tight only at its own end, so the
-    # checked polytope refuses the chart before the cover is built
+    # checked polytope refuses the chart before the cover is built, and
+    # the refusal names the chart's polytope
     data = json.loads(fibration_to_manifest(load_catalog("elliptic-demo")))
     data["charts"][1]["polytope"]["vertices"].pop(0)
-    with pytest.raises(InvalidPolytopeError, match="tight at no vertex"):
+    with pytest.raises(
+        ManifestError, match=r"^manifest\.charts\[1\]\.polytope: .*tight at no vertex"
+    ):
         manifest_to_fibration(json.dumps(data))

@@ -6,9 +6,12 @@ for the kernel vectors that meet a valuation-zero column, hands the
 collapse sparse rows and builds the section and restriction entries
 through the trusted constructor.  The path before that is kept here as
 the reference: the hop table summed on Fractions, the system labelled
-by (source, Fraction lam) columns, the full kernel at every cut filtered
-to its ground vectors, the collapse through dense rows, and every
-element built through the checked constructor.  Section spaces and
+by (source, Fraction lam) columns, the full kernel of every leading
+block of rows asserted below an integer precision filtered to its
+ground vectors, with the rank at that precision collapsed from them,
+the collapse through dense rows, and every element built through the
+checked constructor.  On these modules the rank of each block equals
+the library's rank modulo t^p of the sections.  Section spaces and
 modules must come out equal, and the count guards keep the k^2 walks
 and the per-monomial restrictions from coming back.
 """
@@ -191,10 +194,10 @@ def reference_solve_window(module, radius, precision):
     return [
         [
             {columns[c]: v for c, v in vector.items()}
-            for vector in basis
+            for vector in sparse_kernel(rows[:cut], len(columns))
             if not ground.isdisjoint(vector)
         ]
-        for basis in sparse_kernel(rows, len(columns), cuts)
+        for cut in cuts
     ]
 
 

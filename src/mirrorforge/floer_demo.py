@@ -21,7 +21,12 @@ from .affine import PolyFunction
 from .errors import ChartMismatchError
 from .mirror_charts import AffinoidElement
 from .novikov import NovikovScalar, _frac
-from .twisted_sheaves import ModuleComplex, TwistedModule, _quadratic_radius
+from .twisted_sheaves import (
+    ModuleComplex,
+    TwistedModule,
+    _positive_precision,
+    _quadratic_radius,
+)
 
 
 def _point(x):
@@ -317,12 +322,14 @@ def section_window(lagrangian, precision):
     linear term controlled by the sheet gammas, so the radius is the
     positive root of that quadratic, rounded up.  It is the radius
     twisted_sheaves.section_radius reads off the line's patched module.
+    A precision that is not positive raises ValueError.
     """
     k = lagrangian.slope
     if k == 0:
         raise ValueError("a slope-zero line is not transverse to the fibres")
+    precision = _positive_precision(precision)
     count = abs(k)
     bound = 1 + max(
         abs((lagrangian.offset + j) / count) for j in range(count)
     )
-    return _quadratic_radius(bound, _frac(precision))
+    return _quadratic_radius(bound, precision)

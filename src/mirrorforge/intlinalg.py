@@ -4,11 +4,10 @@ The Smith normal form, on small dense integer matrices, drives every
 integer solvability question in the package (coboundary certificates,
 lattice classes).  One sparse echelon elimination over the rationals,
 on rows given as ``{column: value}`` dicts, serves every rational
-solve: the section solver's kernels, the certificate's constant solve
-and the cokernel of the incidence map.  The principal-minor sums and
-the determinant are ring-generic: they use only ``+``, ``-`` and ``*``
-of the entries, so they serve Fractions, Novikov scalars and affinoid
-elements alike.  The determinant first splits the matrix into the
+solve: the certificate's constant solve and the cokernel of the
+incidence map.  The principal-minor sums and the determinant are
+ring-generic: they use only ``+``, ``-`` and ``*`` of the entries, so
+they serve Fractions, Novikov scalars and affinoid elements alike.  The determinant first splits the matrix into the
 diagonal blocks of its block-triangular form, so a diagonal or
 triangular matrix costs a product of entries, not a dense recurrence.
 """
@@ -223,51 +222,6 @@ def _back_substitute(pivots):
                     row[k] = row.get(k, 0) - v * w
         reduced[lead] = {k: v for k, v in row.items() if v}
     return reduced
-
-
-def sparse_kernel(rows, n_columns, ground=None):
-    """Right kernel of the rows, one vector per free column.
-
-    Echelon elimination over columns 0..n_columns-1 of rows given as
-    ``{column: value}`` dicts: each incoming row is reduced by the stored
-    pivot rows, smallest pivot column first, until its lowest column is
-    not a pivot, and that column becomes its pivot.  The stored rows are
-    then back-substituted into reduced row echelon form, and the kernel
-    is read off with one vector per free column, in column order, as
-    dicts keyed by column index, all filled in one pass over the reduced
-    rows.
-
-    Given a set of columns ``ground``, the basis holds only the vectors
-    that meet it, still in free-column order: the vector of a free
-    column in ground, and that of every free column in the reduced row
-    of a pivot column in ground.  Only those vectors are built.
-
-    Values may be ints or Fractions.  A row is divided only by a pivot
-    other than 1 or -1, so rows of ints that meet only unit pivots, as
-    in the section systems, are eliminated on ints and give int kernel
-    values (the free column's own entry is the Fraction 1).
-    """
-    pivots = {}
-    for raw in rows:
-        row = dict(raw)
-        lead = _reduce(row, pivots)
-        if lead is not None:
-            _store_pivot(pivots, row, lead)
-    reduced = _back_substitute(pivots)
-    if ground is None:
-        free = [c for c in range(n_columns) if c not in pivots]
-    else:
-        wanted = {c for c in ground if c not in pivots}
-        for lead in ground:
-            wanted.update(reduced.get(lead, ()))
-        free = sorted(wanted)
-    basis = {column: {column: _ONE} for column in free}
-    for lead, row in reduced.items():
-        for column, value in row.items():
-            vector = basis.get(column)
-            if vector is not None:
-                vector[lead] = -value
-    return list(basis.values())
 
 
 class SparseRationalSystem:

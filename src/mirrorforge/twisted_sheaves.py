@@ -8,13 +8,13 @@ residuals exactly and reports their t-adic norms.
 
 Global sections are computed as the kernel, at a working precision, of
 the edge comparison system over a finite monomial window.  The window
-radius is read off the sheet recursions of the module, so each section
-space comes from one build and one elimination.
+radius is read off the sheet recursions of the module, and every
+equation of the system holds one or two unknowns, so each section space
+comes from one walk over the components of the system's graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -26,7 +26,7 @@ from .errors import (
     InvalidFibrationError,
     UndecidableDescriptionError,
 )
-from .intlinalg import determinant, sparse_kernel
+from .intlinalg import determinant
 from .mirror_charts import AffinoidElement, _exp_entry, _restriction_move
 from .novikov import INF, NovikovMatrix, NovikovScalar, _frac, greedy_rank
 
@@ -459,57 +459,38 @@ def _window_exponents(dimension, radius):
     return sorted(product(range(-radius, radius + 1), repeat=dimension))
 
 
-@dataclass
-class _SectionSystem:
-    """The edge comparison system with integer column indices.
-
-    columns[i] is the unknown of column i as (source index, lam times
-    scale), in sorted order, with sources[source index] its (chart,
-    exponent, sheet); label(i) gives it as (source, lam).  rows are dicts
-    from column index to an int or Fraction coefficient.
-    """
-
-    sources: list
-    columns: list
-    rows: list
-    scale: int
-
-    def label(self, column):
-        source, lam = self.columns[column]
-        return self.sources[source], Fraction(lam, self.scale)
-
-
-def _monomial_system(module, monomials, radius, precision):
-    """The edge comparison system over rational monomial unknowns.
+def _walk_window(module, monomials, radius, precision):
+    """Ground kernel vectors of the edge comparison system over the
+    radius-r monomial window at the working precision, keyed by
+    (source, lam), from one walk over the system's graph.
 
     A section coefficient lives at a source (chart, exponent, sheet).
     Restricting to an edge carries it to the edge monomial z^target on
     the same sheet, shifting its valuation by the anchor move of the
     chart transition plus the valuation of the sheet's monomial, and
     scaling it by the monomial's coefficient, signed by the side of the
-    edge.  Restriction sends z^a to t^<offset, a> z^(mt a), linear in a,
-    so each (chart, edge) side reads its move once off the cover's
+    edge.  Each (chart, edge) side reads its move off the cover's
     restriction moves and its sheets off monomials, the module's
-    _edge_monomials; no element is built or restricted.
+    _edge_monomials, with valuations scaled to ints.
 
-    One unknown per node (source, lam): the rational coefficient of
-    t^lam z^a on a sheet of a chart, for lam in [0, precision plus the
-    headroom an edge hop can amplify).  Nodes grow breadth-first from
-    the lam = 0 seeds, which is where a solution scaled to least
-    valuation zero keeps its lowest coefficient.  An equation is
-    asserted for every reachable edge coefficient whose valuation mu
-    plus the weight of its exponent sits below the precision, which is
-    what vanishing of the residual element means; hops landing outside
-    the window contribute nothing, which is what pins towers whose
-    valuations keep falling.
+    One unknown per node (source, lam): the coefficient of t^lam z^a on
+    a sheet of a chart, for lam in [0, top), the precision plus the
+    headroom an edge hop can amplify.  An equation is asserted for every
+    reachable edge coefficient whose valuation mu plus the weight of its
+    exponent sits below the precision, which is what vanishing of the
+    residual means; a hop landing outside [0, top) or the window
+    contributes nothing, which pins towers whose valuations keep falling.
 
-    Every valuation is scaled by the common denominator of the
-    precision, the edge chart vertices, the restriction offsets and the
-    monomials' valuations, so the search and the row assembly run on
-    integers, and lam stays a scaled int; an integral coefficient comes
-    as an int, so the system eliminates on ints.  A source meets each
-    edge once, so every row holds a column once.  Rows come out in order
-    of mu plus the weight, the precision from which each is asserted.
+    A sheet hops to one edge coefficient per side and a source meets
+    each edge once, so an equation holds one or two unknowns: the kernel
+    is one vector per component of the graph that no one-unknown
+    equation pins and that reaches no node with two values.  The walk
+    grows each component breadth-first from its lam = 0 seeds, where a
+    solution scaled to least valuation zero keeps its lowest coefficient,
+    carrying x across c x + c' x' = 0 as x' = -c x / c'.  A survivor is
+    scaled to 1 at its largest node, its keys run down from there, and
+    survivors come in order of that node: the reduced echelon kernel
+    basis over the nodes in sorted order, one vector per free column.
     """
     cover = module.cover
     rank = module.rank
@@ -538,11 +519,7 @@ def _monomial_system(module, monomials, radius, precision):
     def scaled(x):
         return x.numerator * (scale // x.denominator)
 
-    corners = {
-        edge: [tuple(scaled(x) for x in v) for v in vs] for edge, vs in corners.items()
-    }
-    ids = {}
-    hops = [[] for _ in sources]
+    corners = {edge: [[scaled(x) for x in v] for v in vs] for edge, vs in corners.items()}
     feeds = {}
     for edge, i, sign, mt, offset in sides:
         base = [scaled(x) for x in offset]
@@ -556,43 +533,62 @@ def _monomial_system(module, monomials, radius, precision):
             lift = dot(a, base)
             for j, (b, v, c) in enumerate(sheets):
                 target = (edge, tuple(x + y for x, y in zip(moved, b)), j)
-                t = ids.setdefault(target, len(ids))
-                source, shift = n * rank + j, lift + v
-                hops[source].append((t, shift, c))
-                feeds.setdefault(t, []).append((source, shift))
-    targets = list(ids)
-    weight = [
-        min(dot(v, cexp) for v in corners[edge]) for edge, cexp, _ in targets
-    ]
-    threshold = [scaled(precision) - w for w in weight]
-    headroom = max((-shift for out in hops for _, shift, _ in out), default=0)
-    top = max(threshold, default=scaled(precision)) + max(headroom, 0)
-    nodes = {(source, 0) for source in range(len(hops))}
-    queue = deque(sorted(nodes))
-    while queue:
-        source, lam = queue.popleft()
-        for target, shift, _ in hops[source]:
-            mu = lam + shift
-            if mu >= threshold[target]:
-                continue
-            for other, shift2 in feeds[target]:
-                lam2 = mu - shift2
-                if 0 <= lam2 < top:
-                    node = (other, lam2)
-                    if node not in nodes:
-                        nodes.add(node)
-                        queue.append(node)
-    ordered = sorted(nodes)
-    rows = {}
-    for column, (source, lam) in enumerate(ordered):
-        for target, shift, c in hops[source]:
-            mu = lam + shift
-            if mu < threshold[target]:
-                rows.setdefault((mu + weight[target], target), {})[column] = c
-    keys = sorted(rows, key=lambda key: (key[0], targets[key[1]]))
-    return _SectionSystem(
-        sources=sources, columns=ordered, rows=[rows[key] for key in keys], scale=scale
-    )
+                feeds.setdefault(target, []).append((n * rank + j, lift + v, c))
+    # per source, each equation as (limit on mu, shift, the other
+    # unknown's source and shift or None, -c / c')
+    arcs = [[] for _ in sources]
+    limits = []
+    for (edge, cexp, _), ends in feeds.items():
+        limit = scaled(precision) - min(dot(v, cexp) for v in corners[edge])
+        limits.append(limit)
+        if len(ends) == 1:
+            ((s, shift, _),) = ends
+            arcs[s].append((limit, shift, None, 0, 0))
+        else:
+            (s, shift, c), (s2, shift2, c2) = ends
+            arcs[s].append((limit, shift, s2, shift2, _ratio(c, c2)))
+            arcs[s2].append((limit, shift2, s, shift, _ratio(c2, c)))
+    headroom = max((-shift for ends in feeds.values() for _, shift, _ in ends), default=0)
+    top = max(limits, default=scaled(precision)) + max(headroom, 0)
+    values = {}
+    survivors = []
+    for seed in range(len(sources)):
+        if (seed, 0) in values:
+            continue
+        values[(seed, 0)] = 1
+        component = [(seed, 0)]
+        alive = True
+        for source, lam in component:
+            x = values[(source, lam)]
+            for limit, shift, other, shift2, ratio in arcs[source]:
+                mu = lam + shift
+                if mu >= limit:
+                    continue
+                node = (other, mu - shift2)
+                if other is None or not 0 <= node[1] < top:
+                    alive = False
+                elif node not in values:
+                    values[node] = x * ratio
+                    component.append(node)
+                elif values[node] != x * ratio:
+                    alive = False
+        if alive:
+            survivors.append(sorted(component, reverse=True))
+    vectors = []
+    for nodes in sorted(survivors):
+        unit = _ratio(-1, values[nodes[0]])  # 1 over the largest node's value
+        vectors.append(
+            {(sources[s], Fraction(lam, scale)): values[s, lam] * unit for s, lam in nodes}
+        )
+    return vectors
+
+
+def _ratio(c, c2):
+    # -c / c2 for nonzero ints or Fractions, an int where it is integral
+    if c2 in (1, -1):
+        return -c * c2
+    q = -Fraction(c) / c2
+    return q.numerator if q.denominator == 1 else q
 
 
 def _collapse(basis, precision):
@@ -655,34 +651,6 @@ def _assemble_sections(module, chosen):
     return tuple(sections)
 
 
-def _solve_window(module, monomials, radius, precision):
-    """Ground kernel vectors of the radius-r system at the working
-    precision, from one build and one elimination, keyed by (source, lam).
-
-    A kernel vector is grounded when it meets a column at valuation
-    zero: a solution line scaled to least valuation zero must still
-    solve the system at the full precision to count; vectors supported
-    strictly above zero are t-shifted copies of other solutions or slack
-    living too close to the precision to certify.  The elimination
-    builds only the grounded vectors, and a column's (source, lam) label
-    is formed once, when a grounded vector first holds it.
-    """
-    system = _monomial_system(module, monomials, radius, precision)
-    ground = {c for c, (_, lam) in enumerate(system.columns) if not lam}
-    labels = {}
-
-    def label(c):
-        name = labels.get(c)
-        if name is None:
-            name = labels[c] = system.label(c)
-        return name
-
-    return [
-        {label(c): v for c, v in vector.items()}
-        for vector in sparse_kernel(system.rows, len(system.columns), ground)
-    ]
-
-
 # -- the certified section radius ----------------------------------------------
 
 
@@ -734,7 +702,18 @@ def loop_monodromy(module, loop=None):
     The default loop walks 0, 1, ..., n-1 and closes back to 0.  For
     the slope-k line each sheet comes back with shift sign(k) and
     weight one, the signature of a degree-k line on the mirror curve.
+    A step between two charts that share no edge raises
+    ChartMismatchError.
     """
+    if loop is not None:
+        cover = module.cover
+        edges = set(cover.faces_of_degree(1))
+        for a, b in zip(loop, loop[1:]):
+            if tuple(sorted((a, b))) not in edges:
+                ids = cover.chart_ids
+                raise ChartMismatchError(
+                    f"charts {ids[a]!r} and {ids[b]!r} do not share an edge"
+                )
     return _compose_loop(module, _edge_monomials(module), loop)
 
 
@@ -834,9 +813,20 @@ def section_radius(module, precision):
       pins it to zero.  For the slope-k line |s| = w = 1 and m* - s is the fibre
       coordinate (offset + j)/|k| of sheet j, so this is section_window.
 
-    Any other module raises UndecidableDescriptionError.
+    Any other module raises UndecidableDescriptionError, and a precision
+    that is not positive raises ValueError.
     """
-    return _certified_radius(module, _edge_monomials(module), _frac(precision))
+    return _certified_radius(
+        module, _edge_monomials(module), _positive_precision(precision)
+    )
+
+
+def _positive_precision(precision):
+    # the CLI's rule for a working precision
+    precision = _frac(precision)
+    if precision <= 0:
+        raise ValueError("precision must be positive")
+    return precision
 
 
 def _certified_radius(module, monomials, precision):
@@ -873,19 +863,20 @@ def global_sections(module, precision, max_window=None, min_window=0):
     valuation zero.  The monomial window has the radius section_radius
     certifies, or min_window if that is larger; a radius above
     max_window raises ValueError.  The module's _edge_monomials are read
-    once, for the radius and the build, and the system is built and
-    eliminated once.
+    once, for the radius and the walk, and the system is solved by one
+    walk over its graph (_walk_window).
 
     The rank at each integer precision p = 1, ..., floor(precision) is
     the rank modulo t^p of the sections found at the working precision,
     novikov.greedy_rank at p over the chosen sections, with no further
-    elimination of the system.  The returned space carries these
+    walk of the system.  The returned space carries these
     ranks and the stabilisation threshold.  A fractional precision
     compares ranks only up to its integer part, and below precision 1
     there is no integer precision to compare: the ranks are empty and
-    the threshold is 0.
+    the threshold is 0.  A precision that is not positive raises
+    ValueError.
     """
-    precision = _frac(precision)
+    precision = _positive_precision(precision)
     monomials = _edge_monomials(module)
     radius = max(_certified_radius(module, monomials, precision), min_window)
     if max_window is not None and radius > max_window:
@@ -893,7 +884,7 @@ def global_sections(module, precision, max_window=None, min_window=0):
             f"the certified section radius {radius} exceeds "
             f"max_window={max_window}"
         )
-    ground = _solve_window(module, monomials, radius, precision)
+    ground = _walk_window(module, monomials, radius, precision)
     rank, chosen = _collapse(ground, precision)
     ranks = tuple(
         greedy_rank(chosen, Fraction(p), choose=False)[0]
@@ -911,7 +902,7 @@ def global_sections(module, precision, max_window=None, min_window=0):
 def stabilisation_threshold(module, precision, max_window=None, min_window=0):
     """Least integer precision from which the section rank stays put
     all the way up to the integer part of the requested one; 0 below
-    precision 1.  Solves the same one system as global_sections; see
+    precision 1.  Takes the same one walk as global_sections; see
     SectionSpace.threshold."""
     return global_sections(module, precision, max_window, min_window).threshold
 

@@ -42,7 +42,7 @@ from mirrorforge.novikov import (
 from mirrorforge.twisted_sheaves import (
     _collapse,
     _edge_monomials,
-    _solve_window,
+    _walk_window,
     canonical_twisted_module,
     section_radius,
 )
@@ -216,10 +216,10 @@ def reference_collapse(basis, precision):
 
 
 def assert_collapses_agree(module, radius, precision):
-    """One _solve_window: at the working precision the rank and the
+    """One _walk_window: at the working precision the rank and the
     chosen vectors, in order, and at every integer precision the rank of
     the chosen vectors, which is all global_sections reads there."""
-    ground = _solve_window(module, _edge_monomials(module), radius, precision)
+    ground = _walk_window(module, _edge_monomials(module), radius, precision)
     rank, chosen = _collapse(ground, precision)
     assert (rank, chosen) == reference_collapse(ground, precision)
     support = sorted({source for g in chosen for source in g})

@@ -261,3 +261,15 @@ def test_slope_thirty_sections_within_two_seconds(catalog, slope):
     elapsed = time.perf_counter() - start
     assert (space.rank, space.threshold) == (max(slope, 0), 1)
     assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
+
+
+def test_slope_minus_four_hundred_sections_within_four_seconds():
+    # eliminating the section system, before it was walked, took about
+    # 7.5 s a call on a shared 2-core machine
+    budget = 4.0
+    module = patch_global(LinearLagrangian(-400), load_catalog("split-torus-2"))
+    start = time.perf_counter()
+    space = global_sections(module, 10)
+    elapsed = time.perf_counter() - start
+    assert space.rank == 0
+    assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"

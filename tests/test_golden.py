@@ -12,10 +12,13 @@ The ``validate-*.txt`` and ``validate-*.json`` files are the stdout
 of ``validate`` at the default precision, in text and in JSON, written
 before the cocycle pass read its own data trusted; they pin the counts,
 verdicts and layout of that report.
-The ``sheaf-*`` files are the stdout of four ``sheaf`` commands, written
-while the section ranks at each integer precision still came from one
-kernel per precision; they pin the rank, window and threshold lines
-(the last with a threshold of 0 below precision 1) and the JSON layout.
+The ``sheaf-*`` files are the stdout of six ``sheaf`` commands.  Four
+were written while the section ranks at each integer precision still
+came from one kernel per precision; they pin the rank, window and
+threshold lines (the last with a threshold of 0 below precision 1) and
+the JSON layout.  The slope -40 and ``-E 60`` reports were written
+while the section kernel was still eliminated, before it was read off
+the components of the system's graph.
 Regenerate a file only for an intended change of report.
 """
 
@@ -101,6 +104,10 @@ SHEAF_REPORTS = {
     ],
     "sheaf-split-torus-2-slope1-E1_2.txt": [
         "--catalog", "split-torus-2", "--slope", "1", "-E", "1/2",
+    ],
+    "sheaf-split-torus-2-slope-40.txt": ["--catalog", "split-torus-2", "--slope", "-40"],
+    "sheaf-elliptic-demo-slope2-E60.txt": [
+        "--catalog", "elliptic-demo", "--slope", "2", "-E", "60",
     ],
 }
 

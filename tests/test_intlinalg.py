@@ -12,7 +12,6 @@ from mirrorforge.intlinalg import (
     mat_mul,
     mat_vec,
     smith_normal_form,
-    sparse_kernel,
 )
 
 
@@ -116,15 +115,6 @@ def test_integer_kernel_and_rational_solve():
     system = SparseRationalSystem([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
     assert system.solve([3, 6]) == [Fraction(3), Fraction(0)]
     assert system.solve([3, 7]) is None
-
-
-def test_rational_nullspace():
-    mat = [[1, 2, 3], [0, 1, 1]]
-    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    basis = sparse_kernel(rows, 3)
-    assert len(basis) == 1
-    vec = [basis[0].get(j, 0) for j in range(3)]
-    assert mat_vec(mat, vec) == [0, 0]
 
 
 def test_identity_matrix():

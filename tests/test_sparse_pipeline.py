@@ -1,16 +1,18 @@
 """The section pipeline on ints and sparse data against the path it replaced.
 
-The library builds the section system on integer shifts over one scale,
-keeps every column's valuation a scaled int, asks the elimination only
-for the kernel vectors that meet a valuation-zero column, hands the
-collapse sparse rows and builds the section and restriction entries
-through the trusted constructor.  The path before that is kept here as
-the reference: the hop table summed on Fractions, the system labelled
-by (source, Fraction lam) columns, the full kernel of every leading
-block of rows asserted below an integer precision filtered to its
+The library walks the section system on integer shifts over one scale,
+keeps every node's valuation a scaled int, reads only the kernel vectors
+that meet a valuation-zero node off the components of the system's
+graph, hands the collapse sparse rows and builds the section and
+restriction entries through the trusted constructor.  The path before
+that is kept here as the reference: the hop table summed on Fractions,
+the system labelled by (source, Fraction lam) columns, the full kernel
+of every leading block of rows asserted below an integer precision, by
+the sparse echelon elimination the library used to run, filtered to its
 ground vectors, with the rank at that precision collapsed from them,
 the collapse through dense rows, and every element built through the
-checked constructor.  On these modules the rank of each block equals
+checked constructor.  The walk's vectors must equal the ground vectors
+of the whole system, in order.  On these modules the rank of each block equals
 the library's rank modulo t^p of the sections.  Section spaces and
 modules must come out equal, and the count guards keep the k^2 walks
 and the per-monomial restrictions from coming back.
@@ -35,12 +37,14 @@ from mirrorforge.floer_demo import (
     patch_global,
     section_window,
 )
-from mirrorforge.intlinalg import sparse_kernel
+from mirrorforge.intlinalg import _back_substitute, _reduce, _store_pivot
 from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.novikov import NovikovScalar, greedy_rank
 from mirrorforge.twisted_sheaves import (
     SectionSpace,
     TwistedModule,
+    _edge_monomials,
+    _walk_window,
     _window_exponents,
     canonical_twisted_module,
     global_sections,
@@ -184,6 +188,25 @@ def reference_monomial_system(module, radius, precision):
     return columns, [rows[key] for key in keys], [key[0] for key in keys], scale
 
 
+def reference_kernel(rows, n_columns):
+    """Right kernel of the rows, one vector per free column, in column
+    order: each row reduced by the stored pivot rows and stored at its
+    lowest column left, the stored rows back-substituted into reduced
+    row echelon form, and each free column's vector read off them."""
+    pivots = {}
+    for raw in rows:
+        row = dict(raw)
+        lead = _reduce(row, pivots)
+        if lead is not None:
+            _store_pivot(pivots, row, lead)
+    reduced = _back_substitute(pivots)
+    basis = {c: {c: F(1)} for c in range(n_columns) if c not in pivots}
+    for lead, row in reduced.items():
+        for column, value in row.items():
+            basis[column][lead] = -value
+    return list(basis.values())
+
+
 def reference_solve_window(module, radius, precision):
     columns, rows, appears, scale = reference_monomial_system(
         module, radius, precision
@@ -194,7 +217,7 @@ def reference_solve_window(module, radius, precision):
     return [
         [
             {columns[c]: v for c, v in vector.items()}
-            for vector in sparse_kernel(rows[:cut], len(columns))
+            for vector in reference_kernel(rows[:cut], len(columns))
             if not ground.isdisjoint(vector)
         ]
         for cut in cuts
@@ -248,19 +271,25 @@ def reference_assemble_sections(module, chosen):
 
 
 def reference_global_sections(module, precision, radius):
+    """The section space, and the ground vectors of the whole system."""
     *lower, ground = reference_solve_window(module, radius, precision)
     rank, chosen = reference_collapse(ground, precision)
     ranks = tuple(
         rank if p == precision else reference_collapse(g, F(p), choose=False)[0]
         for p, g in enumerate(lower, 1)
     )
-    return SectionSpace(
+    space = SectionSpace(
         rank=rank,
         precision=precision,
         window=radius,
         sections=reference_assemble_sections(module, chosen),
         ranks=ranks,
     )
+    return space, ground
+
+
+def walk(module, precision, radius):
+    return _walk_window(module, _edge_monomials(module), radius, precision)
 
 
 def reference_patch_global(lagrangian, fibration):
@@ -311,7 +340,11 @@ def test_line_sections_match_the_replaced_path(name, slope):
         for precision in PRECISIONS:
             space = global_sections(module, precision)
             assert space.window == section_window(line, precision)
-            assert space == reference_global_sections(module, precision, space.window)
+            reference, ground = reference_global_sections(
+                module, precision, space.window
+            )
+            assert walk(module, precision, space.window) == ground
+            assert space == reference
             assert space.rank == max(slope, 0)
 
 
@@ -334,7 +367,9 @@ def test_canonical_sections_match_the_replaced_path(name):
     for precision in (F(1, 2), F(4), F(9, 2)):
         space = global_sections(module, precision)
         assert space.window == 0
-        assert space == reference_global_sections(module, precision, 0)
+        reference, ground = reference_global_sections(module, precision, 0)
+        assert walk(module, precision, 0) == ground
+        assert space == reference
         assert space.rank == 1
 
 
@@ -425,9 +460,7 @@ def test_monomial_system_builds_and_restricts_no_element(monkeypatch):
     monkeypatch.setattr(AffinoidElement, "restrict", counting_restrict)
     for name, module in modules:
         for radius in (1, 3):
-            monomials = twisted_sheaves._edge_monomials(module)
-            system = twisted_sheaves._monomial_system(module, monomials, radius, F(2))
-            assert system.rows, name
+            walk(module, F(2), radius)
             assert calls == [], name
     # the guard sees a call of either
     AffinoidElement.one(modules[0][1].cover, (0,)).restrict((0, 1))

@@ -206,11 +206,17 @@ class Cover:
             raise ChartMismatchError(f"{self._fmt(face)} is not a face") from None
 
     def transition(self, i, j):
-        """Coordinate change from chart i to chart j."""
-        if i == j:
+        """Coordinate change from chart i to chart j.  An index outside
+        0..n-1 for the n charts, or two charts that share no edge, raise
+        ChartMismatchError."""
+        n = len(self._chart_ids)
+        if i == j and 0 <= i < n:
             return self._identity
         phi = self._transitions.get((i, j))
         if phi is None:
+            for k in (i, j):
+                if not 0 <= k < n:
+                    raise ChartMismatchError(f"chart index {k} is outside 0..{n - 1}")
             raise ChartMismatchError(
                 f"charts {self._chart_ids[i]!r} and {self._chart_ids[j]!r} "
                 "do not share an edge"

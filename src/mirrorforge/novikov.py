@@ -546,45 +546,32 @@ def _with_headroom(entries, precision, attempt):
     raise last_error
 
 
-def _greedy_pass(rows, precision, working, choose, husks=False):
+def _greedy_pass(rows, precision, working, husks=False):
     # one attempt of the greedy pass over rows of (column, scalar) pairs,
     # entries truncated to the working cutoff and exact zeros skipped,
     # and so are entries that vanish below it unless husks are kept:
-    # the echelon state of every row and the chosen indices
-    every, spare = {}, []
-    chosen_slots, chosen = {}, []
-    for index, pairs in enumerate(rows):
+    # the echelon state of every row
+    slots, spare = {}, []
+    for pairs in rows:
         row = {}
         for j, x in pairs:
             if x._terms or x._cutoff is not None:
                 x = x.truncate(working)
                 if x._terms or x._cutoff < working or husks:
                     row[j] = x
-        if not row:
-            continue
-        _echelon_insert(every, spare, row, precision, working, husks)
-        if choose:
-            trial = dict(chosen_slots)
-            _echelon_insert(trial, [], row, precision, working)
-            if len(trial) > len(chosen_slots):
-                chosen_slots = trial
-                chosen.append(index)
-    return every, chosen[: len(every)]
+        if row:
+            _echelon_insert(slots, spare, row, precision, working, husks)
+    return slots
 
 
-def greedy_rank(rows, precision, choose=True):
-    """Rank at the precision and a greedy choice of rows, from one
-    valuation-ordered echelon pass over the rows in their order.
+def greedy_rank(rows, precision):
+    """Rank at the precision, from one valuation-ordered echelon pass
+    over the rows in their order.
 
     This is the library's one Novikov elimination; the rank and kernel
     of a NovikovMatrix run on it too.  Rows are ``{column: scalar}``
-    dicts; a column a row does not hold is an exact zero there.  Returns
-    (rank, chosen): rank is the pivot count of the echelon state of
-    every row, and chosen lists, in order, the indices of the rows that
-    raise the pivot count of the rows chosen before them, up to rank of
-    them, or nothing with choose=False.  A row joins the chosen state
-    only when it raises that state's pivot count; both states are
-    needed, since the rank of all rows can exceed the number chosen.
+    dicts; a column a row does not hold is an exact zero there.  The
+    rank is the pivot count of the echelon state of every row.
 
     Each row, truncated to the working cutoff, goes into the state by
     _echelon_insert, whose reductions use factors of nonnegative
@@ -592,14 +579,15 @@ def greedy_rank(rows, precision, choose=True):
     valuation ring.  Attempts run through the headroom ladder of
     _with_headroom; an attempt reads no term at or past its cutoff.
     """
-    slots, chosen = _with_headroom(
-        lambda: (x for row in rows for x in row.values()),
-        precision,
-        lambda precision, working: _greedy_pass(
-            [row.items() for row in rows], precision, working, choose
-        ),
+    return len(
+        _with_headroom(
+            lambda: (x for row in rows for x in row.values()),
+            precision,
+            lambda precision, working: _greedy_pass(
+                [row.items() for row in rows], precision, working
+            ),
+        )
     )
-    return len(slots), chosen
 
 
 class NovikovMatrix:
@@ -727,11 +715,11 @@ class NovikovMatrix:
         Entries whose known terms all vanish below the working precision
         count as zero when their cutoff reaches the precision, and raise
         :class:`PrecisionExhaustedError` when it does not.  The pass
-        drops husks, as for the section solver, so on rare input the
-        count differs from the kernel's, which keeps them.
+        drops husks, so on rare input the count differs from the
+        kernel's, which keeps them.
         """
         rows = [dict(enumerate(row)) for row in self._rows]
-        return greedy_rank(rows, precision, choose=False)[0]
+        return greedy_rank(rows, precision)
 
     def kernel_basis_at_precision(self, precision):
         """A basis of the right kernel modulo t**precision.
@@ -754,8 +742,8 @@ class NovikovMatrix:
         )
 
     def _kernel_attempt(self, precision, working):
-        slots, _ = _greedy_pass(
-            [enumerate(row) for row in self._rows], precision, working, False, husks=True
+        slots = _greedy_pass(
+            [enumerate(row) for row in self._rows], precision, working, husks=True
         )
         rows = [
             {j: x for j, x in enumerate(row) if not x.is_exact_zero()}

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .intlinalg import determinant
 from .mirror_charts import AffinoidElement, _exp_entry, _restriction_move
-from .novikov import INF, NovikovMatrix, NovikovScalar, _frac, greedy_rank
+from .novikov import INF, NovikovMatrix, NovikovScalar, _frac
 
 
 # -- matrices of affinoid elements ----------------------------------------
@@ -428,14 +428,18 @@ def validate_module(module, precision, stop_early=False):
 class SectionSpace:
     """Kernel of the edge comparison system at a working precision.
 
-    window is the monomial radius the system was solved at.  ranks[p - 1]
-    is the rank modulo t^p of the returned sections, as
-    novikov.greedy_rank counts it, for p from 1 to the integer part of
-    the working precision; below precision 1 it is empty.  Each is at
-    most len(sections), and at an integer working precision the last
-    equals it.  Read off the sections rather than off the system cut at
-    p, they do not count the tower segments that a wider window grounds
-    below p.
+    window is the monomial radius the system was solved at.  sections
+    are the components of the system's graph that _walk_window keeps, in
+    walk order, and rank is their number.  Each grows from a lam = 0
+    seed and holds only lam >= 0, and no two share a node, so their t^0
+    coefficients sit on pairwise disjoint, nonempty sets of sources: the
+    residue matrix has full row rank, every elementary divisor is a unit
+    (Kaplansky, Trans. AMS 66, 1949), and the sections stay independent
+    modulo t^p for every p > 0.  So ranks[p - 1], the rank modulo t^p of
+    the sections for p from 1 to the integer part of the working
+    precision, is rank at every p; below precision 1 it is empty.  Read
+    off the sections rather than off the system cut at p, they do not
+    count the tower segments that a wider window grounds below p.
     """
 
     rank: int
@@ -591,60 +595,30 @@ def _ratio(c, c2):
     return q.numerator if q.denominator == 1 else q
 
 
-def _collapse(basis, precision):
-    """Independent section directions among normalised kernel vectors.
-
-    Distinct rational solutions can present the same section shifted by
-    a power of t, so the count is the rank over the series field of the
-    assembled vectors at the working precision, with the vectors as rows
-    over their sorted (chart, exponent, sheet) support.  Returns the rank
-    and the vectors, each grouped per (chart, exponent, sheet), that
-    raise the rank of the ones taken before them, up to the rank of
-    them, in basis order.  Both come from one pass of
-    novikov.greedy_rank over the grouped vectors as sparse rows.
-    """
-    grouped = []
-    for vector in basis:
-        # a vector holds each (source, lam) once, with a nonzero value, so
-        # a slot's terms sorted by lam are a scalar's normal form
-        slots = {}
-        for (source, lam), c in vector.items():
-            slots.setdefault(source, []).append((lam, Fraction(c)))
-        grouped.append(
-            {
-                source: NovikovScalar._trusted(tuple(sorted(pairs)), None)
-                for source, pairs in slots.items()
-            }
-        )
-    support = sorted({source for g in grouped for source in g})
-    if not support:
-        return 0, []
-    position = {source: j for j, source in enumerate(support)}
-    rows = [{position[source]: value for source, value in g.items()} for g in grouped]
-    rank, chosen = greedy_rank(rows, precision)
-    return rank, [grouped[i] for i in chosen]
-
-
-def _assemble_sections(module, chosen):
-    # every chart's slots share one zero element; the grouped values are
-    # exact scalars on int exponents, so the elements are built trusted
+def _assemble_sections(module, vectors):
+    # each vector holds each (source, lam) once, with a nonzero value, so
+    # a slot's terms sorted by lam are a scalar's normal form; every
+    # chart's slots share one zero element, and the elements are built
+    # trusted on int exponents
     cover = module.cover
     charts = range(len(cover.chart_ids))
     basepoints = [cover.face_chart((i,)).basepoint for i in charts]
     zeros = [AffinoidElement._trusted(cover, (i,), basepoints[i], {}) for i in charts]
     sections = []
-    for g in chosen:
+    for vector in vectors:
         slots = {}
-        for (i, a, col), value in g.items():
-            slots.setdefault((i, col), {})[a] = value
+        for ((i, a, col), lam), c in vector.items():
+            slots.setdefault((i, col), {}).setdefault(a, []).append((lam, Fraction(c)))
+        elements = {}
+        for (i, col), terms in slots.items():
+            scalars = {
+                a: NovikovScalar._trusted(tuple(sorted(pairs)), None)
+                for a, pairs in terms.items()
+            }
+            elements[i, col] = AffinoidElement._trusted(cover, (i,), basepoints[i], scalars)
         sections.append(
             {
-                i: tuple(
-                    AffinoidElement._trusted(cover, (i,), basepoints[i], slots[(i, col)])
-                    if (i, col) in slots
-                    else zeros[i]
-                    for col in range(module.rank)
-                )
+                i: tuple(elements.get((i, col), zeros[i]) for col in range(module.rank))
                 for i in charts
             }
         )
@@ -702,14 +676,14 @@ def loop_monodromy(module, loop=None):
     The default loop walks 0, 1, ..., n-1 and closes back to 0.  For
     the slope-k line each sheet comes back with shift sign(k) and
     weight one, the signature of a degree-k line on the mirror curve.
-    A step between two charts that share no edge raises
-    ChartMismatchError.
+    A step between two charts that share no edge, or to a chart index
+    the cover does not have, raises ChartMismatchError.
     """
     if loop is not None:
         cover = module.cover
-        edges = set(cover.faces_of_degree(1))
         for a, b in zip(loop, loop[1:]):
-            if tuple(sorted((a, b))) not in edges:
+            cover.transition(a, b)  # an index off the cover or a non-edge raises here
+            if a == b:
                 ids = cover.chart_ids
                 raise ChartMismatchError(
                     f"charts {ids[a]!r} and {ids[b]!r} do not share an edge"
@@ -858,19 +832,21 @@ def global_sections(module, precision, max_window=None, min_window=0):
     """Sections over the whole cover, modulo the working precision.
 
     Solves the edge comparison system over rational monomial unknowns
-    of valuation below the precision (plus edge headroom), then counts
-    the series-field-independent solutions among those scaled to least
-    valuation zero.  The monomial window has the radius section_radius
-    certifies, or min_window if that is larger; a radius above
-    max_window raises ValueError.  The module's _edge_monomials are read
-    once, for the radius and the walk, and the system is solved by one
-    walk over its graph (_walk_window).
+    of valuation below the precision (plus edge headroom), and takes
+    every solution scaled to least valuation zero as a section.  The
+    monomial window has the radius section_radius certifies, or
+    min_window if that is larger; a radius above max_window raises
+    ValueError.  The module's _edge_monomials are read once, for the
+    radius and the walk, and the system is solved by one walk over its
+    graph (_walk_window).
 
-    The rank at each integer precision p = 1, ..., floor(precision) is
-    the rank modulo t^p of the sections found at the working precision,
-    novikov.greedy_rank at p over the chosen sections, with no further
-    walk of the system.  The returned space carries these
-    ranks and the stabilisation threshold.  A fractional precision
+    The walk keeps one vector per surviving component of the system's
+    graph, and their residues at t^0 sit on disjoint sets of sources, so
+    they are independent over the series field and modulo t^p for every
+    p > 0 (see SectionSpace): the rank is their count, at the working
+    precision and at each integer precision p = 1, ..., floor(precision),
+    with no elimination.  The returned space carries these ranks and
+    the stabilisation threshold.  A fractional precision
     compares ranks only up to its integer part, and below precision 1
     there is no integer precision to compare: the ranks are empty and
     the threshold is 0.  A precision that is not positive raises
@@ -884,18 +860,13 @@ def global_sections(module, precision, max_window=None, min_window=0):
             f"the certified section radius {radius} exceeds "
             f"max_window={max_window}"
         )
-    ground = _walk_window(module, monomials, radius, precision)
-    rank, chosen = _collapse(ground, precision)
-    ranks = tuple(
-        greedy_rank(chosen, Fraction(p), choose=False)[0]
-        for p in range(1, int(precision) + 1)
-    )
+    vectors = _walk_window(module, monomials, radius, precision)
     return SectionSpace(
-        rank=rank,
+        rank=len(vectors),
         precision=precision,
         window=radius,
-        sections=_assemble_sections(module, chosen),
-        ranks=ranks,
+        sections=_assemble_sections(module, vectors),
+        ranks=(len(vectors),) * int(precision),
     )
 
 

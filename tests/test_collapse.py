@@ -1,23 +1,27 @@
-"""The one Novikov elimination against the code it replaced.
+"""The one Novikov elimination and the section count against the code
+they replaced.
 
-``novikov.greedy_rank`` is the library's one Novikov elimination.
-``_collapse`` reads the section rank and the chosen vectors off one
-pass of it, and ``NovikovMatrix.rank_at_precision`` and
-``kernel_basis_at_precision`` run on the echelon state it builds.  The
-replaced code is kept here as the reference: the dense column-by-column
-elimination that rank and kernel used to run, and the prefix loop over
-it that the collapse used to run, one rank of every row and one more for
-every prefix it tried.  The pass must give the same rank and the same
-chosen vectors in the same order, and two mutants of the pass must be
-caught.  On seeded exact matrices and on L*D*U matrices of known rank,
-rank and free columns must match the dense elimination, and every
-kernel vector must annihilate the rows modulo t^P.  Pinned cases from
-further into the seeds, where a kernel or a rank read at the bare
-precision differs from the count the minor valuations give, are checked
-against the minors; the one where the pass's rank is still off is an
-expected failure.  On seeded truncated matrices the ranks must match
-wherever both answer.  Kernel vectors modulo t^P are not unique, so
-they are checked by their properties, not their values.
+``novikov.greedy_rank`` is the library's one Novikov elimination, and
+``NovikovMatrix.rank_at_precision`` and ``kernel_basis_at_precision``
+run on the echelon state it builds.  The replaced code is kept here as
+the reference: the dense column-by-column elimination that rank and
+kernel used to run, and the prefix loop over it that the section
+collapse used to run, one rank of every row and one more for every
+prefix it tried.  The pass must give the same rank.  ``global_sections``
+takes every component the walk keeps as a section, with no elimination:
+each survivor holds a lam = 0 node, on sources no other survivor holds
+at lam = 0, and no negative lam, so the prefix loop chooses every
+survivor, in order, and the pass counts them at every integer
+precision; two mutants of the walk must be caught.  On seeded exact
+matrices and on L*D*U matrices of known rank, rank and free columns
+must match the dense elimination, and every kernel vector must
+annihilate the rows modulo t^P.  Pinned cases from further into the
+seeds, where a kernel or a rank read at the bare precision differs from
+the count the minor valuations give, are checked against the minors;
+the one where the pass's rank is still off is an expected failure.  On
+seeded truncated matrices the ranks must match wherever both answer.
+Kernel vectors modulo t^P are not unique, so they are checked by their
+properties, not their values.
 """
 
 import random
@@ -26,26 +30,20 @@ from itertools import combinations
 
 import pytest
 
-from mirrorforge import novikov
+from mirrorforge import novikov, twisted_sheaves
 from mirrorforge.catalog import catalog_ids, load_catalog
 from mirrorforge.cover import coboundary_certificate
 from mirrorforge.errors import PrecisionExhaustedError
 from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.intlinalg import determinant
-from mirrorforge.novikov import (
-    NovikovMatrix,
-    NovikovScalar,
-    _echelon_insert,
-    _with_headroom,
-    greedy_rank,
-)
+from mirrorforge.novikov import NovikovMatrix, NovikovScalar, _with_headroom, greedy_rank
 from mirrorforge.twisted_sheaves import (
-    _collapse,
     _edge_monomials,
-    _walk_window,
     canonical_twisted_module,
+    global_sections,
     section_radius,
 )
+from test_section_solver import TORUS_MODULES, doubled_torus, perturbed_line_modules
 
 F = Fraction
 S = NovikovScalar
@@ -183,13 +181,13 @@ def reference_scalar(pairs):
     return total
 
 
-def reference_greedy(rows, precision, choose=True):
+def reference_greedy(rows, precision):
     """(rank, chosen indices): one rank of every row, then one rank for
     every prefix of the chosen rows plus the next row, until rank rows
     are chosen."""
     total = reference_rank(rows, precision)
     chosen = []
-    for index, row in enumerate(rows if choose else ()):
+    for index, row in enumerate(rows):
         if len(chosen) == total:
             break
         trial = [rows[i] for i in chosen] + [row]
@@ -198,7 +196,9 @@ def reference_greedy(rows, precision, choose=True):
     return total, chosen
 
 
-def reference_collapse(basis, precision):
+def reference_group(basis):
+    """Each (source, lam) vector as {source: scalar}, summed monomial by
+    monomial."""
     grouped = []
     for vector in basis:
         slots = {}
@@ -207,6 +207,11 @@ def reference_collapse(basis, precision):
         grouped.append(
             {source: reference_scalar(pairs) for source, pairs in slots.items()}
         )
+    return grouped
+
+
+def reference_collapse(basis, precision):
+    grouped = reference_group(basis)
     support = sorted({source for g in grouped for source in g})
     if not grouped or not support:
         return 0, []
@@ -215,18 +220,37 @@ def reference_collapse(basis, precision):
     return total, [grouped[i] for i in chosen]
 
 
-def assert_collapses_agree(module, radius, precision):
-    """One _walk_window: at the working precision the rank and the
-    chosen vectors, in order, and at every integer precision the rank of
-    the chosen vectors, which is all global_sections reads there."""
-    ground = _walk_window(module, _edge_monomials(module), radius, precision)
-    rank, chosen = _collapse(ground, precision)
-    assert (rank, chosen) == reference_collapse(ground, precision)
-    support = sorted({source for g in chosen for source in g})
-    rows = [[g.get(source, S.zero()) for source in support] for g in chosen]
+def section_slots(section):
+    """{(chart, exponent, sheet): scalar} over the nonzero entries of a
+    section."""
+    return {
+        (i, a, col): value
+        for i, entries in section.items()
+        for col, x in enumerate(entries)
+        for a, value in x.terms.items()
+    }
+
+
+def assert_survivors_are_the_sections(module, radius, precision):
+    """One walk: every survivor holds a lam = 0 node and no negative
+    lam, and no two survivors hold a lam = 0 node on the same source, so
+    their residues at t^0 are independent.  The prefix loop chooses every
+    survivor, in order; the pass counts them at every integer precision;
+    and global_sections returns exactly them, in order."""
+    walked = twisted_sheaves._walk_window(
+        module, _edge_monomials(module), radius, precision
+    )
+    seeds = [{source for source, lam in vector if lam == 0} for vector in walked]
+    assert all(seeds)
+    assert len(set().union(*seeds)) == sum(map(len, seeds))
+    assert all(lam >= 0 for vector in walked for _, lam in vector)
+    grouped = reference_group(walked)
+    assert reference_collapse(walked, precision) == (len(walked), grouped)
     for p in range(1, int(precision) + 1):
-        got = greedy_rank(chosen, F(p), choose=False)
-        assert got == (reference_greedy(rows, F(p), choose=False)[0], []), p
+        assert greedy_rank(grouped, F(p)) == len(walked), p
+    space = global_sections(module, precision, min_window=radius)
+    assert (space.window, space.rank) == (radius, len(walked))
+    assert [section_slots(section) for section in space.sections] == grouped
 
 
 # -- section systems ----------------------------------------------------------
@@ -239,7 +263,7 @@ def test_line_modules_collapse_as_the_prefix_loop(name, slope):
     for offset in OFFSETS:
         module = patch_global(LinearLagrangian(slope, offset), fibration)
         for precision in PRECISIONS:
-            assert_collapses_agree(
+            assert_survivors_are_the_sections(
                 module, section_radius(module, precision), precision
             )
 
@@ -262,7 +286,52 @@ def test_canonical_modules_collapse_as_the_prefix_loop(name):
     module = canonical_twisted_module(load_catalog(name))
     for precision in (F(1, 2), F(4), F(9, 2)):
         for radius in (0, 1):
-            assert_collapses_agree(module, radius, precision)
+            assert_survivors_are_the_sections(module, radius, precision)
+
+
+def test_perturbed_lines_collapse_as_the_prefix_loop():
+    # segments of a tower broken below the precision survive as
+    # components of their own, more of them in a wider window
+    for module in perturbed_line_modules():
+        for precision in (F(1, 2), F(1), F(3), F(6)):
+            radius = section_radius(module, precision)
+            for window in (radius, radius + 2, radius + 5):
+                assert_survivors_are_the_sections(module, window, precision)
+
+
+def test_torus_modules_collapse_as_the_prefix_loop():
+    modules = [*TORUS_MODULES.values(), doubled_torus()]
+    for module in modules:
+        for precision in (F(1, 2), F(1), F(4)):
+            for radius in (0, 1, 2):
+                assert_survivors_are_the_sections(module, radius, precision)
+
+
+WALK = twisted_sheaves._walk_window
+
+
+def walk_seeded_at_one(module, monomials, radius, precision):
+    # mutant: the first survivor sits one step up, as if grown from a
+    # lam = 1 seed, and holds no lam = 0 node
+    walked = WALK(module, monomials, radius, precision)
+    shifted = [{(source, lam + 1): c for (source, lam), c in v.items()} for v in walked[:1]]
+    return shifted + walked[1:]
+
+
+def walk_keeping_a_reached_component(module, monomials, radius, precision):
+    # mutant: the first survivor, reached again from a node it holds, is
+    # kept a second time
+    walked = WALK(module, monomials, radius, precision)
+    return walked + walked[:1]
+
+
+@pytest.mark.parametrize("mutant", [walk_seeded_at_one, walk_keeping_a_reached_component])
+def test_each_walk_mutant_fails_the_count(mutant, monkeypatch):
+    module = patch_global(LinearLagrangian(2, F(1, 3)), load_catalog("elliptic-demo"))
+    assert_survivors_are_the_sections(module, section_radius(module, 2), F(2))
+    monkeypatch.setattr(twisted_sheaves, "_walk_window", mutant)
+    with pytest.raises(AssertionError):
+        assert_survivors_are_the_sections(module, section_radius(module, 2), F(2))
 
 
 # -- seeded Novikov rows ------------------------------------------------------
@@ -321,30 +390,29 @@ def random_cases():
     ]
 
 
+def reference_rank_at(rows, precision, working):
+    """The pivot count of the dense elimination at one working cutoff."""
+    return len(reference_rref_attempt(rows, precision, working)[1])
+
+
 def reference_greedy_at(rows, precision, working):
     """The prefix loop with every rank taken by the dense elimination at
     one working cutoff."""
-
-    def rank(selected):
-        return len(reference_rref_attempt(selected, precision, working)[1])
-
-    total = rank(rows)
+    total = reference_rank_at(rows, precision, working)
     chosen = []
     for index, row in enumerate(rows):
         if len(chosen) == total:
             break
-        if rank([rows[i] for i in chosen] + [row]) > len(chosen):
+        trial = [rows[i] for i in chosen] + [row]
+        if reference_rank_at(trial, precision, working) > len(chosen):
             chosen.append(index)
     return total, chosen
 
 
-def pass_at(rows, precision, working, choose=True):
-    """(rank, chosen) from one attempt of the library's pass at one
-    working cutoff."""
-    slots, chosen = novikov._greedy_pass(
-        [enumerate(row) for row in rows], precision, working, choose
-    )
-    return len(slots), chosen
+def pass_at(rows, precision, working):
+    """The rank from one attempt of the library's pass at one working
+    cutoff."""
+    return len(novikov._greedy_pass([enumerate(row) for row in rows], precision, working))
 
 
 def outcome(call):
@@ -355,23 +423,22 @@ def outcome(call):
 
 
 def assert_greedy_agrees(cases):
-    """The pass against the prefix loop at the same working cutoff: 4
-    above the precision, where both must succeed, and at the precision
-    itself, where either may run out of headroom.  Returns how many
-    cases both finished at the precision itself.
+    """The pass against the dense elimination at the same working
+    cutoff: 4 above the precision, where both must succeed, and at the
+    precision itself, where either may run out of headroom.  Returns how
+    many cases both finished at the precision itself.
 
     The headroom ladder tries the bare precision first and reads terms
-    only below the cutoff of the attempt that succeeds, so its prefix
-    loop can mix ranks taken at different cutoffs; a fixed cutoff
-    compares like with like (see CHANGES.md)."""
+    only below the cutoff of the attempt that succeeds, so a fixed
+    cutoff compares like with like (see CHANGES.md)."""
     finished = 0
     for rows, precision in cases:
         working = precision + 4
         assert pass_at(rows, precision, working) == (
-            reference_greedy_at(rows, precision, working)
+            reference_rank_at(rows, precision, working)
         ), (rows, precision, working)
         got = outcome(lambda: pass_at(rows, precision, precision))
-        want = outcome(lambda: reference_greedy_at(rows, precision, precision))
+        want = outcome(lambda: reference_rank_at(rows, precision, precision))
         if got is not None and want is not None:
             assert got == want, (rows, precision)
             finished += 1
@@ -379,75 +446,20 @@ def assert_greedy_agrees(cases):
 
 
 def test_pinned_rows_keep_the_rank_above_the_chosen_count():
+    # the prefix loop chooses fewer rows than the rank of all of them;
+    # the pass reads that rank
     for rows, precision, working, expected in PINNED:
         assert reference_greedy_at(rows, precision, working) == expected
-        assert pass_at(rows, precision, working) == expected
-        assert pass_at(rows, precision, working, False) == (expected[0], [])
+        assert pass_at(rows, precision, working) == expected[0]
     rows, precision, _, expected = PINNED[0]
     assert reference_greedy(rows, precision) == expected
     sparse = [dict(enumerate(row)) for row in rows]
-    assert greedy_rank(sparse, precision) == expected
+    assert greedy_rank(sparse, precision) == expected[0]
 
 
 def test_seeded_rows_match_the_prefix_loop():
     cases = random_cases()
     assert assert_greedy_agrees(cases) >= len(cases) * 9 // 10
-
-
-# -- mutants ------------------------------------------------------------------
-
-
-def sparse_rows(rows, working):
-    for pairs in rows:
-        row = {}
-        for j, x in pairs:
-            if not x.is_exact_zero():
-                x = x.truncate(working)
-                if x.terms or x.cutoff < working:
-                    row[j] = x
-        yield row
-
-
-def attempt_without_trial(rows, precision, working, choose):
-    # mutant: a row that does not join the chosen rows still changes
-    # their state
-    every, spare, chosen_slots, chosen_spare, chosen = {}, [], {}, [], []
-    for index, row in enumerate(sparse_rows(rows, working)):
-        if row:
-            _echelon_insert(every, spare, row, precision, working)
-            before = len(chosen_slots)
-            _echelon_insert(chosen_slots, chosen_spare, row, precision, working)
-            if len(chosen_slots) > before:
-                chosen.append(index)
-    return every, chosen[: len(every)]
-
-
-def attempt_on_chosen_rows_only(rows, precision, working, choose):
-    # mutant: the rank is the pivot count of the chosen rows
-    chosen_slots, chosen = {}, []
-    for index, row in enumerate(sparse_rows(rows, working)):
-        if row:
-            trial = dict(chosen_slots)
-            _echelon_insert(trial, [], row, precision, working)
-            if len(trial) > len(chosen_slots):
-                chosen_slots = trial
-                chosen.append(index)
-    return chosen_slots, chosen
-
-
-@pytest.mark.parametrize(
-    "mutant, seen_in_random_rows",
-    [(attempt_without_trial, True), (attempt_on_chosen_rows_only, False)],
-)
-def test_each_mutant_fails_the_comparison(mutant, seen_in_random_rows, monkeypatch):
-    # counting only the chosen rows shows only where the rank exceeds
-    # the chosen count, as on the first pinned rows
-    monkeypatch.setattr(novikov, "_greedy_pass", mutant)
-    with pytest.raises(AssertionError):
-        test_pinned_rows_keep_the_rank_above_the_chosen_count()
-    if seen_in_random_rows:
-        with pytest.raises(AssertionError):
-            assert_greedy_agrees(random_cases())
 
 
 # -- rank and kernel against the dense elimination ----------------------------

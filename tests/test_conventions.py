@@ -172,7 +172,7 @@ def test_the_elimination_guard_sees_a_second_pass(filename, line):
 def test_the_elimination_guard_allows_the_one_pass_and_other_names():
     text = (
         "def _echelon_insert(slots, spare, row, precision, working, husks=False):\n"
-        "def greedy_rank(rows, precision, choose=True):"
+        "def greedy_rank(rows, precision):"
     )
     assert not elimination_definitions("novikov.py", text)
     assert not elimination_definitions(SOLVER_HOME, "def rational_rref(mat):")

@@ -263,6 +263,18 @@ def test_slope_thirty_sections_within_two_seconds(catalog, slope):
     assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
 
 
+def test_slope_two_sections_at_precision_1920_within_a_second():
+    # a Novikov rank of the walked sections at each integer precision
+    # took about 3.4 s a call on a shared 2-core machine
+    budget = 1.0
+    module = patch_global(LinearLagrangian(2), load_catalog("elliptic-demo"))
+    start = time.perf_counter()
+    space = global_sections(module, 1920)
+    elapsed = time.perf_counter() - start
+    assert (space.rank, space.threshold) == (2, 1)
+    assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
+
+
 def test_slope_minus_four_hundred_sections_within_four_seconds():
     # eliminating the section system, before it was walked, took about
     # 7.5 s a call on a shared 2-core machine

@@ -7,6 +7,7 @@ import pytest
 from mirrorforge.affine import AffineFunction, dot
 from mirrorforge.catalog import load_catalog
 from mirrorforge.errors import ChartMismatchError, UndecidableDescriptionError
+from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.mirror_charts import (
     AffinoidElement,
     MaxAffineValuation,
@@ -24,6 +25,7 @@ from mirrorforge.mirror_charts import (
     verify_gerbe,
 )
 from mirrorforge.novikov import NovikovScalar
+from mirrorforge.twisted_sheaves import loop_monodromy
 
 
 def F(*args):
@@ -398,6 +400,29 @@ class TestMonomialMaps:
             chart_monomial_map(cover, 0, 2)
         with pytest.raises(ChartMismatchError, match="^charts '2' and '0' do not share an edge$"):
             chart_monomial_map(cover, 2, 0)
+
+    def test_a_chart_index_off_the_cover_is_refused_by_name(self):
+        # split-torus-2 has charts 0..3: an index past them leaked an
+        # IndexError from the refusal's own message, and a negative one
+        # named the chart it wrapped round to
+        fibration = load_catalog("split-torus-2")
+        cover = fibration.cover
+        module = patch_global(LinearLagrangian(1), fibration)
+        calls = [
+            (lambda: cover.transition(0, 7), 7),
+            (lambda: cover.transition(7, 0), 7),
+            (lambda: cover.transition(7, 7), 7),
+            (lambda: cover.transition(-1, 0), -1),
+            (lambda: chart_monomial_map(cover, 0, 7), 7),
+            (lambda: chart_monomial_map(cover, -1, 0), -1),
+            (lambda: loop_monodromy(module, [0, 7]), 7),
+            (lambda: loop_monodromy(module, [0, 1, -1]), -1),
+        ]
+        for call, index in calls:
+            with pytest.raises(
+                ChartMismatchError, match=rf"^chart index {index} is outside 0\.\.3$"
+            ):
+                call()
 
     def test_edge_map_matches_restriction_on_the_overlap(self):
         # moving a monomial through chart coordinates agrees with the two

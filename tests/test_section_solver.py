@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorforge import cli, twisted_sheaves
+from mirrorforge import cli, novikov, twisted_sheaves
 from mirrorforge.affine import AffineFunction, dot
 from mirrorforge.catalog import catalog_ids, load_catalog
 from mirrorforge.cover import AffCochain, coboundary_certificate
@@ -40,7 +40,6 @@ from mirrorforge.floer_demo import LinearLagrangian, patch_global, section_windo
 from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.novikov import NovikovScalar, greedy_rank
 from mirrorforge.twisted_sheaves import (
-    _collapse,
     _edge_monomials,
     _walk_window,
     _window_exponents,
@@ -211,6 +210,18 @@ def reference_kernel(rows, columns):
     return basis
 
 
+def series_rank(vectors, precision):
+    """Rank at the precision of (source, lam) vectors as rows over their
+    sources, by the library's one Novikov elimination."""
+    rows = []
+    for vector in vectors:
+        row = {}
+        for (source, lam), c in vector.items():
+            row[source] = row.get(source, NovikovScalar.zero()) + NovikovScalar.monomial(c, lam)
+        rows.append(row)
+    return greedy_rank(rows, precision)
+
+
 def reference_ranks(module, radius, precision):
     """Section rank at each integer precision 1..int(precision), each
     from its own system built and solved from scratch."""
@@ -219,7 +230,7 @@ def reference_ranks(module, radius, precision):
         columns, rows = reference_system(module, radius, F(p))
         basis = reference_kernel(rows, columns)
         ground = [v for v in basis if min(lam for _, lam in v) == 0]
-        ranks.append(_collapse(ground, F(p))[0])
+        ranks.append(series_rank(ground, F(p)))
     return tuple(ranks)
 
 
@@ -235,14 +246,11 @@ def reference_threshold(ranks):
 
 
 def solve_at(module, radius, precision):
-    """(rank, ranks) of the radius-r system, from one build: the ranks
-    modulo t^p of the chosen vectors."""
-    rank, chosen = _collapse(walk_at(module, radius, precision), precision)
-    ranks = tuple(
-        greedy_rank(chosen, F(p), choose=False)[0]
-        for p in range(1, int(precision) + 1)
-    )
-    return rank, ranks
+    """(rank, ranks) of the radius-r system, from one walk: the ranks
+    modulo t^p of the walked vectors."""
+    walked = walk_at(module, radius, precision)
+    ranks = tuple(series_rank(walked, F(p)) for p in range(1, int(precision) + 1))
+    return series_rank(walked, precision), ranks
 
 
 def reference_sweep(module, precision, max_window=8, min_window=1):
@@ -684,39 +692,27 @@ def test_each_call_builds_one_system(monkeypatch):
             assert walked == [section_radius(module, 4)]
 
 
-def test_each_call_eliminates_one_system_once(monkeypatch):
-    collapsed, eliminations = [], []
-    collapse = twisted_sheaves._collapse
-    greedy_rank = twisted_sheaves.greedy_rank
-
-    def counted_collapse(basis, precision):
-        collapsed.append(len(basis))
-        return collapse(basis, precision)
-
-    def counted_greedy_rank(rows, precision, choose=True):
-        eliminations.append((len(rows), choose))
-        return greedy_rank(rows, precision, choose)
-
-    monkeypatch.setattr(twisted_sheaves, "_collapse", counted_collapse)
-    monkeypatch.setattr(twisted_sheaves, "greedy_rank", counted_greedy_rank)
+def test_global_sections_runs_no_novikov_elimination(monkeypatch):
+    # the walked components are independent by their residues at t^0,
+    # so the count and the ranks need no elimination
     modules = (
         patch_global(LinearLagrangian(2, F(1, 3)), ELLIPTIC),
         patch_global(LinearLagrangian(-1), FOUR_ARCS),
         TORUS_MODULES["thurston-f2"],
         PERTURBED,
     )
-    for module in modules:
-        rank = global_sections(module, 4).rank
-        for call in (global_sections, stabilisation_threshold):
-            collapsed.clear()
-            eliminations.clear()
-            call(module, 4)
-            # at most one elimination of the walk's vectors at the working
-            # precision, none when the walk finds no vector; each integer
-            # precision re-reads the chosen rows
-            assert len(collapsed) == 1
-            chosen = [(collapsed[0], True)] if collapsed[0] else []
-            assert eliminations == chosen + [(rank, False)] * 4
+    spaces = [global_sections(module, 4) for module in modules]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Novikov elimination ran")
+
+    monkeypatch.setattr(novikov, "_greedy_pass", refused)
+    with pytest.raises(AssertionError, match="elimination ran"):
+        novikov.greedy_rank([{0: NovikovScalar.one()}], 1)
+    assert [space.rank for space in spaces] == [2, 0, 1, 2]
+    for module, space in zip(modules, spaces):
+        assert global_sections(module, 4) == space
+        assert stabilisation_threshold(module, 4) == space.threshold
 
 
 def test_each_call_reads_the_edge_monomials_once(monkeypatch):

@@ -3,7 +3,7 @@
 The library walks the section system on integer shifts over one scale,
 keeps every node's valuation a scaled int, reads only the kernel vectors
 that meet a valuation-zero node off the components of the system's
-graph, hands the collapse sparse rows and builds the section and
+graph, takes each of them as a section and builds the section and
 restriction entries through the trusted constructor.  The path before
 that is kept here as the reference: the hop table summed on Fractions,
 the system labelled by (source, Fraction lam) columns, the full kernel
@@ -246,7 +246,16 @@ def reference_collapse(basis, precision, choose=True):
         for source, value in g.items():
             row[position[source]] = value
         rows.append(row)
-    rank, chosen = greedy_rank([dict(enumerate(row)) for row in rows], precision, choose)
+    rows = [dict(enumerate(row)) for row in rows]
+    rank = greedy_rank(rows, precision)
+    # the prefix loop: a row is chosen when it raises the rank of the
+    # rows chosen before it
+    chosen = []
+    for index in range(len(rows) if choose else 0):
+        if len(chosen) == rank:
+            break
+        if greedy_rank([rows[i] for i in chosen] + [rows[index]], precision) > len(chosen):
+            chosen.append(index)
     return rank, [grouped[i] for i in chosen]
 
 

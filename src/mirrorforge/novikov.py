@@ -564,32 +564,6 @@ def _greedy_pass(rows, precision, working, husks=False):
     return slots
 
 
-def greedy_rank(rows, precision):
-    """Rank at the precision, from one valuation-ordered echelon pass
-    over the rows in their order.
-
-    This is the library's one Novikov elimination; the rank and kernel
-    of a NovikovMatrix run on it too.  Rows are ``{column: scalar}``
-    dicts; a column a row does not hold is an exact zero there.  The
-    rank is the pivot count of the echelon state of every row.
-
-    Each row, truncated to the working cutoff, goes into the state by
-    _echelon_insert, whose reductions use factors of nonnegative
-    valuation, so the stored rows keep spanning the same module over the
-    valuation ring.  Attempts run through the headroom ladder of
-    _with_headroom; an attempt reads no term at or past its cutoff.
-    """
-    return len(
-        _with_headroom(
-            lambda: (x for row in rows for x in row.values()),
-            precision,
-            lambda precision, working: _greedy_pass(
-                [row.items() for row in rows], precision, working
-            ),
-        )
-    )
-
-
 class NovikovMatrix:
     """Rectangular matrix of scalars with precision-aware elimination."""
 
@@ -710,7 +684,10 @@ class NovikovMatrix:
 
     def rank_at_precision(self, precision):
         """Rank certified by the data modulo t**precision: the pivot count
-        of the one echelon pass, ``greedy_rank`` of the rows.
+        of one valuation-ordered echelon pass over the rows in their order
+        (_greedy_pass, the library's one Novikov elimination), whose
+        reductions use factors of nonnegative valuation, run through the
+        headroom ladder of _with_headroom.
 
         Entries whose known terms all vanish below the working precision
         count as zero when their cutoff reaches the precision, and raise
@@ -718,8 +695,12 @@ class NovikovMatrix:
         drops husks, so on rare input the count differs from the
         kernel's, which keeps them.
         """
-        rows = [dict(enumerate(row)) for row in self._rows]
-        return greedy_rank(rows, precision)
+        slots = _with_headroom(
+            lambda: (x for row in self._rows for x in row),
+            precision,
+            lambda p, working: _greedy_pass(map(enumerate, self._rows), p, working),
+        )
+        return len(slots)
 
     def kernel_basis_at_precision(self, precision):
         """A basis of the right kernel modulo t**precision.

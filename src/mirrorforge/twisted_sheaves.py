@@ -437,26 +437,32 @@ class SectionSpace:
     (Kaplansky, Trans. AMS 66, 1949), and the sections stay independent
     modulo t^p for every p > 0.  So ranks[p - 1], the rank modulo t^p of
     the sections for p from 1 to the integer part of the working
-    precision, is rank at every p; below precision 1 it is empty.  Read
-    off the sections rather than off the system cut at p, they do not
-    count the tower segments that a wider window grounds below p.
+    precision, is rank at every p, and is derived, not stored; below
+    precision 1 it is empty.  Read off the sections rather than off the
+    system cut at p, they do not count the tower segments that a wider
+    window grounds below p.
     """
 
     rank: int
     precision: Fraction
     window: int
     sections: tuple
-    ranks: tuple
+
+    @property
+    def ranks(self):
+        return (self.rank,) * int(self.precision)
 
     @property
     def threshold(self):
         """Least integer precision from which the rank at every integer
         precision equals the rank at the integer part of the working
         precision; 0 when the working precision is below 1."""
-        threshold = len(self.ranks)
-        while threshold > 1 and self.ranks[threshold - 2] == self.ranks[-1]:
-            threshold -= 1
-        return threshold
+        return _threshold(self.precision)
+
+
+def _threshold(precision):
+    # ranks is constant, so the threshold is 1 wherever ranks is not empty
+    return min(1, int(precision))
 
 
 def _window_exponents(dimension, radius):
@@ -491,10 +497,12 @@ def _walk_window(module, monomials, radius, precision):
     equation pins and that reaches no node with two values.  The walk
     grows each component breadth-first from its lam = 0 seeds, where a
     solution scaled to least valuation zero keeps its lowest coefficient,
-    carrying x across c x + c' x' = 0 as x' = -c x / c'.  A survivor is
-    scaled to 1 at its largest node, its keys run down from there, and
-    survivors come in order of that node: the reduced echelon kernel
-    basis over the nodes in sorted order, one vector per free column.
+    carrying x across c x + c' x' = 0 as x' = -c x / c', and stops at the
+    first pin or conflict, marking what it reached dead so that a later
+    walk into it dies too.  A survivor, walked whole, is scaled to 1 at
+    its largest node, its keys run down from there, and survivors come in
+    order of that node: the reduced echelon kernel basis over the nodes
+    in sorted order, one vector per free column.
     """
     cover = module.cover
     rank = module.rank
@@ -554,14 +562,13 @@ def _walk_window(module, monomials, radius, precision):
             arcs[s2].append((limit, shift2, s, shift, _ratio(c2, c)))
     headroom = max((-shift for ends in feeds.values() for _, shift, _ in ends), default=0)
     top = max(limits, default=scaled(precision)) + max(headroom, 0)
-    values = {}
+    values = {}  # a dead node holds None
     survivors = []
     for seed in range(len(sources)):
         if (seed, 0) in values:
             continue
         values[(seed, 0)] = 1
         component = [(seed, 0)]
-        alive = True
         for source, lam in component:
             x = values[(source, lam)]
             for limit, shift, other, shift2, ratio in arcs[source]:
@@ -569,14 +576,16 @@ def _walk_window(module, monomials, radius, precision):
                 if mu >= limit:
                     continue
                 node = (other, mu - shift2)
-                if other is None or not 0 <= node[1] < top:
-                    alive = False
-                elif node not in values:
+                if node not in values and other is not None and 0 <= node[1] < top:
                     values[node] = x * ratio
                     component.append(node)
-                elif values[node] != x * ratio:
-                    alive = False
-        if alive:
+                elif values.get(node) != x * ratio:
+                    break  # pinned, off [0, top), dead, or a second value
+            else:
+                continue
+            values.update(dict.fromkeys(component))  # the component dies
+            break
+        else:
             survivors.append(sorted(component, reverse=True))
     vectors = []
     for nodes in sorted(survivors):
@@ -828,6 +837,25 @@ def _certified_radius(module, monomials, precision):
     )
 
 
+def _certified_window(module, precision, max_window, min_window):
+    # checked arguments, _edge_monomials and the radius for both callers
+    precision = _positive_precision(precision)
+    for name, value in (("min_window", min_window), ("max_window", max_window)):
+        if (isinstance(value, bool) or not isinstance(value, int)) and (
+            value is not None or name == "min_window"
+        ):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    monomials = _edge_monomials(module)
+    certified = _certified_radius(module, monomials, precision)
+    radius = max(certified, min_window)
+    if max_window is not None and radius > max_window:
+        raise ValueError(
+            f"the window radius {radius} exceeds max_window={max_window}: the "
+            f"certified section radius is {certified}, min_window={min_window}"
+        )
+    return precision, monomials, radius
+
+
 def global_sections(module, precision, max_window=None, min_window=0):
     """Sections over the whole cover, modulo the working precision.
 
@@ -836,46 +864,33 @@ def global_sections(module, precision, max_window=None, min_window=0):
     every solution scaled to least valuation zero as a section.  The
     monomial window has the radius section_radius certifies, or
     min_window if that is larger; a radius above max_window raises
-    ValueError.  The module's _edge_monomials are read once, for the
-    radius and the walk, and the system is solved by one walk over its
-    graph (_walk_window).
+    ValueError, and a window argument that is not an int (max_window may
+    be None) TypeError.  The module's _edge_monomials are read once, for
+    the radius and the walk, and the system is solved by one walk over
+    its graph (_walk_window).
 
-    The walk keeps one vector per surviving component of the system's
-    graph, and their residues at t^0 sit on disjoint sets of sources, so
-    they are independent over the series field and modulo t^p for every
-    p > 0 (see SectionSpace): the rank is their count, at the working
-    precision and at each integer precision p = 1, ..., floor(precision),
-    with no elimination.  The returned space carries these ranks and
-    the stabilisation threshold.  A fractional precision
-    compares ranks only up to its integer part, and below precision 1
-    there is no integer precision to compare: the ranks are empty and
-    the threshold is 0.  A precision that is not positive raises
-    ValueError.
+    The walk keeps one vector per surviving component, and these are
+    independent over the series field and modulo t^p for every p > 0
+    (see SectionSpace): the rank is their count, with no elimination,
+    and the space derives its ranks and stabilisation threshold from the
+    rank and the precision.  Below precision 1 there is no integer
+    precision to compare: the ranks are empty and the threshold is 0.  A
+    precision that is not positive raises ValueError.
     """
-    precision = _positive_precision(precision)
-    monomials = _edge_monomials(module)
-    radius = max(_certified_radius(module, monomials, precision), min_window)
-    if max_window is not None and radius > max_window:
-        raise ValueError(
-            f"the certified section radius {radius} exceeds "
-            f"max_window={max_window}"
-        )
-    vectors = _walk_window(module, monomials, radius, precision)
-    return SectionSpace(
-        rank=len(vectors),
-        precision=precision,
-        window=radius,
-        sections=_assemble_sections(module, vectors),
-        ranks=(len(vectors),) * int(precision),
+    precision, monomials, radius = _certified_window(
+        module, precision, max_window, min_window
     )
+    vectors = _walk_window(module, monomials, radius, precision)
+    return SectionSpace(len(vectors), precision, radius, _assemble_sections(module, vectors))
 
 
 def stabilisation_threshold(module, precision, max_window=None, min_window=0):
     """Least integer precision from which the section rank stays put
     all the way up to the integer part of the requested one; 0 below
-    precision 1.  Takes the same one walk as global_sections; see
-    SectionSpace.threshold."""
-    return global_sections(module, precision, max_window, min_window).threshold
+    precision 1.  Refuses what global_sections refuses, with no walk: the
+    rank is the same at every integer precision (see SectionSpace)."""
+    precision, _, _ = _certified_window(module, precision, max_window, min_window)
+    return _threshold(precision)
 
 
 # -- complexes and fibers ----------------------------------------------------

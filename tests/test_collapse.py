@@ -1,9 +1,8 @@
 """The one Novikov elimination and the section count against the code
 they replaced.
 
-``novikov.greedy_rank`` is the library's one Novikov elimination, and
-``NovikovMatrix.rank_at_precision`` and ``kernel_basis_at_precision``
-run on the echelon state it builds.  The replaced code is kept here as
+The echelon pass behind ``NovikovMatrix.rank_at_precision`` and
+``kernel_basis_at_precision`` is the library's one Novikov elimination.  The replaced code is kept here as
 the reference: the dense column-by-column elimination that rank and
 kernel used to run, and the prefix loop over it that the section
 collapse used to run, one rank of every row and one more for every
@@ -36,7 +35,7 @@ from mirrorforge.cover import coboundary_certificate
 from mirrorforge.errors import PrecisionExhaustedError
 from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.intlinalg import determinant
-from mirrorforge.novikov import NovikovMatrix, NovikovScalar, _with_headroom, greedy_rank
+from mirrorforge.novikov import NovikovMatrix, NovikovScalar, _with_headroom
 from mirrorforge.twisted_sheaves import (
     _edge_monomials,
     canonical_twisted_module,
@@ -231,6 +230,15 @@ def section_slots(section):
     }
 
 
+def sparse_rank(rows, precision):
+    """Rank at the precision of ``{column: scalar}`` rows, by the library's
+    one Novikov elimination over their columns in sorted order."""
+    columns = sorted({c for row in rows for c in row})
+    zero = NovikovScalar.zero()
+    matrix = NovikovMatrix([[row.get(c, zero) for c in columns] for row in rows])
+    return matrix.rank_at_precision(precision)
+
+
 def assert_survivors_are_the_sections(module, radius, precision):
     """One walk: every survivor holds a lam = 0 node and no negative
     lam, and no two survivors hold a lam = 0 node on the same source, so
@@ -247,7 +255,7 @@ def assert_survivors_are_the_sections(module, radius, precision):
     grouped = reference_group(walked)
     assert reference_collapse(walked, precision) == (len(walked), grouped)
     for p in range(1, int(precision) + 1):
-        assert greedy_rank(grouped, F(p)) == len(walked), p
+        assert sparse_rank(grouped, F(p)) == len(walked), p
     space = global_sections(module, precision, min_window=radius)
     assert (space.window, space.rank) == (radius, len(walked))
     assert [section_slots(section) for section in space.sections] == grouped
@@ -453,8 +461,7 @@ def test_pinned_rows_keep_the_rank_above_the_chosen_count():
         assert pass_at(rows, precision, working) == expected[0]
     rows, precision, _, expected = PINNED[0]
     assert reference_greedy(rows, precision) == expected
-    sparse = [dict(enumerate(row)) for row in rows]
-    assert greedy_rank(sparse, precision) == expected[0]
+    assert NovikovMatrix(rows).rank_at_precision(precision) == expected[0]
 
 
 def test_seeded_rows_match_the_prefix_loop():

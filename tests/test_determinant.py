@@ -21,8 +21,11 @@ from mirrorforge.intlinalg import determinant, principal_minor_sums
 from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.novikov import NovikovMatrix, NovikovScalar
 from mirrorforge.twisted_sheaves import (
+    _edge_monomials,
+    _walk_window,
     canonical_twisted_module,
     global_sections,
+    section_radius,
     validate_module,
 )
 
@@ -284,4 +287,17 @@ def test_slope_minus_four_hundred_sections_within_four_seconds():
     space = global_sections(module, 10)
     elapsed = time.perf_counter() - start
     assert space.rank == 0
+    assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
+
+
+def test_slope_minus_four_hundred_walk_within_six_tenths_of_a_second():
+    # every component dies here; walking each one whole after its first
+    # pin took about 1.0 s on a shared 2-core machine, stopping there 0.3 s
+    budget = 0.6
+    module = patch_global(LinearLagrangian(-400), load_catalog("split-torus-2"))
+    monomials, radius = _edge_monomials(module), section_radius(module, 10)
+    start = time.perf_counter()
+    vectors = _walk_window(module, monomials, radius, Fraction(10))
+    elapsed = time.perf_counter() - start
+    assert vectors == []
     assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"

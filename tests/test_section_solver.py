@@ -15,7 +15,9 @@ and in order, and, on the modules the CLI builds, rank for rank, and
 the certified radius to the two radii above it.  Lines with scaled
 coefficients and a torus module whose cycle is inconsistent reach the
 walk's scaling and its conflict check.  On seeded perturbed lines the
-ranks must not move when the window grows.
+ranks must not move when the window grows.  The stabilisation threshold
+is read off the precision with no walk; it must equal the threshold of
+the section space and refuse what global_sections refuses.
 """
 
 import io
@@ -38,7 +40,7 @@ from mirrorforge.errors import (
 )
 from mirrorforge.floer_demo import LinearLagrangian, patch_global, section_window
 from mirrorforge.mirror_charts import AffinoidElement
-from mirrorforge.novikov import NovikovScalar, greedy_rank
+from mirrorforge.novikov import NovikovMatrix, NovikovScalar
 from mirrorforge.twisted_sheaves import (
     _edge_monomials,
     _walk_window,
@@ -210,6 +212,15 @@ def reference_kernel(rows, columns):
     return basis
 
 
+def sparse_rank(rows, precision):
+    """Rank at the precision of ``{column: scalar}`` rows, by the library's
+    one Novikov elimination over their columns in sorted order."""
+    columns = sorted({c for row in rows for c in row})
+    zero = NovikovScalar.zero()
+    matrix = NovikovMatrix([[row.get(c, zero) for c in columns] for row in rows])
+    return matrix.rank_at_precision(precision)
+
+
 def series_rank(vectors, precision):
     """Rank at the precision of (source, lam) vectors as rows over their
     sources, by the library's one Novikov elimination."""
@@ -219,7 +230,7 @@ def series_rank(vectors, precision):
         for (source, lam), c in vector.items():
             row[source] = row.get(source, NovikovScalar.zero()) + NovikovScalar.monomial(c, lam)
         rows.append(row)
-    return greedy_rank(rows, precision)
+    return sparse_rank(rows, precision)
 
 
 def reference_ranks(module, radius, precision):
@@ -516,6 +527,20 @@ def test_perturbed_lines_match_gauss_jordan():
             )
 
 
+def test_a_walk_into_a_dead_component_dies():
+    # on this slope-3 elliptic line a walk dies before it reaches a second
+    # lam = 0 seed of its component; the walk from that seed meets the
+    # nodes the first one valued, and only by their dead mark does it
+    # die: left unmarked, it kept one more vector at each precision
+    module = perturbed_line_modules()[60]
+    assert tower_count(module) == 4
+    for precision in (F(1), F(2), F(6)):
+        radius = section_radius(module, precision)
+        walked = walk_at(module, radius, precision)
+        assert walked == ground_kernel(module, radius, precision)
+    assert len(walked) == 4
+
+
 def test_seeded_perturbed_lines_have_ranks_the_window_cannot_move():
     # ranks read off the system cut at each integer precision moved with
     # the window on 12 of these 66 modules
@@ -686,10 +711,36 @@ def test_each_call_builds_one_system(monkeypatch):
         (PERTURBED, {}),
     ]
     for module, windows in cases:
-        for call in (global_sections, stabilisation_threshold):
-            walked.clear()
-            call(module, 4, **windows)
-            assert walked == [section_radius(module, 4)]
+        walked.clear()
+        global_sections(module, 4, **windows)
+        assert walked == [section_radius(module, 4)]
+        walked.clear()
+        stabilisation_threshold(module, 4, **windows)
+        assert walked == []
+
+
+def test_stabilisation_threshold_walks_and_assembles_nothing(monkeypatch):
+    line = LinearLagrangian(2, F(1, 3))
+    window = section_window(line, 4)
+    cases = [
+        (patch_global(line, ELLIPTIC), 4, {}),
+        (patch_global(line, FOUR_ARCS), F(7, 2), {"max_window": window + 2, "min_window": window}),
+        (patch_global(LinearLagrangian(-1), FOUR_ARCS), F(1, 2), {}),
+        (TORUS_MODULES["thurston-f2"], 4, {}),
+        (PERTURBED, 1, {}),
+    ]
+    expected = [global_sections(m, p, **windows).threshold for m, p, windows in cases]
+    assert expected == [1, 1, 0, 1, 1]
+
+    def refused(*args):
+        raise AssertionError("a section system was walked or assembled")
+
+    monkeypatch.setattr(twisted_sheaves, "_walk_window", refused)
+    monkeypatch.setattr(twisted_sheaves, "_assemble_sections", refused)
+    with pytest.raises(AssertionError, match="walked or assembled"):
+        global_sections(PERTURBED, 1)
+    got = [stabilisation_threshold(m, p, **windows) for m, p, windows in cases]
+    assert got == expected
 
 
 def test_global_sections_runs_no_novikov_elimination(monkeypatch):
@@ -708,7 +759,7 @@ def test_global_sections_runs_no_novikov_elimination(monkeypatch):
 
     monkeypatch.setattr(novikov, "_greedy_pass", refused)
     with pytest.raises(AssertionError, match="elimination ran"):
-        novikov.greedy_rank([{0: NovikovScalar.one()}], 1)
+        NovikovMatrix([[NovikovScalar.one()]]).rank_at_precision(1)
     assert [space.rank for space in spaces] == [2, 0, 1, 2]
     for module, space in zip(modules, spaces):
         assert global_sections(module, 4) == space
@@ -779,6 +830,103 @@ def test_window_arguments_bound_the_certified_radius():
     assert global_sections(module, 4, max_window=radius).window == radius
     with pytest.raises(ValueError, match="exceeds max_window"):
         global_sections(module, 4, max_window=radius - 1)
+
+
+@pytest.mark.parametrize(
+    "windows, argument",
+    [
+        ({"min_window": F(13, 2)}, "min_window"),
+        ({"min_window": 7.0}, "min_window"),
+        ({"min_window": F(7, 2)}, "min_window"),
+        ({"min_window": True}, "min_window"),
+        ({"min_window": None}, "min_window"),
+        ({"max_window": F(9)}, "max_window"),
+        ({"max_window": 9.0}, "max_window"),
+        ({"max_window": False}, "max_window"),
+        ({"max_window": "9"}, "max_window"),
+    ],
+)
+def test_a_window_argument_that_is_not_an_int_is_refused(windows, argument):
+    module = patch_global(LinearLagrangian(1), ELLIPTIC)
+    for call in (global_sections, stabilisation_threshold):
+        with pytest.raises(TypeError, match=f"^{argument} must be an int, not "):
+            call(module, 4, **windows)
+
+
+def test_a_min_window_above_max_window_is_not_called_the_certified_radius():
+    module = patch_global(LinearLagrangian(1), ELLIPTIC)
+    radius = section_radius(module, 4)
+    for call in (global_sections, stabilisation_threshold):
+        with pytest.raises(ValueError, match="exceeds max_window") as refused:
+            call(module, 4, min_window=radius + 4, max_window=radius + 2)
+        message = str(refused.value)
+        assert f"certified section radius {radius + 4}" not in message
+        assert f"certified section radius is {radius}," in message
+
+
+def refusal(call):
+    try:
+        call()
+    except Exception as error:
+        return type(error), str(error)
+    raise AssertionError("not refused")
+
+
+def refused_modules():
+    module = patch_global(LinearLagrangian(2), ELLIPTIC)
+    cover = module.cover
+    entry = module.restriction((0,), (0, 1))[0][0]
+    extra = AffinoidElement.monomial(cover, (0, 1), NovikovScalar.monomial(1, 3), (1,))
+    cochain = AffCochain(ELLIPTIC.cover, 1, {(0, 1): AffineFunction((0,), F(-1))})
+    return {
+        "two-term entry": module.with_entry((0,), (0, 1), 0, 0, entry + extra),
+        "off-diagonal entry": module.with_entry((0,), (0, 1), 0, 1, entry),
+        "open zero tower": rank_one_module_from_cochain(ELLIPTIC, cochain),
+    }
+
+
+def test_stabilisation_threshold_refuses_what_global_sections_refuses():
+    module = patch_global(LinearLagrangian(1), ELLIPTIC)
+    radius = section_radius(module, 4)
+    refused = refused_modules()
+    cases = [(module, precision, {}) for precision in (0, -1, "-1/2")]
+    cases += [(bad, 4, {}) for bad in refused.values()]
+    cases += [
+        (module, 4, {"max_window": radius - 1}),
+        (module, 4, {"min_window": F(13, 2)}),
+        (module, 4, {"max_window": 7.0}),
+        # the precision is checked before the window, the window before the module
+        (module, 0, {"min_window": 7.0}),
+        (refused["two-term entry"], 4, {"min_window": True}),
+    ]
+    seen = set()
+    for bad, precision, windows in cases:
+        want = refusal(lambda: global_sections(bad, precision, **windows))
+        assert refusal(lambda: stabilisation_threshold(bad, precision, **windows)) == want
+        seen.add(want[0])
+    assert seen == {ValueError, TypeError, UndecidableDescriptionError}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLES))
+def test_stabilisation_threshold_is_the_threshold_of_the_section_space(name):
+    for slope in (1, -1, 2, -3, 5, 9):
+        for offset in (F(0), F(2, 7)):
+            line = LinearLagrangian(slope, offset)
+            module = patch_global(line, CIRCLES[name])
+            for precision in (F(1, 2), F(1), F(7, 2)):
+                radius = section_radius(module, precision)
+                for windows in ({}, {"min_window": radius + 2, "max_window": radius + 2}):
+                    space = global_sections(module, precision, **windows)
+                    threshold = stabilisation_threshold(module, precision, **windows)
+                    assert threshold == space.threshold == reference_threshold(space.ranks)
+                    assert space.ranks == (space.rank,) * int(precision)
+    for module in TORUS_MODULES.values():
+        for precision in (F(1, 2), F(1), F(4)):
+            for window in (0, 1, 3):
+                space = global_sections(module, precision, min_window=window)
+                assert stabilisation_threshold(module, precision, min_window=window) == (
+                    space.threshold
+                )
 
 
 def test_a_two_term_entry_has_no_certified_radius():

@@ -39,7 +39,7 @@ from mirrorforge.floer_demo import (
 )
 from mirrorforge.intlinalg import _back_substitute, _reduce, _store_pivot
 from mirrorforge.mirror_charts import AffinoidElement
-from mirrorforge.novikov import NovikovScalar, greedy_rank
+from mirrorforge.novikov import NovikovMatrix, NovikovScalar
 from mirrorforge.twisted_sheaves import (
     SectionSpace,
     TwistedModule,
@@ -246,15 +246,15 @@ def reference_collapse(basis, precision, choose=True):
         for source, value in g.items():
             row[position[source]] = value
         rows.append(row)
-    rows = [dict(enumerate(row)) for row in rows]
-    rank = greedy_rank(rows, precision)
+    rank = NovikovMatrix(rows).rank_at_precision(precision)
     # the prefix loop: a row is chosen when it raises the rank of the
     # rows chosen before it
     chosen = []
     for index in range(len(rows) if choose else 0):
         if len(chosen) == rank:
             break
-        if greedy_rank([rows[i] for i in chosen] + [rows[index]], precision) > len(chosen):
+        trial = NovikovMatrix([rows[i] for i in chosen] + [rows[index]])
+        if trial.rank_at_precision(precision) > len(chosen):
             chosen.append(index)
     return rank, [grouped[i] for i in chosen]
 
@@ -280,7 +280,8 @@ def reference_assemble_sections(module, chosen):
 
 
 def reference_global_sections(module, precision, radius):
-    """The section space, and the ground vectors of the whole system."""
+    """The section space, its ranks from the rows asserted below each
+    integer precision, and the ground vectors of the whole system."""
     *lower, ground = reference_solve_window(module, radius, precision)
     rank, chosen = reference_collapse(ground, precision)
     ranks = tuple(
@@ -292,9 +293,8 @@ def reference_global_sections(module, precision, radius):
         precision=precision,
         window=radius,
         sections=reference_assemble_sections(module, chosen),
-        ranks=ranks,
     )
-    return space, ground
+    return space, ranks, ground
 
 
 def walk(module, precision, radius):
@@ -349,11 +349,12 @@ def test_line_sections_match_the_replaced_path(name, slope):
         for precision in PRECISIONS:
             space = global_sections(module, precision)
             assert space.window == section_window(line, precision)
-            reference, ground = reference_global_sections(
+            reference, ranks, ground = reference_global_sections(
                 module, precision, space.window
             )
             assert walk(module, precision, space.window) == ground
             assert space == reference
+            assert space.ranks == ranks
             assert space.rank == max(slope, 0)
 
 
@@ -376,9 +377,10 @@ def test_canonical_sections_match_the_replaced_path(name):
     for precision in (F(1, 2), F(4), F(9, 2)):
         space = global_sections(module, precision)
         assert space.window == 0
-        reference, ground = reference_global_sections(module, precision, 0)
+        reference, ranks, ground = reference_global_sections(module, precision, 0)
         assert walk(module, precision, 0) == ground
         assert space == reference
+        assert space.ranks == ranks
         assert space.rank == 1
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -63,6 +64,20 @@ class UsageError(Exception):
 
 
 # -- argument plumbing -------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads an argument shaped like a negative
+    fraction, such as -2/5, as a value, the way argparse reads -2 or
+    -0.5: none of the options looks like a negative number, so argparse
+    takes such an argument for a value and not for an option.  Its
+    subcommand parsers are built by the same class."""
+
+    _NEGATIVE_VALUE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_VALUE
 
 
 def _rational(text):
@@ -141,7 +156,7 @@ def _add_lagrangian(sub):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mirrorforge",
         description="Exact mirror atlases, obstruction gerbes, and twisted "
         "sheaf reports for integral affine torus fibrations.",

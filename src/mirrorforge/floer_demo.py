@@ -28,6 +28,8 @@ from .twisted_sheaves import (
     _quadratic_radius,
 )
 
+_ONE = Fraction(1)
+
 
 def _point(x):
     if isinstance(x, tuple):
@@ -49,21 +51,44 @@ class LinearLagrangian:
         object.__setattr__(self, "offset", _frac(self.offset))
 
 
-def _sheet_primitives(lagrangian, q, shift=0):
-    # the |k| sheet primitives, each normalised to vanish at the basepoint
-    # q, with every gamma moved by sigma times shift
+def _sheets(lagrangian, q, shift=0):
+    """Gammas and constants of the |k| sheet primitives
+    g_j(s) = sigma/2 s^2 + gamma_j s + c_j over the fibre at q.
+
+    sigma is the sign of the slope, gamma_j = (offset + j)/|k| + sigma
+    times shift, and c_j = -(sigma/2 q^2 + gamma_j q) normalises g_j to
+    vanish at the basepoint q.  Both checks of LocalFloerData run here
+    in closed form: each g_j(q) is 0, and sheets of one curvature are
+    pairwise distinct exactly when their gammas are.
+    """
     k = lagrangian.slope
     if k == 0:
         raise ValueError("a slope-zero line is not transverse to the fibres")
     sigma = 1 if k > 0 else -1
     count = abs(k)
-    half = Fraction(sigma, 2)
-    primitives = []
+    moved = lagrangian.offset + sigma * shift * count
+    square = Fraction(sigma, 2) * q * q
+    gammas, constants = [], []
     for j in range(count):
-        gamma = (lagrangian.offset + j) / count + sigma * shift
-        constant = -(half * q * q + gamma * q)
-        primitives.append(PolyFunction(1, {(2,): half, (1,): gamma, (0,): constant}))
-    return tuple(primitives)
+        gamma = (moved + j) / count
+        linear = gamma * q
+        constant = -(square + linear)
+        if square + linear + constant:
+            raise ValueError("primitives must vanish at the basepoint")
+        gammas.append(gamma)
+        constants.append(constant)
+    if len(set(gammas)) != count:
+        raise ValueError("sheets must be pairwise distinct")
+    return gammas, constants
+
+
+def _primitives(lagrangian, gammas, constants):
+    # the sheet primitives as PolyFunctions
+    half = Fraction(1 if lagrangian.slope > 0 else -1, 2)
+    return tuple(
+        PolyFunction(1, {(2,): half, (1,): gamma, (0,): constant})
+        for gamma, constant in zip(gammas, constants)
+    )
 
 
 def intersections(lagrangian, basepoint):
@@ -74,7 +99,8 @@ def intersections(lagrangian, basepoint):
     fibre circle; each primitive is normalised to vanish at the given
     basepoint.
     """
-    return _sheet_primitives(lagrangian, _frac(basepoint))
+    q = _frac(basepoint)
+    return _primitives(lagrangian, *_sheets(lagrangian, q))
 
 
 def sheet_coordinate(primitive, s):
@@ -105,6 +131,22 @@ class LocalFloerData:
     basepoint: Fraction
     primitives: tuple
     tag: str = ""
+
+    @classmethod
+    def _trusted(cls, face, basepoint, primitives, tag):
+        """Build sheet data from parts that are already valid.
+
+        Nothing is checked.  The caller guarantees that face is a tuple,
+        basepoint a Fraction, and primitives a nonempty tuple of
+        pairwise distinct one-dimensional PolyFunctions that vanish at
+        the basepoint, as _sheets checks them.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "basepoint", basepoint)
+        object.__setattr__(self, "primitives", primitives)
+        object.__setattr__(self, "tag", tag)
+        return self
 
     def __post_init__(self):
         object.__setattr__(self, "face", tuple(self.face))
@@ -189,9 +231,9 @@ def _sheet_data(lagrangian, cover, offsets, chart, tag=None):
     # local_floer_data with the cover's chart offsets given
     face = (chart,)
     q = cover.face_chart(face).basepoint[0]
-    primitives = _sheet_primitives(lagrangian, q, offsets[chart])
+    primitives = _primitives(lagrangian, *_sheets(lagrangian, q, offsets[chart]))
     label = cover.chart_ids[chart] if tag is None else tag
-    return LocalFloerData(face, q, primitives, label)
+    return LocalFloerData._trusted(face, q, primitives, label)
 
 
 def local_module(lagrangian, cover, chart):
@@ -279,39 +321,38 @@ def patch_global(lagrangian, fibration, cutoff=None):
     restriction to an overlap is diagonal, a transport factor times
     z to the integer discrepancy picked up by the deck translation.
     An optional cutoff truncates the entry coefficients.
+
+    The transport of sheet j from the member chart's basepoint q to
+    the overlap's basepoint, at spot in the member's coordinates, is
+    t^(-g_j(spot)) with g_j(spot) = sigma/2 (spot^2 - q^2) + gamma_j
+    (spot - q), read off the sheet gammas in closed form; the module
+    gets each restriction as its diagonal, one entry per sheet.
     """
     cover = fibration.cover
     offsets = chart_offsets(cover)
-    data = [
-        _sheet_data(lagrangian, cover, offsets, i)
+    gammas = [
+        _sheets(lagrangian, cover.face_chart((i,)).basepoint[0], offsets[i])[0]
         for i in range(len(cover.chart_ids))
     ]
     sigma = 1 if lagrangian.slope > 0 else -1
-    count = abs(lagrangian.slope)
     restrictions = {}
-    zeros = {}
     for low, top in cover.nested_pairs:
         (member,) = low
-        _, spot = cover.restriction_moves[(top, member)]
+        (spot,) = cover.restriction_moves[(top, member)][1]
+        q = cover.face_chart(low).basepoint[0]
+        step = spot - q
+        quadratic = -Fraction(sigma, 2) * step * (spot + q)
         wrap = _edge_wrap(cover, offsets, top, member)
         basepoint = cover.face_chart(top).basepoint
-        zero = zeros.get(top)
-        if zero is None:
-            zero = zeros[top] = AffinoidElement._trusted(cover, top, basepoint, {})
         exponent = (-sigma * wrap,)
-        matrix = []
-        for r in range(count):
-            g = data[member].primitives[r]
-            coeff = NovikovScalar.monomial(1, -g.evaluate(spot))
+        rows = []
+        for r, gamma in enumerate(gammas[member]):
+            coeff = NovikovScalar._trusted(((quadratic - gamma * step, _ONE),), None)
             if cutoff is not None:
                 coeff = coeff.truncate(cutoff)
-            row = [zero] * count
-            row[r] = AffinoidElement._trusted(
-                cover, top, basepoint, {exponent: coeff}
-            )
-            matrix.append(tuple(row))
-        restrictions[(low, top)] = tuple(matrix)
-    return TwistedModule._trusted(fibration, count, restrictions)
+            rows.append({r: AffinoidElement._trusted(cover, top, basepoint, {exponent: coeff})})
+        restrictions[(low, top)] = tuple(rows)
+    return TwistedModule._trusted(fibration, abs(lagrangian.slope), restrictions)
 
 
 def section_window(lagrangian, precision):

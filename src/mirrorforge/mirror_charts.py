@@ -589,11 +589,30 @@ def nested_triples(cover):
 
 
 def nested_quadruples(cover):
+    """Nested triples extended by a face that strictly contains the top
+    face and ends on a later chart, sorted.
+
+    Each face's chart set is built once, only faces with more charts
+    than the top face are tested, and the faces above one top face are
+    found once for all the triples that end there.
+    """
+    by_size = {}
+    for face in cover.faces:
+        by_size.setdefault(len(face), []).append((face, frozenset(face)))
+    above = {}
     out = []
-    for (low, mid, top) in nested_triples(cover):
-        for deeper in cover.faces:
-            if set(top) < set(deeper) and top[-1] < deeper[-1]:
-                out.append((low, mid, top, deeper))
+    for low, mid, top in nested_triples(cover):
+        deeper = above.get(top)
+        if deeper is None:
+            inside = frozenset(top)
+            deeper = above[top] = [
+                face
+                for size, faces in by_size.items()
+                if size > len(top)
+                for face, members in faces
+                if face[-1] > top[-1] and inside < members
+            ]
+        out.extend((low, mid, top, face) for face in deeper)
     return sorted(out)
 
 

@@ -42,6 +42,11 @@ def _aff_identity(cover, face, rank):
     )
 
 
+def _zero_on(cover, face):
+    # the exact zero on a face, at its canonical basepoint
+    return AffinoidElement._trusted(cover, face, cover.face_chart(face).basepoint, {})
+
+
 def _is_exact_unit(element):
     terms = element.terms
     if len(terms) != 1:
@@ -128,7 +133,14 @@ def _check_entry(cover, top, entry, what):
 
 class TwistedModule:
     """Free module data on every face with restriction matrices for
-    every proper nested pair."""
+    every proper nested pair.
+
+    Each restriction is held as sparse rows: per row, a ``{column:
+    entry}`` dict of the entries that are not exact zeros.  The dense
+    matrix that ``restriction`` returns is built from them on first
+    call and kept, so a diagonal slope-k line costs k entries per pair
+    until someone asks for its k x k matrix.
+    """
 
     def __init__(self, fibration, rank, restrictions):
         cover = fibration.cover
@@ -150,33 +162,45 @@ class TwistedModule:
             raise ChartMismatchError(
                 f"restriction given for a pair that is not nested: {extra[0]}"
             )
+        rows = {}
         for (low, top), mat in data.items():
             if len(mat) != rank or any(len(row) != rank for row in mat):
                 raise ChartMismatchError(
                     f"restriction for {(low, top)} is not {rank} x {rank}"
                 )
+            sparse = []
             for row in mat:
-                for entry in row:
+                kept = {}
+                for col, entry in enumerate(row):
                     _check_entry(cover, top, entry, f"entry for {(low, top)}")
+                    if entry._terms:
+                        kept[col] = entry
+                sparse.append(kept)
+            rows[(low, top)] = tuple(sparse)
         self._fibration = fibration
         self._rank = rank
-        self._restrictions = data
+        self._rows = rows
+        self._dense = data
 
     @classmethod
-    def _trusted(cls, fibration, rank, restrictions):
+    def _trusted(cls, fibration, rank, rows, dense=None):
         """Build a module from parts that are already valid.
 
         Nothing is checked.  The caller guarantees that rank is a
-        positive int and that restrictions maps every nested pair of
-        the cover, and nothing else, to a rank x rank tuple of tuples of
-        affinoid elements on the pair's top face at its canonical
-        basepoint.  Modules built by the library come through here;
-        data from outside goes through ``__init__``.
+        positive int and that rows maps every nested pair of the cover,
+        and nothing else, to a tuple of rank ``{column: entry}`` dicts
+        holding exactly the entries that are not exact zeros, each an
+        affinoid element on the pair's top face at its canonical
+        basepoint.  dense, when given, maps every pair to the same
+        matrix as a rank x rank tuple of tuples.  Modules built by the
+        library come through here; data from outside goes through
+        ``__init__``.
         """
         self = object.__new__(cls)
         self._fibration = fibration
         self._rank = rank
-        self._restrictions = dict(restrictions)
+        self._rows = dict(rows)
+        self._dense = {} if dense is None else dict(dense)
         return self
 
     @property
@@ -199,12 +223,32 @@ class TwistedModule:
         low, top = tuple(sorted(low)), tuple(sorted(top))
         if low == top:
             return _aff_identity(self.cover, top, self._rank)
-        try:
-            return self._restrictions[(low, top)]
-        except KeyError:
-            raise ChartMismatchError(
-                f"{(low, top)} is not a nested pair of faces"
-            ) from None
+        if (low, top) not in self._rows:
+            raise ChartMismatchError(f"{(low, top)} is not a nested pair of faces")
+        return self._matrix((low, top))
+
+    def _matrix(self, pair):
+        # the dense restriction of a nested pair, built from its sparse
+        # rows on first use; the entries that are exact zeros share one
+        mat = self._dense.get(pair)
+        if mat is None:
+            top = pair[1]
+            zero = _zero_on(self.cover, top)
+            mat = []
+            for kept in self._rows[pair]:
+                row = [zero] * self._rank
+                for col, entry in kept.items():
+                    row[col] = entry
+                mat.append(tuple(row))
+            mat = self._dense[pair] = tuple(mat)
+        return mat
+
+    def _matrices(self):
+        # the dense restriction of every nested pair
+        if len(self._dense) < len(self._rows):
+            for pair in self._rows:
+                self._matrix(pair)
+        return self._dense
 
     def with_entry(self, low, top, row, col, element):
         """A copy with one restriction entry replaced.
@@ -213,20 +257,28 @@ class TwistedModule:
         0..rank-1; the entry is checked as the constructor checks it.
         """
         low, top = tuple(sorted(low)), tuple(sorted(top))
-        mat = self._restrictions.get((low, top))
-        if mat is None:
-            raise ChartMismatchError(f"{(low, top)} is not a nested pair of faces")
-        mat = [list(r) for r in mat]
+        pair = (low, top)
+        sparse = self._rows.get(pair)
+        if sparse is None:
+            raise ChartMismatchError(f"{pair} is not a nested pair of faces")
         for name, index in (("row", row), ("column", col)):
             if not isinstance(index, int) or not 0 <= index < self._rank:
                 raise IndexError(
                     f"{name} {index!r} is outside 0..{self._rank - 1}"
                 )
         _check_entry(self.cover, top, element, "replacement entry")
-        mat[row][col] = element
-        updated = dict(self._restrictions)
-        updated[(low, top)] = tuple(tuple(r) for r in mat)
-        return TwistedModule._trusted(self._fibration, self._rank, updated)
+        kept = dict(sparse[row])
+        kept.pop(col, None)
+        if element._terms:
+            kept[col] = element
+        rows = dict(self._rows)
+        rows[pair] = sparse[:row] + (kept,) + sparse[row + 1 :]
+        dense = dict(self._dense)
+        mat = dense.get(pair)
+        if mat is not None:
+            changed = mat[row][:col] + (element,) + mat[row][col + 1 :]
+            dense[pair] = mat[:row] + (changed,) + mat[row + 1 :]
+        return TwistedModule._trusted(self._fibration, self._rank, rows, dense)
 
 
 def rank_one_module_from_cochain(fibration, cochain):
@@ -243,6 +295,7 @@ def rank_one_module_from_cochain(fibration, cochain):
     if cochain.cover is not cover and cochain.cover != cover:
         raise ChartMismatchError("the cochain lives on another cover")
     entries = {}
+    rows = {}
     restrictions = {}
     for low, top in cover.nested_pairs:
         a, b = low[-1], top[-1]
@@ -253,8 +306,9 @@ def rank_one_module_from_cochain(fibration, cochain):
             else:
                 entry = _exp_entry(cover, top, a, cochain.value((a, b)))
             entries[(a, top)] = entry
+        rows[(low, top)] = ({0: entry},)
         restrictions[(low, top)] = ((entry,),)
-    return TwistedModule._trusted(fibration, 1, restrictions)
+    return TwistedModule._trusted(fibration, 1, rows, restrictions)
 
 
 def canonical_twisted_module(fibration):
@@ -368,16 +422,18 @@ def validate_module(module, precision, stop_early=False):
     its norm, is formed only where the two sides of the identity are
     not the same exact elements; any truncated coefficient takes that
     path too, so precision runs out exactly where it does on the
-    residual.
+    residual.  The determinants read the module's sparse rows, so a
+    diagonal restriction costs the product of its entries.
     """
     precision = _frac(precision)
     cover = module.cover
-    restrictions = module._restrictions
+    nested_chains = cover.nested_chains
+    restrictions = module._matrices() if nested_chains else {}
     twists = module.fibration.twist_factors
     moves = {}
     cocycle_failures = []
     chains = 0
-    for chain in cover.nested_chains:
+    for chain in nested_chains:
         low, mid, top = chain
         chains += 1
         move = moves.get((mid, top))
@@ -403,9 +459,15 @@ def validate_module(module, precision, stop_early=False):
     det_failures = []
     pairs = 0
     if not (stop_early and cocycle_failures):
+        rows = module._rows
+        zeros = {}
         for pair in cover.nested_pairs:
             pairs += 1
-            det = determinant(restrictions[pair])
+            top = pair[1]
+            zero = zeros.get(top)
+            if zero is None:
+                zero = zeros[top] = _zero_on(cover, top)
+            det = determinant(rows[pair], zero)
             if not element_is_unit_at(det, precision):
                 det_failures.append(pair)
                 if stop_early:
@@ -424,7 +486,6 @@ def validate_module(module, precision, stop_early=False):
 # -- global sections --------------------------------------------------------
 
 
-@dataclass
 class SectionSpace:
     """Kernel of the edge comparison system at a working precision.
 
@@ -441,12 +502,47 @@ class SectionSpace:
     precision 1 it is empty.  Read off the sections rather than off the
     system cut at p, they do not count the tower segments that a wider
     window grounds below p.
+
+    A space that global_sections returns assembles its sections from
+    the walk's vectors on first read: a slope-k line has k of them, each
+    with a k-tuple per chart, and the rank, window and threshold need
+    none of it.
     """
 
-    rank: int
-    precision: Fraction
-    window: int
-    sections: tuple
+    def __init__(self, rank, precision, window, sections):
+        self.rank = rank
+        self.precision = precision
+        self.window = window
+        self._sections = sections
+        self._walked = None
+
+    @classmethod
+    def _from_walk(cls, module, precision, window, vectors):
+        # the space of the walked vectors, assembled when first read
+        self = cls(len(vectors), precision, window, None)
+        self._walked = (module, vectors)
+        return self
+
+    @property
+    def sections(self):
+        if self._walked is not None:
+            self._sections = _assemble_sections(*self._walked)
+            self._walked = None
+        return self._sections
+
+    def _fields(self):
+        return (self.rank, self.precision, self.window, self.sections)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (
+            f"SectionSpace(rank={self.rank!r}, precision={self.precision!r}, "
+            f"window={self.window!r}, sections={self.sections!r})"
+        )
 
     @property
     def ranks(self):
@@ -607,30 +703,25 @@ def _ratio(c, c2):
 def _assemble_sections(module, vectors):
     # each vector holds each (source, lam) once, with a nonzero value, so
     # a slot's terms sorted by lam are a scalar's normal form; every
-    # chart's slots share one zero element, and the elements are built
-    # trusted on int exponents
+    # chart's slots start as one shared zero element, and the elements
+    # are built trusted on int exponents
     cover = module.cover
     charts = range(len(cover.chart_ids))
     basepoints = [cover.face_chart((i,)).basepoint for i in charts]
-    zeros = [AffinoidElement._trusted(cover, (i,), basepoints[i], {}) for i in charts]
+    zeros = [_zero_on(cover, (i,)) for i in charts]
     sections = []
     for vector in vectors:
         slots = {}
         for ((i, a, col), lam), c in vector.items():
             slots.setdefault((i, col), {}).setdefault(a, []).append((lam, Fraction(c)))
-        elements = {}
+        columns = [[zero] * module.rank for zero in zeros]
         for (i, col), terms in slots.items():
             scalars = {
                 a: NovikovScalar._trusted(tuple(sorted(pairs)), None)
                 for a, pairs in terms.items()
             }
-            elements[i, col] = AffinoidElement._trusted(cover, (i,), basepoints[i], scalars)
-        sections.append(
-            {
-                i: tuple(elements.get((i, col), zeros[i]) for col in range(module.rank))
-                for i in charts
-            }
-        )
+            columns[i][col] = AffinoidElement._trusted(cover, (i,), basepoints[i], scalars)
+        sections.append({i: tuple(columns[i]) for i in charts})
     return tuple(sections)
 
 
@@ -649,7 +740,8 @@ class SheetMonodromy:
 
 def _edge_monomials(module):
     """(exponent, valuation, coefficient) of the diagonal entries of
-    every chart to edge restriction, keyed by (chart, edge).
+    every chart to edge restriction, keyed by (chart, edge), read off
+    the module's sparse rows.
 
     These are the entries the edge comparison system reads.  A module
     with an entry there that is not a single monomial, or with a nonzero
@@ -657,24 +749,22 @@ def _edge_monomials(module):
     refused with UndecidableDescriptionError.
     """
     monomials = {}
+    rows = module._rows
     for edge in module.cover.faces_of_degree(1):
         for i in edge:
             sheets = []
-            for r, row in enumerate(module.restriction((i,), edge)):
-                for col, entry in enumerate(row):
-                    terms = entry._terms
-                    if r != col and not terms:
+            for r, row in enumerate(rows[((i,), edge)]):
+                entry = row.get(r)
+                if entry is not None and len(row) == 1 and len(entry._terms) == 1:
+                    ((exponent, coeff),) = entry._terms.items()
+                    if len(coeff.terms) == 1:
+                        sheets.append((exponent, *coeff.terms[0]))
                         continue
-                    if r == col and len(terms) == 1:
-                        ((exponent, coeff),) = terms.items()
-                        if len(coeff.terms) == 1:
-                            sheets.append((exponent, *coeff.terms[0]))
-                            continue
-                    raise UndecidableDescriptionError(
-                        f"no recognised coefficient tower: the restriction "
-                        f"of chart {i} to edge {edge} is not diagonal with "
-                        "single-monomial entries"
-                    )
+                raise UndecidableDescriptionError(
+                    f"no recognised coefficient tower: the restriction "
+                    f"of chart {i} to edge {edge} is not diagonal with "
+                    "single-monomial entries"
+                )
             monomials[(i, edge)] = tuple(sheets)
     return monomials
 
@@ -881,7 +971,7 @@ def global_sections(module, precision, max_window=None, min_window=0):
         module, precision, max_window, min_window
     )
     vectors = _walk_window(module, monomials, radius, precision)
-    return SectionSpace(len(vectors), precision, radius, _assemble_sections(module, vectors))
+    return SectionSpace._from_walk(module, precision, radius, vectors)
 
 
 def stabilisation_threshold(module, precision, max_window=None, min_window=0):

@@ -78,6 +78,54 @@ class TestUsageErrors:
         assert "one-dimensional" in err
 
 
+def parse_failure(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+class TestNegativeFractions:
+    LINE = ("--catalog", "elliptic-demo", "--slope", "2")
+
+    @pytest.mark.parametrize("command", ["sheaf", "demo"])
+    def test_offset_is_read_as_a_value(self, capsys, command):
+        joined = run(capsys, command, *self.LINE, "--offset=-2/5")
+        spaced = run(capsys, command, *self.LINE, "--offset", "-2/5")
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert "offset: -2/5" in spaced[1]
+
+    @pytest.mark.parametrize("value", ["-1/2", "-3/4", "-1", "-0.5"])
+    @pytest.mark.parametrize("option", ["-E", "--precision"])
+    def test_negative_precision_reaches_the_positive_check(self, capsys, option, value):
+        spaced = parse_failure(capsys, "sheaf", *self.LINE, option, value)
+        joined = parse_failure(capsys, "sheaf", *self.LINE, f"{option}={value}")
+        assert spaced == joined
+        assert spaced[0] == 2
+        assert "argument --precision/-E: precision must be positive" in spaced[1]
+
+    def test_a_bad_negative_fraction_gets_the_rational_message(self, capsys):
+        code, err = parse_failure(capsys, "sheaf", *self.LINE, "--offset", "-2/0")
+        assert code == 2
+        assert "argument --offset: expected a rational like 10 or 21/2, got '-2/0'" in err
+
+    @pytest.mark.parametrize(
+        "tail, option",
+        [
+            (("--offset",), "--offset"),
+            (("-E",), "--precision/-E"),
+            (("--offset", "--output", "json"), "--offset"),
+            (("-E", "--seed", "3"), "--precision/-E"),
+            (("--offset", "-x/2"), "--offset"),
+            (("-E", "-1/2/3"), "--precision/-E"),
+        ],
+    )
+    def test_a_missing_value_still_fails(self, capsys, tail, option):
+        code, err = parse_failure(capsys, "sheaf", *self.LINE, *tail)
+        assert code == 2
+        assert f"argument {option}: expected one argument" in err
+
+
 class TestBuild:
     def test_split_torus_atlas(self, capsys):
         code, out, _ = run(capsys, "build", "--catalog", "split-torus-2")

@@ -684,7 +684,7 @@ def test_rank_where_the_eliminations_differ_matches_the_minors(seed, index, trun
 @pytest.mark.xfail(
     strict=True,
     reason="column-by-column pivots read one more than the invariant factors "
-    "here; full pivoting over the valuation ring (ROADMAP item 2) settles it",
+    "here; full pivoting over the valuation ring (ROADMAP item 4) settles it",
 )
 def test_rank_past_the_minors_on_one_exact_case():
     rows, precision = seeded_case(15, 890)

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from mirrorforge.affine import AffineFunction, dot
-from mirrorforge.catalog import load_catalog
+from mirrorforge.catalog import catalog_ids, load_catalog
 from mirrorforge.errors import ChartMismatchError, UndecidableDescriptionError
 from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.mirror_charts import (
@@ -449,6 +449,20 @@ class TestGerbe:
         quads = nested_quadruples(TORUS)
         assert all(len(deep) == 4 for _, _, _, deep in quads)
         assert quads
+
+    @pytest.mark.parametrize("name", catalog_ids())
+    def test_quadruples_match_the_double_loop(self, name):
+        # the replaced search: every face tested against every triple,
+        # with two chart sets built per test
+        cover = load_catalog(name).cover
+        reference = sorted(
+            (low, mid, top, deeper)
+            for low, mid, top in nested_triples(cover)
+            for deeper in cover.faces
+            if set(top) < set(deeper) and top[-1] < deeper[-1]
+        )
+        assert nested_quadruples(cover) == reference
+        assert bool(reference) == (cover.dimension == 2)
 
     def test_obstructed_catalog_has_monomial_gerbe_entries(self):
         entry = gerbe_value(F1, (0,), (0, 2), (0, 2, 6))

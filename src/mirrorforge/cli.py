@@ -38,7 +38,6 @@ from .floer_demo import (
     LinearLagrangian,
     energy_transport,
     intersections,
-    local_module,
     patch_global,
 )
 from .manifest import manifest_to_fibration
@@ -51,6 +50,7 @@ from .mirror_charts import (
 )
 from .novikov import NovikovScalar
 from .twisted_sheaves import (
+    ModuleComplex,
     canonical_twisted_module,
     fiber_cohomology,
     global_sections,
@@ -459,7 +459,7 @@ def cmd_sheaf(args):
     samples = []
     for i, cid in enumerate(cover.chart_ids):
         chart = cover.face_chart((i,))
-        complex_ = local_module(lagrangian, cover, i).complex()
+        complex_ = ModuleComplex(cover, (i,), {0: module.rank}, {})
         points = []
         for _ in range(3):
             point = _sample_point(chart, rng)

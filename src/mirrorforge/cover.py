@@ -175,6 +175,14 @@ class Cover:
     def _fmt(self, face):
         return "{" + ",".join(self._chart_ids[i] for i in face) + "}"
 
+    def _not_a_face(self, face):
+        # the refusal of a face the cover lacks, naming an index off the cover
+        n = len(self._chart_ids)
+        for k in face:
+            if not 0 <= k < n:
+                return ChartMismatchError(f"chart index {k} is outside 0..{n - 1}")
+        return ChartMismatchError(f"{self._fmt(face)} is not a face")
+
     # -- basic access ----------------------------------------------------
 
     @property
@@ -203,7 +211,7 @@ class Cover:
         try:
             return self._polytopes[face]
         except KeyError:
-            raise ChartMismatchError(f"{self._fmt(face)} is not a face") from None
+            raise self._not_a_face(face) from None
 
     def transition(self, i, j):
         """Coordinate change from chart i to chart j.  An index outside
@@ -228,7 +236,7 @@ class Cover:
         try:
             return self._face_charts[face]
         except KeyError:
-            raise ChartMismatchError(f"{self._fmt(face)} is not a face") from None
+            raise self._not_a_face(face) from None
 
     @cached_property
     def _face_charts(self):

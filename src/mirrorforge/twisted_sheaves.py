@@ -34,14 +34,6 @@ from .novikov import INF, NovikovMatrix, NovikovScalar, _frac
 # -- matrices of affinoid elements ----------------------------------------
 
 
-def _aff_identity(cover, face, rank):
-    one = AffinoidElement.one(cover, face)
-    zero = AffinoidElement.zero(cover, face)
-    return tuple(
-        tuple(one if i == j else zero for j in range(rank)) for i in range(rank)
-    )
-
-
 def _zero_on(cover, face):
     # the exact zero on a face, at its canonical basepoint
     return AffinoidElement._trusted(cover, face, cover.face_chart(face).basepoint, {})
@@ -66,28 +58,32 @@ def _aff_product(x, y):
     return x * y
 
 
-def _aff_matmul(a, b):
-    n, mid, m = len(a), len(b), len(b[0])
+def _rows_product(a, b):
+    """The product of two matrices held as sparse ``{column: entry}``
+    rows, as sparse rows.
+
+    Row i is the sum over k of a[i][k] times row k of b, so each entry
+    adds its products in the column order of a's row, and an exact zero
+    of either factor forms no product.  An entry all of whose products
+    cancel is kept, with no terms.
+    """
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            total = _aff_product(a[i][0], b[0][j])
-            for k in range(1, mid):
-                total = total + _aff_product(a[i][k], b[k][j])
-            row.append(total)
-        out.append(tuple(row))
+    for row in a:
+        total = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                p = _aff_product(x, y)
+                total[j] = total[j] + p if j in total else p
+        out.append(total)
     return tuple(out)
 
 
-def _aff_matsub(a, b):
+def _sparse_rows(mat):
+    # the rows of a dense matrix as {column: entry} dicts of the entries
+    # that are not exact zeros
     return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        {col: entry for col, entry in enumerate(row) if entry._terms} for row in mat
     )
-
-
-def _aff_scale(mat, element):
-    return tuple(tuple(_aff_product(element, entry) for entry in row) for row in mat)
 
 
 def element_is_unit_at(element, precision):
@@ -135,11 +131,11 @@ class TwistedModule:
     """Free module data on every face with restriction matrices for
     every proper nested pair.
 
-    Each restriction is held as sparse rows: per row, a ``{column:
-    entry}`` dict of the entries that are not exact zeros.  The dense
-    matrix that ``restriction`` returns is built from them on first
-    call and kept, so a diagonal slope-k line costs k entries per pair
-    until someone asks for its k x k matrix.
+    Each restriction is held in one form, as sparse rows: per row, a
+    ``{column: entry}`` dict of the entries that are not exact zeros, in
+    column order.  The validator's cocycle pass and determinants read
+    these rows, so a diagonal slope-k line costs k entries per pair;
+    ``restriction`` builds the dense k x k matrix from them on each call.
     """
 
     def __init__(self, fibration, rank, restrictions):
@@ -168,39 +164,30 @@ class TwistedModule:
                 raise ChartMismatchError(
                     f"restriction for {(low, top)} is not {rank} x {rank}"
                 )
-            sparse = []
             for row in mat:
-                kept = {}
-                for col, entry in enumerate(row):
+                for entry in row:
                     _check_entry(cover, top, entry, f"entry for {(low, top)}")
-                    if entry._terms:
-                        kept[col] = entry
-                sparse.append(kept)
-            rows[(low, top)] = tuple(sparse)
+            rows[(low, top)] = _sparse_rows(mat)
         self._fibration = fibration
         self._rank = rank
         self._rows = rows
-        self._dense = data
 
     @classmethod
-    def _trusted(cls, fibration, rank, rows, dense=None):
+    def _trusted(cls, fibration, rank, rows):
         """Build a module from parts that are already valid.
 
         Nothing is checked.  The caller guarantees that rank is a
         positive int and that rows maps every nested pair of the cover,
         and nothing else, to a tuple of rank ``{column: entry}`` dicts
-        holding exactly the entries that are not exact zeros, each an
-        affinoid element on the pair's top face at its canonical
-        basepoint.  dense, when given, maps every pair to the same
-        matrix as a rank x rank tuple of tuples.  Modules built by the
-        library come through here; data from outside goes through
-        ``__init__``.
+        holding exactly the entries that are not exact zeros, in column
+        order, each an affinoid element on the pair's top face at its
+        canonical basepoint.  Modules built by the library come through
+        here; data from outside goes through ``__init__``.
         """
         self = object.__new__(cls)
         self._fibration = fibration
         self._rank = rank
         self._rows = dict(rows)
-        self._dense = {} if dense is None else dict(dense)
         return self
 
     @property
@@ -220,41 +207,26 @@ class TwistedModule:
         return self.cover.nested_pairs
 
     def restriction(self, low, top):
+        """The dense restriction matrix of a nested pair, or the identity
+        of a face to itself, built from the sparse rows on each call; its
+        entries that are exact zeros share one element."""
         low, top = tuple(sorted(low)), tuple(sorted(top))
         if low == top:
-            return _aff_identity(self.cover, top, self._rank)
-        if (low, top) not in self._rows:
-            raise ChartMismatchError(f"{(low, top)} is not a nested pair of faces")
-        return self._matrix((low, top))
-
-    def _matrix(self, pair):
-        # the dense restriction of a nested pair, built from its sparse
-        # rows on first use; the entries that are exact zeros share one
-        mat = self._dense.get(pair)
-        if mat is None:
-            top = pair[1]
-            zero = _zero_on(self.cover, top)
-            mat = []
-            for kept in self._rows[pair]:
-                row = [zero] * self._rank
-                for col, entry in kept.items():
-                    row[col] = entry
-                mat.append(tuple(row))
-            mat = self._dense[pair] = tuple(mat)
-        return mat
-
-    def _matrices(self):
-        # the dense restriction of every nested pair
-        if len(self._dense) < len(self._rows):
-            for pair in self._rows:
-                self._matrix(pair)
-        return self._dense
+            one = AffinoidElement.one(self.cover, top)
+            rows = tuple({i: one} for i in range(self._rank))
+        else:
+            rows = self._rows.get((low, top))
+            if rows is None:
+                raise ChartMismatchError(f"{(low, top)} is not a nested pair of faces")
+        zero = _zero_on(self.cover, top)
+        return tuple(tuple(row.get(j, zero) for j in range(self._rank)) for row in rows)
 
     def with_entry(self, low, top, row, col, element):
         """A copy with one restriction entry replaced.
 
-        The pair must be nested, and row and col must lie in
-        0..rank-1; the entry is checked as the constructor checks it.
+        The pair must be nested, and row and col must be ints, not
+        bools, in 0..rank-1; the entry is checked as the constructor
+        checks it.  Each row keeps its entries in column order.
         """
         low, top = tuple(sorted(low)), tuple(sorted(top))
         pair = (low, top)
@@ -262,23 +234,17 @@ class TwistedModule:
         if sparse is None:
             raise ChartMismatchError(f"{pair} is not a nested pair of faces")
         for name, index in (("row", row), ("column", col)):
-            if not isinstance(index, int) or not 0 <= index < self._rank:
+            is_int = isinstance(index, int) and not isinstance(index, bool)
+            if not is_int or not 0 <= index < self._rank:
                 raise IndexError(
                     f"{name} {index!r} is outside 0..{self._rank - 1}"
                 )
         _check_entry(self.cover, top, element, "replacement entry")
-        kept = dict(sparse[row])
-        kept.pop(col, None)
-        if element._terms:
-            kept[col] = element
+        kept = {**sparse[row], col: element}
+        kept = {c: kept[c] for c in sorted(kept) if kept[c]._terms}
         rows = dict(self._rows)
         rows[pair] = sparse[:row] + (kept,) + sparse[row + 1 :]
-        dense = dict(self._dense)
-        mat = dense.get(pair)
-        if mat is not None:
-            changed = mat[row][:col] + (element,) + mat[row][col + 1 :]
-            dense[pair] = mat[:row] + (changed,) + mat[row + 1 :]
-        return TwistedModule._trusted(self._fibration, self._rank, rows, dense)
+        return TwistedModule._trusted(self._fibration, self._rank, rows)
 
 
 def rank_one_module_from_cochain(fibration, cochain):
@@ -296,7 +262,6 @@ def rank_one_module_from_cochain(fibration, cochain):
         raise ChartMismatchError("the cochain lives on another cover")
     entries = {}
     rows = {}
-    restrictions = {}
     for low, top in cover.nested_pairs:
         a, b = low[-1], top[-1]
         entry = entries.get((a, top))
@@ -307,8 +272,7 @@ def rank_one_module_from_cochain(fibration, cochain):
                 entry = _exp_entry(cover, top, a, cochain.value((a, b)))
             entries[(a, top)] = entry
         rows[(low, top)] = ({0: entry},)
-        restrictions[(low, top)] = ((entry,),)
-    return TwistedModule._trusted(fibration, 1, rows, restrictions)
+    return TwistedModule._trusted(fibration, 1, rows)
 
 
 def canonical_twisted_module(fibration):
@@ -383,27 +347,16 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _residual_norm(mat):
-    best = INF
-    for row in mat:
-        for entry in row:
-            bound = entry.valuation_lower_bound()
-            if bound < best:
-                best = bound
-    return best
-
-
-def _same_exact(left, right):
-    """Are two matrices of affinoid elements on one chart equal entry
-    for entry, with every coefficient exact?  Their difference is then
-    the exact zero, so no residual needs forming."""
+def _equal_and_exact(left, right):
+    """Are two sparse-row matrices on one chart equal entry for entry,
+    with every coefficient exact?  Their difference is then the exact
+    zero, so no residual needs forming."""
     for row_l, row_r in zip(left, right):
-        for x, y in zip(row_l, row_r):
-            terms = x._terms
-            if terms != y._terms or any(
-                c._cutoff is not None for c in terms.values()
-            ):
-                return False
+        terms = {j: x._terms for j, x in row_l.items() if x._terms}
+        if terms != {j: y._terms for j, y in row_r.items() if y._terms} or any(
+            c._cutoff is not None for t in terms.values() for c in t.values()
+        ):
+            return False
     return True
 
 
@@ -415,25 +368,29 @@ def validate_module(module, precision, stop_early=False):
     that only need the accept/reject decision; the report then counts
     the chains and pairs examined up to it.
 
-    The module's own data is trusted: restriction matrices are read by
-    the sorted keys of the cover's chains, and entries of the low pair
-    are carried to the top face along the cover's restriction move,
-    worked out once per (mid, top) pair in each call.  A residual, and
-    its norm, is formed only where the two sides of the identity are
-    not the same exact elements; any truncated coefficient takes that
-    path too, so precision runs out exactly where it does on the
-    residual.  The determinants read the module's sparse rows, so a
-    diagonal restriction costs the product of its entries.
+    The module's own sparse rows are trusted: they are read by the
+    sorted keys of the cover's chains, and entries of the low pair are
+    carried to the top face along the cover's restriction move, worked
+    out once per (mid, top) pair in each call.  Both sides of the
+    identity are formed as sparse rows (_rows_product), so an exact zero
+    of the module forms no product.  A residual, and its norm, is formed
+    only where the two sides are not the same exact elements; any
+    truncated coefficient takes that path too, so precision runs out
+    exactly where it does on the residual.  The residual holds the
+    entries where either side has one, in row-major order: every other
+    entry of the dense residual is 0 - 0, which is zero at any precision
+    and has norm INF, so the verdict and the norm are the dense ones.
+    The determinants read the same rows, so a diagonal restriction
+    costs the product of its entries.
     """
     precision = _frac(precision)
     cover = module.cover
-    nested_chains = cover.nested_chains
-    restrictions = module._matrices() if nested_chains else {}
+    rows = module._rows
     twists = module.fibration.twist_factors
     moves = {}
     cocycle_failures = []
     chains = 0
-    for chain in nested_chains:
+    for chain in cover.nested_chains:
         low, mid, top = chain
         chains += 1
         move = moves.get((mid, top))
@@ -441,25 +398,31 @@ def validate_module(module, precision, stop_early=False):
             basepoint = cover.face_chart(mid).basepoint
             move = moves[(mid, top)] = _restriction_move(cover, mid, basepoint, top)
         restricted = tuple(
-            tuple(entry._restricted(top, move) for entry in row)
-            for row in restrictions[(low, mid)]
+            {j: entry._restricted(top, move) for j, entry in row.items()}
+            for row in rows[(low, mid)]
         )
-        left = _aff_matmul(restrictions[(mid, top)], restricted)
-        right = _aff_scale(restrictions[(low, top)], twists[chain])
-        if _same_exact(left, right):
+        left = _rows_product(rows[(mid, top)], restricted)
+        twist = twists[chain]
+        right = tuple(
+            {j: _aff_product(twist, entry) for j, entry in row.items()}
+            for row in rows[(low, top)]
+        )
+        if _equal_and_exact(left, right):
             continue
-        residual = _aff_matsub(left, right)
-        clean = all(
-            entry.is_zero_at(precision) for row in residual for entry in row
-        )
-        if not clean:
-            cocycle_failures.append((chain, _residual_norm(residual)))
+        zero = _zero_on(cover, top)
+        residual = [
+            row_l.get(j, zero) - row_r.get(j, zero)
+            for row_l, row_r in zip(left, right)
+            for j in sorted(row_l.keys() | row_r.keys())
+        ]
+        if not all(entry.is_zero_at(precision) for entry in residual):
+            norm = min((entry.valuation_lower_bound() for entry in residual), default=INF)
+            cocycle_failures.append((chain, norm))
             if stop_early:
                 break
     det_failures = []
     pairs = 0
     if not (stop_early and cocycle_failures):
-        rows = module._rows
         zeros = {}
         for pair in cover.nested_pairs:
             pairs += 1
@@ -1025,8 +988,8 @@ class ModuleComplex:
             nxt = diffs.get(degree + 1)
             if nxt is None:
                 continue
-            square = _aff_matmul(nxt, mat)
-            if any(not entry.is_exact_zero() for row in square for entry in row):
+            square = _rows_product(_sparse_rows(nxt), _sparse_rows(mat))
+            if any(entry._terms for row in square for entry in row.values()):
                 raise ValueError("differentials do not square to zero")
 
     @property

@@ -189,6 +189,7 @@ def test_with_entry_changes_the_dense_and_the_sparse_form_alike(read_first):
     steps = [
         (1, 1, entry * t),  # a diagonal entry scaled
         (1, 3, entry),  # an off-diagonal zero made nonzero
+        (1, 0, entry * t),  # one more, left of the others in its row
         (2, 2, AffinoidElement.zero(fibration.cover, top)),  # a diagonal entry zeroed
     ]
     current = module
@@ -198,10 +199,14 @@ def test_with_entry_changes_the_dense_and_the_sparse_form_alike(read_first):
         want[row][col] = element
         assert matrix_data(current.restriction(low, top)) == matrix_data(want)
         assert current._rows[(low, top)] == diagonal_rows(want)
+        # each row keeps its entries in column order
+        assert [list(row) for row in current._rows[(low, top)]] == [
+            sorted(row) for row in current._rows[(low, top)]
+        ]
         for pair in module.pairs:
             if pair != (low, top):
                 assert current._rows[pair] is module._rows[pair]
-    assert current._rows[(low, top)][1] == {1: entry * t, 3: entry}
+    assert current._rows[(low, top)][1] == {0: entry * t, 1: entry * t, 3: entry}
     assert current._rows[(low, top)][2] == {}
     # the module it came from is unchanged
     if read_first:

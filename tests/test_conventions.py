@@ -178,3 +178,35 @@ def test_the_elimination_guard_allows_the_one_pass_and_other_names():
         "def _with_headroom(entries, precision, attempt):"
     )
     assert not elimination_definitions("novikov.py", others)
+
+
+TWISTED = SRC / "twisted_sheaves.py"
+DENSE_FORM = re.compile(r"\b_dense\b|\b_aff_matmul\b")
+
+
+def dense_form_lines(text):
+    return [
+        f"twisted_sheaves.py:{number}: {line.strip()}"
+        for number, line in enumerate(text.splitlines(), 1)
+        if DENSE_FORM.search(line)
+    ]
+
+
+def test_a_twisted_module_keeps_one_form():
+    # the sparse rows are the module's only form: no dense copy and no
+    # dense matrix product in the cocycle pass
+    found = dense_form_lines(TWISTED.read_text())
+    assert not found, "\n".join(found)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "        self._dense = data",
+        "        mat = self._dense.get(pair)",
+        "def _aff_matmul(a, b):",
+        "        left = _aff_matmul(restrictions[(mid, top)], restricted)",
+    ],
+)
+def test_the_form_guard_sees_a_dense_copy(line):
+    assert dense_form_lines(line)

@@ -26,6 +26,7 @@ from mirrorforge.intlinalg import determinant, principal_minor_sums
 from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.novikov import NovikovMatrix, NovikovScalar
 from mirrorforge.twisted_sheaves import (
+    TwistedModule,
     _edge_monomials,
     _walk_window,
     canonical_twisted_module,
@@ -254,6 +255,28 @@ def test_canonical_torus_module_validates_within_a_quarter_second(catalog):
     elapsed = time.perf_counter() - start
     assert report.ok
     assert (report.pairs_checked, report.triples_checked) == (414, 540)
+    assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
+
+
+def test_rank_sixteen_diagonal_torus_module_validates_within_two_seconds():
+    # 540 chains of 16 x 16 restrictions with 16 entries each; the cocycle
+    # pass on dense matrices formed 16^3 products a chain, about 12.7 s on
+    # a shared 2-core machine
+    budget = 2.0
+    module = canonical_twisted_module(load_catalog("split-torus-4"))
+    restrictions = {}
+    for low, top in module.pairs:
+        ((entry,),) = module.restriction(low, top)
+        zero = AffinoidElement.zero(module.cover, top)
+        restrictions[(low, top)] = tuple(
+            tuple(entry if i == j else zero for j in range(16)) for i in range(16)
+        )
+    module = TwistedModule(module.fibration, 16, restrictions)
+    start = time.perf_counter()
+    report = validate_module(module, 10)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert (report.rank, report.pairs_checked, report.triples_checked) == (16, 414, 540)
     assert elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
 
 

@@ -424,6 +424,30 @@ class TestMonomialMaps:
             ):
                 call()
 
+    def test_a_face_off_the_cover_is_refused_by_index(self):
+        # elliptic-demo has charts 0..2: a face holding an index past
+        # them leaked an IndexError from the refusal's own message, and
+        # (-1,) was refused as {2}, a chart that is a face
+        fibration = load_catalog("elliptic-demo")
+        cover = fibration.cover
+        module = patch_global(LinearLagrangian(1), fibration)
+        calls = [
+            (lambda: cover.face_chart((5,)), 5),
+            (lambda: cover.face_chart((0, 7)), 7),
+            (lambda: cover.face_chart((-1,)), -1),
+            (lambda: cover.polytope((5,)), 5),
+            (lambda: cover.polytope((-1, 0)), -1),
+            (lambda: module.restriction((5,), (5,)), 5),
+            (lambda: AffinoidElement.one(cover, (5,)), 5),
+        ]
+        for call, index in calls:
+            with pytest.raises(
+                ChartMismatchError, match=rf"^chart index {index} is outside 0\.\.2$"
+            ):
+                call()
+        with pytest.raises(ChartMismatchError, match=r"^\{0,1,2\} is not a face$"):
+            cover.face_chart((0, 1, 2))
+
     def test_edge_map_matches_restriction_on_the_overlap(self):
         # moving a monomial through chart coordinates agrees with the two
         # restrictions to the shared edge

@@ -331,6 +331,16 @@ class TestWithEntry:
         swapped = module.with_entry(low, top, 0, 1, entry)
         assert swapped.restriction(low, top)[0][1] == entry
 
+    def test_bool_indices_are_refused(self):
+        # True is an int, and was read as row or column 1
+        module = patch_global(LinearLagrangian(2), ELLIPTIC)
+        low, top = module.pairs[0]
+        entry = module.restriction(low, top)[1][1]
+        refused = ((True, 0, "row True"), (0, True, "column True"), (False, 1, "row False"))
+        for row, col, name in refused:
+            with pytest.raises(IndexError, match=rf"^{name} is outside 0\.\.1$"):
+                module.with_entry(low, top, row, col, entry)
+
     def test_a_pair_that_is_not_nested_is_refused(self):
         module = canonical_twisted_module(TORUS)
         low, top = module.pairs[0]

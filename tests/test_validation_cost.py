@@ -13,13 +13,16 @@ which every twist factor of a trivial torus is, as the other factor:
 a guard counts such products, and the reports must match the pass that
 forms them.
 
-The cocycle pass reads the module's own restriction matrices, carries
-entries along the cover's move table and forms a residual only where
-the two sides of the identity differ or carry a truncated coefficient.
-The pass it replaced, through ``module.restriction``, ``entry.restrict``
-and a residual for every chain, is kept below as a reference: reports,
-and every ``PrecisionExhaustedError``, must match it on canonical
-modules, seeded mutants, a rank-2 module and truncated data.  The exp
+The cocycle pass reads the module's own sparse rows, carries entries
+along the cover's move table, multiplies rows with no product for an
+exact zero and forms a residual only where the two sides of the
+identity differ or carry a truncated coefficient.  The pass it
+replaced, on dense matrices read through ``module.restriction`` and
+``entry.restrict`` with a residual for every chain, is kept below as a
+reference with its dense matrix helpers: reports, and every
+``PrecisionExhaustedError``, must match it on canonical modules and
+their mutants, direct sums of rank 2 and 3 with off-diagonal, t-scaled
+and truncated entries, and the line modules of both circles.  The exp
 entries of rank-one modules and twist factors are read off the same
 move table, never through ``compose_with_map`` and ``exp_aff``.
 """
@@ -37,7 +40,7 @@ from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.intlinalg import _diagonal_blocks, determinant, principal_minor_sums
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 from mirrorforge.mirror_charts import AffinoidElement, exp_aff, verify_gerbe
-from mirrorforge.novikov import NovikovScalar
+from mirrorforge.novikov import INF, NovikovScalar
 from mirrorforge import cover as cover_module, mirror_charts, twisted_sheaves
 from mirrorforge.twisted_sheaves import (
     TwistedModule,
@@ -137,11 +140,45 @@ def reference_rank_one_module(fibration, cochain):
     return out
 
 
+def dense_matmul(a, b):
+    """The product of two dense matrices of affinoid elements, each
+    entry summed over the inner index in order."""
+    out = []
+    for row in a:
+        entries = []
+        for j in range(len(b[0])):
+            total = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                total = total + row[k] * b[k][j]
+            entries.append(total)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def dense_scale(mat, element):
+    return tuple(tuple(element * entry for entry in row) for row in mat)
+
+
+def dense_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_norm(mat):
+    """The least valuation bound over every entry; INF for the zero matrix."""
+    best = INF
+    for row in mat:
+        for entry in row:
+            bound = entry.valuation_lower_bound()
+            if bound < best:
+                best = bound
+    return best
+
+
 def reference_validate(module, precision, stop_early=False):
-    """The cocycle pass through the public, checked paths: matrices read
-    by ``module.restriction``, carried by ``entry.restrict``, and a
-    residual formed and tested for every chain.  Chains and pairs are
-    counted as far as the scan went."""
+    """The cocycle pass through the public, checked paths: dense
+    matrices read by ``module.restriction``, carried by
+    ``entry.restrict``, and a residual formed and tested for every
+    chain.  Chains and pairs are counted as far as the scan went."""
     precision = F(precision)
     cover = module.cover
     twists = module.fibration.twist_factors
@@ -149,20 +186,17 @@ def reference_validate(module, precision, stop_early=False):
     chains = 0
     for low, mid, top in cover.nested_chains:
         chains += 1
-        left = twisted_sheaves._aff_matmul(
+        left = dense_matmul(
             module.restriction(mid, top),
             tuple(
                 tuple(entry.restrict(top) for entry in row)
                 for row in module.restriction(low, mid)
             ),
         )
-        right = twisted_sheaves._aff_scale(
-            module.restriction(low, top), twists[(low, mid, top)]
-        )
-        residual = twisted_sheaves._aff_matsub(left, right)
+        right = dense_scale(module.restriction(low, top), twists[(low, mid, top)])
+        residual = dense_sub(left, right)
         if not all(entry.is_zero_at(precision) for row in residual for entry in row):
-            norm = twisted_sheaves._residual_norm(residual)
-            cocycle_failures.append(((low, mid, top), norm))
+            cocycle_failures.append(((low, mid, top), dense_norm(residual)))
             if stop_early:
                 break
     det_failures = []
@@ -615,19 +649,22 @@ def test_seeded_mutant_reports_match_the_checked_pass(name):
     assert set(verdicts(assert_same_reports(cases))) == {False, True}
 
 
-def rank_two(module):
-    """The direct sum of a rank-one module with itself."""
+def direct_sum(module, copies):
+    """The direct sum of copies of a rank-one module."""
     cover = module.cover
     restrictions = {}
     for low, top in module.pairs:
         ((entry,),) = module.restriction(low, top)
         zero = AffinoidElement.zero(cover, top)
-        restrictions[(low, top)] = ((entry, zero), (zero, entry))
-    return TwistedModule(module.fibration, 2, restrictions)
+        restrictions[(low, top)] = tuple(
+            tuple(entry if i == j else zero for j in range(copies))
+            for i in range(copies)
+        )
+    return TwistedModule(module.fibration, copies, restrictions)
 
 
 def test_rank_two_module_with_an_off_diagonal_entry_matches_the_checked_pass():
-    module = rank_two(canonical("thurston-f2"))
+    module = direct_sum(canonical("thurston-f2"), 2)
     cases = [(module, 3), (module, 10)]
     rng = random.Random("rank-two")
     for n, (low, top) in enumerate(rng.sample(module.pairs, 4)):
@@ -642,14 +679,14 @@ def test_rank_two_module_with_an_off_diagonal_entry_matches_the_checked_pass():
 
 def truncated(module, cut, pairs=None):
     """The module with the entries of some pairs, or of all, truncated
-    at t-adic size cut."""
+    at t-adic size cut; an exact zero stays exact."""
     restrictions = {}
     for pair in module.pairs:
-        ((entry,),) = module.restriction(*pair)
+        mat = module.restriction(*pair)
         if pairs is None or pair in pairs:
-            entry = entry.truncate(cut)
-        restrictions[pair] = ((entry,),)
-    return TwistedModule(module.fibration, 1, restrictions)
+            mat = tuple(tuple(x.truncate(cut) for x in row) for row in mat)
+        restrictions[pair] = mat
+    return TwistedModule(module.fibration, module.rank, restrictions)
 
 
 @pytest.mark.parametrize("name", TORUS_TRIVIAL)
@@ -672,22 +709,78 @@ def test_truncated_modules_raise_where_the_checked_pass_raises(name):
     assert set(verdicts(assert_same_reports(cases))) == {True, False, "raised"}
 
 
+@pytest.mark.parametrize("name", TORUS_TRIVIAL)
+@pytest.mark.parametrize("copies", [2, 3])
+def test_direct_sums_match_the_dense_pass(name, copies):
+    module = direct_sum(canonical(name), copies)
+    rng = random.Random(f"sums:{name}:{copies}")
+    t = S.monomial(1, 1)
+    cases = [(module, 3), (module, 10)]
+    for low, top in rng.sample(module.pairs, 2):
+        entry = module.restriction(low, top)[0][0]
+        off = entry * S.monomial(rng.choice((1, -2)), F(rng.randint(0, 8), 2))
+        cases.append((module.with_entry(low, top, copies - 1, 0, off), 3))
+        cases.append((module.with_entry(low, top, 1, 1, entry * t), 3))
+    for cut, precision in ((2, 3), (40, 10)):
+        cases.append((truncated(module, cut), precision))
+    low, top = rng.choice(module.pairs)
+    cut_module = truncated(module, 4)
+    scaled = cut_module.restriction(low, top)[1][1] * t
+    cases.append((cut_module.with_entry(low, top, 1, 1, scaled), 3))
+    assert set(verdicts(assert_same_reports(cases))) == {True, False, "raised"}
+
+
+def test_a_nontrivial_class_rejects_as_the_dense_pass_does():
+    # thurston-f1 has no canonical module: the rank-one module of the
+    # zero cochain fails the cocycle identity where the class lives
+    fibration = load_catalog("thurston-f1")
+    cover = fibration.cover
+    zero = AffineFunction((0,) * cover.dimension, 0)
+    cochain = cover_module.AffCochain(
+        cover, 1, {edge: zero for edge in cover.faces_of_degree(1)}
+    )
+    module = rank_one_module_from_cochain(fibration, cochain)
+    cases = [(module, 3), (direct_sum(module, 2), 3)]
+    assert verdicts(assert_same_reports(cases)) == [False, False]
+
+
+@pytest.mark.parametrize("catalog", CIRCLES)
+def test_circle_lines_match_the_dense_pass(catalog):
+    fibration = load_catalog(catalog)
+    t = S.monomial(1, 1)
+    cases = []
+    for k in range(1, 10):
+        for slope in (k, -k):
+            module = patch_global(LinearLagrangian(slope, F(2, 7)), fibration)
+            low, top = module.pairs[-1]
+            row = k - 1
+            entry = module.restriction(low, top)[row][row]
+            zero = AffinoidElement.zero(fibration.cover, top)
+            cases += [
+                (module, 4),
+                (module.with_entry(low, top, row, row, entry * t), 4),
+                (module.with_entry(low, top, row, 0, entry), 4),
+                (module.with_entry(low, top, row, row, zero), 4),
+            ]
+    assert set(verdicts(assert_same_reports(cases))) == {True, False}
+
+
 def test_an_accepted_torus_module_forms_no_residual_and_no_checked_restriction(
     monkeypatch,
 ):
     calls = []
-    restrict, matsub = AffinoidElement.restrict, twisted_sheaves._aff_matsub
+    restrict, sub = AffinoidElement.restrict, AffinoidElement.__sub__
 
     def counting_restrict(self, to_face):
         calls.append("restrict")
         return restrict(self, to_face)
 
-    def counting_matsub(a, b):
-        calls.append("matsub")
-        return matsub(a, b)
+    def counting_sub(self, other):
+        calls.append("sub")
+        return sub(self, other)
 
     monkeypatch.setattr(AffinoidElement, "restrict", counting_restrict)
-    monkeypatch.setattr(twisted_sheaves, "_aff_matsub", counting_matsub)
+    monkeypatch.setattr(AffinoidElement, "__sub__", counting_sub)
     for name in TORUS_TRIVIAL:
         module = canonical(name)
         assert validate_module(module, 10).ok
@@ -695,7 +788,7 @@ def test_an_accepted_torus_module_forms_no_residual_and_no_checked_restriction(
         low, top = module.pairs[0]
         scaled = module.restriction(low, top)[0][0] * S.monomial(1, 1)
         assert not validate_module(module.with_entry(low, top, 0, 0, scaled), 3).ok
-        assert "matsub" in calls and "restrict" not in calls
+        assert "sub" in calls and "restrict" not in calls
         calls.clear()
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from .errors import PrecisionExhaustedError
 from .intlinalg import determinant
@@ -55,6 +57,20 @@ _TAIL_RE = re.compile(rf"\s*(?:\(\s*mod\b\s*t\s*\^\s*{_SIGNED}\s*\))?\s*\Z")
 
 def _signed(sign, number):
     return -Fraction(number) if sign == "-" else Fraction(number)
+
+
+def _denominator(exponents, cutoff):
+    # the least common denominator of the Fraction exponents and of the
+    # cutoff, None or a Fraction: each of them is an int over it
+    dens = {e.denominator for e in exponents}
+    if cutoff is not None:
+        dens.add(cutoff.denominator)
+    return math.lcm(*dens)
+
+
+def _key(e, d):
+    # the int numerator of a Fraction e over the common denominator d
+    return e.numerator * (d // e.denominator)
 
 
 def _cutoff_min(a, b):
@@ -96,22 +112,36 @@ class NovikovScalar:
 
     @classmethod
     def _collect(cls, pairs, cutoff):
-        """Normal form of a sum of Fraction ``(exponent, coefficient)``
-        pairs: equal exponents merged, zero coefficients and exponents at
-        or above ``cutoff`` dropped, exponents sorted.  The cutoff must
-        be None or a Fraction."""
+        """Normal form of a sequence of Fraction ``(exponent,
+        coefficient)`` pairs: equal exponents merged, zero coefficients
+        and exponents at or above ``cutoff`` dropped, exponents sorted.
+        Exponents are merged and ordered as int keys over their common
+        denominator with the cutoff, and each kept term reuses an input
+        exponent.  The cutoff must be None or a Fraction."""
+        d = _denominator([e for e, _ in pairs], cutoff)
         merged = {}
-        for e, c in pairs:
-            if e in merged:
-                merged[e] += c
-            else:
-                merged[e] = c
+        for pair in pairs:
+            k = _key(pair[0], d)
+            held = merged.get(k)
+            merged[k] = pair if held is None else (held[0], held[1] + pair[1])
+        bound = INF if cutoff is None else _key(cutoff, d)
         terms = tuple(
-            (e, c)
-            for e, c in sorted(merged.items())
-            if c and (cutoff is None or e < cutoff)
+            merged[k] for k in sorted(merged) if k < bound and merged[k][1]
         )
         return cls._trusted(terms, cutoff)
+
+    @classmethod
+    def _from_keys(cls, merged, d, shift, cutoff):
+        # the scalar with coefficient merged[k] at t^((k + shift) / d),
+        # each key below the cutoff's; zero coefficients are dropped
+        return cls._trusted(
+            tuple(
+                (Fraction(k + shift, d), c)
+                for k, c in sorted(merged.items())
+                if c
+            ),
+            cutoff,
+        )
 
     def _shift(self, s):
         """This scalar times t^s, for a rational s: every exponent and
@@ -158,7 +188,7 @@ class NovikovScalar:
     def is_zero_at(self, precision):
         """True if the value is certifiably 0 modulo t**precision."""
         precision = _frac(precision)
-        if any(e < precision for e, _ in self._terms):
+        if self._terms and self._terms[0][0] < precision:
             return False
         if self._cutoff is None or self._cutoff >= precision:
             return True
@@ -252,12 +282,26 @@ class NovikovScalar:
             candidates.append(ca + cb)
         finite = [c for c in candidates if c is not INF]
         cutoff = min(finite) if finite else None
-        prod = [
-            (ea + eb, xa * xb)
-            for ea, xa in self._terms
-            for eb, xb in other._terms
-        ]
-        return NovikovScalar._collect(prod, cutoff)
+        a, b = self._terms, other._terms
+        if not (a and b):
+            return NovikovScalar._trusted((), cutoff)
+        d = _denominator([e for e, _ in a + b], cutoff)
+        a = [(_key(e, d), x) for e, x in a]
+        b = [(_key(e, d), x) for e, x in b]
+        bound = a[-1][0] + b[-1][0] + 1 if cutoff is None else _key(cutoff, d)
+        # both factors are sorted, so a row of pairs ends at its first
+        # key that reaches the cutoff
+        merged = {}
+        for ka, xa in a:
+            for kb, xb in b:
+                k = ka + kb
+                if k >= bound:
+                    break
+                if k in merged:
+                    merged[k] += xa * xb
+                else:
+                    merged[k] = xa * xb
+        return NovikovScalar._from_keys(merged, d, 0, cutoff)
 
     __rmul__ = __mul__
 
@@ -291,25 +335,41 @@ class NovikovScalar:
                 f"inverse needs a leading term, none known below t^({self._cutoff})"
             )
         v, c = self._terms[0]
-        lead = NovikovScalar._trusted(((-v, 1 / c),), None)
+        inv = 1 / c
         if self._cutoff is None:
             if len(self._terms) == 1:
-                return lead
+                return NovikovScalar._trusted(((-v, inv),), None)
             raise PrecisionExhaustedError(
                 "inverse of an exact multi-term scalar is an infinite series; "
                 "truncate first"
             )
-        prec = self._cutoff - v
-        # self = c * t^v * (1 + u) with val(u) > 0; invert the unit by a
-        # geometric series mod t^prec, then shift back.
-        scaled = tuple((e - v, x / c) for e, x in self._terms)
-        u = NovikovScalar._trusted(scaled[1:], prec)
-        acc = NovikovScalar.one().truncate(prec)
-        term = NovikovScalar.one().truncate(prec)
-        while term._terms:
-            term = (term * (-u)).truncate(prec)
-            acc = acc + term
-        return acc * lead
+        # self = c * t^v * (1 + u) with val(u) > 0, so the inverse is
+        # t^-v / c times the geometric series of -u mod t^(E - v): it runs
+        # on int keys relative to v, 1 / c carried from its first term on
+        d = _denominator([e for e, _ in self._terms], self._cutoff)
+        kv = _key(v, d)
+        bound = _key(self._cutoff, d) - kv
+        minus_u = [(_key(e, d) - kv, -x / c) for e, x in self._terms[1:]]
+        total = {0: inv}
+        power = {0: inv}
+        while power:
+            step = {}
+            for kp, xp in power.items():
+                for ku, xu in minus_u:
+                    k = kp + ku
+                    if k >= bound:
+                        break
+                    if k in step:
+                        step[k] += xp * xu
+                    else:
+                        step[k] = xp * xu
+            power = {k: x for k, x in step.items() if x}
+            for k, x in power.items():
+                if k in total:
+                    total[k] += x
+                else:
+                    total[k] = x
+        return NovikovScalar._from_keys(total, d, -kv, self._cutoff - 2 * v)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -325,9 +385,12 @@ class NovikovScalar:
 
     def truncate(self, precision):
         cutoff = _cutoff_min(self._cutoff, _frac(precision))
-        return NovikovScalar._trusted(
-            tuple(t for t in self._terms if t[0] < cutoff), cutoff
-        )
+        terms = self._terms
+        if terms and terms[-1][0] >= cutoff:
+            # the terms are sorted: they end at the first exponent at or
+            # past the cutoff
+            terms = terms[:bisect_left(terms, cutoff, key=itemgetter(0))]
+        return NovikovScalar._trusted(terms, cutoff)
 
     def agrees_with(self, other):
         """Equality of the parts both sides actually know.

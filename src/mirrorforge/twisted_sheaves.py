@@ -981,6 +981,11 @@ class ModuleComplex:
                         raise ChartMismatchError(
                             "differential entries live on the wrong face"
                         )
+                    if entry.basepoint != cover.face_chart(self._face).basepoint:
+                        raise ChartMismatchError(
+                            "differential entries must use the canonical "
+                            "basepoint of their face"
+                        )
             if n_src and n_tgt:
                 diffs[degree] = mat
         self._differentials = diffs

@@ -391,3 +391,253 @@ class TestMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             NovikovMatrix([[S.one()], [S.one(), S.zero()]])
+
+
+# -- the int-keyed exponent kernel against the Fraction-keyed one it replaced --
+
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 12)
+
+
+def reference_collect(pairs, cutoff):
+    """The normal form as it stood: Fraction exponents hashed into a
+    dict, sorted, and compared with the cutoff one by one."""
+    merged = {}
+    for e, c in pairs:
+        if e in merged:
+            merged[e] += c
+        else:
+            merged[e] = c
+    return tuple(
+        (e, c)
+        for e, c in sorted(merged.items())
+        if c and (cutoff is None or e < cutoff)
+    )
+
+
+def reference_min(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def reference_scalar(pairs, cutoff=None):
+    cutoff = None if cutoff is None else F(cutoff)
+    return reference_collect([(F(e), F(c)) for e, c in pairs], cutoff), cutoff
+
+
+def reference_add(x, y):
+    cutoff = reference_min(x[1], y[1])
+    return reference_collect(x[0] + y[0], cutoff), cutoff
+
+
+def reference_neg(x):
+    return tuple((e, -c) for e, c in x[0]), x[1]
+
+
+def reference_floor(x):
+    terms, cutoff = x
+    if terms:
+        return terms[0][0]
+    return INF if cutoff is None else cutoff
+
+
+def reference_mul(x, y):
+    """The product as it stood: every pair of terms formed, with its
+    Fraction exponent sum, then collected."""
+    (a, ca), (b, cb) = x, y
+    va, vb = reference_floor(x), reference_floor(y)
+    candidates = []
+    if ca is not None:
+        candidates.append(ca + vb if vb is not INF else INF)
+    if cb is not None:
+        candidates.append(cb + va if va is not INF else INF)
+    if ca is not None and cb is not None:
+        candidates.append(ca + cb)
+    finite = [c for c in candidates if c is not INF]
+    cutoff = min(finite) if finite else None
+    pairs = [(ea + eb, xa * xb) for ea, xa in a for eb, xb in b]
+    return reference_collect(pairs, cutoff), cutoff
+
+
+def reference_truncate(x, precision):
+    cutoff = reference_min(x[1], F(precision))
+    return tuple(t for t in x[0] if t[0] < cutoff), cutoff
+
+
+def reference_is_zero_at(x, precision):
+    terms, cutoff = x
+    if any(e < precision for e, _ in terms):
+        return False
+    if cutoff is None or cutoff >= precision:
+        return True
+    raise PrecisionExhaustedError("undecidable")
+
+
+def reference_inverse(x):
+    """The inverse as it stood: a geometric series in which each step is
+    a full product, a truncation and a collected sum."""
+    terms, cutoff = x
+    if not terms:
+        raise ZeroDivisionError if cutoff is None else PrecisionExhaustedError
+    v, c = terms[0]
+    lead = (((-v, 1 / c),), None)
+    if cutoff is None:
+        if len(terms) == 1:
+            return lead
+        raise PrecisionExhaustedError
+    prec = cutoff - v
+    u = (tuple((e - v, y / c) for e, y in terms[1:]), prec)
+    one = reference_truncate((((F(0), F(1)),), None), prec)
+    acc = power = one
+    while power[0]:
+        power = reference_truncate(reference_mul(power, reference_neg(u)), prec)
+        acc = reference_add(acc, power)
+    return reference_mul(acc, lead)
+
+
+def reference_pow(x, n):
+    if n < 0:
+        return reference_pow(reference_inverse(x), -n)
+    out = ((F(0), F(1)),), None
+    while n:
+        if n & 1:
+            out = reference_mul(out, x)
+        x = reference_mul(x, x)
+        n >>= 1
+    return out
+
+
+def kernel_pairs(rng, count):
+    # terms over one or two denominators of DENOMINATORS, negative
+    # exponents included, some exponents repeated with cancelling
+    # coefficients
+    dens = rng.sample(DENOMINATORS, rng.randint(1, 2))
+    pairs = []
+    for _ in range(count):
+        e = F(rng.randint(-8, 16), rng.choice(dens))
+        c = F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+        pairs.append((e, c))
+        if rng.random() < 0.2:
+            pairs.append((e, -c))
+    return pairs
+
+
+def kernel_cutoff(rng):
+    # None, or a cutoff whose denominator (11 or 13) divides none of the
+    # exponents' half the time
+    roll = rng.random()
+    if roll < 0.3:
+        return None
+    return F(rng.randint(-4, 24), rng.choice((11, 13) if roll < 0.65 else DENOMINATORS))
+
+
+def kernel_operand(rng, most=6):
+    pairs, cutoff = kernel_pairs(rng, rng.randint(0, most)), kernel_cutoff(rng)
+    return S(pairs, cutoff), reference_scalar(pairs, cutoff)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, PrecisionExhaustedError) as err:
+        return type(err)
+
+
+def assert_matches(ours, reference):
+    if isinstance(reference, type):
+        assert ours is reference
+        return
+    assert (ours.terms, ours.cutoff) == reference
+    assert all(type(e) is F and type(c) is F for e, c in ours.terms)
+    assert ours.cutoff is None or type(ours.cutoff) is F
+
+
+class TestExponentKernel:
+    def test_seeded_scalars_match_the_fraction_keyed_reference(self):
+        rng = random.Random(2317)
+        kinds = set()
+        for _ in range(600):
+            (x, rx), (y, ry) = kernel_operand(rng), kernel_operand(rng)
+            z, rz = kernel_operand(rng, 3)
+            precision = F(rng.randint(-4, 20), rng.choice(DENOMINATORS + (11,)))
+            n = rng.randint(-2, 3)
+            assert_matches(x, rx)
+            assert_matches(x + y, reference_add(rx, ry))
+            assert_matches(x - y, reference_add(rx, reference_neg(ry)))
+            assert_matches(x + (-x), reference_add(rx, reference_neg(rx)))
+            assert_matches(x * y, reference_mul(rx, ry))
+            assert_matches(outcome(pow, z, n), outcome(reference_pow, rz, n))
+            assert_matches(outcome(S.inverse, x), outcome(reference_inverse, rx))
+            assert_matches(x.truncate(precision), reference_truncate(rx, precision))
+            assert outcome(x.is_zero_at, precision) == outcome(
+                reference_is_zero_at, rx, precision
+            )
+            kinds.add((not rx[0], rx[1] is None, type(outcome(reference_inverse, rx))))
+        # empty and nonempty, exact and truncated, and inverses that answer
+        # and that raise all occurred
+        assert {(a, b) for a, b, _ in kinds} == {(True, True), (True, False), (False, True), (False, False)}
+        assert {tuple, type} <= {k for _, _, k in kinds}
+
+    def test_truncated_inverses_match_the_reference(self):
+        # operands that invert: a truncated lead term and a tail above it
+        rng = random.Random(41)
+        for _ in range(120):
+            pairs = kernel_pairs(rng, rng.randint(1, 5))
+            v = min(e for e, _ in pairs) - F(1, rng.choice(DENOMINATORS))
+            pairs.append((v, F(rng.choice((-2, 1, 3)))))
+            cutoff = v + F(rng.randint(1, 4), rng.choice((1, 2, 5, 11)))
+            x, rx = S(pairs, cutoff), reference_scalar(pairs, cutoff)
+            assert_matches(x.inverse(), reference_inverse(rx))
+            assert_matches(x ** -2, reference_pow(rx, -2))
+
+
+def fraction_order_and_hash_counts(monkeypatch, fn):
+    """Run fn and count the Fraction hashes and order comparisons it
+    makes."""
+    counts = {"hash": 0, "order": 0}
+
+    def counting(kind, method):
+        def counted(*args):
+            counts[kind] += 1
+            return method(*args)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__hash__", counting("hash", F.__hash__))
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            patch.setattr(F, name, counting("order", getattr(F, name)))
+        fn()
+    return counts
+
+
+def many_term_scalar(rng, count, cutoff):
+    exps = sorted(rng.sample(range(1, 6 * count), count - 1))
+    pairs = [(F(0), F(rng.choice((1, -2))))]
+    pairs += [(F(e, rng.choice((2, 3))), F(rng.choice((-1, 1, 4)), 3)) for e in exps]
+    return S(pairs, cutoff)
+
+
+def test_the_arithmetic_hashes_no_fraction_and_orders_only_the_cutoffs(monkeypatch):
+    rng = random.Random(5)
+    seen = {}
+    for count in (3, 12, 30):
+        x = many_term_scalar(rng, count, F(7, 5))
+        y = many_term_scalar(rng, count, F(9, 4))
+        exact = many_term_scalar(rng, count, None)
+        for name, fn in (
+            ("mul", lambda: x * y),
+            ("exact mul", lambda: x * exact),
+            ("add", lambda: x + y),
+            ("exact add", lambda: exact + exact),
+            ("inverse", x.inverse),
+        ):
+            counts = fraction_order_and_hash_counts(monkeypatch, fn)
+            assert counts["hash"] == 0, (name, count)
+            seen.setdefault(name, set()).add(counts["order"])
+    # the count of order comparisons does not grow with the terms: the
+    # product compares its cutoff candidates, the sum its two cutoffs
+    assert all(len(orders) == 1 for orders in seen.values()), seen
+    assert max(max(orders) for orders in seen.values()) <= 2, seen

@@ -302,6 +302,23 @@ class TestComplexes:
                 {0: ((one,),), 1: ((one,),)},
             )
 
+    def test_an_entry_off_the_canonical_basepoint_is_refused(self):
+        cover = TORUS.cover
+        vertices = cover.polytope((0,)).vertices
+        centroid = tuple(sum(axis) / len(vertices) for axis in zip(*vertices))
+        assert centroid != cover.face_chart((0,)).basepoint
+        one = AffinoidElement.one(cover, (0,))
+        zero_at_q = AffinoidElement.zero(cover, (0,), centroid)
+        with pytest.raises(ChartMismatchError, match="canonical basepoint"):
+            ModuleComplex(cover, (0,), {0: 1, 1: 1}, {0: ((zero_at_q,),)})
+        with pytest.raises(ChartMismatchError, match="canonical basepoint"):
+            ModuleComplex(
+                cover,
+                (0,),
+                {0: 1, 1: 1, 2: 1},
+                {0: ((one,),), 1: ((zero_at_q,),)},
+            )
+
     def test_shapes_are_enforced(self):
         cover = ELLIPTIC.cover
         one = AffinoidElement.one(cover, (0,))

@@ -406,7 +406,8 @@ class IntegralAffineMap:
 
     @property
     def det(self):
-        return determinant(self._linear) if self._linear else 1
+        rows = [{j: x for j, x in enumerate(row) if x} for row in self._linear]
+        return determinant(rows, 0) if rows else 1
 
     def apply(self, point):
         point = _frac_vec(point)

@@ -8,8 +8,8 @@ solve: the certificate's constant solve and the cokernel of the
 incidence map.  The principal-minor sums and the determinant are
 ring-generic: they use only ``+``, ``-`` and ``*`` of the entries, so
 they serve Fractions, Novikov scalars and affinoid elements alike.  The
-determinant first splits the matrix, dense or given as sparse rows, into
-the diagonal blocks of its block-triangular form, so a diagonal or
+determinant takes sparse rows and first splits the matrix into the
+diagonal blocks of its block-triangular form, so a diagonal or
 triangular matrix costs a product of entries, not a dense recurrence.
 """
 
@@ -280,32 +280,28 @@ def principal_minor_sums(rows):
     return e
 
 
-def determinant(rows, zero=None):
+def determinant(rows, zero):
     """Determinant of a nonempty square matrix over a commutative ring.
 
-    The pattern of entries that are not exact zeros is split into its
-    strongly connected components (Tarjan, SIAM J. Comput. 1, 1972):
-    ordered by them, the matrix is block triangular (Duff and Reid), so
-    the determinant is the product of the determinants of its diagonal
-    blocks.  An exact zero is ``== 0`` for ints and Fractions and
-    ``is_exact_zero()`` for Novikov scalars and affinoid elements; a
-    truncated zero may hide a term, so it stays in its block.  A block
-    of one entry gives that entry itself; a larger one forms only the
-    last sum of the final Berkowitz step.  A matrix that is one block
-    goes through the recurrence whole, and so does one of size 2 x 2,
-    where the recurrence already is the product of the blocks.
-
-    With zero, the ring's zero, each row is instead a ``{column: entry}``
-    dict of the entries that are not exact zeros (the form of the sparse
-    echelon); the pattern is read off the keys, and a missing entry that
-    a block needs reads as zero, so a diagonal matrix costs the product
-    of its entries.
+    Each row is a ``{column: entry}`` dict of the entries that are not
+    exact zeros, and zero is the ring's zero, which reads in for a
+    missing entry that a block needs.  The pattern of the keys is split
+    into its strongly connected components (Tarjan, SIAM J. Comput. 1,
+    1972): ordered by them, the matrix is block triangular (Duff and
+    Reid), so the determinant is the product of the determinants of its
+    diagonal blocks, and a diagonal matrix costs the product of its
+    entries.  A truncated zero may hide a term, so its row keeps it and
+    it stays in its block.  A block of one entry gives that entry itself;
+    a larger one forms only the last sum of the final Berkowitz step.  A
+    matrix that is one block goes through the recurrence whole, and so
+    does one of size 2 x 2, where the recurrence already is the product
+    of the blocks.
     """
     if not rows:
         raise ValueError("a 0 x 0 determinant needs the ring's one")
     blocks = [range(len(rows))]
     if len(rows) > 2:
-        blocks = _diagonal_blocks(rows, zero is not None)
+        blocks = _diagonal_blocks(rows)
     return reduce(mul, (_block_determinant(rows, b, zero) for b in blocks))
 
 
@@ -314,9 +310,7 @@ def _block_determinant(rows, block, zero):
     # entry gives itself, a larger block goes through the recurrence
     if len(block) == 1:
         i = block[0]
-        return rows[i][i] if zero is None else rows[i].get(i, zero)
-    if zero is None:
-        return _berkowitz_determinant([[rows[i][j] for j in block] for i in block])
+        return rows[i].get(i, zero)
     return _berkowitz_determinant([[rows[i].get(j, zero) for j in block] for i in block])
 
 
@@ -326,25 +320,13 @@ def _berkowitz_determinant(rows):
     return _next_sum(e, rows[r][r], _border_products(rows, r), r + 1)
 
 
-def _is_exact_zero(x):
-    check = getattr(x, "is_exact_zero", None)
-    return x == 0 if check is None else check()
-
-
-def _diagonal_blocks(rows, sparse=False):
+def _diagonal_blocks(rows):
     # strongly connected components of the graph with an arc i -> j for
-    # every off-diagonal entry (i, j) that is not an exact zero, each a
-    # sorted index list, sorted by least index: Tarjan's depth-first
-    # search, run on an explicit path of (node, remaining arcs).  Sparse
-    # {column: entry} rows name their arcs by their keys, and a pattern
-    # with no arcs is n blocks of one
-    if sparse:
-        arcs = [[j for j in row if j != i] for i, row in enumerate(rows)]
-    else:
-        arcs = [
-            [j for j, x in enumerate(row) if j != i and not _is_exact_zero(x)]
-            for i, row in enumerate(rows)
-        ]
+    # every off-diagonal key j of the sparse row i, each a sorted index
+    # list, sorted by least index: Tarjan's depth-first search, run on an
+    # explicit path of (node, remaining arcs).  A pattern with no arcs is
+    # n blocks of one
+    arcs = [[j for j in row if j != i] for i, row in enumerate(rows)]
     if not any(arcs):
         return [[i] for i in range(len(rows))]
     order, low, path, open_nodes, blocks = {}, {}, [], [], []

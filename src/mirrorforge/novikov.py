@@ -73,6 +73,23 @@ def _key(e, d):
     return e.numerator * (d // e.denominator)
 
 
+def _products(a, b, bound):
+    # the products of the int-keyed terms of a with those of b, merged on
+    # their key sums below bound: b is sorted, so a row of pairs ends at
+    # its first key sum that reaches the bound
+    merged = {}
+    for ka, xa in a:
+        for kb, xb in b:
+            k = ka + kb
+            if k >= bound:
+                break
+            if k in merged:
+                merged[k] += xa * xb
+            else:
+                merged[k] = xa * xb
+    return merged
+
+
 def _cutoff_min(a, b):
     # None plays the role of +infinity.
     if a is None:
@@ -268,20 +285,17 @@ class NovikovScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # Unknown tails multiply into the result at exponents bounded by
-        # cutoff + the other factor's valuation floor, and the two tails
-        # meet at the cutoff sum.  The tightest sound cutoff is the min.
+        # An unknown tail multiplies into the result at exponents bounded
+        # by its cutoff plus the other factor's valuation floor.  The two
+        # tails meet at the cutoff sum, never lower, as a floor never
+        # exceeds its own cutoff.  An exact zero factor makes it exact.
         ca, cb = self._cutoff, other._cutoff
         va, vb = self._val_floor(), other._val_floor()
-        candidates = []
-        if ca is not None:
-            candidates.append(ca + vb if vb is not INF else INF)
-        if cb is not None:
-            candidates.append(cb + va if va is not INF else INF)
-        if ca is not None and cb is not None:
-            candidates.append(ca + cb)
-        finite = [c for c in candidates if c is not INF]
-        cutoff = min(finite) if finite else None
+        cutoff = min(
+            (c + v for c, v in ((ca, vb), (cb, va)) if c is not None), default=None
+        )
+        if cutoff == INF:
+            cutoff = None
         a, b = self._terms, other._terms
         if not (a and b):
             return NovikovScalar._trusted((), cutoff)
@@ -289,19 +303,7 @@ class NovikovScalar:
         a = [(_key(e, d), x) for e, x in a]
         b = [(_key(e, d), x) for e, x in b]
         bound = a[-1][0] + b[-1][0] + 1 if cutoff is None else _key(cutoff, d)
-        # both factors are sorted, so a row of pairs ends at its first
-        # key that reaches the cutoff
-        merged = {}
-        for ka, xa in a:
-            for kb, xb in b:
-                k = ka + kb
-                if k >= bound:
-                    break
-                if k in merged:
-                    merged[k] += xa * xb
-                else:
-                    merged[k] = xa * xb
-        return NovikovScalar._from_keys(merged, d, 0, cutoff)
+        return NovikovScalar._from_keys(_products(a, b, bound), d, 0, cutoff)
 
     __rmul__ = __mul__
 
@@ -310,14 +312,15 @@ class NovikovScalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
+        # square only while bits remain: the top bit's square is unused
         out = NovikovScalar.one()
         base = self
-        k = n
-        while k:
-            if k & 1:
+        while n:
+            if n & 1:
                 out = out * base
-            base = base * base
-            k >>= 1
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse(self):
@@ -353,16 +356,7 @@ class NovikovScalar:
         total = {0: inv}
         power = {0: inv}
         while power:
-            step = {}
-            for kp, xp in power.items():
-                for ku, xu in minus_u:
-                    k = kp + ku
-                    if k >= bound:
-                        break
-                    if k in step:
-                        step[k] += xp * xu
-                    else:
-                        step[k] = xp * xu
+            step = _products(power.items(), minus_u, bound)
             power = {k: x for k, x in step.items() if x}
             for k, x in power.items():
                 if k in total:
@@ -532,19 +526,20 @@ def _dot(row, values):
 
 
 def _echelon_insert(slots, spare, row, precision, working, husks=False):
-    # add the dict row to an echelon state: slots maps each pivot column
-    # to [row, lead valuation, lead inverse or None], spare holds rows with no
-    # pivot that still carry terms; stored rows are never changed in
-    # place, so a copy of slots is an independent state.  A column with
-    # no pivot becomes the row's pivot when its entry has valuation below
-    # the precision, and is passed over otherwise.  An entry with no
-    # terms below its cutoff, a husk, is passed over too, unless husks
-    # are kept: then it is eliminated like any entry, so the cutoff it
-    # costs reaches the entries it touches, and a pivot decision that
-    # rests on it raises PrecisionExhaustedError
+    # add the dict row, which the pass then owns, to an echelon state:
+    # slots maps each pivot column to [row, lead valuation, lead inverse
+    # or None], spare holds rows with no pivot that still carry terms.  A
+    # row taken off pending or displaced from its slot is held by nothing
+    # else, so it is reduced in place.  A column with no pivot becomes the
+    # row's pivot when its entry has valuation below the precision, and is
+    # passed over otherwise.  An entry with no terms below its cutoff, a
+    # husk, is passed over too, unless husks are kept: then it is
+    # eliminated like any entry, so the cutoff it costs reaches the
+    # entries it touches, and a pivot decision that rests on it raises
+    # PrecisionExhaustedError
     pending = [row]
     while pending:
-        row = dict(pending.pop())
+        row = pending.pop()
         heap = list(row)
         heapify(heap)
         while heap:
@@ -574,7 +569,7 @@ def _echelon_insert(slots, spare, row, precision, working, husks=False):
                 continue
             if v is not None and v < held[1]:
                 slots[c] = [row, v, None]
-                row, held = dict(held[0]), slots[c]
+                row, held = held[0], slots[c]
                 heap = [j for j in row if j > c]
                 heapify(heap)
             _eliminate(row, held, c, working, husks)
@@ -733,15 +728,18 @@ class NovikovMatrix:
         every known term is right, but the cutoff can sit below a
         cofactor expansion's: the recurrence multiplies partial sums
         whose low-order terms cancel later, and a product is known only
-        to one factor's cutoff plus the other factor's valuation.  Only
-        exact zeros split blocks, so a truncated zero, which may hide a
-        term, keeps its entries in one block.
+        to one factor's cutoff plus the other factor's valuation.  The
+        sparse rows handed over leave out only exact zeros, so a truncated
+        zero, which may hide a term, keeps its entries in one block.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if not self._rows:
             return NovikovScalar.one()
-        return determinant(self._rows)
+        return determinant(
+            [{j: x for j, x in enumerate(row) if not x.is_exact_zero()} for row in self._rows],
+            NovikovScalar.zero(),
+        )
 
     # -- elimination ---------------------------------------------------
 

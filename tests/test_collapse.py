@@ -42,6 +42,7 @@ from mirrorforge.twisted_sheaves import (
     global_sections,
     section_radius,
 )
+from test_determinant import sparse_rows
 from test_section_solver import TORUS_MODULES, doubled_torus, perturbed_line_modules
 
 F = Fraction
@@ -600,7 +601,11 @@ def minor_rank(rows, precision):
             det.terms[0][0]
             for chosen in combinations(range(len(rows)), k)
             for columns in combinations(range(len(rows[0])), k)
-            if (det := determinant([[rows[i][j] for j in columns] for i in chosen])).terms
+            if (
+                det := determinant(
+                    sparse_rows([[rows[i][j] for j in columns] for i in chosen]), S.zero()
+                )
+            ).terms
         ]
         if not valuations:
             break

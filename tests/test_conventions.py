@@ -14,8 +14,14 @@ Novikov elimination is the one echelon pass of ``novikov.py``; a third
 guard fails on any other function whose name reads like a row
 reduction, an echelon or elimination step, a greedy pass or an attempt
 of the headroom ladder, outside the rational home.
+
+The determinant reads one input form, sparse rows with the ring's zero;
+a fourth guard fails when ``intlinalg.py`` again tells exact zeros apart
+in dense rows (``_is_exact_zero``) or gives ``determinant``'s zero a
+default, which is how the dense form was reached.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -210,3 +216,44 @@ def test_a_twisted_module_keeps_one_form():
 )
 def test_the_form_guard_sees_a_dense_copy(line):
     assert dense_form_lines(line)
+
+
+INTLINALG = SRC / SOLVER_HOME
+
+
+def second_determinant_forms(text):
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if node.name == "_is_exact_zero":
+            found.append(f"intlinalg.py:{node.lineno}: dense zero test _is_exact_zero")
+        if node.name == "determinant":
+            names = [arg.arg for arg in node.args.args]
+            defaulted = names[len(names) - len(node.args.defaults):]
+            if "zero" not in names or "zero" in defaulted:
+                found.append(f"intlinalg.py:{node.lineno}: determinant without a required zero")
+    return found
+
+
+def test_the_determinant_reads_one_form():
+    text = INTLINALG.read_text()
+    assert "def determinant(" in text
+    found = second_determinant_forms(text)
+    assert not found, "\n".join(found)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "def _is_exact_zero(x):\n    return x == 0",
+        "def determinant(rows, zero=None):\n    pass",
+        "def determinant(rows):\n    pass",
+    ],
+)
+def test_the_determinant_guard_sees_a_dense_form(text):
+    assert second_determinant_forms(text)
+
+
+def test_the_determinant_guard_allows_the_sparse_signature():
+    assert not second_determinant_forms("def determinant(rows, zero):\n    pass")

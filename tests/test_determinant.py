@@ -4,7 +4,10 @@
 Fractions, Novikov scalars and affinoid elements with the same code.
 These seeded tests hold a cofactor expansion and an enumeration of
 principal minors as references that live only here, and compare the
-routine with them on every ring the package feeds it.
+routine with them on every ring the package feeds it.  ``determinant``
+reads one form, sparse rows and the ring's zero; dense test matrices
+reach it through ``sparse_rows``, which the other determinant tests
+share.
 """
 
 import math
@@ -39,6 +42,19 @@ F = Fraction
 S = NovikovScalar
 CIRCLES = ("elliptic-demo", "split-torus-2")
 TORUS_TRIVIAL = ("split-torus-4", "thurston-f2")
+
+
+def sparse_rows(mat):
+    """The ``{column: entry}`` rows of a dense matrix, the form
+    ``determinant`` reads: every entry but the exact zeros, which are
+    ``== 0`` for ints and Fractions and ``is_exact_zero()`` for Novikov
+    scalars and affinoid elements."""
+
+    def exact_zero(x):
+        check = getattr(x, "is_exact_zero", None)
+        return x == 0 if check is None else check()
+
+    return [{j: x for j, x in enumerate(row) if not exact_zero(x)} for row in mat]
 
 
 def cofactor_det(mat):
@@ -102,13 +118,13 @@ def test_fraction_determinant_and_minor_sums_match_references(n):
     rng = random.Random(100 + n)
     for _ in range(12 if n < 7 else 3):
         mat = random_fraction_matrix(rng, n)
-        assert determinant(mat) == cofactor_det(mat)
+        assert determinant(sparse_rows(mat), F(0)) == cofactor_det(mat)
         assert principal_minor_sums(mat) == minor_sums_reference(mat)
 
 
 def test_one_by_one_gives_the_entry_itself():
     entry = S([(1, 3)], 5)
-    assert determinant([[entry]]) is entry
+    assert determinant([{0: entry}], S.zero()) is entry
     assert principal_minor_sums([[entry]])[0] is entry
 
 
@@ -124,7 +140,7 @@ def test_sums_of_a_triangular_matrix_are_elementary_symmetric_polynomials():
 def test_empty_matrix_has_no_ring_one_to_return():
     assert principal_minor_sums([]) == []
     with pytest.raises(ValueError):
-        determinant([])
+        determinant([], F(0))
 
 
 # -- Novikov scalars ---------------------------------------------------------
@@ -180,7 +196,8 @@ def test_circle_restriction_determinants_match_cofactors(catalog, slope):
         module = patch_global(LinearLagrangian(slope, offset), fibration)
         for low, top in module.pairs:
             mat = module.restriction(low, top)
-            assert determinant(mat) == cofactor_det(mat)
+            zero = AffinoidElement.zero(module.cover, top)
+            assert determinant(sparse_rows(mat), zero) == cofactor_det(mat)
 
 
 @pytest.mark.parametrize("catalog", TORUS_TRIVIAL)
@@ -190,7 +207,8 @@ def test_t_scaled_torus_mutants_match_cofactors(catalog):
     for low, top in module.pairs:
         entry = module.restriction(low, top)[0][0] * t
         mat = module.with_entry(low, top, 0, 0, entry).restriction(low, top)
-        assert determinant(mat) == cofactor_det(mat) == entry
+        zero = AffinoidElement.zero(module.cover, top)
+        assert determinant(sparse_rows(mat), zero) == cofactor_det(mat) == entry
 
 
 @pytest.mark.parametrize("n", range(2, 5))
@@ -214,7 +232,8 @@ def test_dense_affinoid_matrices_match_cofactors(n):
             ]
             for _ in range(n)
         ]
-        assert determinant(rows) == cofactor_det(rows)
+        zero = AffinoidElement.zero(cover, face)
+        assert determinant(sparse_rows(rows), zero) == cofactor_det(rows)
 
 
 @pytest.mark.parametrize("catalog", CIRCLES)

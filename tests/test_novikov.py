@@ -445,7 +445,8 @@ def reference_floor(x):
 
 def reference_mul(x, y):
     """The product as it stood: every pair of terms formed, with its
-    Fraction exponent sum, then collected."""
+    Fraction exponent sum, then collected, and the cutoff the least of a
+    candidate list that holds the two cutoffs' sum too."""
     (a, ca), (b, cb) = x, y
     va, vb = reference_floor(x), reference_floor(y)
     candidates = []
@@ -591,6 +592,63 @@ class TestExponentKernel:
             x, rx = S(pairs, cutoff), reference_scalar(pairs, cutoff)
             assert_matches(x.inverse(), reference_inverse(rx))
             assert_matches(x ** -2, reference_pow(rx, -2))
+
+    def test_cutoff_edge_products_match_the_candidate_rule(self):
+        # an exact zero times a truncated scalar, a truncated zero times a
+        # truncated and an exact scalar, and two truncated scalars, in both
+        # orders: the product takes the lesser of the two tail bounds, and
+        # the reference's candidate list, with the cutoff sum, must agree
+        rng = random.Random(577)
+        exact_zero = S(), reference_scalar([])
+        negative = 0
+
+        def operand(count, cutoff):
+            pairs = kernel_pairs(rng, count)
+            return S(pairs, cutoff), reference_scalar(pairs, cutoff)
+
+        def cutoff():
+            return F(rng.randint(-6, 16), rng.choice(DENOMINATORS + (11, 13)))
+
+        for _ in range(300):
+            x, y = operand(rng.randint(1, 5), cutoff()), operand(rng.randint(1, 5), cutoff())
+            exact = operand(rng.randint(1, 4), None)
+            truncated_zero = operand(0, cutoff())
+            for (a, ra), (b, rb) in [
+                (exact_zero, x),
+                (truncated_zero, x),
+                (truncated_zero, exact),
+                (x, y),
+            ]:
+                assert_matches(a * b, reference_mul(ra, rb))
+                assert_matches(b * a, reference_mul(rb, ra))
+            negative += all(z.terms and z.terms[0][0] < 0 for z in (x[0], y[0]))
+        # products of two truncated scalars of negative valuation occurred
+        assert negative >= 30
+
+    def test_pow_squares_only_while_bits_remain(self, monkeypatch):
+        # x ** n forms one product per set bit and one square per bit
+        # below the top one, and none for n = 0
+        mul = S.__mul__
+        products = []
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        operands = [
+            (S(pairs, cutoff), reference_scalar(pairs, cutoff))
+            for pairs, cutoff in [
+                ([(F(-1, 2), 3), (F(1, 3), -1)], F(7, 2)),
+                ([(0, 1), (F(2, 5), 2), (1, -1)], None),
+            ]
+        ]
+        monkeypatch.setattr(S, "__mul__", counted)
+        for x, rx in operands:
+            for n in range(10):
+                products.clear()
+                got = x ** n
+                assert len(products) == (bin(n).count("1") + n.bit_length() - 1 if n else 0)
+                assert_matches(got, reference_pow(rx, n))
 
 
 def fraction_order_and_hash_counts(monkeypatch, fn):

@@ -50,6 +50,7 @@ from mirrorforge.twisted_sheaves import (
     rank_one_module_from_cochain,
     validate_module,
 )
+from test_determinant import sparse_rows
 
 F = Fraction
 S = NovikovScalar
@@ -204,7 +205,8 @@ def reference_validate(module, precision, stop_early=False):
     if not (stop_early and cocycle_failures):
         for low, top in module.pairs:
             pairs += 1
-            det = determinant(module.restriction(low, top))
+            zero = AffinoidElement.zero(module.cover, top)
+            det = determinant(sparse_rows(module.restriction(low, top)), zero)
             if not element_is_unit_at(det, precision):
                 det_failures.append((low, top))
                 if stop_early:
@@ -327,8 +329,9 @@ def test_circle_restriction_determinants_match_berkowitz(catalog, sign):
             module = patch_global(LinearLagrangian(sign * k, offset), fibration)
             for low, top in module.pairs:
                 mat = module.restriction(low, top)
-                assert len(_diagonal_blocks(mat)) == k
-                got = determinant(mat)
+                rows = sparse_rows(mat)
+                assert len(_diagonal_blocks(rows)) == k
+                got = determinant(rows, AffinoidElement.zero(module.cover, top))
                 assert element_data(got) == element_data(reference_determinant(mat))
 
 
@@ -378,8 +381,9 @@ def test_permuted_block_triangular_determinants_match_berkowitz(ring):
     for _ in range(40):
         sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
         mat = permuted_block_triangular(rng, sizes, lambda: nonzero(rng, lambda: make(rng)), zero)
-        assert len(_diagonal_blocks(mat)) == len(sizes)
-        got, want = determinant(mat), reference_determinant(mat)
+        rows = sparse_rows(mat)
+        assert len(_diagonal_blocks(rows)) == len(sizes)
+        got, want = determinant(rows, zero), reference_determinant(mat)
         if ring == "scalar":
             assert scalar_data(got) == scalar_data(want)
         else:
@@ -399,8 +403,9 @@ def test_blocks_are_the_strongly_connected_components():
                 for j in range(n):
                     reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
         want = {tuple(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)}
-        assert [tuple(block) for block in _diagonal_blocks(mat)] == sorted(want)
-        assert determinant(mat) == reference_determinant(mat)
+        rows = sparse_rows(mat)
+        assert [tuple(block) for block in _diagonal_blocks(rows)] == sorted(want)
+        assert determinant(rows, 0) == reference_determinant(mat)
 
 
 def test_a_truncated_zero_link_keeps_the_blocks_together():
@@ -408,12 +413,13 @@ def test_a_truncated_zero_link_keeps_the_blocks_together():
     b = S.monomial(1, 1)
     link = S.zero(F(2))
     mat = [[a, link], [b, c]]
-    assert _diagonal_blocks(mat) == [[0, 1]]
-    got = determinant(mat)
+    assert _diagonal_blocks(sparse_rows(mat)) == [[0, 1]]
+    got = determinant(sparse_rows(mat), S.zero())
     assert scalar_data(got) == scalar_data(reference_determinant(mat))
     # the link may hide a term times b, so the product is known mod t^3
     assert got.cutoff == 3
-    assert scalar_data(determinant([[a, S.zero()], [b, c]])) == scalar_data(S.one())
+    split = sparse_rows([[a, S.zero()], [b, c]])
+    assert scalar_data(determinant(split, S.zero())) == scalar_data(S.one())
 
 
 def test_truncated_zero_affinoid_link_keeps_the_blocks_together():
@@ -425,11 +431,12 @@ def test_truncated_zero_affinoid_link_keeps_the_blocks_together():
     t = AffinoidElement.monomial(cover, face, S.monomial(1, 1), (1, 0))
     linked = [[one, link], [t, one]]
     assert not link.is_exact_zero()
-    assert _diagonal_blocks(linked) == [[0, 1]]
-    assert element_data(determinant(linked)) == element_data(reference_determinant(linked))
-    split = [[one, exact_zero], [t, one]]
+    assert _diagonal_blocks(sparse_rows(linked)) == [[0, 1]]
+    got = determinant(sparse_rows(linked), exact_zero)
+    assert element_data(got) == element_data(reference_determinant(linked))
+    split = sparse_rows([[one, exact_zero], [t, one]])
     assert _diagonal_blocks(split) == [[0], [1]]
-    assert element_data(determinant(split)) == element_data(one)
+    assert element_data(determinant(split, exact_zero)) == element_data(one)
 
 
 # -- rank-one modules ---------------------------------------------------------------

@@ -1,0 +1,109 @@
+"""Compare the command line of this checkout with the one at a revision.
+
+    python tools/cli_compare.py --against REV
+
+REV is extracted with ``git archive`` into a temporary directory, which
+leaves ``.git`` untouched.  Each command of the comparison set runs as
+``python -m mirrorforge ...`` in a subprocess, once with ``PYTHONPATH``
+set to this checkout's ``src`` and once to REV's, so warnings and exit
+codes are seen as a user sees them; a path into either tree, as a
+warning prints it, is read relative to the tree.  Every command whose
+stdout, stderr or exit code differs is printed, and the exit code is 1
+if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from itertools import product
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CATALOGS = ("elliptic-demo", "split-torus-2", "split-torus-4", "thurston-f1", "thurston-f2")
+CIRCLES = CATALOGS[:2]
+TORI = CATALOGS[2:]
+LINE_COMMANDS = ("sheaf", "demo")
+
+
+def commands():
+    """The comparison set: every report on every catalog, the line
+    reports on both circles over slopes, offsets and precisions, and the
+    refusals."""
+    out = []
+    for name, catalog, output in product(
+        ("build", "gerbe", "validate", "selftest"), CATALOGS, ("text", "json")
+    ):
+        out.append([name, "--catalog", catalog, "--output", output])
+    out += [["selftest", "--seed", "0"], ["selftest", "--seed", "1"]]
+    slopes = ("1", "-1", "2", "-2", "3", "7", "-5", "30")
+    for name, catalog, slope in product(LINE_COMMANDS, CIRCLES, slopes):
+        line = [name, "--catalog", catalog, "--slope", slope]
+        for offset, precision in product(("0", "1/3", "-2/5"), ("1/2", "1", "4", "21/2")):
+            out.append(line + ["--offset", offset, "-E", precision])
+        out.append(line + ["--offset=-2/5"])
+        if slope in ("1", "-1", "3"):
+            out.append(line + ["--output", "json"])
+    for name, catalog in product(LINE_COMMANDS, CIRCLES):
+        line = [name, "--catalog", catalog]
+        for flag in (["-E", "0"], ["-E", "-1"], ["-E", "-1/2"], ["-E=-1/2"], ["-E", "60"]):
+            out.append(line + ["--slope", "2"] + flag)
+        out += [line + ["--slope", "0"], line + ["--slope", "100"]]
+    for name, catalog in product(LINE_COMMANDS, TORI):
+        out.append([name, "--catalog", catalog, "--slope", "1"])
+    return out
+
+
+def extract(rev, into):
+    """The tree of rev, written under into by ``git archive``."""
+    data = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True,
+        capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as archive:
+        archive.extractall(into, filter="data")
+    return Path(into)
+
+
+def run(tree, args):
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "mirrorforge", *args],
+        capture_output=True,
+        env=env,
+        cwd=tree,
+    )
+    path = os.fsencode(tree)
+    out, err = (stream.replace(path, b".") for stream in (result.stdout, result.stderr))
+    return out, err, result.returncode
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, metavar="REV")
+    args = parser.parse_args(argv)
+    cases = commands()
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
+        other = extract(args.against, tmp)
+        ours = pool.map(lambda c: run(ROOT, c), cases)
+        theirs = pool.map(lambda c: run(other, c), cases)
+        differ = 0
+        names = ("stdout", "stderr", "exit code")
+        for case, mine, old in zip(cases, ours, theirs):
+            streams = [name for name, a, b in zip(names, mine, old) if a != b]
+            if streams:
+                differ += 1
+                print(f"differs ({', '.join(streams)}): mirrorforge {' '.join(case)}")
+    print(f"{len(cases)} commands, {differ} differ from {args.against}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -555,6 +555,21 @@ class PolyFunction:
         self._terms = {p: c for p, c in cleaned.items() if c != 0}
 
     @classmethod
+    def _trusted(cls, dimension, terms):
+        """Build a polynomial from parts that are already in normal form.
+
+        Nothing is coerced or checked, and terms is kept, not copied.
+        The caller guarantees that dimension is an int and that terms is
+        a dict from tuples of dimension nonnegative ints, of sum at most
+        2, to nonzero Fractions.  Sheet primitives built by the library
+        come through here; values from outside go through ``__init__``.
+        """
+        self = object.__new__(cls)
+        self._dimension = dimension
+        self._terms = terms
+        return self
+
+    @classmethod
     def zero(cls, dimension):
         return cls(dimension)
 

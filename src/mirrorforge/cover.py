@@ -68,8 +68,9 @@ class Cover:
     """Charts, nerve, overlap polytopes, and transitions.
 
     Tables derived from these (face charts, nested face pairs and
-    chains, restriction moves, the certificate system) are cached
-    properties, each built once per cover on first use.
+    chains, restriction moves, the edge sides of the section walk, the
+    certificate system) are cached properties, each built once per
+    cover on first use.
     """
 
     def __init__(self, dimension, chart_ids, faces, polytopes, transitions):
@@ -310,6 +311,42 @@ class Cover:
                     tuple(Fraction(dot(row, q) + t, d) for row, t in zip(linear, tau)),
                 )
         return table
+
+    @cached_property
+    def edge_sides(self):
+        """The two sides of every edge as the section walk reads them,
+        on one integer scaling d: (d, corners, sides).
+
+        corners maps each edge to its polytope's vertices minus the
+        edge's basepoint.  sides maps (edge, i), for the edge's first
+        chart i then its second, edge by edge in sorted order, to (sign,
+        mt, offset): sign 1 on the first chart and -1 on the second, mt
+        from ``restriction_moves[(edge, i)]``, and offset the edge's
+        basepoint there minus chart i's own basepoint.  Corners and
+        offsets are ints, the values times d.
+        """
+        charts = self._face_charts
+        moves = self.restriction_moves
+        corners = {}
+        sides = {}
+        for edge in self.faces_of_degree(1):
+            q = charts[edge].basepoint
+            corners[edge] = [
+                tuple(x - y for x, y in zip(v, q)) for v in charts[edge].polytope.vertices
+            ]
+            for sign, i in ((1, edge[0]), (-1, edge[1])):
+                mt, moved = moves[(edge, i)]
+                own = charts[(i,)].basepoint
+                sides[(edge, i)] = (sign, mt, tuple(x - y for x, y in zip(moved, own)))
+        d, _, points = integer_scaling(
+            (),
+            [v for vs in corners.values() for v in vs]
+            + [offset for _, _, offset in sides.values()],
+        )
+        points = iter(points)
+        corners = {edge: [next(points) for _ in vs] for edge, vs in corners.items()}
+        sides = {key: (sign, mt, next(points)) for key, (sign, mt, _) in sides.items()}
+        return d, corners, sides
 
     @cached_property
     def _certificate_system(self):

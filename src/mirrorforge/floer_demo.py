@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .affine import PolyFunction
 from .errors import ChartMismatchError
@@ -53,13 +54,17 @@ class LinearLagrangian:
 
 def _sheets(lagrangian, q, shift=0):
     """Gammas and constants of the |k| sheet primitives
-    g_j(s) = sigma/2 s^2 + gamma_j s + c_j over the fibre at q.
+    g_j(s) = sigma/2 s^2 + gamma_j s + c_j over the fibre at q, on ints:
+    (gammas, constants, d) with gamma_j = gammas[j]/d and c_j =
+    constants[j]/d.
 
     sigma is the sign of the slope, gamma_j = (offset + j)/|k| + sigma
     times shift, and c_j = -(sigma/2 q^2 + gamma_j q) normalises g_j to
-    vanish at the basepoint q.  Both checks of LocalFloerData run here
-    in closed form: each g_j(q) is 0, and sheets of one curvature are
-    pairwise distinct exactly when their gammas are.
+    vanish at the basepoint q.  With offset + sigma*shift*|k| = m/md
+    and q = qn/qd, gamma_j = (m + j*md)/(md*|k|) and every value sits
+    on d = 2*qd^2*md*|k|.  Both checks of LocalFloerData run here in
+    closed form, on the numerators: each g_j(q) is 0, and sheets of one
+    curvature are pairwise distinct exactly when their gammas are.
     """
     k = lagrangian.slope
     if k == 0:
@@ -67,28 +72,36 @@ def _sheets(lagrangian, q, shift=0):
     sigma = 1 if k > 0 else -1
     count = abs(k)
     moved = lagrangian.offset + sigma * shift * count
-    square = Fraction(sigma, 2) * q * q
+    m, md = moved.numerator, moved.denominator
+    qn, qd = q.numerator, q.denominator
+    square = sigma * qn * qn * md * count
     gammas, constants = [], []
     for j in range(count):
-        gamma = (moved + j) / count
-        linear = gamma * q
+        n = m + j * md
+        linear = 2 * qd * qn * n
         constant = -(square + linear)
         if square + linear + constant:
             raise ValueError("primitives must vanish at the basepoint")
-        gammas.append(gamma)
+        gammas.append(2 * qd * qd * n)
         constants.append(constant)
     if len(set(gammas)) != count:
         raise ValueError("sheets must be pairwise distinct")
-    return gammas, constants
+    return gammas, constants, 2 * qd * qd * md * count
 
 
-def _primitives(lagrangian, gammas, constants):
-    # the sheet primitives as PolyFunctions
+def _primitives(lagrangian, gammas, constants, d):
+    # the sheet primitives of _sheets as PolyFunctions, zero
+    # coefficients dropped as the checked constructor drops them
     half = Fraction(1 if lagrangian.slope > 0 else -1, 2)
-    return tuple(
-        PolyFunction(1, {(2,): half, (1,): gamma, (0,): constant})
-        for gamma, constant in zip(gammas, constants)
-    )
+    out = []
+    for gamma, constant in zip(gammas, constants):
+        terms = {(2,): half}
+        if gamma:
+            terms[(1,)] = Fraction(gamma, d)
+        if constant:
+            terms[(0,)] = Fraction(constant, d)
+        out.append(PolyFunction._trusted(1, terms))
+    return tuple(out)
 
 
 def intersections(lagrangian, basepoint):
@@ -222,13 +235,12 @@ def local_floer_data(lagrangian, cover, chart, tag=None):
 
     The gammas are shifted by sigma times the chart's global offset so
     that equally labelled sheets over overlapping charts describe the
-    same line, with at worst an integral affine discrepancy.
+    same line, with at worst an integral affine discrepancy.  A chart
+    index that is not an int, or is a bool, raises TypeError.
     """
-    return _sheet_data(lagrangian, cover, chart_offsets(cover), chart, tag)
-
-
-def _sheet_data(lagrangian, cover, offsets, chart, tag=None):
-    # local_floer_data with the cover's chart offsets given
+    if isinstance(chart, bool) or not isinstance(chart, int):
+        raise TypeError(f"chart index must be an int, not {type(chart).__name__}")
+    offsets = chart_offsets(cover)
     face = (chart,)
     q = cover.face_chart(face).basepoint[0]
     primitives = _primitives(lagrangian, *_sheets(lagrangian, q, offsets[chart]))
@@ -326,28 +338,36 @@ def patch_global(lagrangian, fibration, cutoff=None):
     the overlap's basepoint, at spot in the member's coordinates, is
     t^(-g_j(spot)) with g_j(spot) = sigma/2 (spot^2 - q^2) + gamma_j
     (spot - q), read off the sheet gammas in closed form; the module
-    gets each restriction as its diagonal, one entry per sheet.
+    gets each restriction as its diagonal, one entry per sheet.  With
+    gamma_j = G_j/d from _sheets, and spot = a/e and q = b/e on their
+    common denominator, the exponent is (constant - G_j*linear)/scale
+    for constant = -sigma*(a^2 - b^2)*d, linear = 2*e*(a - b) and scale
+    = 2*e^2*d, one Fraction per entry.
     """
     cover = fibration.cover
     offsets = chart_offsets(cover)
-    gammas = [
-        _sheets(lagrangian, cover.face_chart((i,)).basepoint[0], offsets[i])[0]
-        for i in range(len(cover.chart_ids))
-    ]
+    basepoints = [cover.face_chart((i,)).basepoint[0] for i in range(len(cover.chart_ids))]
+    sheets = [_sheets(lagrangian, q, shift) for q, shift in zip(basepoints, offsets)]
     sigma = 1 if lagrangian.slope > 0 else -1
     restrictions = {}
     for low, top in cover.nested_pairs:
         (member,) = low
         (spot,) = cover.restriction_moves[(top, member)][1]
-        q = cover.face_chart(low).basepoint[0]
-        step = spot - q
-        quadratic = -Fraction(sigma, 2) * step * (spot + q)
+        q = basepoints[member]
+        gammas, _, d = sheets[member]
+        e = lcm(spot.denominator, q.denominator)
+        a = spot.numerator * (e // spot.denominator)
+        b = q.numerator * (e // q.denominator)
+        constant = -sigma * (a * a - b * b) * d
+        linear = 2 * e * (a - b)
+        scale = 2 * e * e * d
         wrap = _edge_wrap(cover, offsets, top, member)
         basepoint = cover.face_chart(top).basepoint
         exponent = (-sigma * wrap,)
         rows = []
-        for r, gamma in enumerate(gammas[member]):
-            coeff = NovikovScalar._trusted(((quadratic - gamma * step, _ONE),), None)
+        for r, gamma in enumerate(gammas):
+            value = Fraction(constant - gamma * linear, scale)
+            coeff = NovikovScalar._trusted(((value, _ONE),), None)
             if cutoff is not None:
                 coeff = coeff.truncate(cutoff)
             rows.append({r: AffinoidElement._trusted(cover, top, basepoint, {exponent: coeff})})
@@ -370,7 +390,10 @@ def section_window(lagrangian, precision):
         raise ValueError("a slope-zero line is not transverse to the fibres")
     precision = _positive_precision(precision)
     count = abs(k)
-    bound = 1 + max(
-        abs((lagrangian.offset + j) / count) for j in range(count)
+    # bound = 1 + max |offset + j|/|k| over j in 0..|k|-1, which sits
+    # at an end of that range
+    n, od = lagrangian.offset.numerator, lagrangian.offset.denominator
+    far = max(abs(n), abs(n + (count - 1) * od))
+    return _quadratic_radius(
+        count * od + far, count * od, precision.numerator, precision.denominator
     )
-    return _quadratic_radius(bound, precision)

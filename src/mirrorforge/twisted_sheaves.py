@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
+from operator import add
 
 from .affine import dot
 from .errors import (
@@ -539,8 +540,10 @@ def _walk_window(module, monomials, radius, precision):
     chart transition plus the valuation of the sheet's monomial, and
     scaling it by the monomial's coefficient, signed by the side of the
     edge.  Each (chart, edge) side reads its move off the cover's
-    restriction moves and its sheets off monomials, the module's
-    _edge_monomials, with valuations scaled to ints.
+    edge_sides, built once per cover on one integer scale, and its
+    sheets off monomials, the module's _edge_monomials; a call only
+    rescales the cover's ints to the denominators of the precision and
+    the valuations.
 
     One unknown per node (source, lam): the coefficient of t^lam z^a on
     a sheet of a chart, for lam in [0, top), the precision plus the
@@ -568,49 +571,41 @@ def _walk_window(module, monomials, radius, precision):
     exponents = _window_exponents(cover.dimension, radius)
     charts = sorted({i for i, _ in monomials})
     sources = list(product(charts, exponents, range(rank)))
-    corners = {}
-    sides = []
-    for edge in cover.faces_of_degree(1):
-        chart = cover.face_chart(edge)
-        corners[edge] = [
-            tuple(x - y for x, y in zip(v, chart.basepoint))
-            for v in chart.polytope.vertices
-        ]
-        for sign, i in ((1, edge[0]), (-1, edge[1])):
-            basepoint = cover.face_chart((i,)).basepoint
-            mt, offset, _ = _restriction_move(cover, (i,), basepoint, edge)
-            sides.append((edge, i, sign, mt, offset))
+    d, corners, sides = cover.edge_sides
     scale = lcm(
+        d,
         precision.denominator,
-        *(x.denominator for vs in corners.values() for v in vs for x in v),
-        *(x.denominator for *_, offset in sides for x in offset),
         *(v.denominator for sheets in monomials.values() for _, v, _ in sheets),
     )
-
-    def scaled(x):
-        return x.numerator * (scale // x.denominator)
-
-    corners = {edge: [[scaled(x) for x in v] for v in vs] for edge, vs in corners.items()}
+    up = scale // d
     feeds = {}
-    for edge, i, sign, mt, offset in sides:
-        base = [scaled(x) for x in offset]
-        sheets = [
-            (b, scaled(v), sign * (c.numerator if c.denominator == 1 else c))
-            for b, v, c in monomials[(i, edge)]
-        ]
+    for (edge, i), (sign, mt, offset) in sides.items():
+        base = [x * up for x in offset]
+        sheets = []
+        for b, v, c in monomials[(i, edge)]:
+            c = c.numerator if c.denominator == 1 else c
+            sheets.append((b, v.numerator * (scale // v.denominator), sign * c))
         first = charts.index(i) * len(exponents)
         for n, a in enumerate(exponents, first):
             moved = [dot(row, a) for row in mt]
             lift = dot(a, base)
             for j, (b, v, c) in enumerate(sheets):
-                target = (edge, tuple(x + y for x, y in zip(moved, b)), j)
+                target = (edge, tuple(map(add, moved, b)), j)
                 feeds.setdefault(target, []).append((n * rank + j, lift + v, c))
     # per source, each equation as (limit on mu, shift, the other
-    # unknown's source and shift or None, -c / c')
+    # unknown's source and shift or None, -c / c'); the limit depends on
+    # the edge coefficient's exponent alone, so each (edge, cexp) takes
+    # its corner minimum once for all sheets
+    bound = precision.numerator * (scale // precision.denominator)
+    floors = {}
     arcs = [[] for _ in sources]
     limits = []
     for (edge, cexp, _), ends in feeds.items():
-        limit = scaled(precision) - min(dot(v, cexp) for v in corners[edge])
+        limit = floors.get((edge, cexp))
+        if limit is None:
+            limit = floors[(edge, cexp)] = bound - up * min(
+                dot(v, cexp) for v in corners[edge]
+            )
         limits.append(limit)
         if len(ends) == 1:
             ((s, shift, _),) = ends
@@ -620,7 +615,7 @@ def _walk_window(module, monomials, radius, precision):
             arcs[s].append((limit, shift, s2, shift2, _ratio(c, c2)))
             arcs[s2].append((limit, shift2, s, shift, _ratio(c2, c)))
     headroom = max((-shift for ends in feeds.values() for _, shift, _ in ends), default=0)
-    top = max(limits, default=scaled(precision)) + max(headroom, 0)
+    top = max(limits, default=bound) + max(headroom, 0)
     values = {}  # a dead node holds None
     survivors = []
     for seed in range(len(sources)):
@@ -739,10 +734,14 @@ def loop_monodromy(module, loop=None):
     the slope-k line each sheet comes back with shift sign(k) and
     weight one, the signature of a degree-k line on the mirror curve.
     A step between two charts that share no edge, or to a chart index
-    the cover does not have, raises ChartMismatchError.
+    the cover does not have, raises ChartMismatchError, and so does a
+    base that is not one-dimensional; then a loop that is empty or does
+    not end on its first chart raises ValueError.
     """
+    cover = module.cover
+    if cover.dimension != 1:
+        raise ChartMismatchError("loop monodromy needs a one-dimensional base")
     if loop is not None:
-        cover = module.cover
         for a, b in zip(loop, loop[1:]):
             cover.transition(a, b)  # an index off the cover or a non-edge raises here
             if a == b:
@@ -750,48 +749,70 @@ def loop_monodromy(module, loop=None):
                 raise ChartMismatchError(
                     f"charts {ids[a]!r} and {ids[b]!r} do not share an edge"
                 )
-    return _compose_loop(module, _edge_monomials(module), loop)
+        if not loop or loop[-1] != loop[0]:
+            raise ValueError("a loop of charts must end on its first chart")
+    d, sheets = _compose_loop(module, _edge_monomials(module), loop)
+    return tuple(
+        SheetMonodromy(shift, Fraction(constant, d), Fraction(weight, d))
+        for shift, constant, weight in sheets
+    )
 
 
 def _compose_loop(module, monomials, loop=None):
-    # loop_monodromy on the module's _edge_monomials; the edge basepoint
-    # in each member chart comes from the cover's restriction moves
+    """loop_monodromy on the module's _edge_monomials, on ints: (d,
+    sheets) with one (shift, C, W) per sheet, whose constant is C/d and
+    weight W/d.
+
+    d is the least common multiple of the scale of the cover's
+    edge_sides, whose offsets are the edge basepoints moved into each
+    member chart, and of the denominators of the valuations of the edge
+    monomials the loop crosses.
+    """
     cover = module.cover
-    moves = cover.restriction_moves
+    dc, _, sides = cover.edge_sides
     if loop is None:
         loop = list(range(len(cover.chart_ids))) + [0]
-    state = [
-        SheetMonodromy(0, Fraction(0), Fraction(0))
-        for _ in range(module.rank)
-    ]
-    for a, b in zip(loop, loop[1:]):
-        edge = tuple(sorted((a, b)))
-        ta = moves[(edge, a)][1][0] - cover.face_chart((a,)).basepoint[0]
-        tb = moves[(edge, b)][1][0] - cover.face_chart((b,)).basepoint[0]
+    steps = [(a, b, tuple(sorted((a, b)))) for a, b in zip(loop, loop[1:])]
+    d = lcm(
+        dc,
+        *(
+            v.denominator
+            for a, b, edge in steps
+            for i in (a, b)
+            for _, v, _ in monomials[(i, edge)]
+        ),
+    )
+    up = d // dc
+    state = [(0, 0, 0)] * module.rank
+    for a, b, edge in steps:
+        ta, tb = (sides[(edge, i)][2][0] * up for i in (a, b))
         weight = ta - tb
-        for j in range(module.rank):
-            (ea,), va, _ = monomials[(a, edge)][j]
-            (eb,), vb, _ = monomials[(b, edge)][j]
+        for j, (((ea,), va, _), ((eb,), vb, _)) in enumerate(
+            zip(monomials[(a, edge)], monomials[(b, edge)])
+        ):
             shift = ea - eb
-            constant = va - vb - tb * shift
-            prev = state[j]
-            state[j] = SheetMonodromy(
-                prev.shift + shift,
-                prev.constant + constant + weight * prev.shift,
-                prev.weight + weight,
+            constant = (
+                va.numerator * (d // va.denominator)
+                - vb.numerator * (d // vb.denominator)
+                - tb * shift
             )
-    return tuple(state)
+            s, c, w = state[j]
+            state[j] = (s + shift, c + constant + weight * s, w + weight)
+    return d, state
 
 
-def _quadratic_radius(bound, precision):
-    """ceil(bound) + ceil(sqrt(ceil(bound^2 + 2*precision))), an integer
-    at least the positive root of m^2/2 - bound*m = precision."""
-    target = bound * bound + 2 * precision
-    n = -((-target.numerator) // target.denominator)
+def _quadratic_radius(bound, bound_den, precision, precision_den):
+    """ceil(b) + ceil(sqrt(ceil(b^2 + 2*p))), an integer at least the
+    positive root of m^2/2 - b*m = p, for b = bound/bound_den and p =
+    precision/precision_den with positive int denominators."""
+    n = -(
+        -(bound * bound * precision_den + 2 * precision * bound_den * bound_den)
+        // (bound_den * bound_den * precision_den)
+    )
     root = isqrt(n)
     if root * root < n:
         root += 1
-    return -((-bound.numerator) // bound.denominator) + root
+    return -(-bound // bound_den) + root
 
 
 def _zero_tower_closes(cover, monomials):
@@ -874,15 +895,20 @@ def _certified_radius(module, monomials, precision):
         if _zero_tower_closes(cover, monomials):
             return 0
     elif cover.dimension == 1:
-        sheets = _compose_loop(module, monomials)
-        if all(sheet.shift and sheet.weight for sheet in sheets):
+        # with constant C/d and weight W/d, the bound |s| + |c/w + s/2| is
+        # (2|sW| + |2C + sW|) / 2|W| and the target precision*|s/w| is
+        # precision*|s|*d / |W|
+        d, sheets = _compose_loop(module, monomials)
+        if all(s and w for s, _, w in sheets):
+            p, pd = precision.numerator, precision.denominator
             return max(
                 _quadratic_radius(
-                    abs(sheet.shift)
-                    + abs(sheet.constant / sheet.weight + Fraction(sheet.shift, 2)),
-                    precision * abs(sheet.shift / sheet.weight),
+                    2 * abs(s * w) + abs(2 * c + s * w),
+                    2 * abs(w),
+                    p * abs(s) * d,
+                    pd * abs(w),
                 )
-                for sheet in sheets
+                for s, c, w in sheets
             )
     raise UndecidableDescriptionError(
         "no certified section radius: the coefficient towers of this module "

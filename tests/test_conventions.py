@@ -19,13 +19,30 @@ The determinant reads one input form, sparse rows with the ring's zero;
 a fourth guard fails when ``intlinalg.py`` again tells exact zeros apart
 in dense rows (``_is_exact_zero``) or gives ``determinant``'s zero a
 default, which is how the dense form was reached.
+
+The section walk reads each edge's corners off the cover's cached
+``edge_sides``, and the limit of an edge equation depends on the edge
+and the exponent of its coefficient alone; a further guard counts the
+walk's ``dot`` calls on those corners on a slope-3 line and fails when
+an (edge, exponent) takes its corner minimum more than once, or never.
 """
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from mirrorforge import twisted_sheaves
+from mirrorforge.catalog import load_catalog
+from mirrorforge.floer_demo import LinearLagrangian, patch_global
+from mirrorforge.twisted_sheaves import (
+    _edge_monomials,
+    _walk_window,
+    _window_exponents,
+    section_radius,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mirrorforge"
 LRU_CACHE_ALLOWED = {"catalog.py"}
@@ -257,3 +274,109 @@ def test_the_determinant_guard_sees_a_dense_form(text):
 
 def test_the_determinant_guard_allows_the_sparse_signature():
     assert not second_determinant_forms("def determinant(rows, zero):\n    pass")
+
+
+# -- the walk's corner minimum ------------------------------------------------
+
+
+def corner_minima(walk, module, radius, precision):
+    """How often one call of walk dots each cached edge corner with each
+    edge coefficient exponent: {(edge, corner, cexp): calls}.
+
+    A dot call whose first argument is one of the tuples in the cover's
+    edge_sides corners is a corner-minimum call; the tuples are told
+    apart by identity, so a walk that rescales its own copies shows no
+    corner minimum at all.
+    """
+    _, corners, _ = module.cover.edge_sides
+    owner = {id(v): (edge, n) for edge, vs in corners.items() for n, v in enumerate(vs)}
+    seen = {}
+    dot = twisted_sheaves.dot
+
+    def recording(a, b):
+        corner = owner.get(id(a))
+        if corner is not None:
+            key = (corner[0], corner[1], tuple(b))
+            seen[key] = seen.get(key, 0) + 1
+        return dot(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twisted_sheaves, "dot", recording)
+        walk(module, _edge_monomials(module), radius, precision)
+    return seen
+
+
+def reached_edge_exponents(module, radius):
+    # every (edge, cexp) an edge coefficient of the window reaches: z^a
+    # on chart i moved to the edge, times each sheet's monomial z^b
+    cover = module.cover
+    reached = set()
+    for (i, edge), sheets in _edge_monomials(module).items():
+        mt, _ = cover.restriction_moves[(edge, i)]
+        for a in _window_exponents(cover.dimension, radius):
+            moved = [sum(r * x for r, x in zip(row, a)) for row in mt]
+            for b, _, _ in sheets:
+                reached.add((edge, tuple(x + y for x, y in zip(moved, b))))
+    return reached
+
+
+def corner_minimum_faults(seen, reached, corners):
+    """Each reached (edge, cexp) must dot each corner of its edge exactly
+    once, and nothing else may be dotted with a corner."""
+    found = [
+        f"{edge} corner {n} dotted with {cexp} {calls} times"
+        for (edge, n, cexp), calls in seen.items()
+        if calls != 1
+    ]
+    expected = {(edge, n, cexp) for edge, cexp in reached for n in range(len(corners[edge]))}
+    missing, extra = expected - set(seen), set(seen) - expected
+    found += [f"{edge} corner {n} never dotted with {cexp}" for edge, n, cexp in missing]
+    found += [f"{edge} corner {n} dotted with unreached {cexp}" for edge, n, cexp in extra]
+    return sorted(found)
+
+
+def slope_three_line():
+    return patch_global(LinearLagrangian(3, Fraction(1, 3)), load_catalog("elliptic-demo"))
+
+
+def test_the_walk_takes_each_corner_minimum_once():
+    # the limit of an edge equation depends on the edge and the exponent
+    # of its coefficient alone, not on the sheet: on a slope-3 line each
+    # (edge, cexp) takes its minimum once, not three times
+    module = slope_three_line()
+    precision = Fraction(4)
+    radius = section_radius(module, precision)
+    seen = corner_minima(_walk_window, module, radius, precision)
+    reached = reached_edge_exponents(module, radius)
+    assert seen and reached
+    found = corner_minimum_faults(seen, reached, module.cover.edge_sides[1])
+    assert not found, "\n".join(found)
+
+
+def test_the_corner_guard_sees_a_minimum_per_sheet():
+    # the shape of a walk taking one corner minimum per (edge, cexp,
+    # sheet): on a slope-3 line, three dot calls per corner
+    module = slope_three_line()
+    corners = module.cover.edge_sides[1]
+    reached = reached_edge_exponents(module, 2)
+    per_sheet = {
+        (edge, n, cexp): module.rank for edge, cexp in reached for n in range(len(corners[edge]))
+    }
+    assert corner_minimum_faults(per_sheet, reached, corners)
+
+
+def test_the_corner_guard_sees_a_walk_that_reads_no_cached_corner():
+    module = slope_three_line()
+    assert corner_minimum_faults({}, reached_edge_exponents(module, 2), module.cover.edge_sides[1])
+
+
+def test_the_corner_guard_sees_a_second_walk_in_one_call():
+    # mutant: one call that walks twice takes every minimum twice
+    def walk_twice(*args):
+        _walk_window(*args)
+        return _walk_window(*args)
+
+    module = slope_three_line()
+    seen = corner_minima(walk_twice, module, 2, Fraction(4))
+    reached = reached_edge_exponents(module, 2)
+    assert corner_minimum_faults(seen, reached, module.cover.edge_sides[1])

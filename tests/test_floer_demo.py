@@ -549,3 +549,18 @@ class TestLocalComplexes:
         q = data.basepoint
         coords = [sheet_coordinate(g, q) for g in data.primitives]
         assert coords == [q + F(1, 6), q + F(1, 2), q + F(5, 6)]
+
+    def test_a_chart_index_that_is_not_an_int_is_refused(self):
+        # True built sheet data with face (True,) and the label of chart
+        # 1, and 1.0 leaked the TypeError of indexing a tuple with a float
+        line = LinearLagrangian(2, F(1, 3))
+        for chart in (True, False, 1.0, F(1), "1", None):
+            for build in (local_floer_data, local_module):
+                with pytest.raises(
+                    TypeError,
+                    match=rf"^chart index must be an int, not {type(chart).__name__}$",
+                ):
+                    build(line, ELLIPTIC.cover, chart)
+        assert local_module(line, ELLIPTIC.cover, 1).data == local_floer_data(
+            line, ELLIPTIC.cover, 1
+        )

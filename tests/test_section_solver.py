@@ -42,6 +42,7 @@ from mirrorforge.floer_demo import LinearLagrangian, patch_global, section_windo
 from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.novikov import NovikovMatrix, NovikovScalar
 from mirrorforge.twisted_sheaves import (
+    SheetMonodromy,
     _edge_monomials,
     _walk_window,
     _window_exponents,
@@ -967,6 +968,33 @@ def test_a_loop_step_between_charts_without_an_edge_is_refused():
     with pytest.raises(ChartMismatchError, match="charts '0' and '2'"):
         loop_monodromy(module, [0, 2, 0])
     assert loop_monodromy(module, [0, 1, 2, 3, 0]) == loop_monodromy(module)
+
+
+@pytest.mark.parametrize("name", ["split-torus-4", "thurston-f2"])
+def test_loop_monodromy_refuses_a_base_that_is_not_a_circle(name):
+    # the canonical module of a torus has rank-one single-monomial edge
+    # entries, but no loop of charts to compose: the refusal names the
+    # base, where a two-entry exponent failed to unpack before
+    module = canonical_twisted_module(load_catalog(name))
+    for loop in (None, [0, 1, 0]):
+        with pytest.raises(
+            ChartMismatchError, match="^loop monodromy needs a one-dimensional base$"
+        ):
+            loop_monodromy(module, loop)
+
+
+def test_a_path_that_is_not_a_loop_is_refused():
+    # [0, 1, 2] came back with shift 0 and weight 2/3 as if it were a
+    # monodromy, and [] as the identity
+    module = patch_global(LinearLagrangian(2), ELLIPTIC)
+    for path in ([0, 1, 2], [], [1, 2, 0, 1, 2], (0, 2)):
+        with pytest.raises(ValueError, match="^a loop of charts must end on its first chart$"):
+            loop_monodromy(module, path)
+    # the charts of a path are read before its ends
+    with pytest.raises(ChartMismatchError, match=r"^chart index 7 is outside 0\.\.2$"):
+        loop_monodromy(module, [0, 1, 7])
+    assert loop_monodromy(module, [2]) == (SheetMonodromy(0, F(0), F(0)),) * 2
+    assert loop_monodromy(module, (0, 1, 2, 0)) == loop_monodromy(module)
 
 
 @pytest.mark.parametrize("precision", [0, -1, "-1/2", F(-7, 2)])

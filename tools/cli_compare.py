@@ -34,7 +34,9 @@ LINE_COMMANDS = ("sheaf", "demo")
 
 def commands():
     """The comparison set: every report on every catalog, the line
-    reports on both circles over slopes, offsets and precisions, and the
+    reports on both circles over slopes, offsets and precisions, the
+    long lines (slopes 400, 800 and -400), the large precisions -E 240
+    and 960, offsets outside (-1, 1) in text and JSON, and the
     refusals."""
     out = []
     for name, catalog, output in product(
@@ -55,6 +57,16 @@ def commands():
         for flag in (["-E", "0"], ["-E", "-1"], ["-E", "-1/2"], ["-E=-1/2"], ["-E", "60"]):
             out.append(line + ["--slope", "2"] + flag)
         out += [line + ["--slope", "0"], line + ["--slope", "100"]]
+        out += [line + ["--slope", "2", "-E", "240"], line + ["--slope", "1", "-E", "960"]]
+        for slope, offset, output in product(("3", "-2"), ("7/2", "-9/4"), ("text", "json")):
+            out.append(line + ["--slope", slope, "--offset", offset, "--output", output])
+    for name in LINE_COMMANDS:
+        for catalog, slope in (
+            ("elliptic-demo", "400"),
+            ("elliptic-demo", "800"),
+            ("split-torus-2", "-400"),
+        ):
+            out.append([name, "--catalog", catalog, "--slope", slope])
     for name, catalog in product(LINE_COMMANDS, TORI):
         out.append([name, "--catalog", catalog, "--slope", "1"])
     return out

@@ -18,6 +18,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import itemgetter
 
 from .errors import PrecisionExhaustedError
@@ -60,8 +61,9 @@ def _signed(sign, number):
 
 
 def _denominator(exponents, cutoff):
-    # the least common denominator of the Fraction exponents and of the
-    # cutoff, None or a Fraction: each of them is an int over it
+    # the least common denominator of the Fraction exponents, which may
+    # hold cutoffs too, and of the cutoff, None or a Fraction: each of
+    # them is an int over it
     dens = {e.denominator for e in exponents}
     if cutoff is not None:
         dens.add(cutoff.denominator)
@@ -73,11 +75,10 @@ def _key(e, d):
     return e.numerator * (d // e.denominator)
 
 
-def _products(a, b, bound):
-    # the products of the int-keyed terms of a with those of b, merged on
-    # their key sums below bound: b is sorted, so a row of pairs ends at
-    # its first key sum that reaches the bound
-    merged = {}
+def _products(a, b, bound, merged):
+    # the products of the int-keyed terms of a with those of b, summed
+    # into the dict merged on their key sums below bound: b is sorted, so
+    # a row of pairs ends at its first key sum that reaches the bound
     for ka, xa in a:
         for kb, xb in b:
             k = ka + kb
@@ -285,25 +286,7 @@ class NovikovScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # An unknown tail multiplies into the result at exponents bounded
-        # by its cutoff plus the other factor's valuation floor.  The two
-        # tails meet at the cutoff sum, never lower, as a floor never
-        # exceeds its own cutoff.  An exact zero factor makes it exact.
-        ca, cb = self._cutoff, other._cutoff
-        va, vb = self._val_floor(), other._val_floor()
-        cutoff = min(
-            (c + v for c, v in ((ca, vb), (cb, va)) if c is not None), default=None
-        )
-        if cutoff == INF:
-            cutoff = None
-        a, b = self._terms, other._terms
-        if not (a and b):
-            return NovikovScalar._trusted((), cutoff)
-        d = _denominator([e for e, _ in a + b], cutoff)
-        a = [(_key(e, d), x) for e, x in a]
-        b = [(_key(e, d), x) for e, x in b]
-        bound = a[-1][0] + b[-1][0] + 1 if cutoff is None else _key(cutoff, d)
-        return NovikovScalar._from_keys(_products(a, b, bound), d, 0, cutoff)
+        return _add_products(_EXACT_ZERO, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -356,7 +339,7 @@ class NovikovScalar:
         total = {0: inv}
         power = {0: inv}
         while power:
-            step = _products(power.items(), minus_u, bound)
+            step = _products(power.items(), minus_u, bound, {})
             power = {k: x for k, x in step.items() if x}
             for k, x in power.items():
                 if k in total:
@@ -495,20 +478,81 @@ def _holds(row, column, husks):
     return x is not None and (husks or bool(x._terms))
 
 
-def _eliminate(row, pivot, column, working, husks):
-    # subtract from the dict row the multiple of the pivot row that
-    # clears its entry in column; an entry that comes out with no terms
-    # and the full working cutoff is dropped, as if never stored, unless
-    # husks are kept.  The pivot's lead inverse is formed on first use.
-    pivot_row = pivot[0]
+_EXACT_ZERO = NovikovScalar._trusted((), None)
+
+
+def _add_products(x, pairs, working=None):
+    """``x + sum(a * b for a, b in pairs)``, truncated to the working
+    cutoff when one is given, in one pass on int keys.
+
+    Every exponent and cutoff is an int key over one common denominator.
+    The answer is known below the least of x's cutoff, the working
+    cutoff and each product's: an unknown tail multiplies into a
+    product at exponents bounded by its cutoff plus the other factor's
+    valuation floor.  The two tails meet at the cutoff sum, never lower,
+    as a floor never exceeds its own cutoff, and an exact zero factor
+    makes its product exact.  The products are summed straight into x's
+    keyed terms, each row of pairs stopped at that cutoff, and one
+    Fraction exponent is formed per kept term: the scalar ``*``, ``+``
+    and ``truncate`` would give, without one per product or partial sum.
+    The caller guarantees that working is None or a Fraction.
+    """
+    pairs = [
+        (a, b)
+        for a, b in pairs
+        if (a._terms or a._cutoff is not None) and (b._terms or b._cutoff is not None)
+    ]
+    scalars = [x, *chain.from_iterable(pairs)]
+    cutoffs = [s._cutoff for s in scalars if s._cutoff is not None]
+    d = _denominator([e for s in scalars for e, _ in s._terms] + cutoffs, working)
+    if cutoffs or working is not None:
+        bounds = [_key(c, d) for c in (x._cutoff, working) if c is not None]
+        for a, b in pairs:
+            if a._cutoff is not None:
+                bounds.append(_key(a._cutoff, d) + _key(b._val_floor(), d))
+            if b._cutoff is not None:
+                bounds.append(_key(b._cutoff, d) + _key(a._val_floor(), d))
+        bound = min(bounds)
+        cutoff = Fraction(bound, d)
+    else:
+        # nothing truncated: the answer is exact
+        bound, cutoff = INF, None
+    merged = {}
+    for e, c in x._terms:
+        k = _key(e, d)
+        if k >= bound:
+            break
+        merged[k] = c
+    for a, b in pairs:
+        if a._terms and b._terms:
+            _products(
+                [(_key(e, d), c) for e, c in a._terms],
+                [(_key(e, d), c) for e, c in b._terms],
+                bound,
+                merged,
+            )
+    return NovikovScalar._from_keys(merged, d, 0, cutoff)
+
+
+def _lead_factor(pivot, column):
+    # minus the inverse of the pivot row's entry in column, its pivot
+    # column: formed on first use and kept in the pivot's slot
     if pivot[2] is None:
-        pivot[2] = pivot_row[column].inverse()
-    factor = row.pop(column) * pivot[2]
-    for j, y in pivot_row.items():
+        pivot[2] = -pivot[0][column].inverse()
+    return pivot[2]
+
+
+def _eliminate(row, pivot, column, working, husks):
+    # add to the dict row the multiple of the pivot row that clears its
+    # entry in column, one fused operation per entry cut at the working
+    # cutoff; an entry that comes out with no terms and the full working
+    # cutoff is dropped, as if never stored, unless husks are kept
+    factor = row.pop(column) * _lead_factor(pivot, column)
+    for j, y in pivot[0].items():
         if j == column:
             continue
         x = row.get(j)
-        value = (-(factor * y) if x is None else x - factor * y).truncate(working)
+        value = _add_products(_EXACT_ZERO if x is None else x, ((factor, y),), working)
         if value._terms or value._cutoff < working or husks:
             row[j] = value
         elif x is not None:
@@ -517,25 +561,23 @@ def _eliminate(row, pivot, column, working, husks):
 
 def _dot(row, values):
     # the sum of row[j] * x over the values whose column the dict row holds
-    total = NovikovScalar.zero()
-    for j, x in values.items():
-        entry = row.get(j)
-        if entry is not None:
-            total = total + entry * x
-    return total
+    return _add_products(
+        _EXACT_ZERO,
+        [(entry, x) for j, x in values.items() if (entry := row.get(j)) is not None],
+    )
 
 
 def _echelon_insert(slots, spare, row, precision, working, husks=False):
     # add the dict row, which the pass then owns, to an echelon state:
-    # slots maps each pivot column to [row, lead valuation, lead inverse
-    # or None], spare holds rows with no pivot that still carry terms.  A
-    # row taken off pending or displaced from its slot is held by nothing
-    # else, so it is reduced in place.  A column with no pivot becomes the
-    # row's pivot when its entry has valuation below the precision, and is
-    # passed over otherwise.  An entry with no terms below its cutoff, a
-    # husk, is passed over too, unless husks are kept: then it is
-    # eliminated like any entry, so the cutoff it costs reaches the
-    # entries it touches, and a pivot decision that rests on it raises
+    # slots maps each pivot column to [row, lead valuation, minus the lead
+    # inverse or None], spare holds rows with no pivot that still carry
+    # terms.  A row taken off pending or displaced from its slot is held
+    # by nothing else, so it is reduced in place.  A column with no pivot
+    # becomes the row's pivot when its entry has valuation below the
+    # precision, and is passed over otherwise.  An entry with no terms
+    # below its cutoff, a husk, is passed over too, unless husks are kept:
+    # then it is eliminated like any entry, so the cutoff it costs reaches
+    # the entries it touches, and a pivot decision that rests on it raises
     # PrecisionExhaustedError
     pending = [row]
     while pending:
@@ -693,16 +735,11 @@ class NovikovMatrix:
         if isinstance(other, NovikovMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
+            columns = list(zip(*other._rows))
             return NovikovMatrix(
                 [
-                    [
-                        sum(
-                            (self._rows[i][k] * other._rows[k][j] for k in range(self.ncols)),
-                            NovikovScalar.zero(),
-                        )
-                        for j in range(other.ncols)
-                    ]
-                    for i in range(self.nrows)
+                    [_add_products(_EXACT_ZERO, zip(row, column)) for column in columns]
+                    for row in self._rows
                 ]
             )
         if isinstance(other, (int, Fraction, NovikovScalar)):
@@ -777,20 +814,23 @@ class NovikovMatrix:
         returned, so back-substitution shortcuts cannot smuggle in one
         that visibly fails an equation.
         """
-        return _with_headroom(
-            lambda: (x for row in self._rows for x in row),
-            precision,
-            self._kernel_attempt,
-        )
-
-    def _kernel_attempt(self, precision, working):
-        slots = _greedy_pass(
-            [enumerate(row) for row in self._rows], precision, working, husks=True
-        )
         rows = [
             {j: x for j, x in enumerate(row) if not x.is_exact_zero()}
             for row in self._rows
         ]
+        return _with_headroom(
+            lambda: (x for row in self._rows for x in row),
+            precision,
+            lambda p, working: self._kernel_attempt(p, working, rows),
+        )
+
+    def _kernel_attempt(self, precision, working, rows):
+        # one attempt of the ladder: back-substitution from the pivot rows
+        # of the pass, each vector certified against rows, the original
+        # rows as sparse dicts
+        slots = _greedy_pass(
+            [enumerate(row) for row in self._rows], precision, working, husks=True
+        )
         zero = NovikovScalar.zero()
         basis = []
         for free in (c for c in range(self.ncols) if c not in slots):
@@ -798,10 +838,9 @@ class NovikovMatrix:
             # a pivot row holds no term in a pivot column left of its own,
             # so reverse pivot order only ever consumes assigned values
             for c in sorted(slots, reverse=True):
-                row = slots[c][0]
-                total = _dot(row, values)
+                total = _dot(slots[c][0], values)
                 if not total.is_exact_zero():
-                    values[c] = -(total * row[c].inverse())
+                    values[c] = total * _lead_factor(slots[c], c)
             if not all(_dot(row, values).is_zero_at(precision) for row in rows):
                 raise PrecisionExhaustedError(
                     f"kernel candidate fails a row at precision t^({precision})"

@@ -13,7 +13,10 @@ kernel, nullspace, row reduction or system defined in any other module.
 Novikov elimination is the one echelon pass of ``novikov.py``; a third
 guard fails on any other function whose name reads like a row
 reduction, an echelon or elimination step, a greedy pass or an attempt
-of the headroom ladder, outside the rational home.
+of the headroom ladder, outside the rational home.  Its row operations
+go through one fused ``x + sum(a * b)``: a further guard fails when
+``_eliminate``, ``_dot`` or ``_kernel_attempt`` again forms a negated
+product, a running sum of products or a truncated difference.
 
 The determinant reads one input form, sparse rows with the ring's zero;
 a fourth guard fails when ``intlinalg.py`` again tells exact zeros apart
@@ -201,6 +204,72 @@ def test_the_elimination_guard_allows_the_one_pass_and_other_names():
         "def _with_headroom(entries, precision, attempt):"
     )
     assert not elimination_definitions("novikov.py", others)
+
+
+NOVIKOV = SRC / "novikov.py"
+FUSED_CALLERS = {"_eliminate", "_dot", "_kernel_attempt"}
+UNFUSED_FORM = re.compile(
+    r"- factor \*|-\(factor|-\(total \*|total \+ entry \*|\)\.truncate\(working\)"
+)
+
+
+def unfused_row_operations(text):
+    """Lines of _eliminate, _dot and _kernel_attempt that form a negated
+    product, a running sum of products or a truncation of a formed
+    difference: the work the fused row operation does in one pass."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.FunctionDef) and node.name in FUSED_CALLERS:
+            lines = ast.get_source_segment(text, node).splitlines()
+            found += [
+                f"novikov.py:{node.lineno + n}: {node.name}: {line.strip()}"
+                for n, line in enumerate(lines)
+                if UNFUSED_FORM.search(line)
+            ]
+    return found
+
+
+def test_novikov_row_operations_are_fused():
+    text = NOVIKOV.read_text()
+    defined = {n.name for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)}
+    assert FUSED_CALLERS <= defined
+    found = unfused_row_operations(text)
+    assert not found, "\n".join(found)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # _eliminate, _dot and the back-substitution of _kernel_attempt
+        # as they stood before the fused operation
+        "def _eliminate(row, pivot, column, working, husks):\n"
+        "    value = (-(factor * y) if x is None else x - factor * y).truncate(working)",
+        "def _eliminate(row, pivot, column, working, husks):\n"
+        "    value = (x - factor * y).truncate(working)",
+        "def _dot(row, values):\n"
+        "    total = NovikovScalar.zero()\n"
+        "    for j, x in values.items():\n"
+        "        total = total + entry * x\n"
+        "    return total",
+        "class NovikovMatrix:\n"
+        "    def _kernel_attempt(self, precision, working):\n"
+        "        values[c] = -(total * row[c].inverse())",
+    ],
+)
+def test_the_fused_row_guard_sees_the_old_forms(text):
+    assert unfused_row_operations(text)
+
+
+def test_the_fused_row_guard_allows_the_fused_calls_and_other_functions():
+    fused = (
+        "def _eliminate(row, pivot, column, working, husks):\n"
+        "    value = _add_products(x, ((factor, y),), working)\n"
+        "def _greedy_pass(rows, precision, working, husks=False):\n"
+        "    x = x.truncate(working)\n"
+        "def _reference(x, factor, y, working):\n"
+        "    return (x - factor * y).truncate(working)"
+    )
+    assert not unfused_row_operations(fused)
 
 
 TWISTED = SRC / "twisted_sheaves.py"

@@ -1,10 +1,11 @@
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from mirrorforge import INF, NovikovMatrix, NovikovScalar, PrecisionExhaustedError
+from mirrorforge import INF, NovikovMatrix, NovikovScalar, PrecisionExhaustedError, novikov
 
 F = Fraction
 S = NovikovScalar
@@ -699,3 +700,202 @@ def test_the_arithmetic_hashes_no_fraction_and_orders_only_the_cutoffs(monkeypat
     # product compares its cutoff candidates, the sum its two cutoffs
     assert all(len(orders) == 1 for orders in seen.values()), seen
     assert max(max(orders) for orders in seen.values()) <= 2, seen
+
+
+# -- the fused row operation against the scalar operations it replaced --------
+#
+# The scalar ``*`` is now the fused operation itself, so every reference
+# below forms its products with reference_mul, the Fraction-keyed product
+# the kernel tests above check ``*`` against: a fault in the fused
+# operation cannot reach both sides.
+
+
+def reference_product(x, y):
+    return S(*reference_mul((x.terms, x.cutoff), (y.terms, y.cutoff)))
+
+
+@contextmanager
+def reference_products():
+    """Scalar ``*`` as reference_mul while the block runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S, "__mul__", reference_product)
+        patch.setattr(S, "__rmul__", reference_product)
+        yield
+
+
+def reference_eliminate(row, pivot, column, working, husks):
+    """_eliminate as it stood: x - factor * y formed as a product, a
+    negated copy, a sum and a truncation, the pivot's lead inverse kept
+    in pivot[2]."""
+    pivot_row = pivot[0]
+    if pivot[2] is None:
+        pivot[2] = pivot_row[column].inverse()
+    factor = row.pop(column) * pivot[2]
+    for j, y in pivot_row.items():
+        if j == column:
+            continue
+        x = row.get(j)
+        value = (-(factor * y) if x is None else x - factor * y).truncate(working)
+        if value.terms or value.cutoff < working or husks:
+            row[j] = value
+        elif x is not None:
+            del row[j]
+
+
+def reference_dot(row, values):
+    """_dot as it stood: one scalar per partial sum."""
+    total = S.zero()
+    for j, x in values.items():
+        entry = row.get(j)
+        if entry is not None:
+            total = total + entry * x
+    return total
+
+
+def reference_matmul(a, b):
+    """NovikovMatrix.__mul__ as it stood: each entry a sum of products
+    from the exact zero."""
+    return [
+        [
+            sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)), S.zero())
+            for j in range(b.ncols)
+        ]
+        for i in range(a.nrows)
+    ]
+
+
+def fused_operand(rng):
+    """An exact zero, whose valuation floor is INF; a husk, with no terms
+    below its cutoff; or terms over mixed denominators, negative
+    exponents included, exact or truncated."""
+    roll = rng.random()
+    if roll < 0.15:
+        return S()
+    if roll < 0.3:
+        return S(kernel_pairs(rng, rng.randint(0, 3)), F(-9, rng.choice((1, 2, 11))))
+    return kernel_operand(rng, 5)[0]
+
+
+def fused_working(rng):
+    if rng.random() < 0.25:
+        return None
+    return F(rng.randint(-4, 20), rng.choice(DENOMINATORS + (11,)))
+
+
+def seen(x):
+    return x.terms, x.cutoff, str(x)
+
+
+def assert_same(ours, reference):
+    assert seen(ours) == seen(reference)
+    assert all(type(e) is F and type(c) is F for e, c in ours.terms)
+    assert ours.cutoff is None or type(ours.cutoff) is F
+
+
+def row_seen(row):
+    return {j: seen(x) for j, x in row.items()}
+
+
+def eliminate_outcome(eliminate, rows, pivot_row, column, working, husks):
+    # the rows after each is reduced by one shared pivot, whose lead
+    # inverse the first elimination forms and the others reuse
+    pivot = [pivot_row, None, None]
+    rows = [dict(row) for row in rows]
+    try:
+        for row in rows:
+            eliminate(row, pivot, column, working, husks)
+    except (ArithmeticError, PrecisionExhaustedError) as err:
+        return type(err), str(err)
+    return [row_seen(row) for row in rows]
+
+
+class TestFusedRowOperation:
+    def test_a_sum_of_products_matches_the_scalar_operations(self):
+        rng = random.Random(2611)
+        kinds = set()
+        for _ in range(800):
+            x = fused_operand(rng)
+            pairs = [(fused_operand(rng), fused_operand(rng)) for _ in range(rng.randint(0, 4))]
+            working = fused_working(rng)
+            ours = novikov._add_products(x, pairs, working)
+            with reference_products():
+                reference = x
+                for a, b in pairs:
+                    reference = reference + a * b
+                if working is not None:
+                    reference = reference.truncate(working)
+            assert_same(ours, reference)
+            # one pair with the sign folded into the factor: x - f * y
+            if pairs and working is not None:
+                (f, y), = pairs[:1]
+                ours = novikov._add_products(x, ((-f, y),), working)
+                with reference_products():
+                    assert_same(ours, (x - f * y).truncate(working))
+            factors = [s for pair in pairs for s in pair]
+            kinds.update(
+                kind
+                for kind, hit in (
+                    ("exact zero factor", any(s.is_exact_zero() for s in factors)),
+                    ("husk", any(not s.terms and s.cutoff is not None for s in [x, *factors])),
+                    ("negative", any(s.terms and s.terms[0][0] < 0 for s in [x, *factors])),
+                    ("no working", working is None),
+                    ("exact answer", reference.cutoff is None and bool(reference.terms)),
+                    ("cut by a product", reference.cutoff is not None
+                     and reference.cutoff != working and reference.cutoff != x.cutoff),
+                )
+                if hit
+            )
+        assert len(kinds) == 6, kinds
+
+    def test_the_product_is_the_fused_operation_on_one_pair(self):
+        # the scalar * against reference_mul on the fused operands
+        rng = random.Random(2615)
+        for _ in range(400):
+            a, b = fused_operand(rng), fused_operand(rng)
+            assert_same(a * b, reference_product(a, b))
+
+    def test_eliminate_matches_the_old_body(self):
+        rng = random.Random(2612)
+        answered = 0
+        for _ in range(400):
+            ncols = rng.randint(2, 5)
+            column = rng.randrange(ncols)
+            lead_pairs = kernel_pairs(rng, rng.randint(0, 2))
+            lead_pairs.append((F(rng.randint(-4, 4), rng.choice(DENOMINATORS)), F(rng.choice((-2, 1, 3)))))
+            lead = S(lead_pairs, kernel_cutoff(rng))
+            pivot_row = {column: lead}
+            pivot_row.update((j, fused_operand(rng)) for j in range(ncols) if j != column and rng.random() < 0.7)
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                row = {j: fused_operand(rng) for j in range(ncols) if rng.random() < 0.6}
+                row[column] = fused_operand(rng)
+                rows.append(row)
+            working = F(rng.randint(-2, 16), rng.choice(DENOMINATORS))
+            husks = rng.random() < 0.5
+            ours = eliminate_outcome(novikov._eliminate, rows, pivot_row, column, working, husks)
+            with reference_products():
+                reference = eliminate_outcome(reference_eliminate, rows, pivot_row, column, working, husks)
+            assert ours == reference
+            answered += isinstance(ours, list)
+        # most leads invert; exact leads of several terms raise in both
+        assert answered >= 250
+
+    def test_dot_matches_the_old_body(self):
+        rng = random.Random(2613)
+        for _ in range(400):
+            ncols = rng.randint(1, 6)
+            row = {j: fused_operand(rng) for j in range(ncols) if rng.random() < 0.7}
+            values = {j: fused_operand(rng) for j in range(ncols) if rng.random() < 0.7}
+            ours = novikov._dot(row, values)
+            with reference_products():
+                assert_same(ours, reference_dot(row, values))
+
+    def test_matrix_products_match_the_old_sum(self):
+        rng = random.Random(2614)
+        shapes = [(2, 0, 3)] + [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(120)]
+        for n, m, p in shapes:
+            a = NovikovMatrix([[fused_operand(rng) for _ in range(m)] for _ in range(n)])
+            b = NovikovMatrix([[fused_operand(rng) for _ in range(p)] for _ in range(m)])
+            ours = [list(map(seen, row)) for row in (a * b).rows]
+            with reference_products():
+                assert ours == [list(map(seen, row)) for row in reference_matmul(a, b)]

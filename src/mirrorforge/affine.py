@@ -20,10 +20,11 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .errors import InvalidPolytopeError
+from .errors import ChartMismatchError, InvalidPolytopeError
 from .intlinalg import (
     PresolvedIntegerSystem,
     determinant,
+    identity_matrix,
     mat_mul,
     principal_minor_sums,
 )
@@ -105,7 +106,7 @@ class IntegralAffinePolytope:
     __slots__ = ("_dimension", "_inequalities", "_vertices")
 
     def __init__(self, dimension, inequalities, vertices):
-        self._dimension = int(dimension)
+        (self._dimension,) = _int_vec((dimension,), "polytope dimensions")
         ineqs = []
         for normal, bound in inequalities:
             normal = _int_vec(normal, "inequality normals")
@@ -159,7 +160,7 @@ class IntegralAffinePolytope:
 
         Vertices are computed exactly; redundant inequalities are pruned.
         """
-        dimension = int(dimension)
+        (dimension,) = _int_vec((dimension,), "polytope dimensions")
         checked = []
         for normal, bound in inequalities:
             normal, bound = _int_vec(normal, "inequality normals"), _frac(bound)
@@ -292,42 +293,20 @@ class IntegralAffinePolytope:
 
     def contains(self, point, strict=False):
         point = _frac_vec(point)
+        if len(point) != self._dimension:
+            raise ChartMismatchError("point has wrong dimension")
         for normal, bound in self._inequalities:
             value = dot(normal, point)
             if value > bound or (strict and value == bound):
                 return False
         return True
 
-    def contains_polytope(self, other):
-        return all(self.contains(v) for v in other.vertices)
-
     def lex_least_vertex(self):
         return self._vertices[0]
 
-    def intersect(self, other):
-        if self._dimension != other._dimension:
-            raise InvalidPolytopeError("dimension mismatch in intersection")
-        return IntegralAffinePolytope.from_inequalities(
-            self._dimension, self._inequalities + other._inequalities
-        )
-
-    def apply_map(self, phi):
-        """Image polytope under y = M x + tau."""
-        ineqs = self.image_inequalities(phi, phi.inverse())
-        verts = [phi.apply(v) for v in self._vertices]
-        return IntegralAffinePolytope(self._dimension, ineqs, verts)
-
-    def image_inequalities(self, phi, inverse):
-        """Halfspaces of the image under y = M x + tau, unchecked.
-
-        ``inverse`` is phi's inverse; n.x <= b becomes n'.y <= b + n'.tau
-        with n' = M^-T n.
-        """
-        d, lines = self._scaled_image(phi, inverse)
-        return [(normal, Fraction(b, d)) for normal, b in lines]
-
     def _scaled_image(self, phi, inverse):
-        # (d, [(n', B)]): n'.y <= B/d, the bounds and tau scaled by d on ints
+        # (d, [(n', B)]): n.x <= b moved to n'.y <= B/d, n' = M^-T n and
+        # B/d = b + n'.tau, on ints with the bounds and tau scaled by d
         minv_t = tuple(zip(*inverse.linear))
         d, bounds, (tau,) = integer_scaling(self._inequalities, [phi.translation])
         moved = [tuple(dot(row, n) for row in minv_t) for n, _ in self._inequalities]
@@ -380,17 +359,7 @@ class IntegralAffineMap:
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-            [0] * n,
-        )
-
-    @classmethod
-    def translation_by(cls, tau):
-        n = len(tau)
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], tau
-        )
+        return cls(identity_matrix(n), [0] * n)
 
     @property
     def linear(self):
@@ -441,9 +410,6 @@ class IntegralAffineMap:
         phi._linear = linear
         phi._translation = translation
         return phi
-
-    def is_identity(self):
-        return self == IntegralAffineMap.identity(self.dimension)
 
     def __eq__(self, other):
         if not isinstance(other, IntegralAffineMap):
@@ -540,11 +506,10 @@ class PolyFunction:
     __slots__ = ("_dimension", "_terms")
 
     def __init__(self, dimension, terms=()):
-        self._dimension = int(dimension)
-        data = dict(terms) if not isinstance(terms, dict) else dict(terms)
+        (self._dimension,) = _int_vec((dimension,), "polynomial dimensions")
         cleaned = {}
-        for powers, coeff in data.items():
-            powers = tuple(int(p) for p in powers)
+        for powers, coeff in dict(terms).items():
+            powers = _int_vec(powers, "exponent tuples")
             if len(powers) != self._dimension or any(p < 0 for p in powers):
                 raise ValueError(f"bad exponent tuple {powers}")
             if sum(powers) > 2:
@@ -572,16 +537,6 @@ class PolyFunction:
     @classmethod
     def zero(cls, dimension):
         return cls(dimension)
-
-    @classmethod
-    def from_affine(cls, fn):
-        terms = {}
-        n = fn.dimension
-        for i, a in enumerate(fn.linear):
-            powers = tuple(1 if j == i else 0 for j in range(n))
-            terms[powers] = Fraction(a)
-        terms[(0,) * n] = fn.constant
-        return cls(n, terms)
 
     @property
     def dimension(self):
@@ -685,22 +640,6 @@ class PolyFunction:
                     )
                 linear[i] = int(coeff)
         return AffineFunction(tuple(linear), constant)
-
-    def hessian(self):
-        """Matrix H with quadratic part = (1/2) x^T H x."""
-        n = self._dimension
-        h = [[Fraction(0)] * n for _ in range(n)]
-        for powers, coeff in self._terms.items():
-            if sum(powers) != 2:
-                continue
-            idx = [i for i, p in enumerate(powers) for _ in range(p)]
-            i, j = idx
-            if i == j:
-                h[i][i] = 2 * coeff
-            else:
-                h[i][j] = coeff
-                h[j][i] = coeff
-        return h
 
     def __eq__(self, other):
         if not isinstance(other, PolyFunction):

@@ -20,7 +20,14 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
-from .affine import AffineFunction, IntegralAffineMap, PolyFunction, dot, integer_scaling
+from .affine import (
+    AffineFunction,
+    IntegralAffineMap,
+    PolyFunction,
+    _int_vec,
+    dot,
+    integer_scaling,
+)
 from .errors import ChartMismatchError, InvalidCoverError, InvalidFibrationError
 from .intlinalg import PresolvedIntegerSystem, SparseRationalSystem
 
@@ -74,7 +81,7 @@ class Cover:
     """
 
     def __init__(self, dimension, chart_ids, faces, polytopes, transitions):
-        self._dimension = int(dimension)
+        (self._dimension,) = _int_vec((dimension,), "cover dimensions")
         self._chart_ids = tuple(str(c) for c in chart_ids)
         if len(set(self._chart_ids)) != len(self._chart_ids):
             raise InvalidCoverError("duplicate chart ids")
@@ -200,12 +207,6 @@ class Cover:
 
     def faces_of_degree(self, m):
         return self._by_degree.get(m, ())
-
-    def edges(self):
-        return self.faces_of_degree(1)
-
-    def triangles(self):
-        return self.faces_of_degree(2)
 
     def polytope(self, face):
         face = tuple(sorted(face))

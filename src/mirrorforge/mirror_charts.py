@@ -27,7 +27,7 @@ from .affine import (
     recession_cone_is_trivial,
 )
 from .errors import ChartMismatchError, UndecidableDescriptionError
-from .intlinalg import principal_minor_sums
+from .intlinalg import identity_matrix, mat_mul, principal_minor_sums
 from .novikov import INF, NovikovScalar, _frac
 
 
@@ -140,11 +140,6 @@ class AffinoidElement:
     @property
     def terms(self):
         return dict(self._terms)
-
-    def coefficient(self, exponent):
-        return self._terms.get(
-            tuple(exponent), NovikovScalar.zero()
-        )
 
     def weight(self, exponent):
         """min over the polytope of <x - basepoint, exponent>."""
@@ -292,13 +287,14 @@ class AffinoidElement:
         """Value at a mirror point, as a scalar."""
         if not isinstance(point, MirrorPoint):
             raise TypeError("expected a MirrorPoint")
+        n = self._cover.dimension
+        if len(point.position) != n or len(point.unit) != n:
+            raise ChartMismatchError("mirror point has wrong dimension")
         poly = self._cover.face_chart(self._face).polytope
         if not poly.contains(point.position):
             raise ChartMismatchError(
                 f"position {point.position} lies outside the face polytope"
             )
-        if len(point.unit) != self._cover.dimension:
-            raise ChartMismatchError("mirror point has wrong dimension")
         total = NovikovScalar.zero()
         offset = tuple(
             a - b for a, b in zip(point.position, self._basepoint)
@@ -501,16 +497,13 @@ class MonomialChartMap:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix)
+            self, "matrix", tuple(_int_vec(row, "matrix entries") for row in self.matrix)
         )
         object.__setattr__(self, "shift", _frac_vec(self.shift))
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            (0,) * n,
-        )
+        return cls(identity_matrix(n), (0,) * n)
 
     def apply_exponent(self, exponent):
         """Image exponent and accumulated t-power of one monomial."""
@@ -520,18 +513,11 @@ class MonomialChartMap:
 
     def then(self, nxt):
         """First apply self, then nxt."""
-        matrix = tuple(
-            tuple(
-                sum(nxt.matrix[i][k] * self.matrix[k][j] for k in range(len(self.matrix)))
-                for j in range(len(self.matrix))
-            )
-            for i in range(len(nxt.matrix))
-        )
         mt = tuple(zip(*self.matrix))
         shift = tuple(
             s + dot(row, nxt.shift) for s, row in zip(self.shift, mt)
         )
-        return MonomialChartMap(matrix, shift)
+        return MonomialChartMap(mat_mul(nxt.matrix, self.matrix), shift)
 
     def describe(self, names=None):
         """Human-readable images of the coordinate generators."""

@@ -234,17 +234,6 @@ class NovikovScalar:
             return INF
         return self._cutoff
 
-    def coefficient(self, exp):
-        exp = _frac(exp)
-        if self._cutoff is not None and exp >= self._cutoff:
-            raise PrecisionExhaustedError(
-                f"coefficient of t^({exp}) lies beyond cutoff t^({self._cutoff})"
-            )
-        for e, c in self._terms:
-            if e == exp:
-                return c
-        return Fraction(0)
-
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other):

@@ -115,16 +115,16 @@ def element_is_unit_at(element, precision):
     return False
 
 
-def _check_entry(cover, top, entry, what):
-    # a restriction entry must be an affinoid element on the top face,
-    # written at that face's canonical basepoint
+def _check_entry(cover, top, entry, what, noun):
+    # a restriction or differential entry must be an affinoid element on
+    # the top face, written at that face's canonical basepoint
     if not isinstance(entry, AffinoidElement):
-        raise TypeError("restriction entries must be affinoid elements")
+        raise TypeError(f"{noun} entries must be affinoid elements")
     if entry.face != top:
         raise ChartMismatchError(f"{what} lives on face {entry.face}, expected {top}")
     if entry.basepoint != cover.face_chart(top).basepoint:
         raise ChartMismatchError(
-            "restriction entries must use the canonical basepoint of their face"
+            f"{noun} entries must use the canonical basepoint of their face"
         )
 
 
@@ -165,9 +165,10 @@ class TwistedModule:
                 raise ChartMismatchError(
                     f"restriction for {(low, top)} is not {rank} x {rank}"
                 )
+            what = f"entry for {(low, top)}"
             for row in mat:
                 for entry in row:
-                    _check_entry(cover, top, entry, f"entry for {(low, top)}")
+                    _check_entry(cover, top, entry, what, "restriction")
             rows[(low, top)] = _sparse_rows(mat)
         self._fibration = fibration
         self._rank = rank
@@ -240,7 +241,7 @@ class TwistedModule:
                 raise IndexError(
                     f"{name} {index!r} is outside 0..{self._rank - 1}"
                 )
-        _check_entry(self.cover, top, element, "replacement entry")
+        _check_entry(self.cover, top, element, "replacement entry", "restriction")
         kept = {**sparse[row], col: element}
         kept = {c: kept[c] for c in sorted(kept) if kept[c]._terms}
         rows = dict(self._rows)
@@ -326,26 +327,6 @@ class ValidationReport:
                 for (low, mid, top), norm in self.cocycle_failures
             ],
         }
-
-    def as_text(self):
-        lines = [
-            "twisted module validation",
-            f"precision: {self.precision}",
-            f"rank: {self.rank}",
-            f"pairs checked: {self.pairs_checked}",
-            f"triples checked: {self.triples_checked}",
-            f"determinant failures: {len(self.determinant_failures)}",
-        ]
-        for low, top in self.determinant_failures:
-            lines.append(f"  {low} -> {top}: determinant is not a unit")
-        lines.append(f"cocycle failures: {len(self.cocycle_failures)}")
-        for (low, mid, top), norm in self.cocycle_failures:
-            shown = "0" if norm is INF else f"t^({norm})"
-            lines.append(
-                f"  {low} -> {mid} -> {top}: residual norm {shown}"
-            )
-        lines.append("result: " + ("ACCEPTED" if self.ok else "REJECTED"))
-        return "\n".join(lines)
 
 
 def _equal_and_exact(left, right):
@@ -999,19 +980,10 @@ class ModuleComplex:
                 raise ValueError(
                     f"differential out of degree {degree} has the wrong shape"
                 )
+            what = f"differential entry out of degree {degree}"
             for row in mat:
                 for entry in row:
-                    if not isinstance(entry, AffinoidElement):
-                        raise TypeError("differential entries must be affinoid")
-                    if entry.face != self._face:
-                        raise ChartMismatchError(
-                            "differential entries live on the wrong face"
-                        )
-                    if entry.basepoint != cover.face_chart(self._face).basepoint:
-                        raise ChartMismatchError(
-                            "differential entries must use the canonical "
-                            "basepoint of their face"
-                        )
+                    _check_entry(cover, self._face, entry, what, "differential")
             if n_src and n_tgt:
                 diffs[degree] = mat
         self._differentials = diffs
@@ -1052,5 +1024,4 @@ class ModuleComplex:
         return result
 
 
-def fiber_cohomology(complex_, point, precision):
-    return complex_.fiber_cohomology(point, precision)
+fiber_cohomology = ModuleComplex.fiber_cohomology

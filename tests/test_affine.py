@@ -10,7 +10,8 @@ from mirrorforge.affine import (
     PolyFunction,
     recession_cone_is_trivial,
 )
-from mirrorforge.errors import InvalidPolytopeError
+from mirrorforge.errors import ChartMismatchError, InvalidPolytopeError
+from test_cached_tables import apply_map
 from test_determinant import cofactor_det
 
 F = Fraction
@@ -108,23 +109,11 @@ class TestFromInequalities:
         }
 
 
-class TestIntersectionAndContainment:
-    def test_intersect(self):
-        a = unit_square()
-        b = IntegralAffinePolytope.from_box([(F(1, 2), 2), (0, 1)])
-        c = a.intersect(b)
-        assert set(c.vertices) == {
-            (F(1, 2), F(0)),
-            (F(1, 2), F(1)),
-            (F(1), F(0)),
-            (F(1), F(1)),
-        }
-
-    def test_contains_polytope(self):
-        a = unit_square()
-        b = IntegralAffinePolytope.from_box([(0, F(1, 2)), (0, F(1, 2))])
-        assert a.contains_polytope(b)
-        assert not b.contains_polytope(a)
+class TestContainment:
+    @pytest.mark.parametrize("point", [(F(1, 2),), (F(1, 2), F(1, 2), 9)])
+    def test_a_point_of_the_wrong_length_is_refused(self, point):
+        with pytest.raises(ChartMismatchError, match="point has wrong dimension"):
+            unit_square().contains(point)
 
 
 class TestIntegralAffineMap:
@@ -138,23 +127,23 @@ class TestIntegralAffineMap:
 
     def test_compose_and_inverse(self):
         shear = IntegralAffineMap([[1, 1], [0, 1]], [0, F(1, 2)])
-        shift = IntegralAffineMap.translation_by([1, 0])
+        shift = IntegralAffineMap([[1, 0], [0, 1]], [1, 0])
         both = shear.compose(shift)
         assert both.apply((0, 0)) == (F(1), F(1, 2))
         inv = both.inverse()
-        assert inv.compose(both).is_identity()
-        assert both.compose(inv).is_identity()
+        assert inv.compose(both) == IntegralAffineMap.identity(2)
+        assert both.compose(inv) == IntegralAffineMap.identity(2)
 
     def test_apply_map_to_polytope(self):
         shear = IntegralAffineMap([[1, 1], [0, 1]], [0, 0])
-        p = unit_square().apply_map(shear)
+        p = apply_map(unit_square(), shear)
         assert set(p.vertices) == {
             (F(0), F(0)),
             (F(1), F(0)),
             (F(1), F(1)),
             (F(2), F(1)),
         }
-        back = p.apply_map(shear.inverse())
+        back = apply_map(p, shear.inverse())
         assert back == unit_square()
 
 
@@ -257,12 +246,3 @@ class TestPolyFunction:
             PolyFunction(2, {(2, 0): 1}).as_affine()
         with pytest.raises(ValueError):
             PolyFunction(2, {(1, 0): F(1, 2)}).as_affine()
-
-    def test_hessian(self):
-        f = PolyFunction(2, {(2, 0): F(1, 2), (1, 1): 3})
-        assert f.hessian() == [[F(1), F(3)], [F(3), F(0)]]
-
-    def test_from_affine_round_trip(self):
-        a = AffineFunction((1, -2), F(2, 3))
-        f = PolyFunction.from_affine(a)
-        assert f.as_affine() == a

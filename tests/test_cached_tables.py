@@ -37,6 +37,7 @@ from mirrorforge.mirror_charts import (
     verify_gerbe,
 )
 from mirrorforge.twisted_sheaves import canonical_twisted_module, validate_module
+from test_sparse_solver import image_inequalities
 
 CATALOGS = catalog_ids()
 TORI = ("split-torus-4", "thurston-f1", "thurston-f2")
@@ -96,6 +97,14 @@ def reference_twist_factor(fibration, low, mid, top):
     return exp_aff(cover, top, moved)
 
 
+def apply_map(poly, phi):
+    """Image polytope of poly under y = M x + tau, checked: the
+    library's ``IntegralAffinePolytope.apply_map`` as it stood."""
+    ineqs = image_inequalities(poly, phi, phi.inverse())
+    verts = [phi.apply(v) for v in poly.vertices]
+    return IntegralAffinePolytope(poly.dimension, ineqs, verts)
+
+
 def reference_face_polytopes(dimension, chart_polytopes, faces, transitions):
     def phi(i, j):
         key = (min(i, j), max(i, j))
@@ -107,7 +116,7 @@ def reference_face_polytopes(dimension, chart_polytopes, faces, transitions):
         face = tuple(sorted(face))
         ineqs = list(chart_polytopes[face[0]].inequalities)
         for j in face[1:]:
-            ineqs.extend(chart_polytopes[j].apply_map(phi(j, face[0])).inequalities)
+            ineqs.extend(apply_map(chart_polytopes[j], phi(j, face[0])).inequalities)
         out[face] = IntegralAffinePolytope.from_inequalities(dimension, ineqs)
     return out
 
@@ -184,7 +193,7 @@ def test_obstructed_gerbe_entries_are_not_all_units():
 def test_face_polytopes_match_the_apply_map_builder(name):
     cover = load_catalog(name).cover
     charts = {i: cover.polytope((i,)) for i in range(len(cover.chart_ids))}
-    transitions = {e: cover.transition(*e) for e in cover.edges()}
+    transitions = {e: cover.transition(*e) for e in cover.faces_of_degree(1)}
     args = (cover.dimension, charts, cover.faces, transitions)
     built = face_polytopes_from_charts(*args)
     expected = reference_face_polytopes(*args)
@@ -240,7 +249,7 @@ def test_each_edge_is_inverted_once_per_load(monkeypatch):
     for name, text in texts.items():
         inverted.clear()
         cover = manifest_to_fibration(text).cover
-        assert len(inverted) == len(cover.edges())
+        assert len(inverted) == len(cover.faces_of_degree(1))
         assert cover == load_catalog(name).cover
     for build in (
         lambda: catalog_module._circle_cover(catalog_module._C4),
@@ -248,14 +257,14 @@ def test_each_edge_is_inverted_once_per_load(monkeypatch):
     ):
         inverted.clear()
         cover = build()
-        assert len(inverted) == len(cover.edges())
+        assert len(inverted) == len(cover.faces_of_degree(1))
     # a cover built directly inverts its own transitions, and checks them
     loaded = load_catalog("split-torus-4").cover
     polys = {face: loaded.polytope(face) for face in loaded.faces}
-    transitions = {edge: loaded.transition(*edge) for edge in loaded.edges()}
+    transitions = {edge: loaded.transition(*edge) for edge in loaded.faces_of_degree(1)}
     inverted.clear()
     assert Cover(2, loaded.chart_ids, loaded.faces, polys, transitions) == loaded
-    assert len(inverted) == len(loaded.edges())
+    assert len(inverted) == len(loaded.faces_of_degree(1))
 
 
 @pytest.mark.parametrize("name", CATALOGS)

@@ -28,6 +28,12 @@ The section walk reads each edge's corners off the cover's cached
 and the exponent of its coefficient alone; a further guard counts the
 walk's ``dot`` calls on those corners on a slope-3 line and fails when
 an (edge, exponent) takes its corner minimum more than once, or never.
+
+Public library API is reached by the library, the benchmark or the
+tools, or it is paper-facing: a last guard fails on any public class,
+function, method or property of the package whose name no code under
+``src``, ``bench`` or ``tools`` calls or reads, unless ``PAPER_FACING``
+lists it with the reason it stays.
 """
 
 import ast
@@ -449,3 +455,110 @@ def test_the_corner_guard_sees_a_second_walk_in_one_call():
     seen = corner_minima(walk_twice, module, 2, Fraction(4))
     reached = reached_edge_exponents(module, 2)
     assert corner_minimum_faults(seen, reached, module.cover.edge_sides[1])
+
+
+# -- public API that only the tests reach -------------------------------------
+
+ROOT = SRC.parents[1]
+REACHING = ("src", "bench", "tools")
+# what the library reproduces of the paper without a CLI caller, one
+# reason per name
+PAPER_FACING = (
+    ("converges_on", "which series are functions on a mirror chart"),
+    ("MaxAffineValuation", "a declared class of coefficient valuations converges_on decides"),
+    ("QuadraticValuation", "the quadratic class, the valuations of theta-type series"),
+    ("path_monomial_map", "the mirror coordinate change along a path of charts"),
+    ("exp_aff", "exp of an affine function on a face chart, the gerbe's building block"),
+    ("AffinoidElement.restrict", "restriction along a face inclusion: the mirror's structure sheaf"),
+    ("AffinoidElement.with_basepoint", "one function read at another basepoint of its chart"),
+    ("NovikovScalar.agrees_with", "equality in the Novikov field up to the precision both know"),
+    ("IntegralAffinePolytope.from_inequalities", "a chart polytope from its halfspaces alone"),
+    ("sheet_coordinate", "the fibre coordinate of a Lagrangian sheet over a base point"),
+    ("restriction_factor", "the transport of a sheet generator between basepoints"),
+    ("change_trivialisation", "the module map between two trivialisations of the same sheets"),
+    ("section_radius", "the certified monomial window behind every section count"),
+    ("SectionSpace.sections", "the global sections themselves, not only their rank"),
+)
+
+
+def public_definitions(filename, text):
+    """(qualified name, name, place) of each public class, function,
+    method and property of a module: a name with no leading underscore,
+    at the top level or in a public class."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                found.append((owner + node.name, node.name, f"{filename}:{node.lineno}"))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, node.name + ".")
+
+    visit(ast.parse(text).body, "")
+    return found
+
+
+def reached_names(text):
+    """Every name a module calls or reads: attributes, names and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def unreached_definitions(library, users, allowed):
+    """The public names of library ({filename: text}) that no text of
+    users calls or reads, less the qualified names allowed."""
+    reached = set().union(*map(reached_names, users))
+    return [
+        f"{place}: {qualified} is reached only by tests"
+        for filename, text in library.items()
+        for qualified, name, place in public_definitions(filename, text)
+        if name not in reached and qualified not in allowed
+    ]
+
+
+def test_public_api_is_reached_or_paper_facing():
+    library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    users = [path.read_text() for d in REACHING for path in sorted((ROOT / d).rglob("*.py"))]
+    assert len(users) > len(library)
+    defined = {q for name, text in library.items() for q, _, _ in public_definitions(name, text)}
+    allowed = {name for name, _ in PAPER_FACING}
+    assert allowed <= defined, f"not defined: {sorted(allowed - defined)}"
+    assert all(reason and "\n" not in reason for _, reason in PAPER_FACING)
+    found = unreached_definitions(library, users, allowed)
+    assert not found, "\n".join(found)
+
+
+POLYTOPE = (
+    "class IntegralAffinePolytope:\n"
+    "    def contains(self, point):\n"
+    "        return True\n"
+    "    def contains_polytope(self, other):\n"
+    "        return all(self.contains(v) for v in other.vertices)\n"
+    "    def _scaled(self):\n"
+    "        pass\n"
+)
+COVER = (
+    "from .affine import IntegralAffinePolytope\n"
+    "def _validate(polys):\n"
+    "    return polys[0].contains((0,))\n"
+)
+
+
+def test_the_api_guard_sees_a_helper_only_tests_call():
+    # the tests' own calls are not among the users
+    found = unreached_definitions({"affine.py": POLYTOPE}, [POLYTOPE, COVER], set())
+    assert found == ["affine.py:4: IntegralAffinePolytope.contains_polytope is reached only by tests"]
+
+
+def test_the_api_guard_allows_reached_and_paper_facing_names():
+    tool = "def check(p, q):\n    return p.contains_polytope(q)\n"
+    assert not unreached_definitions({"affine.py": POLYTOPE}, [POLYTOPE, COVER, tool], set())
+    allowed = {"IntegralAffinePolytope.contains_polytope"}
+    assert not unreached_definitions({"affine.py": POLYTOPE}, [POLYTOPE, COVER], allowed)

@@ -59,14 +59,14 @@ class TestCoverValidation:
         faces = set(torus.faces) - {(0, 1)}
         polys = {f: torus.polytope(f) for f in faces}
         transitions = {
-            e: torus.transition(*e) for e in torus.edges() if e != (0, 1)
+            e: torus.transition(*e) for e in torus.faces_of_degree(1) if e != (0, 1)
         }
         with pytest.raises(InvalidCoverError, match="closed under subsets"):
             Cover(2, torus.chart_ids, faces, polys, transitions)
 
     def test_broken_cocycle_rejected(self, torus):
         transitions = {}
-        for e in torus.edges():
+        for e in torus.faces_of_degree(1):
             transitions[e] = torus.transition(*e)
         transitions[(0, 1)] = IntegralAffineMap(
             [[1, 0], [0, 1]], [5, 0]
@@ -81,7 +81,7 @@ class TestCoverValidation:
         polys[(0, 1, 3)] = IntegralAffinePolytope.from_box(
             [(0, F(3, 4)), (0, F(3, 4))]
         )
-        transitions = {e: torus.transition(*e) for e in torus.edges()}
+        transitions = {e: torus.transition(*e) for e in torus.faces_of_degree(1)}
         with pytest.raises(InvalidCoverError, match="not inside"):
             Cover(2, torus.chart_ids, torus.faces, polys, transitions)
 
@@ -95,7 +95,7 @@ class TestCoverValidation:
                 (1,): IntegralAffinePolytope.from_box([(0, b_hi)]),
                 (0, 1): IntegralAffinePolytope.from_box([(F(1, 2), 1)]),
             }
-            shift = IntegralAffineMap.translation_by([2])
+            shift = IntegralAffineMap([[1]], [2])
             return Cover(1, "ab", polys, polys, {(0, 1): shift})
 
         assert path_cover(3).polytope((0, 1)).vertices == ((F(1, 2),), (F(1),))
@@ -215,7 +215,7 @@ class TestCertificates:
             torus,
             {
                 e: lin
-                for e in torus.edges()
+                for e in torus.faces_of_degree(1)
                 if {e[0] // 3, e[1] // 3} == {0, 2}
             },
         )
@@ -235,7 +235,7 @@ class TestCertificates:
             torus,
             {
                 e: frac
-                for e in torus.edges()
+                for e in torus.faces_of_degree(1)
                 if {e[0] // 3, e[1] // 3} == {0, 2}
             },
         )

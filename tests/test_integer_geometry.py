@@ -1,7 +1,7 @@
 """Integer-scaled cover geometry against the Fraction code it replaced.
 
 The vertex search of ``IntegralAffinePolytope.from_inequalities``, the
-moved bounds of ``image_inequalities``, the checked constructor's
+moved bounds of ``_scaled_image``, the checked constructor's
 feasibility and tightness loops and the containment loop of
 ``Cover._validate`` compare on ints, after one scaling over a common
 denominator, and the extreme-point test reads the Smith form of the
@@ -41,6 +41,7 @@ from mirrorforge.intlinalg import (
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 from mirrorforge.mirror_charts import verify_gerbe
 from mirrorforge.novikov import _frac
+from test_sparse_solver import image_inequalities
 
 F = Fraction
 
@@ -482,7 +483,7 @@ def test_cover_containment_matches_the_fraction_loop(name):
     rng = random.Random(7400)
     cover = load_catalog(name).cover
     polys = {f: cover.polytope(f) for f in cover.faces}
-    transitions = {e: cover.transition(*e) for e in cover.edges()}
+    transitions = {e: cover.transition(*e) for e in cover.faces_of_degree(1)}
     args = (cover.dimension, cover.chart_ids, cover.faces)
     assert cover_outcome(Cover, *args, polys, transitions) == "ok"
     assert cover_outcome(ReferenceCover, *args, polys, transitions) == "ok"
@@ -503,7 +504,7 @@ def sheared_cover(overhang):
     shear = IntegralAffineMap([[1, 0], [1, 1]], [F(1, 3), F(-2, 7)])
     a = IntegralAffinePolytope.from_box([(0, 1), (0, 1)])
     b = IntegralAffinePolytope.from_inequalities(
-        2, a.image_inequalities(shear, shear.inverse())
+        2, image_inequalities(a, shear, shear.inverse())
     )
     lap = IntegralAffinePolytope.from_box([(F(1, 2), 1), (0, 1 + overhang)])
     polys = {(0,): a, (1,): b, (0, 1): lap}
@@ -518,7 +519,7 @@ def shifted_cover(overhang):
         (1,): IntegralAffinePolytope.from_box([(0, F(5, 2) - overhang)]),
         (0, 1): IntegralAffinePolytope.from_box([(F(1, 2), 1)]),
     }
-    return (1, "ab", polys, polys, {(0, 1): IntegralAffineMap.translation_by([F(3, 2)])})
+    return (1, "ab", polys, polys, {(0, 1): IntegralAffineMap([[1]], [F(3, 2)])})
 
 
 @pytest.mark.parametrize("cover", (sheared_cover, shifted_cover))
@@ -547,10 +548,10 @@ def reference_image_inequalities(poly, phi, inverse):
 
 def assert_same_image(poly, phi):
     inverse = phi.inverse()
-    got = poly.image_inequalities(phi, inverse)
+    d, lines = poly._scaled_image(phi, inverse)
+    got = [(normal, F(b, d)) for normal, b in lines]
     want = reference_image_inequalities(poly, phi, inverse)
     assert typed(tuple(got)) == typed(tuple(want))
-    d, lines = poly._scaled_image(phi, inverse)
     assert type(d) is int and d > 0
     assert all(type(x) is int for normal, b in lines for x in normal + (b,))
 
@@ -559,7 +560,7 @@ def test_moved_halfspaces_match_the_fraction_formula_on_every_catalog_transition
     moved = 0
     for name in catalog_ids():
         cover = load_catalog(name).cover
-        for i, j in cover.edges():
+        for i, j in cover.faces_of_degree(1):
             for a, b in ((i, j), (j, i)):
                 for face in cover.faces:
                     if face[0] == a:
@@ -622,7 +623,8 @@ def test_inverse_and_compose_match_the_rational_solve_references(n):
         inv = phi.inverse()
         assert map_data(inv) == map_data(reference_inverse(phi))
         assert map_data(psi.compose(phi)) == map_data(reference_compose(psi, phi))
-        assert phi.compose(inv).is_identity() and inv.compose(phi).is_identity()
+        identity = IntegralAffineMap.identity(n)
+        assert phi.compose(inv) == identity and inv.compose(phi) == identity
         assert inv.det == phi.det
     assert dets == {1, -1}
 
@@ -630,7 +632,7 @@ def test_inverse_and_compose_match_the_rational_solve_references(n):
 def test_inverse_of_every_catalog_transition_matches_the_reference():
     for name in catalog_ids():
         cover = load_catalog(name).cover
-        for i, j in cover.edges():
+        for i, j in cover.faces_of_degree(1):
             phi = cover.transition(i, j)
             assert map_data(phi.inverse()) == map_data(reference_inverse(phi))
             assert map_data(cover.transition(j, i)) == map_data(reference_inverse(phi))
@@ -644,7 +646,7 @@ def test_the_public_constructor_still_checks():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert flip.inverse().det == -1
-        assert flip.compose(flip).is_identity() is False
+        assert (flip.compose(flip) == IntegralAffineMap.identity(2)) is False
 
 
 # -- budget -------------------------------------------------------------------

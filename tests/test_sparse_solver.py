@@ -525,6 +525,17 @@ def test_analysis_solves_the_lattice_system_once(name, monkeypatch):
 # -- the trusted polytope build -------------------------------------------------------
 
 
+def image_inequalities(poly, phi, inverse):
+    """Halfspaces of poly's image under y = M x + tau, unchecked.
+
+    ``inverse`` is phi's inverse; n.x <= b becomes n'.y <= b + n'.tau
+    with n' = M^-T n.  The library's ``image_inequalities`` as it stood,
+    on the scaled image that the cover's face build reads.
+    """
+    d, lines = poly._scaled_image(phi, inverse)
+    return [(normal, Fraction(b, d)) for normal, b in lines]
+
+
 def checked_from_inequalities(dimension, inequalities):
     """from_inequalities as it stood: the same vertex search, handed to
     the checked constructor."""
@@ -576,8 +587,8 @@ def face_inequalities(name):
         ineqs = list(cover.polytope((lv,)).inequalities)
         for j in face[1:]:
             ineqs.extend(
-                cover.polytope((j,)).image_inequalities(
-                    cover.transition(j, lv), cover.transition(lv, j)
+                image_inequalities(
+                    cover.polytope((j,)), cover.transition(j, lv), cover.transition(lv, j)
                 )
             )
         yield f"{name}-{'-'.join(map(str, face))}", cover.dimension, ineqs

@@ -12,10 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from mirrorforge.affine import IntegralAffineMap, IntegralAffinePolytope, PolyFunction
 from mirrorforge.catalog import load_catalog
+from mirrorforge.cover import Cover
 from mirrorforge.errors import ChartMismatchError
 from mirrorforge.floer_demo import LinearLagrangian
-from mirrorforge.mirror_charts import AffinoidElement
+from mirrorforge.mirror_charts import AffinoidElement, MirrorPoint, MonomialChartMap
 from mirrorforge.novikov import NovikovScalar, _frac
 
 F = Fraction
@@ -312,6 +314,43 @@ class TestBoundary:
         with pytest.raises(ChartMismatchError, match="lies outside the face polytope"):
             AffinoidElement(TORUS, (0,), {(1, 0): 1}, (F(-1), F(0)))
 
+    def test_wrong_length_basepoint_refused(self):
+        with pytest.raises(ChartMismatchError, match="point has wrong dimension"):
+            AffinoidElement(TORUS, (0,), {(1, 1): 1}, basepoint=(0,))
+
+    @pytest.mark.parametrize("position", [(F(1, 4),), (F(1, 4), F(1, 4), 9)])
+    def test_wrong_length_position_refused(self, position):
+        element = AffinoidElement.monomial(TORUS, (0,), 1, (1, 1))
+        with pytest.raises(ChartMismatchError, match="mirror point has wrong dimension"):
+            element.evaluate(MirrorPoint(position, (1, 1)))
+
+    def test_float_powers_refused(self):
+        with pytest.raises(TypeError, match="exponent tuples must be integers"):
+            PolyFunction(1, {(1.9,): 1})
+        with pytest.raises(TypeError, match="polynomial dimensions must be integers"):
+            PolyFunction(1.5, {(1,): 1})
+
+    def test_float_monomial_matrix_refused(self):
+        with pytest.raises(TypeError, match="matrix entries must be integers"):
+            MonomialChartMap(((1.7, 0), (0, 1)), (0, 0))
+
+    def test_float_polytope_dimension_refused(self):
+        ineqs = [((-1,), 0), ((1,), 1)]
+        with pytest.raises(TypeError, match="polytope dimensions must be integers"):
+            IntegralAffinePolytope(1.5, ineqs, [(0,), (1,)])
+        with pytest.raises(TypeError, match="polytope dimensions must be integers"):
+            IntegralAffinePolytope.from_inequalities(1.5, ineqs)
+
+    def test_float_cover_dimension_refused(self):
+        circle = load_catalog("elliptic-demo").cover
+        polytopes = {face: circle.polytope(face) for face in circle.faces}
+        edges = circle.faces_of_degree(1)
+        transitions = {edge: circle.transition(*edge) for edge in edges}
+        args = (circle.chart_ids, circle.faces, polytopes, transitions)
+        assert Cover(1, *args) == circle
+        with pytest.raises(TypeError, match="cover dimensions must be integers"):
+            Cover(1.5, *args)
+
 
 class TestRationalCoercion:
     def test_rational_strings_accepted(self):
@@ -340,13 +379,13 @@ class TestRationalCoercion:
 @pytest.mark.parametrize("name", ["split-torus-4", "thurston-f1", "elliptic-demo"])
 def test_transitions_are_built_once(name):
     cover = load_catalog(name).cover
-    for i, j in cover.edges():
+    for i, j in cover.faces_of_degree(1):
         forward = cover.transition(i, j)
         backward = cover.transition(j, i)
         assert cover.transition(i, j) is forward
         assert cover.transition(j, i) is backward
         assert backward == forward.inverse()
-        assert backward.compose(forward).is_identity()
+        assert backward.compose(forward) == IntegralAffineMap.identity(cover.dimension)
     for i in range(len(cover.chart_ids)):
-        assert cover.transition(i, i).is_identity()
+        assert cover.transition(i, i) == IntegralAffineMap.identity(cover.dimension)
         assert cover.transition(i, i) is cover.transition(0, 0)

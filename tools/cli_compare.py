@@ -7,21 +7,25 @@ leaves ``.git`` untouched.  Each command of the comparison set runs as
 ``python -m mirrorforge ...`` in a subprocess, once with ``PYTHONPATH``
 set to this checkout's ``src`` and once to REV's, so warnings and exit
 codes are seen as a user sees them; a path into either tree, as a
-warning prints it, is read relative to the tree.  Every command whose
-stdout, stderr or exit code differs is printed, and the exit code is 1
-if any does.
+warning prints it, is read relative to the tree.  The ``--manifest``
+commands read manifests that this checkout writes into a directory
+beside REV's tree, so both trees read the same paths.  Every command
+whose stdout, stderr or exit code differs is printed, and the exit code
+is 1 if any does.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -30,14 +34,16 @@ CATALOGS = ("elliptic-demo", "split-torus-2", "split-torus-4", "thurston-f1", "t
 CIRCLES = CATALOGS[:2]
 TORI = CATALOGS[2:]
 LINE_COMMANDS = ("sheaf", "demo")
+MANIFEST_COMMANDS = ("build", "gerbe", "validate")
 
 
-def commands():
+def commands(manifests=()):
     """The comparison set: every report on every catalog, the line
     reports on both circles over slopes, offsets and precisions, the
     long lines (slopes 400, 800 and -400), the large precisions -E 240
-    and 960, offsets outside (-1, 1) in text and JSON, and the
-    refusals."""
+    and 960, offsets outside (-1, 1) in text and JSON, the refusals,
+    and build, gerbe and validate in text and JSON on each manifest
+    path."""
     out = []
     for name, catalog, output in product(
         ("build", "gerbe", "validate", "selftest"), CATALOGS, ("text", "json")
@@ -69,6 +75,47 @@ def commands():
             out.append([name, "--catalog", catalog, "--slope", slope])
     for name, catalog in product(LINE_COMMANDS, TORI):
         out.append([name, "--catalog", catalog, "--slope", "1"])
+    for path, name, output in product(manifests, MANIFEST_COMMANDS, ("text", "json")):
+        out.append([name, "--manifest", str(path), "--output", output])
+    return out
+
+
+def manifest_texts():
+    """(name, text) of each catalog's manifest, as this checkout writes
+    it, then of manifests the reader must refuse: bad JSON, a missing
+    key, a float in powers and in linear, a declared vertex that is not
+    extreme and a chart that declares too few vertices."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from mirrorforge.catalog import load_catalog
+    from mirrorforge.manifest import fibration_to_manifest
+
+    out = [(name, fibration_to_manifest(load_catalog(name))) for name in CATALOGS]
+    base = dict(out)["thurston-f1"]
+
+    def broken(edit):
+        data = json.loads(base)
+        edit(data)
+        return json.dumps(data, indent=2)
+
+    def missing_key(data):
+        del data["transitions"]
+
+    def float_powers(data):
+        data["fibration"]["primitives"][0]["poly"][0]["powers"][0] = 1.0
+
+    def float_linear(data):
+        data["transitions"][0]["linear"][0][0] = 1.0
+
+    def midpoint_vertex(data):
+        vertices = data["charts"][0]["polytope"]["vertices"]
+        vertices[0] = [str((Fraction(a) + Fraction(b)) / 2) for a, b in zip(*vertices[:2])]
+
+    def missing_vertex(data):
+        data["charts"][0]["polytope"]["vertices"].pop()
+
+    out.append(("bad-json", base[: len(base) // 2]))
+    for edit in (missing_key, float_powers, float_linear, midpoint_vertex, missing_vertex):
+        out.append((edit.__name__.replace("_", "-"), broken(edit)))
     return out
 
 
@@ -101,9 +148,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, metavar="REV")
     args = parser.parse_args(argv)
-    cases = commands()
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
-        other = extract(args.against, tmp)
+        paths = []
+        for name, text in manifest_texts():
+            paths.append(Path(tmp, "manifests", f"{name}.json"))
+            paths[-1].parent.mkdir(exist_ok=True)
+            paths[-1].write_text(text, encoding="utf-8")
+        cases = commands(paths)
+        other = extract(args.against, Path(tmp, "tree"))
         ours = pool.map(lambda c: run(ROOT, c), cases)
         theirs = pool.map(lambda c: run(other, c), cases)
         differ = 0

@@ -61,7 +61,7 @@ def _directed_transitions(transitions):
         return transitions
     out = _Directed()
     for (i, j), phi in transitions.items():
-        i, j = int(i), int(j)
+        i, j = _int_vec((i, j), "transition keys")
         if i >= j:
             raise InvalidCoverError(
                 f"transitions must be keyed by increasing pairs, got ({i},{j})"
@@ -87,7 +87,7 @@ class Cover:
             raise InvalidCoverError("duplicate chart ids")
         normalized = set()
         for face in faces:
-            face = tuple(sorted(set(int(i) for i in face)))
+            face = tuple(sorted(set(_int_vec(face, "face indices"))))
             if not face:
                 raise InvalidCoverError("empty face")
             if face[-1] >= len(self._chart_ids) or face[0] < 0:
@@ -380,7 +380,7 @@ class AffCochain:
 
     def __init__(self, cover, degree, values=()):
         self._cover = cover
-        self._degree = int(degree)
+        (self._degree,) = _int_vec((degree,), "cochain degrees")
         data = dict(values)
         cleaned = {}
         for face, fn in data.items():

@@ -21,7 +21,7 @@ from itertools import product
 from math import isqrt, lcm
 from operator import add
 
-from .affine import dot
+from .affine import _int_vec, dot
 from .errors import (
     ChartMismatchError,
     InvalidFibrationError,
@@ -434,45 +434,41 @@ def validate_module(module, precision, stop_early=False):
 class SectionSpace:
     """Kernel of the edge comparison system at a working precision.
 
-    window is the monomial radius the system was solved at.  sections
-    are the components of the system's graph that _walk_window keeps, in
-    walk order, and rank is their number.  Each grows from a lam = 0
-    seed and holds only lam >= 0, and no two share a node, so their t^0
-    coefficients sit on pairwise disjoint, nonempty sets of sources: the
-    residue matrix has full row rank, every elementary divisor is a unit
-    (Kaplansky, Trans. AMS 66, 1949), and the sections stay independent
-    modulo t^p for every p > 0.  So ranks[p - 1], the rank modulo t^p of
-    the sections for p from 1 to the integer part of the working
-    precision, is rank at every p, and is derived, not stored; below
-    precision 1 it is empty.  Read off the sections rather than off the
-    system cut at p, they do not count the tower segments that a wider
-    window grounds below p.
+    window is the monomial radius the system was solved at.  The space
+    holds the survivors of _walk_window, the components of the system's
+    graph it keeps, in walk order, and rank is their number.  Each grows
+    from a lam = 0 seed and holds only lam >= 0, and no two share a
+    node, so their t^0 coefficients sit on pairwise disjoint, nonempty
+    sets of sources: the residue matrix has full row rank, every
+    elementary divisor is a unit (Kaplansky, Trans. AMS 66, 1949), and
+    the sections stay independent modulo t^p for every p > 0.  So
+    ranks[p - 1], the rank modulo t^p of the sections for p from 1 to the
+    integer part of the working precision, is rank at every p, and is
+    derived, not stored; below precision 1 it is empty.  Read off the
+    sections rather than off the system cut at p, they do not count the
+    tower segments that a wider window grounds below p.
 
-    A space that global_sections returns assembles its sections from
-    the walk's vectors on first read: a slope-k line has k of them, each
-    with a k-tuple per chart, and the rank, window and threshold need
-    none of it.
+    sections are assembled from the survivors on first read: a slope-k
+    line has k of them, each with a k-tuple per chart, and the rank,
+    window and threshold need none of it.
     """
 
-    def __init__(self, rank, precision, window, sections):
-        self.rank = rank
+    def __init__(self, module, precision, window, scale, survivors):
         self.precision = precision
         self.window = window
-        self._sections = sections
-        self._walked = None
+        self._module = module
+        self._scale = scale
+        self._survivors = survivors
+        self._sections = None
 
-    @classmethod
-    def _from_walk(cls, module, precision, window, vectors):
-        # the space of the walked vectors, assembled when first read
-        self = cls(len(vectors), precision, window, None)
-        self._walked = (module, vectors)
-        return self
+    @property
+    def rank(self):
+        return len(self._survivors)
 
     @property
     def sections(self):
-        if self._walked is not None:
-            self._sections = _assemble_sections(*self._walked)
-            self._walked = None
+        if self._sections is None:
+            self._sections = _assemble_sections(self._module, self._scale, self._survivors)
         return self._sections
 
     def _fields(self):
@@ -512,26 +508,27 @@ def _window_exponents(dimension, radius):
 
 def _walk_window(module, monomials, radius, precision):
     """Ground kernel vectors of the edge comparison system over the
-    radius-r monomial window at the working precision, keyed by
-    (source, lam), from one walk over the system's graph.
+    radius-r monomial window at the working precision, from one walk per
+    sheet over the system's graph, as (scale, survivors).
 
-    A section coefficient lives at a source (chart, exponent, sheet).
-    Restricting to an edge carries it to the edge monomial z^target on
-    the same sheet, shifting its valuation by the anchor move of the
-    chart transition plus the valuation of the sheet's monomial, and
-    scaling it by the monomial's coefficient, signed by the side of the
-    edge.  Each (chart, edge) side reads its move off the cover's
-    edge_sides, built once per cover on one integer scale, and its
-    sheets off monomials, the module's _edge_monomials; a call only
-    rescales the cover's ints to the denominators of the precision and
-    the valuations.
+    A section coefficient lives at a source (chart, exponent) on a
+    sheet.  Restricting to an edge carries it to the edge monomial
+    z^target on the same sheet, shifting its valuation by the anchor
+    move of the chart transition plus the valuation of the sheet's
+    monomial, and scaling it by the monomial's coefficient, signed by
+    the side of the edge.  Each (chart, edge) side reads its move off the
+    cover's edge_sides, built once per cover on one integer scale, and
+    its sheets off monomials, the module's _edge_monomials, which are
+    diagonal: every equation stays on one sheet.  A call rescales the
+    cover's ints to scale, the common denominator of the precision and
+    the valuations, moves each side's sources to the edge once, and then
+    builds, walks and drops the graph of one sheet at a time.
 
-    One unknown per node (source, lam): the coefficient of t^lam z^a on
-    a sheet of a chart, for lam in [0, top), the precision plus the
-    headroom an edge hop can amplify.  An equation is asserted for every
-    reachable edge coefficient whose valuation mu plus the weight of its
-    exponent sits below the precision, which is what vanishing of the
-    residual means; a hop landing outside [0, top) or the window
+    One unknown per node (source, lam) of a sheet: the coefficient of
+    t^(lam/scale) z^a there, for lam >= 0.  An equation is asserted for
+    every reachable edge coefficient whose valuation mu plus the weight
+    of its exponent sits below the precision, which is what vanishing of
+    the residual means; a hop landing below lam = 0 or outside the window
     contributes nothing, which pins towers whose valuations keep falling.
 
     A sheet hops to one edge coefficient per side and a source meets
@@ -543,15 +540,16 @@ def _walk_window(module, monomials, radius, precision):
     carrying x across c x + c' x' = 0 as x' = -c x / c', and stops at the
     first pin or conflict, marking what it reached dead so that a later
     walk into it dies too.  A survivor, walked whole, is scaled to 1 at
-    its largest node, its keys run down from there, and survivors come in
-    order of that node: the reduced echelon kernel basis over the nodes
-    in sorted order, one vector per free column.
+    its largest node and kept as (sheet, nodes), its (source, lam, value)
+    nodes running down from there, and survivors come in order of that
+    node: the reduced echelon kernel basis over the nodes (source, sheet,
+    lam) in sorted order, one vector per free column.
     """
     cover = module.cover
-    rank = module.rank
     exponents = _window_exponents(cover.dimension, radius)
     charts = sorted({i for i, _ in monomials})
-    sources = list(product(charts, exponents, range(rank)))
+    sources = list(product(charts, exponents))
+    count = len(sources)
     d, corners, sides = cover.edge_sides
     scale = lcm(
         d,
@@ -559,76 +557,75 @@ def _walk_window(module, monomials, radius, precision):
         *(v.denominator for sheets in monomials.values() for _, v, _ in sheets),
     )
     up = scale // d
-    feeds = {}
+    bound = precision.numerator * (scale // precision.denominator)
+    moves = []
     for (edge, i), (sign, mt, offset) in sides.items():
         base = [x * up for x in offset]
-        sheets = []
-        for b, v, c in monomials[(i, edge)]:
-            c = c.numerator if c.denominator == 1 else c
-            sheets.append((b, v.numerator * (scale // v.denominator), sign * c))
-        first = charts.index(i) * len(exponents)
-        for n, a in enumerate(exponents, first):
-            moved = [dot(row, a) for row in mt]
-            lift = dot(a, base)
-            for j, (b, v, c) in enumerate(sheets):
-                target = (edge, tuple(map(add, moved, b)), j)
-                feeds.setdefault(target, []).append((n * rank + j, lift + v, c))
-    # per source, each equation as (limit on mu, shift, the other
-    # unknown's source and shift or None, -c / c'); the limit depends on
-    # the edge coefficient's exponent alone, so each (edge, cexp) takes
-    # its corner minimum once for all sheets
-    bound = precision.numerator * (scale // precision.denominator)
+        moved = [([dot(row, a) for row in mt], dot(a, base)) for a in exponents]
+        moves.append((edge, sign, monomials[(i, edge)], charts.index(i) * len(exponents), moved))
+    # the limit on mu of an equation depends on the edge coefficient's
+    # exponent alone, so each (edge, cexp) takes its corner minimum once
+    # for all sheets
     floors = {}
-    arcs = [[] for _ in sources]
-    limits = []
-    for (edge, cexp, _), ends in feeds.items():
-        limit = floors.get((edge, cexp))
-        if limit is None:
-            limit = floors[(edge, cexp)] = bound - up * min(
-                dot(v, cexp) for v in corners[edge]
-            )
-        limits.append(limit)
-        if len(ends) == 1:
-            ((s, shift, _),) = ends
-            arcs[s].append((limit, shift, None, 0, 0))
-        else:
-            (s, shift, c), (s2, shift2, c2) = ends
-            arcs[s].append((limit, shift, s2, shift2, _ratio(c, c2)))
-            arcs[s2].append((limit, shift2, s, shift, _ratio(c2, c)))
-    headroom = max((-shift for ends in feeds.values() for _, shift, _ in ends), default=0)
-    top = max(limits, default=bound) + max(headroom, 0)
-    values = {}  # a dead node holds None
     survivors = []
-    for seed in range(len(sources)):
-        if (seed, 0) in values:
-            continue
-        values[(seed, 0)] = 1
-        component = [(seed, 0)]
-        for source, lam in component:
-            x = values[(source, lam)]
-            for limit, shift, other, shift2, ratio in arcs[source]:
-                mu = lam + shift
-                if mu >= limit:
-                    continue
-                node = (other, mu - shift2)
-                if node not in values and other is not None and 0 <= node[1] < top:
-                    values[node] = x * ratio
-                    component.append(node)
-                elif values.get(node) != x * ratio:
-                    break  # pinned, off [0, top), dead, or a second value
+    for j in range(module.rank):
+        feeds = {}
+        for edge, sign, sheets, first, moved in moves:
+            b, v, c = sheets[j]
+            v = v.numerator * (scale // v.denominator)
+            c = sign * (c.numerator if c.denominator == 1 else c)
+            for n, (m, lift) in enumerate(moved, first):
+                feeds.setdefault((edge, tuple(map(add, m, b))), []).append((n, lift + v, c))
+        # a node (n, lam) is the int lam * count + n; per source, each
+        # equation as (cap, step, -c / c'): it is asserted from a node
+        # below cap, and its other unknown is the node plus step, which a
+        # pin sets below 0
+        arcs = [[] for _ in sources]
+        for key, ends in feeds.items():
+            limit = floors.get(key)
+            if limit is None:
+                edge, cexp = key
+                limit = floors[key] = bound - up * min(dot(v, cexp) for v in corners[edge])
+            if len(ends) == 1:
+                ((n, shift, _),) = ends
+                cap = (limit - shift) * count + n
+                arcs[n].append((cap, -cap - 1, 0))
             else:
+                (n, shift, c), (n2, shift2, c2) = ends
+                step = (shift - shift2) * count
+                arcs[n].append(((limit - shift) * count + n, step + n2 - n, _ratio(c, c2)))
+                arcs[n2].append(((limit - shift2) * count + n2, n - n2 - step, _ratio(c2, c)))
+        values = {}  # a dead node holds None
+        for seed in range(count):
+            if seed in values:
                 continue
-            values.update(dict.fromkeys(component))  # the component dies
-            break
-        else:
-            survivors.append(sorted(component, reverse=True))
-    vectors = []
-    for nodes in sorted(survivors):
-        unit = _ratio(-1, values[nodes[0]])  # 1 over the largest node's value
-        vectors.append(
-            {(sources[s], Fraction(lam, scale)): values[s, lam] * unit for s, lam in nodes}
-        )
-    return vectors
+            values[seed] = 1
+            component = [seed]
+            for node in component:
+                x = values[node]
+                for cap, step, ratio in arcs[node % count]:
+                    if node >= cap:
+                        continue
+                    other = node + step
+                    if other not in values and other >= 0:
+                        values[other] = x * ratio
+                        component.append(other)
+                    elif values.get(other) != x * ratio:
+                        break  # pinned, below lam = 0, dead, or a second value
+                else:
+                    continue
+                values.update(dict.fromkeys(component))  # the component dies
+                break
+            else:
+                component.sort(key=lambda node: (node % count, node), reverse=True)
+                unit = _ratio(-1, values[component[0]])  # 1 over the largest node's value
+                nodes = [
+                    (sources[node % count], node // count, values[node] * unit)
+                    for node in component
+                ]
+                survivors.append((j, nodes))
+    survivors.sort(key=lambda survivor: (survivor[1][0][0], survivor[0], survivor[1][0][1]))
+    return scale, survivors
 
 
 def _ratio(c, c2):
@@ -639,27 +636,29 @@ def _ratio(c, c2):
     return q.numerator if q.denominator == 1 else q
 
 
-def _assemble_sections(module, vectors):
-    # each vector holds each (source, lam) once, with a nonzero value, so
-    # a slot's terms sorted by lam are a scalar's normal form; every
-    # chart's slots start as one shared zero element, and the elements
-    # are built trusted on int exponents
+def _assemble_sections(module, scale, survivors):
+    # a survivor holds each (source, lam) of its sheet once, with a
+    # nonzero value, so a slot's terms sorted by lam are a scalar's normal
+    # form; every chart's slots start as one shared zero element, and the
+    # elements are built trusted on int exponents
     cover = module.cover
     charts = range(len(cover.chart_ids))
     basepoints = [cover.face_chart((i,)).basepoint for i in charts]
     zeros = [_zero_on(cover, (i,)) for i in charts]
     sections = []
-    for vector in vectors:
+    for j, nodes in survivors:
         slots = {}
-        for ((i, a, col), lam), c in vector.items():
-            slots.setdefault((i, col), {}).setdefault(a, []).append((lam, Fraction(c)))
+        for (i, a), lam, c in nodes:
+            slots.setdefault(i, {}).setdefault(a, []).append((lam, c))
         columns = [[zero] * module.rank for zero in zeros]
-        for (i, col), terms in slots.items():
+        for i, terms in slots.items():
             scalars = {
-                a: NovikovScalar._trusted(tuple(sorted(pairs)), None)
+                a: NovikovScalar._trusted(
+                    tuple((Fraction(lam, scale), Fraction(c)) for lam, c in sorted(pairs)), None
+                )
                 for a, pairs in terms.items()
             }
-            columns[i][col] = AffinoidElement._trusted(cover, (i,), basepoints[i], scalars)
+            columns[i][j] = AffinoidElement._trusted(cover, (i,), basepoints[i], scalars)
         sections.append({i: tuple(columns[i]) for i in charts})
     return tuple(sections)
 
@@ -940,8 +939,8 @@ def global_sections(module, precision, max_window=None, min_window=0):
     precision, monomials, radius = _certified_window(
         module, precision, max_window, min_window
     )
-    vectors = _walk_window(module, monomials, radius, precision)
-    return SectionSpace._from_walk(module, precision, radius, vectors)
+    scale, survivors = _walk_window(module, monomials, radius, precision)
+    return SectionSpace(module, precision, radius, scale, survivors)
 
 
 def stabilisation_threshold(module, precision, max_window=None, min_window=0):
@@ -963,16 +962,16 @@ class ModuleComplex:
     def __init__(self, cover, face, ranks, differentials):
         self._cover = cover
         self._face = tuple(sorted(face))
+        _int_vec([*ranks, *differentials], "complex degrees")
         clean_ranks = {}
         for degree, rank in ranks.items():
             if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
                 raise ValueError("ranks must be nonnegative integers")
             if rank:
-                clean_ranks[int(degree)] = rank
+                clean_ranks[degree] = rank
         self._ranks = clean_ranks
         diffs = {}
         for degree, mat in differentials.items():
-            degree = int(degree)
             mat = tuple(tuple(row) for row in mat)
             n_src = clean_ranks.get(degree, 0)
             n_tgt = clean_ranks.get(degree + 1, 0)

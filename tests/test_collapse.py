@@ -37,13 +37,17 @@ from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.intlinalg import determinant
 from mirrorforge.novikov import NovikovMatrix, NovikovScalar, _with_headroom
 from mirrorforge.twisted_sheaves import (
-    _edge_monomials,
     canonical_twisted_module,
     global_sections,
     section_radius,
 )
 from test_determinant import sparse_rows
-from test_section_solver import TORUS_MODULES, doubled_torus, perturbed_line_modules
+from test_section_solver import (
+    TORUS_MODULES,
+    doubled_torus,
+    perturbed_line_modules,
+    walk_at,
+)
 
 F = Fraction
 S = NovikovScalar
@@ -246,9 +250,7 @@ def assert_survivors_are_the_sections(module, radius, precision):
     their residues at t^0 are independent.  The prefix loop chooses every
     survivor, in order; the pass counts them at every integer precision;
     and global_sections returns exactly them, in order."""
-    walked = twisted_sheaves._walk_window(
-        module, _edge_monomials(module), radius, precision
-    )
+    walked = walk_at(module, radius, precision)
     seeds = [{source for source, lam in vector if lam == 0} for vector in walked]
     assert all(seeds)
     assert len(set().union(*seeds)) == sum(map(len, seeds))
@@ -322,16 +324,19 @@ WALK = twisted_sheaves._walk_window
 def walk_seeded_at_one(module, monomials, radius, precision):
     # mutant: the first survivor sits one step up, as if grown from a
     # lam = 1 seed, and holds no lam = 0 node
-    walked = WALK(module, monomials, radius, precision)
-    shifted = [{(source, lam + 1): c for (source, lam), c in v.items()} for v in walked[:1]]
-    return shifted + walked[1:]
+    scale, survivors = WALK(module, monomials, radius, precision)
+    shifted = [
+        (j, [(source, lam + scale, value) for source, lam, value in nodes])
+        for j, nodes in survivors[:1]
+    ]
+    return scale, shifted + survivors[1:]
 
 
 def walk_keeping_a_reached_component(module, monomials, radius, precision):
     # mutant: the first survivor, reached again from a node it holds, is
     # kept a second time
-    walked = WALK(module, monomials, radius, precision)
-    return walked + walked[:1]
+    scale, survivors = WALK(module, monomials, radius, precision)
+    return scale, survivors + survivors[:1]
 
 
 @pytest.mark.parametrize("mutant", [walk_seeded_at_one, walk_keeping_a_reached_component])

@@ -104,6 +104,24 @@ class TestCoverValidation:
         ):
             path_cover(2)
 
+    def path_parts(self):
+        box = IntegralAffinePolytope.from_box([(0, 1)])
+        polys = {(0,): box, (1,): box, (0, 1): box}
+        return polys, {(0, 1): IntegralAffineMap.identity(1)}
+
+    def test_a_float_face_index_is_refused(self):
+        # int() truncated it: (1.7,) named chart 1
+        polys, transitions = self.path_parts()
+        faces = [(0,), (1.7,), (0, 1)]
+        with pytest.raises(TypeError, match="face indices must be integers, got 1.7"):
+            Cover(1, "ab", faces, polys, transitions)
+
+    def test_a_float_transition_key_is_refused(self):
+        polys, _ = self.path_parts()
+        transitions = {(0, 1.5): IntegralAffineMap.identity(1)}
+        with pytest.raises(TypeError, match="transition keys must be integers, got 1.5"):
+            Cover(1, "ab", polys, polys, transitions)
+
     def test_transition_for_non_edge_refused(self):
         # opposite arcs of the four-arc circle never meet
         cover = load_catalog("split-torus-2").cover
@@ -130,6 +148,11 @@ class TestCechDifferential:
             assert c0.differential().differential().is_zero()
             c1 = random_cochain(torus, 1, rng)
             assert c1.differential().differential().is_zero()
+
+    def test_a_float_degree_is_refused(self, torus):
+        # int() truncated it: degree 1.9 made a degree-1 cochain
+        with pytest.raises(TypeError, match="cochain degrees must be integers, got 1.9"):
+            AffCochain(torus, 1.9)
 
     def test_zero_cochain_differential(self, torus):
         zero = AffCochain(torus, 1)

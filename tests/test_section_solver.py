@@ -44,7 +44,6 @@ from mirrorforge.novikov import NovikovMatrix, NovikovScalar
 from mirrorforge.twisted_sheaves import (
     SheetMonodromy,
     _edge_monomials,
-    _walk_window,
     _window_exponents,
     canonical_twisted_module,
     global_sections,
@@ -290,7 +289,17 @@ def ground_kernel(module, radius, precision):
 
 
 def walk_at(module, radius, precision):
-    return _walk_window(module, _edge_monomials(module), radius, precision)
+    """The walk's survivors as the Gauss-Jordan references write kernel
+    vectors: {((chart, exponent, sheet), lam): value} in the walk's key
+    order, with lam a Fraction.  The walk is looked up on the module, so
+    a patched walk is read too."""
+    scale, survivors = twisted_sheaves._walk_window(
+        module, _edge_monomials(module), radius, precision
+    )
+    return [
+        {((i, a, j), F(lam, scale)): value for (i, a), lam, value in nodes}
+        for j, nodes in survivors
+    ]
 
 
 # -- the walk and the kernel -----------------------------------------------------

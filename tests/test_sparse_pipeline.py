@@ -41,14 +41,12 @@ from mirrorforge.intlinalg import _back_substitute, _reduce, _store_pivot
 from mirrorforge.mirror_charts import AffinoidElement
 from mirrorforge.novikov import NovikovMatrix, NovikovScalar
 from mirrorforge.twisted_sheaves import (
-    SectionSpace,
     TwistedModule,
-    _edge_monomials,
-    _walk_window,
     _window_exponents,
     canonical_twisted_module,
     global_sections,
 )
+from test_section_solver import walk_at
 
 F = Fraction
 CIRCLES = ("elliptic-demo", "split-torus-2")
@@ -280,25 +278,17 @@ def reference_assemble_sections(module, chosen):
 
 
 def reference_global_sections(module, precision, radius):
-    """The section space, its ranks from the rows asserted below each
-    integer precision, and the ground vectors of the whole system."""
+    """The section space's (rank, precision, window, sections), its
+    ranks from the rows asserted below each integer precision, and the
+    ground vectors of the whole system."""
     *lower, ground = reference_solve_window(module, radius, precision)
     rank, chosen = reference_collapse(ground, precision)
     ranks = tuple(
         rank if p == precision else reference_collapse(g, F(p), choose=False)[0]
         for p, g in enumerate(lower, 1)
     )
-    space = SectionSpace(
-        rank=rank,
-        precision=precision,
-        window=radius,
-        sections=reference_assemble_sections(module, chosen),
-    )
+    space = (rank, precision, radius, reference_assemble_sections(module, chosen))
     return space, ranks, ground
-
-
-def walk(module, precision, radius):
-    return _walk_window(module, _edge_monomials(module), radius, precision)
 
 
 def reference_patch_global(lagrangian, fibration):
@@ -352,8 +342,8 @@ def test_line_sections_match_the_replaced_path(name, slope):
             reference, ranks, ground = reference_global_sections(
                 module, precision, space.window
             )
-            assert walk(module, precision, space.window) == ground
-            assert space == reference
+            assert walk_at(module, space.window, precision) == ground
+            assert (space.rank, space.precision, space.window, space.sections) == reference
             assert space.ranks == ranks
             assert space.rank == max(slope, 0)
 
@@ -378,8 +368,8 @@ def test_canonical_sections_match_the_replaced_path(name):
         space = global_sections(module, precision)
         assert space.window == 0
         reference, ranks, ground = reference_global_sections(module, precision, 0)
-        assert walk(module, precision, 0) == ground
-        assert space == reference
+        assert walk_at(module, 0, precision) == ground
+        assert (space.rank, space.precision, space.window, space.sections) == reference
         assert space.ranks == ranks
         assert space.rank == 1
 
@@ -427,10 +417,10 @@ def test_sections_are_assembled_from_linearly_many_elements(monkeypatch):
     calls = []
     assemble = twisted_sheaves._assemble_sections
 
-    def counted(module, chosen):
+    def counted(module, scale, survivors):
         with monkeypatch.context() as patched:
             built = count_builds(patched)
-            sections = assemble(module, chosen)
+            sections = assemble(module, scale, survivors)
         calls.append(len(built))
         return sections
 
@@ -470,7 +460,7 @@ def test_monomial_system_builds_and_restricts_no_element(monkeypatch):
     monkeypatch.setattr(AffinoidElement, "restrict", counting_restrict)
     for name, module in modules:
         for radius in (1, 3):
-            walk(module, F(2), radius)
+            walk_at(module, radius, F(2))
             assert calls == [], name
     # the guard sees a call of either
     AffinoidElement.one(modules[0][1].cover, (0,)).restrict((0, 1))

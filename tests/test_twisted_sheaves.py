@@ -317,6 +317,15 @@ class TestComplexes:
                 {0: ((one,),), 1: ((zero_at_q,),)},
             )
 
+    def test_a_float_degree_is_refused(self):
+        # int() truncated them: {0.7: 1} read as {0: 1}
+        cover = ELLIPTIC.cover
+        zero = AffinoidElement.zero(cover, (0,))
+        with pytest.raises(TypeError, match="complex degrees must be integers, got 0.7"):
+            ModuleComplex(cover, (0,), {0.7: 1}, {})
+        with pytest.raises(TypeError, match="complex degrees must be integers, got 0.0"):
+            ModuleComplex(cover, (0,), {0: 1, 1: 1}, {0.0: ((zero,),)})
+
     def test_shapes_are_enforced(self):
         cover = ELLIPTIC.cover
         one = AffinoidElement.one(cover, (0,))

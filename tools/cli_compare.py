@@ -40,10 +40,11 @@ MANIFEST_COMMANDS = ("build", "gerbe", "validate")
 def commands(manifests=()):
     """The comparison set: every report on every catalog, the line
     reports on both circles over slopes, offsets and precisions, the
-    long lines (slopes 400, 800 and -400), the large precisions -E 240
-    and 960, offsets outside (-1, 1) in text and JSON, the refusals,
-    and build, gerbe and validate in text and JSON on each manifest
-    path."""
+    long lines (slopes 400, 800 and -400, and for sheaf alone 1600,
+    -1600 and 3200 on elliptic-demo and 1600 on split-torus-2), the
+    large precisions -E 240 and 960, offsets outside (-1, 1) in text and
+    JSON, the refusals, and build, gerbe and validate in text and JSON
+    on each manifest path."""
     out = []
     for name, catalog, output in product(
         ("build", "gerbe", "validate", "selftest"), CATALOGS, ("text", "json")
@@ -73,6 +74,15 @@ def commands(manifests=()):
             ("split-torus-2", "-400"),
         ):
             out.append([name, "--catalog", catalog, "--slope", slope])
+    # demo prints every k x k restriction matrix in full, so the longest
+    # lines run through sheaf alone
+    for catalog, slope in (
+        ("elliptic-demo", "1600"),
+        ("elliptic-demo", "-1600"),
+        ("elliptic-demo", "3200"),
+        ("split-torus-2", "1600"),
+    ):
+        out.append(["sheaf", "--catalog", catalog, "--slope", slope])
     for name, catalog in product(LINE_COMMANDS, TORI):
         out.append([name, "--catalog", catalog, "--slope", "1"])
     for path, name, output in product(manifests, MANIFEST_COMMANDS, ("text", "json")):

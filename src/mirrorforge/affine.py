@@ -436,6 +436,15 @@ class AffineFunction:
         self._constant = _frac(constant)
 
     @classmethod
+    def _trusted(cls, linear, constant):
+        """Unchecked: the caller guarantees that linear is a tuple of ints
+        and constant a Fraction, as functions the library computes are."""
+        self = object.__new__(cls)
+        self._linear = linear
+        self._constant = constant
+        return self
+
+    @classmethod
     def zero(cls, n):
         return cls((0,) * n, 0)
 

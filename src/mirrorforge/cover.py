@@ -76,8 +76,8 @@ class Cover:
 
     Tables derived from these (face charts, nested face pairs and
     chains, restriction moves, the edge sides of the section walk, the
-    certificate system) are cached properties, each built once per
-    cover on first use.
+    edge transports, the certificate system) are cached properties, each
+    built once per cover on first use.
     """
 
     def __init__(self, dimension, chart_ids, faces, polytopes, transitions):
@@ -350,6 +350,17 @@ class Cover:
         return d, corners, sides
 
     @cached_property
+    def edge_transports(self):
+        """(d, {edge (i, j): (mt, tau)}): the transposed linear part of
+        ``transition(i, j)``, which moves a chart-j differential A to chart
+        i, and its translation times d, the least common denominator of
+        all edge translations; the constant gains <A, tau>/d."""
+        maps = [self._transitions[edge] for edge in self.faces_of_degree(1)]
+        d, _, taus = integer_scaling((), [phi.translation for phi in maps])
+        moves = [(tuple(zip(*phi.linear)), tau) for phi, tau in zip(maps, taus)]
+        return d, dict(zip(self.faces_of_degree(1), moves))
+
+    @cached_property
     def _certificate_system(self):
         return _CertificateSystem(self)
 
@@ -389,13 +400,26 @@ class AffCochain:
                 raise ChartMismatchError(
                     f"{face} is not a degree-{self._degree} face"
                 )
+            if face in cleaned:
+                raise ChartMismatchError(f"face {face} is given twice")
             if not isinstance(fn, AffineFunction):
                 raise TypeError("cochain values must be AffineFunction")
             if fn.dimension != cover.dimension:
                 raise ChartMismatchError("cochain value has wrong dimension")
-            if not fn.is_zero():
-                cleaned[face] = fn
-        self._values = cleaned
+            cleaned[face] = fn
+        self._values = {face: fn for face, fn in cleaned.items() if not fn.is_zero()}
+
+    @classmethod
+    def _trusted(cls, cover, degree, values):
+        """Unchecked, and values is kept, not copied: the caller guarantees
+        an int degree and a dict from the cover's sorted degree-``degree``
+        faces, in ``faces_of_degree`` order, to nonzero AffineFunctions of
+        its dimension, as cochains the library computes are."""
+        self = object.__new__(cls)
+        self._cover = cover
+        self._degree = degree
+        self._values = values
+        return self
 
     @property
     def cover(self):
@@ -416,19 +440,29 @@ class AffCochain:
         return not self._values
 
     def differential(self):
-        """Cech differential; the omitted-least-vertex term is transported."""
+        """Cech differential, on ints: the constants over one denominator c,
+        d | c for the d of ``edge_transports``, which moves the omitted least
+        vertex's term, A to M^T A and its constant up by <A, tau>."""
         cover = self._cover
+        d, transports = cover.edge_transports
+        c = lcm(d, *(fn._constant.denominator for fn in self._values.values()))
+        ints = {
+            face: (fn._linear, fn._constant.numerator * (c // fn._constant.denominator))
+            for face, fn in self._values.items()
+        }
+        zero = ((0,) * cover.dimension, 0)
         out = {}
         for face in cover.faces_of_degree(self._degree + 1):
-            total = AffineFunction.zero(cover.dimension)
-            for k in range(len(face)):
-                sub = face[:k] + face[k + 1 :]
-                val = self.value(sub)
-                if k == 0:
-                    val = val.compose_with_map(cover.transition(face[0], face[1]))
-                total = total + (val if k % 2 == 0 else -val)
-            out[face] = total
-        return AffCochain(cover, self._degree + 1, out)
+            mt, tau = transports[face[0], face[1]]
+            a, const = ints.get(face[1:], zero)
+            linear, const = [dot(row, a) for row in mt], const + c // d * dot(a, tau)
+            for k in range(1, len(face)):
+                a, b = ints.get(face[:k] + face[k + 1 :], zero)
+                sign = (-1) ** k
+                linear, const = [x + sign * y for x, y in zip(linear, a)], const + sign * b
+            if const or any(linear):
+                out[face] = AffineFunction._trusted(tuple(linear), Fraction(const, c))
+        return AffCochain._trusted(cover, self._degree + 1, out)
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -490,13 +524,14 @@ class FibrationData:
             edge = tuple(sorted(edge))
             if edge not in cover.faces or len(edge) != 2:
                 raise ChartMismatchError(f"{edge} is not a nerve edge")
+            if edge in cleaned:
+                raise ChartMismatchError(f"edge {edge} is given twice")
             if not isinstance(poly, PolyFunction):
                 raise TypeError("primitives must be PolyFunction")
             if poly.dimension != cover.dimension:
                 raise ChartMismatchError("primitive has wrong dimension")
-            if not poly.is_zero():
-                cleaned[edge] = poly
-        self._primitives = cleaned
+            cleaned[edge] = poly
+        self._primitives = {edge: p for edge, p in cleaned.items() if not p.is_zero()}
         self._alpha = self._build_alpha()
 
     @property
@@ -587,20 +622,19 @@ class _CertificateSystem:
         eidx = {e: a for a, e in enumerate(self._edges)}
         ne = len(self._edges)
 
+        self._d, transports = cover.edge_transports
         lattice_rows = []
         incidence = []
-        taus = []
+        self._taus = []
         for i, j, k in self._tris:
-            phi = cover.transition(i, j)
-            taus.append(phi.translation)
-            m = phi.linear
+            mt, tau = transports[i, j]
+            self._taus.append(tau)
             a_ij, a_jk, a_ik = eidx[(i, j)], eidx[(j, k)], eidx[(i, k)]
             for r in range(n):
                 row = [0] * (n * ne)
                 row[a_ij * n + r] += 1
                 row[a_ik * n + r] -= 1
-                for c in range(n):
-                    row[a_jk * n + c] += m[c][r]
+                row[a_jk * n : (a_jk + 1) * n] = mt[r]
                 lattice_rows.append(row)
             incidence.append({a_ij: 1, a_jk: 1, a_ik: -1})
         self._jk_index = [eidx[(tri[1], tri[2])] for tri in self._tris]
@@ -615,7 +649,6 @@ class _CertificateSystem:
         # constant, projected onto each cokernel generator p, on ints: with
         # tau times the common denominator d and p times the lcm e of its
         # own, a projected row is N / (d e), on ints N / G at scale d e / G
-        self._d, _, self._taus = integer_scaling((), taus)
         coupling = [
             [dot(vec[jk * n : (jk + 1) * n], tau) for vec in kernel]
             for jk, tau in zip(self._jk_index, self._taus)
@@ -634,8 +667,12 @@ class _CertificateSystem:
         self._projected = PresolvedIntegerSystem(proj_rows)
 
     def _alpha_vectors(self, alpha):
-        values = [alpha.value(tri) for tri in self._tris]
-        return [a for fn in values for a in fn.linear], [fn.constant for fn in values]
+        # the differentials as one vector, the constants as ints over c, d | c
+        zero = AffineFunction.zero(self._n)
+        values = [alpha._values.get(tri, zero) for tri in self._tris]
+        c = lcm(self._d, *(fn.constant.denominator for fn in values))
+        consts = [fn.constant.numerator * (c // fn.constant.denominator) for fn in values]
+        return [a for fn in values for a in fn.linear], consts, c
 
     def _residuals(self, x, consts, c):
         # consts - <A_jk, tau> per triangle, on ints at a scale c that d divides
@@ -656,12 +693,10 @@ class _CertificateSystem:
         # (x0, beta): one integer solution of the differential equations,
         # or None, and the certificate, or None
         n = self._n
-        d_vec, consts = self._alpha_vectors(alpha)
+        d_vec, consts, c = self._alpha_vectors(alpha)
         x0 = self._lattice.solve(d_vec)
         if x0 is None:
             return None, None
-        c = lcm(self._d, *(x.denominator for x in consts))
-        consts = [x.numerator * (c // x.denominator) for x in consts]
         r0 = self._residuals(x0, consts, c)
         # choose the integer kernel combination that lands the constants
         # in the image of the incidence map
@@ -679,15 +714,16 @@ class _CertificateSystem:
             if coeff:
                 for idx, v in enumerate(self._kernel[l]):
                     x[idx] += coeff * v
-        r = [Fraction(v, c) for v in self._residuals(x, consts, c)]
-        constants = self._constants.solve(r)
+        # on the residuals times c, the linear constant solve gives c beta
+        constants = self._constants.solve(self._residuals(x, consts, c))
         if constants is None:
             return x0, None
-        values = {
-            edge: AffineFunction(tuple(x[a * n : (a + 1) * n]), constants[a])
-            for a, edge in enumerate(self._edges)
-        }
-        beta = AffCochain(alpha.cover, 1, values)
+        values = {}
+        for a, edge in enumerate(self._edges):
+            linear, constant = tuple(x[a * n : (a + 1) * n]), constants[a] / c
+            if constant or any(linear):
+                values[edge] = AffineFunction._trusted(linear, constant)
+        beta = AffCochain._trusted(alpha.cover, 1, values)
         if beta.differential() != alpha:
             raise AssertionError(
                 "certificate solver produced a wrong coboundary"

@@ -38,10 +38,6 @@ def mat_mul(a, b):
     ]
 
 
-def mat_vec(a, v):
-    return [sum(map(mul, row, v)) for row in a]
-
-
 def smith_normal_form(mat):
     """Compute U, S, V with U*mat*V = S in Smith normal form.
 
@@ -129,15 +125,15 @@ def smith_normal_form(mat):
 
 
 class PresolvedIntegerSystem:
-    """mat*x = rhs over Z, factored once and solved for many rhs."""
+    """mat*x = rhs over Z, factored once and solved for many rhs: U*mat*V
+    = S kept as S's diagonal and U and V as sparse ``{column: value}`` rows."""
 
     def __init__(self, mat, ncols=None):
         self._m = len(mat)
         self._n = len(mat[0]) if self._m else (ncols or 0)
-        if self._m:
-            self._u, self._s, self._v = smith_normal_form(mat)
-        else:
-            self._v = identity_matrix(self._n)
+        u, s, v = smith_normal_form(mat) if self._m else ([], [], identity_matrix(self._n))
+        self._u, self._v = ([{j: x for j, x in enumerate(r) if x} for r in m] for m in (u, v))
+        self._diagonal = [s[i][i] for i in range(min(self._m, self._n))]
 
     @property
     def ncols(self):
@@ -147,21 +143,20 @@ class PresolvedIntegerSystem:
         """One integer solution, or None."""
         if self._m == 0:
             return [0] * self._n
-        c = mat_vec(self._u, list(rhs))
         y = [0] * self._n
-        for i, value in enumerate(c):
-            d = self._s[i][i] if i < self._n else 0
+        for i, row in enumerate(self._u):
+            value = sum(x * rhs[j] for j, x in row.items())
+            d = self._diagonal[i] if i < self._n else 0
             if value % d if d else value:
                 return None
             if d:
                 y[i] = value // d
-        return mat_vec(self._v, y)
+        return [sum(x * y[j] for j, x in row.items()) for row in self._v]
 
     def kernel_basis(self):
         # the columns of V past the nonzero diagonal entries of S
-        rank = sum(1 for i in range(min(self._m, self._n)) if self._s[i][i])
-        return [[row[j] for row in self._v] for j in range(rank, self._n)]
-
+        rank = sum(1 for d in self._diagonal if d)
+        return [[row.get(j, 0) for row in self._v] for j in range(rank, self._n)]
 
 def _reduce(row, pivots):
     # reduce the dict row in place by the stored pivot rows, smallest

@@ -29,6 +29,12 @@ and the exponent of its coefficient alone; a further guard counts the
 walk's ``dot`` calls on those corners on a slope-3 line and fails when
 an (edge, exponent) takes its corner minimum more than once, or never.
 
+The Cech differential runs on the cover's integer transport table and
+builds its values through the trusted constructors; a further guard
+fails when a torus differential calls a checked ``AffineFunction``
+method (``__init__``, ``zero``, ``compose_with_map``, ``__add__``,
+``__neg__``) or ``AffCochain.__init__``.
+
 Public library API is reached by the library, the benchmark or the
 tools, or it is paper-facing: a last guard fails on any public class,
 function, method or property of the package whose name no code under
@@ -44,7 +50,9 @@ from pathlib import Path
 import pytest
 
 from mirrorforge import twisted_sheaves
+from mirrorforge.affine import AffineFunction
 from mirrorforge.catalog import load_catalog
+from mirrorforge.cover import AffCochain
 from mirrorforge.floer_demo import LinearLagrangian, patch_global
 from mirrorforge.twisted_sheaves import (
     _edge_monomials,
@@ -52,6 +60,7 @@ from mirrorforge.twisted_sheaves import (
     _window_exponents,
     section_radius,
 )
+from test_cech_differential import reference_differential
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mirrorforge"
 LRU_CACHE_ALLOWED = {"catalog.py"}
@@ -455,6 +464,94 @@ def test_the_corner_guard_sees_a_second_walk_in_one_call():
     seen = corner_minima(walk_twice, module, 2, Fraction(4))
     reached = reached_edge_exponents(module, 2)
     assert corner_minimum_faults(seen, reached, module.cover.edge_sides[1])
+
+
+# -- the Cech differential on ints ---------------------------------------------
+
+CHECKED_ARITHMETIC = (
+    (AffineFunction, "__init__"),
+    (AffineFunction, "zero"),
+    (AffineFunction, "compose_with_map"),
+    (AffineFunction, "__add__"),
+    (AffineFunction, "__neg__"),
+    (AffCochain, "__init__"),
+)
+
+
+def checked_calls(differential, cochain):
+    """The checked AffineFunction and AffCochain methods that one call
+    of differential on cochain reaches, in call order."""
+    calls = []
+
+    def recording(name, method):
+        if isinstance(method, classmethod):
+            return classmethod(recording(name, method.__func__))
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in CHECKED_ARITHMETIC:
+            qualified = f"{owner.__name__}.{name}"
+            patch.setattr(owner, name, recording(qualified, owner.__dict__[name]))
+        differential(cochain)
+    return calls
+
+
+def torus_cochains():
+    # thurston-f2 cochains of degrees 0, 1 and 2 with fractional constants
+    cover = load_catalog("thurston-f2").cover
+    return [
+        AffCochain(
+            cover,
+            degree,
+            {
+                face: AffineFunction((n % 3 - 1, n % 2), Fraction(n - 5, n % 4 + 1))
+                for n, face in enumerate(cover.faces_of_degree(degree))
+                if n % 5
+            },
+        )
+        for degree in (0, 1, 2)
+    ]
+
+
+def test_the_torus_differential_runs_no_checked_arithmetic():
+    for cochain in torus_cochains():
+        assert not cochain.differential().is_zero()
+        assert checked_calls(AffCochain.differential, cochain) == []
+
+
+def checked_result(cochain):
+    # mutant: the differential's values passed back through the checks
+    return AffCochain(cochain.cover, cochain.degree + 1, cochain.differential()._values)
+
+
+def test_the_arithmetic_guard_sees_the_checked_body():
+    # the body as it stood reaches every checked method
+    everything = {f"{owner.__name__}.{name}" for owner, name in CHECKED_ARITHMETIC}
+    for cochain in torus_cochains():
+        assert set(checked_calls(reference_differential, cochain)) == everything
+
+
+def test_the_arithmetic_guard_sees_a_checked_result():
+    for cochain in torus_cochains():
+        assert checked_calls(checked_result, cochain) == ["AffCochain.__init__"]
+
+
+def test_the_arithmetic_guard_allows_the_trusted_constructors():
+    def trusted_copy(cochain):
+        values = {
+            face: AffineFunction._trusted(fn.linear, fn.constant)
+            for face, fn in cochain._values.items()
+        }
+        return AffCochain._trusted(cochain.cover, cochain.degree, values)
+
+    for cochain in torus_cochains():
+        assert checked_calls(trusted_copy, cochain) == []
+        assert trusted_copy(cochain) == cochain
 
 
 # -- public API that only the tests reach -------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,15 @@ class TestCechDifferential:
         with pytest.raises(TypeError, match="cochain degrees must be integers, got 1.9"):
             AffCochain(torus, 1.9)
 
+    def test_a_face_given_twice_is_refused(self, torus):
+        # both keys sort to one face: the later value won, unless it was
+        # zero, so the cochain depended on the order of the dict
+        edge = torus.faces_of_degree(1)[0]
+        f, g = AffineFunction((1, 0), F(1, 2)), AffineFunction((0, 0), 0)
+        for values in ({edge: f, edge[::-1]: g}, {edge[::-1]: g, edge: f}):
+            with pytest.raises(ChartMismatchError, match=re.escape(f"face {edge} is given twice")):
+                AffCochain(torus, 1, values)
+
     def test_zero_cochain_differential(self, torus):
         zero = AffCochain(torus, 1)
         assert zero.differential().is_zero()
@@ -206,6 +216,18 @@ class TestObstruction:
         quad = PolyFunction(2, {(2, 0): F(1, 2)})
         with pytest.raises(InvalidFibrationError, match="incompatible"):
             FibrationData(torus, {(0, 1): quad})
+
+    def test_an_edge_given_twice_is_refused(self):
+        # both keys sort to one edge: one order kept the later primitive,
+        # the other raised InvalidFibrationError
+        fibration = load_catalog("thurston-f1")
+        cover = fibration.cover
+        primitives = {e: fibration.primitive(e) for e in cover.faces_of_degree(1)}
+        edge = next(e for e, p in primitives.items() if not p.is_zero())
+        other = PolyFunction(2, {(0, 1): F(1)})
+        for given in ({**primitives, edge[::-1]: other}, {edge[::-1]: other, **primitives}):
+            with pytest.raises(ChartMismatchError, match=re.escape(f"edge {edge} is given twice")):
+                FibrationData(cover, given)
 
     def test_fractional_differential_rejected(self, torus):
         # f = x1/2 on one edge leaves alpha with differential (1/2, 0)

@@ -10,9 +10,12 @@ from mirrorforge.intlinalg import (
     SparseRationalSystem,
     identity_matrix,
     mat_mul,
-    mat_vec,
     smith_normal_form,
 )
+
+
+def mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def det_int(mat):

@@ -32,7 +32,11 @@ from mirrorforge.cover import AffCochain, ObstructionReport, analyze_obstruction
 from mirrorforge.errors import InvalidPolytopeError
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 from test_intlinalg import certificate_matrices
-from mirrorforge.intlinalg import PresolvedIntegerSystem, SparseRationalSystem
+from mirrorforge.intlinalg import (
+    PresolvedIntegerSystem,
+    SparseRationalSystem,
+    smith_normal_form,
+)
 
 F = Fraction
 CATALOGS = catalog_ids()
@@ -406,8 +410,7 @@ def test_cokernel_and_projection_scales_match_the_dense_system(name, s, monkeypa
     assert (s is None) == (set(system._proj_scales) <= {1})
     if reference.proj_rows:
         # the Smith form of identical rows: U, S and V fix the certificate
-        ours, theirs = system._projected, reference._projected
-        assert (ours._u, ours._s, ours._v) == (theirs._u, theirs._s, theirs._v)
+        assert smith_normal_form(rows) == smith_normal_form(reference.proj_rows)
     assert (len(system._constants.relations) > 0) == (name in TORI)
 
 
@@ -477,6 +480,9 @@ def test_certificates_match_the_dense_system_on_audit_cochains(name, s):
 @pytest.mark.parametrize("name", TORI)
 def test_a_torus_certificate_system_forms_no_fraction_product(name, monkeypatch):
     cover = load_catalog(name).cover
+    # a cover whose transport table the system builds
+    cold = manifest_to_fibration(fibration_to_manifest(load_catalog(name))).cover
+    assert "edge_transports" not in vars(cold)
     products = []
 
     def counting(method):
@@ -492,8 +498,11 @@ def test_a_torus_certificate_system_forms_no_fraction_product(name, monkeypatch)
         F(1, 2) * 3
         assert len(products) == 1
         system = cover_module._CertificateSystem(cover)
+        cold_system = cover_module._CertificateSystem(cold)
     assert products == [(F(1, 2), 3)]
-    assert system._constants.relations and system._kernel
+    assert "edge_transports" in vars(cold)
+    for built in (system, cold_system):
+        assert built._constants.relations and built._kernel
 
 
 @pytest.mark.parametrize("name", CATALOGS)

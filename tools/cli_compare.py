@@ -38,8 +38,8 @@ MANIFEST_COMMANDS = ("build", "gerbe", "validate")
 
 
 def commands(manifests=()):
-    """The comparison set: every report on every catalog, the line
-    reports on both circles over slopes, offsets and precisions, the
+    """The comparison set: every report on every catalog, selftest at
+    seeds 0 to 3, the line reports on both circles over slopes, offsets and precisions, the
     long lines (slopes 400, 800 and -400, and for sheaf alone 1600,
     -1600 and 3200 on elliptic-demo and 1600 on split-torus-2), the
     large precisions -E 240 and 960, offsets outside (-1, 1) in text and
@@ -50,7 +50,7 @@ def commands(manifests=()):
         ("build", "gerbe", "validate", "selftest"), CATALOGS, ("text", "json")
     ):
         out.append([name, "--catalog", catalog, "--output", output])
-    out += [["selftest", "--seed", "0"], ["selftest", "--seed", "1"]]
+    out += [["selftest", "--seed", seed] for seed in ("0", "1", "2", "3")]
     slopes = ("1", "-1", "2", "-2", "3", "7", "-5", "30")
     for name, catalog, slope in product(LINE_COMMANDS, CIRCLES, slopes):
         line = [name, "--catalog", catalog, "--slope", slope]
@@ -92,15 +92,33 @@ def commands(manifests=()):
 
 def manifest_texts():
     """(name, text) of each catalog's manifest, as this checkout writes
-    it, then of manifests the reader must refuse: bad JSON, a missing
-    key, a float in powers and in linear, a declared vertex that is not
-    extreme and a chart that declares too few vertices."""
+    it, then of thurston-f2 with every coordinate times 5/2 and
+    split-torus-4 times 3/7, whose translations are fractional, then of
+    manifests the reader must refuse: bad JSON, a missing key, a float
+    in powers and in linear, a declared vertex that is not extreme and
+    a chart that declares too few vertices."""
     sys.path.insert(0, str(ROOT / "src"))
     from mirrorforge.catalog import load_catalog
     from mirrorforge.manifest import fibration_to_manifest
 
     out = [(name, fibration_to_manifest(load_catalog(name))) for name in CATALOGS]
     base = dict(out)["thurston-f1"]
+
+    def scaled(name, s):
+        # chart bounds, vertices and translations times s, linear parts
+        # kept and the primitives dropped, which need not stay compatible
+        data = json.loads(dict(out)[name])
+        for chart in data["charts"]:
+            polytope = chart["polytope"]
+            for ineq in polytope["inequalities"]:
+                ineq["bound"] = str(Fraction(ineq["bound"]) * s)
+            polytope["vertices"] = [[str(Fraction(x) * s) for x in v] for v in polytope["vertices"]]
+        for transition in data["transitions"]:
+            transition["translation"] = [str(Fraction(x) * s) for x in transition["translation"]]
+        data["fibration"] = {"primitives": []}
+        return f"{name}-times-{s.numerator}-{s.denominator}", json.dumps(data, indent=2)
+
+    out += [scaled("thurston-f2", Fraction(5, 2)), scaled("split-torus-4", Fraction(3, 7))]
 
     def broken(edit):
         data = json.loads(base)

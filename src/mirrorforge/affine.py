@@ -291,15 +291,11 @@ class IntegralAffinePolytope:
     def vertices(self):
         return self._vertices
 
-    def contains(self, point, strict=False):
+    def contains(self, point):
         point = _frac_vec(point)
         if len(point) != self._dimension:
             raise ChartMismatchError("point has wrong dimension")
-        for normal, bound in self._inequalities:
-            value = dot(normal, point)
-            if value > bound or (strict and value == bound):
-                return False
-        return True
+        return all(dot(normal, point) <= bound for normal, bound in self._inequalities)
 
     def lex_least_vertex(self):
         return self._vertices[0]
@@ -459,16 +455,6 @@ class AffineFunction:
     @property
     def dimension(self):
         return len(self._linear)
-
-    def evaluate(self, point):
-        return dot(self._linear, _frac_vec(point)) + self._constant
-
-    def compose_with_map(self, phi):
-        """(self o phi)(x) = self(M x + tau)."""
-        mt = tuple(zip(*phi.linear))
-        linear = tuple(dot(row, self._linear) for row in mt)
-        constant = self._constant + dot(self._linear, phi.translation)
-        return AffineFunction(linear, constant)
 
     def __add__(self, other):
         if not isinstance(other, AffineFunction):

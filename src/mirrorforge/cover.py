@@ -149,18 +149,7 @@ class Cover:
                 )
         # n.y <= b on a sub-face, y = M x + tau, reads (M^T n).x <= b - n.tau
         # in the face's chart, with the whole cover on one integer scaling
-        polys = {face: self._polytopes[face] for face in self._faces}
-        _, bounds, points = integer_scaling(
-            [ineq for poly in polys.values() for ineq in poly.inequalities],
-            [v for poly in polys.values() for v in poly.vertices]
-            + [phi.translation for phi in self._transitions.values()],
-        )
-        bounds, points = iter(bounds), iter(points)
-        lines = {
-            f: [(n, next(bounds)) for n, _ in p.inequalities] for f, p in polys.items()
-        }
-        corners = {f: [next(points) for _ in p.vertices] for f, p in polys.items()}
-        taus = dict(zip(self._transitions, points))
+        _, lines, corners, taus = self._scaled
         for face in self._faces:
             if len(face) < 2:
                 continue
@@ -253,6 +242,26 @@ class Cover:
         }
 
     @cached_property
+    def _scaled(self):
+        """(d, lines, corners, taus): the cover's geometry on one integer
+        scaling d.  lines maps each face to its halfspaces as int pairs
+        (n, B) with n.x <= B/d, corners each face to its vertices in the
+        polytope's (sorted) order, so that the basepoint comes first,
+        and taus each directed edge to its translation, all times d."""
+        polys = self._polytopes
+        d, bounds, points = integer_scaling(
+            [ineq for poly in polys.values() for ineq in poly.inequalities],
+            [v for poly in polys.values() for v in poly.vertices]
+            + [phi.translation for phi in self._transitions.values()],
+        )
+        bounds, points = iter(bounds), iter(points)
+        lines = {
+            f: [(n, next(bounds)) for n, _ in p.inequalities] for f, p in polys.items()
+        }
+        corners = {f: [next(points) for _ in p.vertices] for f, p in polys.items()}
+        return d, lines, corners, dict(zip(self._transitions, points))
+
+    @cached_property
     def nested_pairs(self):
         """Proper nested face pairs (low, top), sorted."""
         return tuple(
@@ -284,31 +293,24 @@ class Cover:
         Each entry holds the transposed linear part of the transition
         from the face's least chart to chart i, which carries a chart-i
         exponent to the face's, and the face's basepoint written in
-        chart i's coordinates.  The basepoints are moved on ints, all on
-        one integer scaling with the translations.
+        chart i's coordinates.  The basepoints are moved on the cover's
+        integer scaling.
         """
+        d, _, corners, taus = self._scaled
         charts = self._face_charts
-        faces = tuple(charts)
-        steps = sorted({(face[0], i) for face in faces for i in face[1:]})
-        maps = [self.transition(a, b) for a, b in steps]
-        d, _, points = integer_scaling(
-            (),
-            [charts[face].basepoint for face in faces]
-            + [phi.translation for phi in maps],
-        )
-        moves = {
-            step: (phi.linear, tuple(zip(*phi.linear)), tau)
-            for step, phi, tau in zip(steps, maps, points[len(faces) :])
-        }
+        steps = {(face[0], i) for face in charts for i in face[1:]}
+        transposed = {step: tuple(zip(*self.transition(*step).linear)) for step in steps}
         identity = self._identity.linear
         table = {}
-        for face, q in zip(faces, points):
+        for face, chart in charts.items():
             # the face's own least chart needs no move
-            table[(face, face[0])] = (identity, charts[face].basepoint)
+            table[(face, face[0])] = (identity, chart.basepoint)
+            q = corners[face][0]
             for i in face[1:]:
-                linear, transposed, tau = moves[(face[0], i)]
+                step = (face[0], i)
+                linear, tau = self._transitions[step].linear, taus[step]
                 table[(face, i)] = (
-                    transposed,
+                    transposed[step],
                     tuple(Fraction(dot(row, q) + t, d) for row, t in zip(linear, tau)),
                 )
         return table
@@ -316,7 +318,7 @@ class Cover:
     @cached_property
     def edge_sides(self):
         """The two sides of every edge as the section walk reads them,
-        on one integer scaling d: (d, corners, sides).
+        on the cover's integer scaling d: (d, corners, sides).
 
         corners maps each edge to its polytope's vertices minus the
         edge's basepoint.  sides maps (edge, i), for the edge's first
@@ -326,39 +328,31 @@ class Cover:
         basepoint there minus chart i's own basepoint.  Corners and
         offsets are ints, the values times d.
         """
-        charts = self._face_charts
+        d, _, vertices, taus = self._scaled
         moves = self.restriction_moves
         corners = {}
         sides = {}
         for edge in self.faces_of_degree(1):
-            q = charts[edge].basepoint
-            corners[edge] = [
-                tuple(x - y for x, y in zip(v, q)) for v in charts[edge].polytope.vertices
-            ]
-            for sign, i in ((1, edge[0]), (-1, edge[1])):
-                mt, moved = moves[(edge, i)]
-                own = charts[(i,)].basepoint
-                sides[(edge, i)] = (sign, mt, tuple(x - y for x, y in zip(moved, own)))
-        d, _, points = integer_scaling(
-            (),
-            [v for vs in corners.values() for v in vs]
-            + [offset for _, _, offset in sides.values()],
-        )
-        points = iter(points)
-        corners = {edge: [next(points) for _ in vs] for edge, vs in corners.items()}
-        sides = {key: (sign, mt, next(points)) for key, (sign, mt, _) in sides.items()}
+            q = vertices[edge][0]
+            corners[edge] = [tuple(x - y for x, y in zip(v, q)) for v in vertices[edge]]
+            linear, tau = self._transitions[edge].linear, taus[edge]
+            moved = tuple(dot(row, q) + t for row, t in zip(linear, tau))
+            for sign, i, at in ((1, edge[0], q), (-1, edge[1], moved)):
+                offset = tuple(x - y for x, y in zip(at, vertices[(i,)][0]))
+                sides[(edge, i)] = (sign, moves[(edge, i)][0], offset)
         return d, corners, sides
 
     @cached_property
     def edge_transports(self):
         """(d, {edge (i, j): (mt, tau)}): the transposed linear part of
         ``transition(i, j)``, which moves a chart-j differential A to chart
-        i, and its translation times d, the least common denominator of
-        all edge translations; the constant gains <A, tau>/d."""
-        maps = [self._transitions[edge] for edge in self.faces_of_degree(1)]
-        d, _, taus = integer_scaling((), [phi.translation for phi in maps])
-        moves = [(tuple(zip(*phi.linear)), tau) for phi, tau in zip(maps, taus)]
-        return d, dict(zip(self.faces_of_degree(1), moves))
+        i, and its translation times d, the cover's integer scaling; the
+        constant gains <A, tau>/d."""
+        d, _, _, taus = self._scaled
+        return d, {
+            edge: (tuple(zip(*self._transitions[edge].linear)), taus[edge])
+            for edge in self.faces_of_degree(1)
+        }
 
     @cached_property
     def _certificate_system(self):
@@ -682,9 +676,6 @@ class _CertificateSystem:
             for const, jk, tau in zip(consts, self._jk_index, self._taus)
         ]
 
-    def lattice_image_vanishes(self, alpha):
-        return self._lattice.solve(self._alpha_vectors(alpha)[0]) is not None
-
     def certificate(self, alpha):
         """An affine 1-cochain beta with d(beta) = alpha, or None."""
         return self._solve(alpha)[1]
@@ -781,13 +772,6 @@ def coboundary_certificate(alpha):
     if alpha.degree != 2:
         raise ChartMismatchError("certificates are defined for degree-2 cochains")
     return alpha.cover._certificate_system.certificate(alpha)
-
-
-def lattice_image_vanishes(alpha):
-    """Does the differential part of alpha bound over the integers?"""
-    if alpha.degree != 2:
-        raise ChartMismatchError("lattice image is defined for degree-2 cochains")
-    return alpha.cover._certificate_system.lattice_image_vanishes(alpha)
 
 
 def analyze_obstruction(fibration):

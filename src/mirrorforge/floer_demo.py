@@ -62,9 +62,9 @@ def _sheets(lagrangian, q, shift=0):
     times shift, and c_j = -(sigma/2 q^2 + gamma_j q) normalises g_j to
     vanish at the basepoint q.  With offset + sigma*shift*|k| = m/md
     and q = qn/qd, gamma_j = (m + j*md)/(md*|k|) and every value sits
-    on d = 2*qd^2*md*|k|.  Both checks of LocalFloerData run here in
-    closed form, on the numerators: each g_j(q) is 0, and sheets of one
-    curvature are pairwise distinct exactly when their gammas are.
+    on d = 2*qd^2*md*|k|.  Both checks of LocalFloerData hold by
+    construction: each g_j(q) is 0, and the gammas strictly increase in
+    j, so the sheets of one curvature are pairwise distinct.
     """
     k = lagrangian.slope
     if k == 0:
@@ -78,14 +78,8 @@ def _sheets(lagrangian, q, shift=0):
     gammas, constants = [], []
     for j in range(count):
         n = m + j * md
-        linear = 2 * qd * qn * n
-        constant = -(square + linear)
-        if square + linear + constant:
-            raise ValueError("primitives must vanish at the basepoint")
         gammas.append(2 * qd * qd * n)
-        constants.append(constant)
-    if len(set(gammas)) != count:
-        raise ValueError("sheets must be pairwise distinct")
+        constants.append(-(square + 2 * qd * qn * n))
     return gammas, constants, 2 * qd * qd * md * count
 
 
@@ -152,7 +146,7 @@ class LocalFloerData:
         Nothing is checked.  The caller guarantees that face is a tuple,
         basepoint a Fraction, and primitives a nonempty tuple of
         pairwise distinct one-dimensional PolyFunctions that vanish at
-        the basepoint, as _sheets checks them.
+        the basepoint, as _sheets builds them.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "face", face)
@@ -230,7 +224,7 @@ def _edge_wrap(cover, offsets, edge, member):
     return int(w)
 
 
-def local_floer_data(lagrangian, cover, chart, tag=None):
+def local_floer_data(lagrangian, cover, chart):
     """Sheet data over one chart of a circle cover.
 
     The gammas are shifted by sigma times the chart's global offset so
@@ -244,8 +238,7 @@ def local_floer_data(lagrangian, cover, chart, tag=None):
     face = (chart,)
     q = cover.face_chart(face).basepoint[0]
     primitives = _primitives(lagrangian, *_sheets(lagrangian, q, offsets[chart]))
-    label = cover.chart_ids[chart] if tag is None else tag
-    return LocalFloerData._trusted(face, q, primitives, label)
+    return LocalFloerData._trusted(face, q, primitives, cover.chart_ids[chart])
 
 
 def local_module(lagrangian, cover, chart):
@@ -326,13 +319,12 @@ def change_trivialisation(module, f, new_primitives):
     return TrivialisationChange(module, target, tuple(entries))
 
 
-def patch_global(lagrangian, fibration, cutoff=None):
+def patch_global(lagrangian, fibration):
     """Twisted module of the slope-k line over a circle cover.
 
     Every chart carries the rank-|k| free module on its sheets; the
     restriction to an overlap is diagonal, a transport factor times
     z to the integer discrepancy picked up by the deck translation.
-    An optional cutoff truncates the entry coefficients.
 
     The transport of sheet j from the member chart's basepoint q to
     the overlap's basepoint, at spot in the member's coordinates, is
@@ -368,8 +360,6 @@ def patch_global(lagrangian, fibration, cutoff=None):
         for r, gamma in enumerate(gammas):
             value = Fraction(constant - gamma * linear, scale)
             coeff = NovikovScalar._trusted(((value, _ONE),), None)
-            if cutoff is not None:
-                coeff = coeff.truncate(cutoff)
             rows.append({r: AffinoidElement._trusted(cover, top, basepoint, {exponent: coeff})})
         restrictions[(low, top)] = tuple(rows)
     return TwistedModule._trusted(fibration, abs(lagrangian.slope), restrictions)

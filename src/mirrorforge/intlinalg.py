@@ -135,10 +135,6 @@ class PresolvedIntegerSystem:
         self._u, self._v = ([{j: x for j, x in enumerate(r) if x} for r in m] for m in (u, v))
         self._diagonal = [s[i][i] for i in range(min(self._m, self._n))]
 
-    @property
-    def ncols(self):
-        return self._n
-
     def solve(self, rhs):
         """One integer solution, or None."""
         if self._m == 0:

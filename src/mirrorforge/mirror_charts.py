@@ -111,10 +111,6 @@ class AffinoidElement:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, cover, face, basepoint=None):
-        return cls(cover, face, (), basepoint)
-
-    @classmethod
     def one(cls, cover, face, basepoint=None):
         n = cover.dimension
         return cls(cover, face, {(0,) * n: NovikovScalar.one()}, basepoint)
@@ -168,9 +164,6 @@ class AffinoidElement:
             if not coeff.is_zero_at(precision - self._weight(exponent)):
                 return False
         return True
-
-    def is_exact_zero(self):
-        return not self._terms
 
     # -- ring operations ---------------------------------------------------
 
@@ -230,16 +223,6 @@ class AffinoidElement:
             )
         (exponent, coeff), = self._terms.items()
         return self._with_terms({tuple(-x for x in exponent): coeff.inverse()})
-
-    def truncate(self, precision):
-        """Forget everything of t-adic size >= precision."""
-        precision = _frac(precision)
-        return self._with_terms(
-            {
-                exponent: coeff.truncate(precision - self._weight(exponent))
-                for exponent, coeff in self._terms.items()
-            }
-        )
 
     def with_basepoint(self, new_basepoint):
         """The same element written against another basepoint."""
@@ -519,11 +502,10 @@ class MonomialChartMap:
         )
         return MonomialChartMap(mat_mul(nxt.matrix, self.matrix), shift)
 
-    def describe(self, names=None):
-        """Human-readable images of the coordinate generators."""
+    def describe(self):
+        """Human-readable images of the coordinate generators z1, z2, ..."""
         n = len(self.matrix)
-        if names is None:
-            names = [f"z{i + 1}" for i in range(n)]
+        names = [f"z{i + 1}" for i in range(n)]
         lines = []
         for i in range(n):
             basis = tuple(1 if j == i else 0 for j in range(n))
@@ -629,7 +611,6 @@ def gerbe_value(fibration, low, mid, top):
 class GerbeReport:
     """Exact verification of the multiplicative cocycle identity."""
 
-    triples: int
     quadruples: int
     failures: tuple
 
@@ -656,8 +637,4 @@ def verify_gerbe(fibration):
         product = g_mtd * g_ltd.inverse() * g_lmd * g_lmt.inverse()
         if product != AffinoidElement.one(cover, deep):
             failures.append((low, mid, top, deep))
-    return GerbeReport(
-        triples=len(nested_triples(cover)),
-        quadruples=len(quads),
-        failures=tuple(failures),
-    )
+    return GerbeReport(quadruples=len(quads), failures=tuple(failures))

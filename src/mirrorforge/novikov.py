@@ -14,7 +14,6 @@ Floats are rejected everywhere.  Coefficients and exponents are
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -43,21 +42,6 @@ def _frac(x):
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-_NUMBER = r"\d+(?:/\d+)?"
-_SIGNED = rf"\(\s*(-?)\s*({_NUMBER})\s*\)"
-# the text form: signed terms c, c*t^e or t^e, where ^e is ^n, ^(r) or
-# left out for t^1, then an optional (mod t^(E))
-_TERM_RE = re.compile(
-    rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?)\s*)?"
-    rf"(?:(t)(?:\s*\^\s*(?:({_NUMBER})|{_SIGNED}))?)?"
-)
-_TAIL_RE = re.compile(rf"\s*(?:\(\s*mod\b\s*t\s*\^\s*{_SIGNED}\s*\))?\s*\Z")
-
-
-def _signed(sign, number):
-    return -Fraction(number) if sign == "-" else Fraction(number)
 
 
 def _denominator(exponents, cutoff):
@@ -421,34 +405,6 @@ class NovikovScalar:
     def __repr__(self):
         return f"NovikovScalar({str(self)!r})"
 
-    @classmethod
-    def parse(cls, text):
-        """Parse the textual form back into a scalar.
-
-        Accepts the grammar produced by ``str``, with any spacing:
-        signed terms ``c*t^(e)`` with the usual elisions, an optional
-        trailing ``(mod t^(E))``, and ``0`` for zero.  A ``*`` must be
-        followed by a power of t.  Round-trips bit-exactly.
-        """
-        # terms until the tail: the first may not take a "+", the others
-        # need a sign
-        terms = []
-        pos = 0
-        while not terms or not (tail := _TAIL_RE.match(text, pos)):
-            m = _TERM_RE.match(text, pos)
-            sign, coeff, star, t, power, neg, exp = m.groups()
-            if not (coeff or t) or (star and not t) or sign == ("" if terms else "+"):
-                raise ValueError(f"bad scalar syntax at {text[pos:]!r}")
-            if exp is not None:
-                exp = _signed(neg, exp)
-            elif t:
-                exp = Fraction(power or 1)
-            else:
-                exp = Fraction(0)
-            terms.append((exp, _signed(sign, coeff or 1)))
-            pos = m.end()
-        return cls(terms, None if tail[2] is None else _signed(*tail.groups()))
-
 
 def _valuation_below(x, precision):
     # the valuation of x when it is below the precision, else None; an
@@ -675,15 +631,6 @@ class NovikovMatrix:
             if any(len(r) != width for r in self._rows):
                 raise ValueError("ragged rows in matrix")
 
-    @classmethod
-    def identity(cls, n):
-        one, zero = NovikovScalar.one(), NovikovScalar.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @property
-    def rows(self):
-        return self._rows
-
     @property
     def nrows(self):
         return len(self._rows)
@@ -739,11 +686,6 @@ class NovikovMatrix:
         if isinstance(other, (int, Fraction, NovikovScalar)):
             return NovikovMatrix([[other * x for x in row] for row in self._rows])
         return NotImplemented
-
-    def truncate(self, precision):
-        return NovikovMatrix(
-            [[x.truncate(precision) for x in row] for row in self._rows]
-        )
 
     def determinant(self):
         """Determinant by ``intlinalg.determinant``: the product over the

@@ -994,17 +994,6 @@ class ModuleComplex:
             if any(entry._terms for row in square for entry in row.values()):
                 raise ValueError("differentials do not square to zero")
 
-    @property
-    def face(self):
-        return self._face
-
-    @property
-    def ranks(self):
-        return dict(self._ranks)
-
-    def differential(self, degree):
-        return self._differentials.get(degree)
-
     def fiber_cohomology(self, point, precision):
         """Ranks of cohomology of the complex evaluated at one mirror
         point, at a working precision."""

@@ -190,7 +190,7 @@ def edge_data(module):
             for j in range(module.rank):
                 for jj in range(module.rank):
                     if jj != j:
-                        assert mat[j][jj].is_exact_zero()
+                        assert not mat[j][jj].terms
             t_shift = (
                 cover.transition(edge[0], s).apply(chart.basepoint)[0]
                 - cover.face_chart((s,)).basepoint[0]

@@ -195,20 +195,6 @@ class TestMapDeterminant:
 
 
 class TestAffineFunction:
-    def test_evaluate(self):
-        f = AffineFunction((2, -1), F(1, 2))
-        assert f.evaluate((1, 1)) == F(3, 2)
-
-    def test_compose_with_map(self):
-        # f(x) = <A, x> + c pulled back through x = M y + tau
-        f = AffineFunction((1, 2), 0)
-        phi = IntegralAffineMap([[1, 1], [0, 1]], [F(1, 3), 0])
-        g = f.compose_with_map(phi)
-        assert g.linear == (1, 3)
-        assert g.constant == F(1, 3)
-        for pt in [(0, 0), (1, 2), (F(1, 2), F(-1, 3))]:
-            assert g.evaluate(pt) == f.evaluate(phi.apply(pt))
-
     def test_non_integer_differential_rejected(self):
         with pytest.raises(TypeError):
             AffineFunction((F(1, 2),), 0)

@@ -25,7 +25,6 @@ from mirrorforge.cover import (
     analyze_obstruction,
     coboundary_certificate,
     face_polytopes_from_charts,
-    lattice_image_vanishes,
 )
 from mirrorforge.errors import ChartMismatchError, InvalidCoverError
 from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
@@ -37,6 +36,7 @@ from mirrorforge.mirror_charts import (
     verify_gerbe,
 )
 from mirrorforge.twisted_sheaves import canonical_twisted_module, validate_module
+from test_cech_differential import compose_with_map
 from test_sparse_solver import image_inequalities
 
 CATALOGS = catalog_ids()
@@ -93,7 +93,7 @@ def reference_twist_factor(fibration, low, mid, top):
     if not finals[0] < finals[1] < finals[2]:
         return AffinoidElement.one(cover, top)
     alpha = fibration.obstruction_cocycle().value(finals)
-    moved = alpha.compose_with_map(cover.transition(top[0], finals[0]))
+    moved = compose_with_map(alpha, cover.transition(top[0], finals[0]))
     return exp_aff(cover, top, moved)
 
 
@@ -153,7 +153,6 @@ def test_ninety_of_the_torus_chains_have_strict_final_charts(name):
     cover = load_catalog(name).cover
     assert len(cover.nested_chains) == 540
     assert len(nested_triples(cover)) == 90
-    assert verify_gerbe(load_catalog(name)).triples == 90
 
 
 # -- the gerbe table ------------------------------------------------------------
@@ -307,9 +306,9 @@ def test_certificate_system_is_built_once_per_cover(monkeypatch):
     monkeypatch.setattr(cover_module._CertificateSystem, "__init__", counting)
     fibration = fresh("split-torus-4")
     alpha = fibration.obstruction_cocycle()
-    assert analyze_obstruction(fibration).is_trivial
+    report = analyze_obstruction(fibration)
+    assert report.is_trivial and report.lattice_image_vanishes
     assert coboundary_certificate(alpha) is not None
-    assert lattice_image_vanishes(alpha)
     canonical_twisted_module(fibration)
     assert built == [fibration.cover]
     analyze_obstruction(fresh("split-torus-4"))

@@ -562,7 +562,7 @@ def ldu(rng, n, rank):
             for i in range(n)
         ]
     )
-    return [list(row) for row in (triangle(True) * diag * triangle(False)).rows]
+    return [list(row) for row in (triangle(True) * diag * triangle(False))._rows]
 
 
 def annihilates(rows, vector, precision):

@@ -32,20 +32,35 @@ an (edge, exponent) takes its corner minimum more than once, or never.
 The Cech differential runs on the cover's integer transport table and
 builds its values through the trusted constructors; a further guard
 fails when a torus differential calls a checked ``AffineFunction``
-method (``__init__``, ``zero``, ``compose_with_map``, ``__add__``,
-``__neg__``) or ``AffCochain.__init__``.
+method (``__init__``, ``zero``, ``__add__``, ``__neg__``) or
+``AffCochain.__init__``.
 
 Public library API is reached by the library, the benchmark or the
 tools, or it is paper-facing: a last guard fails on any public class,
-function, method or property of the package whose name no code under
-``src``, ``bench`` or ``tools`` calls or reads, unless ``PAPER_FACING``
-lists it with the reason it stays.
+function, method or property of the package that no code under ``src``,
+``bench`` or ``tools`` reaches, unless ``PAPER_FACING`` lists it with
+the reason it stays.  A class or a top-level function is reached by its
+name, an import or an attribute read; a method or property only by an
+attribute read (``x.name``).  A name that two public definitions share,
+or a definition and a field of a public class, is reached only by a
+call that a profile hook records while the CLI, a manifest round trip
+and one cycle of each benchmark workload run.
 """
 
 import ast
+import contextlib
+import importlib
+import io
+import json
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
+from itertools import product
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -471,7 +486,6 @@ def test_the_corner_guard_sees_a_second_walk_in_one_call():
 CHECKED_ARITHMETIC = (
     (AffineFunction, "__init__"),
     (AffineFunction, "zero"),
-    (AffineFunction, "compose_with_map"),
     (AffineFunction, "__add__"),
     (AffineFunction, "__neg__"),
     (AffCochain, "__init__"),
@@ -575,6 +589,11 @@ PAPER_FACING = (
     ("change_trivialisation", "the module map between two trivialisations of the same sheets"),
     ("section_radius", "the certified monomial window behind every section count"),
     ("SectionSpace.sections", "the global sections themselves, not only their rank"),
+    ("SectionSpace.ranks", "the section rank modulo t^p at each integer precision p"),
+    ("AffinoidElement.evaluate", "a function on a mirror chart evaluated at a mirror point"),
+    ("AffinoidElement.weight", "the weight min <v - q, A> of a monomial on its face polytope"),
+    ("AffinoidElement.monomial", "one monomial z^A, as change_trivialisation builds it"),
+    ("MonomialChartMap.identity", "the coordinate change along a path of one chart"),
 )
 
 
@@ -595,29 +614,139 @@ def public_definitions(filename, text):
     return found
 
 
+def field_names(text):
+    """The annotated fields of each public class of a module, dataclass
+    fields among them."""
+    return [
+        item.target.id
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef) and node.name[0] != "_"
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
 def reached_names(text):
-    """Every name a module calls or reads: attributes, names and imports."""
-    names = set()
+    """(attributes, names): every name a module reads as an attribute
+    (``x.name``), and every name it reads bare or imports."""
+    attributes, names = set(), set()
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
-    return names
+    return attributes, names
 
 
-def unreached_definitions(library, users, allowed):
+def unreached_definitions(library, users, allowed, called=frozenset()):
     """The public names of library ({filename: text}) that no text of
-    users calls or reads, less the qualified names allowed."""
-    reached = set().union(*map(reached_names, users))
-    return [
-        f"{place}: {qualified} is reached only by tests"
+    users reaches, less the qualified names allowed.
+
+    A method or property is reached only through an attribute access of
+    its name; a class or a top-level function also through a bare name
+    or an import.  A name that two public definitions, or a definition
+    and a field of a public class, share is reached only when called
+    holds its (filename, qualified name)."""
+    attributes, names = set(), set()
+    for text in users:
+        read, bare = reached_names(text)
+        attributes |= read
+        names |= bare
+    definitions = [
+        (filename, *definition)
         for filename, text in library.items()
-        for qualified, name, place in public_definitions(filename, text)
-        if name not in reached and qualified not in allowed
+        for definition in public_definitions(filename, text)
     ]
+    declared = Counter(name for _, _, name, _ in definitions)
+    declared.update(name for text in library.values() for name in field_names(text))
+    found = []
+    for filename, qualified, name, place in definitions:
+        if declared[name] > 1:
+            reached = (filename, qualified) in called
+        elif "." in qualified:
+            reached = name in attributes
+        else:
+            reached = name in attributes or name in names
+        if not reached and qualified not in allowed:
+            found.append(f"{place}: {qualified} is reached only by tests")
+    return found
+
+
+CIRCLES = ("elliptic-demo", "split-torus-2")
+
+
+def drive_the_library():
+    """Run what the library is for: build, gerbe and validate on each
+    catalog, one selftest, sheaf and demo on both circles at slopes 2
+    and -1, a manifest round trip of each catalog, and one cycle of each
+    benchmark workload, as tests/test_bench_contract.py runs them."""
+    from mirrorforge import cli
+    from mirrorforge.catalog import catalog_ids
+    from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    import harness
+    from workloads import WORKLOADS
+
+    library = SimpleNamespace(
+        **{m: importlib.import_module(f"mirrorforge.{m}") for m in harness.LIBRARY_MODULES}
+    )
+    runs = [[c, "--catalog", n] for n in catalog_ids() for c in ("build", "gerbe", "validate")]
+    runs.append(["selftest"])
+    for name, slope, command in product(CIRCLES, ("2", "-1"), ("sheaf", "demo")):
+        runs.append([command, "--catalog", name, "--slope", slope])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for args in runs:
+            cli.main(args)
+    for name in catalog_ids():
+        manifest_to_fibration(fibration_to_manifest(load_catalog(name)))
+    for name in sorted(WORKLOADS):
+        workload = WORKLOADS[name](library)
+        tracer = harness.Tracer()
+        for job in workload.cycle(0, 0):
+            workload.run(job, tracer)
+
+
+def record_calls(drive):
+    """(filename, qualified name) of each library function, method and
+    property that drive runs, read off the code objects (``co_qualname``,
+    Python 3.11) that a profile hook sees called."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        drive()
+    finally:
+        sys.setprofile(None)
+    return {
+        (Path(code.co_filename).name, code.co_qualname)
+        for code in codes
+        if Path(code.co_filename).parent == SRC
+    }
+
+
+def recorded_library_calls():
+    """record_calls of drive_the_library, run in a fresh interpreter so
+    that no catalog or table an earlier test built is already cached."""
+    script = (
+        "import json, test_conventions as t\n"
+        "print(json.dumps(sorted(t.record_calls(t.drive_the_library))))"
+    )
+    path = os.pathsep.join(map(str, (SRC.parent, Path(__file__).parent)))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    return {tuple(call) for call in json.loads(result.stdout)}
 
 
 def test_public_api_is_reached_or_paper_facing():
@@ -628,7 +757,7 @@ def test_public_api_is_reached_or_paper_facing():
     allowed = {name for name, _ in PAPER_FACING}
     assert allowed <= defined, f"not defined: {sorted(allowed - defined)}"
     assert all(reason and "\n" not in reason for _, reason in PAPER_FACING)
-    found = unreached_definitions(library, users, allowed)
+    found = unreached_definitions(library, users, allowed, recorded_library_calls())
     assert not found, "\n".join(found)
 
 
@@ -646,12 +775,52 @@ COVER = (
     "def _validate(polys):\n"
     "    return polys[0].contains((0,))\n"
 )
+UNREACHED = "affine.py:4: IntegralAffinePolytope.contains_polytope is reached only by tests"
 
 
 def test_the_api_guard_sees_a_helper_only_tests_call():
     # the tests' own calls are not among the users
     found = unreached_definitions({"affine.py": POLYTOPE}, [POLYTOPE, COVER], set())
-    assert found == ["affine.py:4: IntegralAffinePolytope.contains_polytope is reached only by tests"]
+    assert found == [UNREACHED]
+
+
+def test_the_api_guard_sees_a_method_reached_only_through_a_bare_name():
+    # a local variable of the same name is not a call of the method
+    tool = "def check(p, q):\n    contains_polytope = p.contains(q)\n"
+    found = unreached_definitions({"affine.py": POLYTOPE}, [POLYTOPE, COVER, tool], set())
+    assert found == [UNREACHED]
+
+
+SCALAR = "class NovikovScalar:\n    def contains_polytope(self):\n        pass\n"
+REPORT = "@dataclass\nclass Report:\n    contains_polytope: bool\n"
+# the classes themselves are reached
+IMPORTS = "from .novikov import NovikovScalar\nfrom .cover import Report\n"
+
+
+def test_the_api_guard_sees_a_shared_name_with_no_recorded_call():
+    # a mention of a name two classes define does not tell which one runs
+    tool = "def check(p, q):\n    return p.contains_polytope(q)\n"
+    library = {"affine.py": POLYTOPE, "novikov.py": SCALAR}
+    called = {("novikov.py", "NovikovScalar.contains_polytope")}
+    found = unreached_definitions(library, [POLYTOPE, COVER, IMPORTS, tool], set(), called)
+    assert found == [UNREACHED]
+
+
+def test_the_api_guard_sees_a_name_shared_with_a_field():
+    tool = "def check(r):\n    return r.contains_polytope\n"
+    library = {"affine.py": POLYTOPE, "cover.py": REPORT}
+    found = unreached_definitions(library, [POLYTOPE, COVER, IMPORTS, tool], set())
+    assert found == [UNREACHED]
+
+
+def test_the_api_guard_allows_a_shared_name_with_a_recorded_call():
+    tool = "def check(p, q):\n    return p.contains_polytope(q)\n"
+    library = {"affine.py": POLYTOPE, "novikov.py": SCALAR}
+    called = {
+        ("affine.py", "IntegralAffinePolytope.contains_polytope"),
+        ("novikov.py", "NovikovScalar.contains_polytope"),
+    }
+    assert not unreached_definitions(library, [POLYTOPE, COVER, IMPORTS, tool], set(), called)
 
 
 def test_the_api_guard_allows_reached_and_paper_facing_names():
@@ -659,3 +828,10 @@ def test_the_api_guard_allows_reached_and_paper_facing_names():
     assert not unreached_definitions({"affine.py": POLYTOPE}, [POLYTOPE, COVER, tool], set())
     allowed = {"IntegralAffinePolytope.contains_polytope"}
     assert not unreached_definitions({"affine.py": POLYTOPE}, [POLYTOPE, COVER], allowed)
+
+
+def test_the_recording_sees_what_runs():
+    called = record_calls(lambda: load_catalog.__wrapped__("elliptic-demo").cover.nested_pairs)
+    assert ("catalog.py", "_circle_cover") in called
+    assert ("cover.py", "Cover.nested_pairs") in called
+    assert not any(name == "test_conventions.py" for name, _ in called)

@@ -18,7 +18,6 @@ from mirrorforge.cover import (
     analyze_obstruction,
     coboundary_certificate,
     face_polytopes_from_charts,
-    lattice_image_vanishes,
 )
 from mirrorforge.errors import (
     ChartMismatchError,
@@ -266,7 +265,7 @@ class TestCertificates:
         )
         alpha = fib.obstruction_cocycle()
         assert alpha.value((0, 2, 6)) == AffineFunction((0, 0), 1)
-        assert lattice_image_vanishes(alpha)
+        assert analyze_obstruction(fib).lattice_image_vanishes
         beta = coboundary_certificate(alpha)
         assert beta is not None
         assert beta.differential() == alpha

@@ -93,7 +93,7 @@ def theta_section(cover, k, c, j, radius):
         entries = []
         for col in range(abs(k)):
             if col != j:
-                entries.append(AffinoidElement.zero(cover, (chart,)))
+                entries.append(AffinoidElement(cover, (chart,)))
                 continue
             terms = {(m,): mono(1, v) for m, v in vals.items()}
             entries.append(AffinoidElement(cover, (chart,), terms))
@@ -116,7 +116,7 @@ def section_solves_the_edges(module, section, precision, slack=3):
         left = module.restriction((i,), edge)
         right = module.restriction((j,), edge)
         for r in range(module.rank):
-            total = AffinoidElement.zero(cover, edge)
+            total = AffinoidElement(cover, edge)
             for c in range(module.rank):
                 total = total + left[r][c] * section[i][c].restrict(edge)
                 total = total - right[r][c] * section[j][c].restrict(edge)
@@ -349,13 +349,6 @@ class TestPatching:
     def test_two_dimensional_covers_are_rejected(self):
         with pytest.raises(ChartMismatchError):
             patch_global(LinearLagrangian(1), TORUS_2D)
-
-    def test_cutoff_truncates_the_entries(self):
-        module = patch_global(LinearLagrangian(1), ELLIPTIC, cutoff=3)
-        entry = module.restriction((2,), (0, 2))[0][0]
-        (coeff,) = entry.terms.values()
-        assert coeff.cutoff == 3
-        assert validate_module(module, 2).ok
 
     def test_chart_offsets_walk_the_transitions(self):
         assert chart_offsets(ELLIPTIC.cover) == (F(0), F(0), F(0))

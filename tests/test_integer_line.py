@@ -64,10 +64,9 @@ def reference_primitives(lagrangian, q, shift=0):
     ]
 
 
-def reference_entries(lagrangian, fibration, cutoff):
+def reference_entries(lagrangian, fibration):
     """Per nested pair, the entry_data of each diagonal entry
-    t^(quadratic - gamma*step) z^(-sigma*wrap), truncated at the
-    cutoff."""
+    t^(quadratic - gamma*step) z^(-sigma*wrap)."""
     cover = fibration.cover
     offsets = chart_offsets(cover)
     sigma = 1 if lagrangian.slope > 0 else -1
@@ -83,8 +82,6 @@ def reference_entries(lagrangian, fibration, cutoff):
         entries = []
         for gamma in gammas:
             coeff = NovikovScalar([(quadratic - gamma * step, 1)])
-            if cutoff is not None:
-                coeff = coeff.truncate(cutoff)
             terms = tuple((typed(e), typed(c)) for e, c in coeff.terms)
             entries.append((exponent, terms, typed(coeff.cutoff)))
         out[(low, top)] = entries
@@ -168,19 +165,18 @@ def test_patch_global_rows_match_the_fraction_transports(catalog, slope):
     cover = fibration.cover
     for offset in OFFSETS:
         line = LinearLagrangian(slope, offset)
-        for cutoff in (None, 3):
-            module = patch_global(line, fibration, cutoff)
-            want = reference_entries(line, fibration, cutoff)
-            assert module.rank == abs(slope)
-            for pair in cover.nested_pairs:
-                rows = module._rows[pair]
-                assert [list(row) for row in rows] == [[r] for r in range(abs(slope))]
-                top = pair[1]
-                for row in rows:
-                    (entry,) = row.values()
-                    assert entry.face == top
-                    assert entry.basepoint == cover.face_chart(top).basepoint
-                assert [entry_data(row[r]) for r, row in enumerate(rows)] == want[pair]
+        module = patch_global(line, fibration)
+        want = reference_entries(line, fibration)
+        assert module.rank == abs(slope)
+        for pair in cover.nested_pairs:
+            rows = module._rows[pair]
+            assert [list(row) for row in rows] == [[r] for r in range(abs(slope))]
+            top = pair[1]
+            for row in rows:
+                (entry,) = row.values()
+                assert entry.face == top
+                assert entry.basepoint == cover.face_chart(top).basepoint
+            assert [entry_data(row[r]) for r, row in enumerate(rows)] == want[pair]
 
 
 @pytest.mark.parametrize("catalog", CIRCLES)

@@ -95,7 +95,7 @@ class TestElements:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-            assert a + AffinoidElement.zero(ELLIPTIC, face) == a
+            assert a + AffinoidElement(ELLIPTIC, face) == a
             assert a * AffinoidElement.one(ELLIPTIC, face) == a
 
     def test_monomial_inverse(self):
@@ -116,9 +116,6 @@ class TestElements:
         # t-adic size is 3 + weight(-1) = 3 - 5/12 = 31/12
         assert element.is_zero_at(F(31, 12))
         assert not element.is_zero_at(F(8, 3))
-        cut = element.truncate(F(31, 12))
-        assert cut.terms[(-1,)].terms == ()
-        assert cut.terms[(-1,)].cutoff == 3
 
 
 class TestEvaluationAndBasepoints:
@@ -369,11 +366,6 @@ class TestMonomialMaps:
         loop = path_monomial_map(F2.cover, [0, 1, 2, 0])
         assert loop.apply_exponent((0, 1)) == ((0, 1), 1)
         assert loop.apply_exponent((1, 0)) == ((1, 1), 0)
-
-    def test_describe_renders_generator_images(self):
-        loop = path_monomial_map(F2.cover, [0, 1, 2, 0])
-        lines = loop.describe(names=["zu", "zv"])
-        assert lines == ["zu -> zu*zv", "zv -> T^(1) * zv"]
 
     @pytest.mark.parametrize(
         "name",

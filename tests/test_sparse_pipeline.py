@@ -311,7 +311,7 @@ def reference_patch_global(lagrangian, fibration):
             row = []
             for c in range(count):
                 if r != c:
-                    row.append(AffinoidElement.zero(cover, top))
+                    row.append(AffinoidElement(cover, top))
                     continue
                 g = data[member].primitives[r]
                 coeff = NovikovScalar.monomial(1, -g.evaluate(spot))
@@ -428,7 +428,7 @@ def test_sections_are_assembled_from_linearly_many_elements(monkeypatch):
     space = global_sections(module, 2)
     assert space.rank == SLOPE == len(space.sections)
     filled = sum(
-        not x.is_exact_zero()
+        bool(x.terms)
         for section in space.sections
         for entries in section.values()
         for x in entries

@@ -225,16 +225,6 @@ def test_element_ring_operations_match_checked_constructor(name, seed):
             assert_element_checked_form(scaled)
         assert_same_element(a * k, checked({e: c * k for e, c in a.terms.items()}))
 
-        precision = F(rng.randint(-4, 16), 4)
-        cut = a.truncate(precision)
-        assert_element_checked_form(cut)
-        assert_same_element(
-            cut,
-            checked(
-                {e: c.truncate(precision - a.weight(e)) for e, c in a.terms.items()}
-            ),
-        )
-
 
 @pytest.mark.parametrize("name", sorted(COVERS))
 def test_element_inverse_matches_checked_constructor(name):

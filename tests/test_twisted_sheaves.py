@@ -65,7 +65,7 @@ def section_solves_the_edges(module, section, precision, slack=3):
         left = module.restriction((i,), edge)
         right = module.restriction((j,), edge)
         for r in range(module.rank):
-            total = AffinoidElement.zero(cover, edge)
+            total = AffinoidElement(cover, edge)
             for c in range(module.rank):
                 total = total + left[r][c] * section[i][c].restrict(edge)
                 total = total - right[r][c] * section[j][c].restrict(edge)
@@ -133,7 +133,7 @@ class TestUnits:
         assert not element_is_unit_at(one + z, 10)
         assert element_is_unit_at(one + z * mono(1, 1), 10)
         assert not element_is_unit_at(
-            AffinoidElement.zero(ELLIPTIC.cover, (0,)), 10
+            AffinoidElement(ELLIPTIC.cover, (0,)), 10
         )
 
 
@@ -229,7 +229,7 @@ class TestValidation:
     def test_stop_early_counts_the_pairs_it_examined(self):
         cover = TORUS.cover
         zeros = {
-            (low, top): ((AffinoidElement.zero(cover, top),),)
+            (low, top): ((AffinoidElement(cover, top),),)
             for low, top in cover.nested_pairs
         }
         module = TwistedModule(TORUS, 1, zeros)
@@ -282,7 +282,7 @@ class TestComplexes:
 
     def test_zero_differential_keeps_the_full_rank(self):
         cover = ELLIPTIC.cover
-        zero = AffinoidElement.zero(cover, (1,))
+        zero = AffinoidElement(cover, (1,))
         complex_ = ModuleComplex(
             cover, (1,), {0: 3, 1: 1}, {0: ((zero, zero, zero),)}
         )
@@ -306,7 +306,7 @@ class TestComplexes:
         centroid = tuple(sum(axis) / len(vertices) for axis in zip(*vertices))
         assert centroid != cover.face_chart((0,)).basepoint
         one = AffinoidElement.one(cover, (0,))
-        zero_at_q = AffinoidElement.zero(cover, (0,), centroid)
+        zero_at_q = AffinoidElement(cover, (0,), basepoint=centroid)
         with pytest.raises(ChartMismatchError, match="canonical basepoint"):
             ModuleComplex(cover, (0,), {0: 1, 1: 1}, {0: ((zero_at_q,),)})
         with pytest.raises(ChartMismatchError, match="canonical basepoint"):
@@ -320,7 +320,7 @@ class TestComplexes:
     def test_a_float_degree_is_refused(self):
         # int() truncated them: {0.7: 1} read as {0: 1}
         cover = ELLIPTIC.cover
-        zero = AffinoidElement.zero(cover, (0,))
+        zero = AffinoidElement(cover, (0,))
         with pytest.raises(TypeError, match="complex degrees must be integers, got 0.7"):
             ModuleComplex(cover, (0,), {0.7: 1}, {})
         with pytest.raises(TypeError, match="complex degrees must be integers, got 0.0"):

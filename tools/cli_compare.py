@@ -35,6 +35,9 @@ CIRCLES = CATALOGS[:2]
 TORI = CATALOGS[2:]
 LINE_COMMANDS = ("sheaf", "demo")
 MANIFEST_COMMANDS = ("build", "gerbe", "validate")
+SHIFTED = "elliptic-demo-plus-1-7"
+# the manifests of one-dimensional covers, which the line reports read
+CIRCLE_MANIFESTS = (*CIRCLES, SHIFTED)
 
 
 def commands(manifests=()):
@@ -43,8 +46,9 @@ def commands(manifests=()):
     long lines (slopes 400, 800 and -400, and for sheaf alone 1600,
     -1600 and 3200 on elliptic-demo and 1600 on split-torus-2), the
     large precisions -E 240 and 960, offsets outside (-1, 1) in text and
-    JSON, the refusals, and build, gerbe and validate in text and JSON
-    on each manifest path."""
+    JSON, the refusals, build, gerbe and validate in text and JSON on
+    each manifest path, and sheaf and demo at slopes 2 and -3 on each
+    circle manifest."""
     out = []
     for name, catalog, output in product(
         ("build", "gerbe", "validate", "selftest"), CATALOGS, ("text", "json")
@@ -87,6 +91,9 @@ def commands(manifests=()):
         out.append([name, "--catalog", catalog, "--slope", "1"])
     for path, name, output in product(manifests, MANIFEST_COMMANDS, ("text", "json")):
         out.append([name, "--manifest", str(path), "--output", output])
+    circles = [path for path in manifests if Path(path).stem in CIRCLE_MANIFESTS]
+    for path, name, slope in product(circles, LINE_COMMANDS, ("2", "-3")):
+        out.append([name, "--manifest", str(path), "--slope", slope])
     return out
 
 
@@ -94,6 +101,8 @@ def manifest_texts():
     """(name, text) of each catalog's manifest, as this checkout writes
     it, then of thurston-f2 with every coordinate times 5/2 and
     split-torus-4 times 3/7, whose translations are fractional, then of
+    elliptic-demo with every coordinate plus 1/7, whose translations
+    stay integers while its vertices move onto denominator 84, then of
     manifests the reader must refuse: bad JSON, a missing key, a float
     in powers and in linear, a declared vertex that is not extreme and
     a chart that declares too few vertices."""
@@ -119,6 +128,25 @@ def manifest_texts():
         return f"{name}-times-{s.numerator}-{s.denominator}", json.dumps(data, indent=2)
 
     out += [scaled("thurston-f2", Fraction(5, 2)), scaled("split-torus-4", Fraction(3, 7))]
+
+    def shifted(name, s):
+        # every chart coordinate plus s: n.x <= b reads n.x <= b + s*sum(n),
+        # and y = M x + tau reads y = M x + tau + (1 - M) s; the primitives,
+        # none on elliptic-demo, are kept
+        data = json.loads(dict(out)[name])
+        for chart in data["charts"]:
+            polytope = chart["polytope"]
+            for ineq in polytope["inequalities"]:
+                ineq["bound"] = str(Fraction(ineq["bound"]) + s * sum(ineq["normal"]))
+            polytope["vertices"] = [[str(Fraction(x) + s) for x in v] for v in polytope["vertices"]]
+        for transition in data["transitions"]:
+            moved = [s - s * sum(row) for row in transition["linear"]]
+            transition["translation"] = [
+                str(Fraction(x) + m) for x, m in zip(transition["translation"], moved)
+            ]
+        return json.dumps(data, indent=2)
+
+    out.append((SHIFTED, shifted("elliptic-demo", Fraction(1, 7))))
 
     def broken(edit):
         data = json.loads(base)

@@ -12,6 +12,7 @@ from mirrorforge.affine import (
 )
 from mirrorforge.errors import ChartMismatchError, InvalidPolytopeError
 from test_cached_tables import apply_map
+from test_cech_differential import compose_with_map
 from test_determinant import cofactor_det
 
 F = Fraction
@@ -195,6 +196,21 @@ class TestMapDeterminant:
 
 
 class TestAffineFunction:
+    def test_compose_with_map(self):
+        # the reference pull-back the differential tests compare against:
+        # f(x) = <A, x> + c through x = M y + tau
+        f = AffineFunction((1, 2), 0)
+        phi = IntegralAffineMap([[1, 1], [0, 1]], [F(1, 3), 0])
+        g = compose_with_map(f, phi)
+        assert g.linear == (1, 3)
+        assert g.constant == F(1, 3)
+
+        def value(fn, pt):
+            return sum(a * x for a, x in zip(fn.linear, pt)) + fn.constant
+
+        for pt in [(0, 0), (1, 2), (F(1, 2), F(-1, 3))]:
+            assert value(g, pt) == value(f, phi.apply(pt))
+
     def test_non_integer_differential_rejected(self):
         with pytest.raises(TypeError):
             AffineFunction((F(1, 2),), 0)

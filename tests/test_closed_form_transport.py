@@ -63,10 +63,11 @@ def reference_wrap(cover, offsets, top, member):
     return int(wrap)
 
 
-def reference_restrictions(lagrangian, fibration):
+def reference_restrictions(lagrangian, fibration, cutoff=None):
     """The dense restriction of every nested pair: t^(-g_r(spot))
     z^(-sigma*wrap) at (r, r) with g_r from local_floer_data and the
-    checked evaluate, and one zero on the face everywhere else."""
+    checked evaluate, and one zero on the face everywhere else; with a
+    cutoff each transport is truncated there."""
     cover = fibration.cover
     offsets = chart_offsets(cover)
     sigma = 1 if lagrangian.slope > 0 else -1
@@ -80,8 +81,11 @@ def reference_restrictions(lagrangian, fibration):
         zero = AffinoidElement(cover, top)
         rows = []
         for r, g in enumerate(data.primitives):
+            coeff = S.monomial(1, -g.evaluate(spot))
+            if cutoff is not None:
+                coeff = coeff.truncate(cutoff)
             row = [zero] * count
-            row[r] = AffinoidElement(cover, top, {exponent: S.monomial(1, -g.evaluate(spot))})
+            row[r] = AffinoidElement(cover, top, {exponent: coeff})
             rows.append(tuple(row))
         out[(low, top)] = tuple(rows)
     return out
@@ -146,6 +150,41 @@ def test_patch_global_entries_are_the_evaluated_transports(catalog, slope):
                 element_data(mat[r][r]) for r in range(abs(slope))
             ]
             assert matrix_data(module.restriction(*pair)) == matrix_data(mat)
+
+
+def truncated_matrix(mat, cutoff):
+    # every coefficient of every entry truncated at cutoff
+    return tuple(
+        tuple(
+            AffinoidElement(
+                x.cover, x.face, {a: c.truncate(cutoff) for a, c in x.terms.items()}, x.basepoint
+            )
+            for x in row
+        )
+        for row in mat
+    )
+
+
+@pytest.mark.parametrize("catalog", CIRCLES)
+def test_truncated_entries_match_the_evaluated_transports(catalog):
+    # the cutoff turns some transports into inexact zeros; the checked
+    # constructor keeps them in its sparse rows, as it keeps every entry
+    # that is not an exact zero
+    fibration = load_catalog(catalog)
+    cutoff = F(1, 10)
+    inexact = 0
+    for slope in (1, -2, 5):
+        line = LinearLagrangian(slope, F(2, 7))
+        module = patch_global(line, fibration)
+        want = reference_restrictions(line, fibration, cutoff)
+        dense = {pair: truncated_matrix(module.restriction(*pair), cutoff) for pair in module.pairs}
+        checked = TwistedModule(fibration, abs(slope), dense)
+        for pair, mat in want.items():
+            assert matrix_data(dense[pair]) == matrix_data(mat)
+            assert checked._rows[pair] == diagonal_rows(mat)
+            assert [sorted(row) for row in checked._rows[pair]] == [[r] for r in range(abs(slope))]
+            inexact += sum(not c for row in mat for x in row for c in x.terms.values())
+    assert inexact > 0
 
 
 @pytest.mark.parametrize("catalog", CIRCLES)

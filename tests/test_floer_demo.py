@@ -346,6 +346,18 @@ class TestPatching:
         assert after[0].constant == before[0].constant + 1
         assert after[1] == before[1]
 
+    def test_truncated_entries_keep_their_cutoff_and_validate(self):
+        module = patch_global(LinearLagrangian(1), ELLIPTIC)
+        for low, top in module.pairs:
+            ((entry,),) = module.restriction(low, top)
+            terms = {a: c.truncate(3) for a, c in entry.terms.items()}
+            cut = AffinoidElement(entry.cover, entry.face, terms, entry.basepoint)
+            module = module.with_entry(low, top, 0, 0, cut)
+        entry = module.restriction((2,), (0, 2))[0][0]
+        (coeff,) = entry.terms.values()
+        assert coeff.cutoff == 3
+        assert validate_module(module, 2).ok
+
     def test_two_dimensional_covers_are_rejected(self):
         with pytest.raises(ChartMismatchError):
             patch_global(LinearLagrangian(1), TORUS_2D)

@@ -367,6 +367,10 @@ class TestMonomialMaps:
         assert loop.apply_exponent((0, 1)) == ((0, 1), 1)
         assert loop.apply_exponent((1, 0)) == ((1, 1), 0)
 
+    def test_describe_renders_generator_images(self):
+        loop = path_monomial_map(F2.cover, [0, 1, 2, 0])
+        assert loop.describe() == ["z1 -> z1*z2", "z2 -> T^(1) * z2"]
+
     @pytest.mark.parametrize(
         "name",
         ["elliptic-demo", "split-torus-2", "split-torus-4", "thurston-f1", "thurston-f2"],

@@ -173,6 +173,21 @@ class TestTextForm:
         assert str(scalar((2, F(1, 2)))) == "1/2*t^2"
         assert str(scalar((0, F(-2, 3)))) == "-2/3"
 
+    def test_terms_print_by_increasing_exponent(self):
+        x = scalar((F(3, 2), F(-1, 3)), (0, 2), (F(-1, 2), 1), cutoff=F(5, 2))
+        assert str(x) == "t^(-1/2) + 2 - 1/3*t^(3/2) (mod t^(5/2))"
+        assert str(scalar((1, 2), (1, -2))) == "0"
+        assert str(scalar((1, 2), cutoff=1)) == "0 (mod t^(1))"
+        assert str(S.zero(cutoff=F(-3, 2))) == "0 (mod t^(-3/2))"
+
+    def test_distinct_scalars_print_distinct_text(self):
+        rng = random.Random(23)
+        xs = [random_scalar(rng) for _ in range(300)]
+        xs += [S.zero(), S.zero(cutoff=F(-3, 2)), scalar((0, 1)), scalar((0, 1), cutoff=4)]
+        for x in xs:
+            for y in xs:
+                assert (str(x) == str(y)) == (x == y), (x, y)
+
 
 class TestMatrix:
     def test_rank_drop(self):

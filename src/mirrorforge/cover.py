@@ -130,6 +130,9 @@ class Cover:
                 raise InvalidCoverError(
                     f"polytope of {self._fmt(face)} has wrong dimension"
                 )
+        for face in self._polytopes:
+            if face not in self._faces:
+                raise InvalidCoverError(f"polytope keyed by {face}, not a face of the nerve")
         for edge in self.faces_of_degree(1):
             phi = self._transitions.get(edge)
             if phi is None:

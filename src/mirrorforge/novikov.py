@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import itemgetter
 
@@ -406,23 +405,6 @@ class NovikovScalar:
         return f"NovikovScalar({str(self)!r})"
 
 
-def _valuation_below(x, precision):
-    # the valuation of x when it is below the precision, else None; an
-    # entry whose vanishing there is undecidable raises
-    terms = x._terms
-    if terms and terms[0][0] < precision:
-        return terms[0][0]
-    x.is_zero_at(precision)
-    return None
-
-
-def _holds(row, column, husks):
-    # whether the dict row has an entry in column that elimination must
-    # clear: one with terms, or any entry when husks are kept
-    x = row.get(column)
-    return x is not None and (husks or bool(x._terms))
-
-
 _EXACT_ZERO = NovikovScalar._trusted((), None)
 
 
@@ -487,125 +469,121 @@ def _lead_factor(pivot, column):
     return pivot[2]
 
 
-def _eliminate(row, pivot, column, working, husks):
+def _eliminate(row, pivot, column, working):
     # add to the dict row the multiple of the pivot row that clears its
     # entry in column, one fused operation per entry cut at the working
     # cutoff; an entry that comes out with no terms and the full working
-    # cutoff is dropped, as if never stored, unless husks are kept
+    # cutoff is dropped, as if never stored
     factor = row.pop(column) * _lead_factor(pivot, column)
     for j, y in pivot[0].items():
         if j == column:
             continue
         x = row.get(j)
         value = _add_products(_EXACT_ZERO if x is None else x, ((factor, y),), working)
-        if value._terms or value._cutoff < working or husks:
+        if value._terms or value._cutoff < working:
             row[j] = value
         elif x is not None:
             del row[j]
 
 
-def _dot(row, values):
-    # the sum of row[j] * x over the values whose column the dict row holds
+def _dot(row, values, working=None):
+    # the sum of row[j] * x over the values whose column the dict row
+    # holds, cut at the working cutoff when one is given
     return _add_products(
         _EXACT_ZERO,
         [(entry, x) for j, x in values.items() if (entry := row.get(j)) is not None],
+        working,
     )
 
 
-def _echelon_insert(slots, spare, row, precision, working, husks=False):
-    # add the dict row, which the pass then owns, to an echelon state:
-    # slots maps each pivot column to [row, lead valuation, minus the lead
-    # inverse or None], spare holds rows with no pivot that still carry
-    # terms.  A row taken off pending or displaced from its slot is held
-    # by nothing else, so it is reduced in place.  A column with no pivot
-    # becomes the row's pivot when its entry has valuation below the
-    # precision, and is passed over otherwise.  An entry with no terms
-    # below its cutoff, a husk, is passed over too, unless husks are kept:
-    # then it is eliminated like any entry, so the cutoff it costs reaches
-    # the entries it touches, and a pivot decision that rests on it raises
-    # PrecisionExhaustedError
-    pending = [row]
-    while pending:
-        row = pending.pop()
-        heap = list(row)
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            x = row.get(c)
-            if x is None:
-                continue
-            v = _valuation_below(x, precision)
-            held = slots.get(c)
-            if held is None:
-                if v is None:
-                    continue
-                slots[c] = [row, v, None]
-                # rows that passed over a term in column c go round again
-                for d in [
-                    d for d, (other, _, _) in slots.items()
-                    if d > c and _holds(other, c, husks)
-                ]:
-                    pending.append(slots.pop(d)[0])
-                pending.extend(other for other in spare if _holds(other, c, husks))
-                spare[:] = [other for other in spare if not _holds(other, c, husks)]
-                break
-            if not x._terms and not husks:
-                # a husk known to vanish below the precision: elimination
-                # column by column passes it over, and so does this
-                del row[c]
-                continue
-            if v is not None and v < held[1]:
-                slots[c] = [row, v, None]
-                row, held = held[0], slots[c]
-                heap = [j for j in row if j > c]
-                heapify(heap)
-            _eliminate(row, held, c, working, husks)
-            for j in held[0]:
-                if j > c and j in row:
-                    heappush(heap, j)
-        else:
-            if any(x._terms for x in row.values()):
-                spare.append(row)
+def _least_in(below, column):
+    # (valuation, row) of the least entry in column of the per-row
+    # valuations below, ties to the lower row
+    return min((entries[column], i) for i, entries in enumerate(below) if column in entries)
 
 
-def _with_headroom(entries, precision, attempt):
-    """Run an elimination attempt, retrying with extra working cutoff.
+def _pivot_elimination(rows, precision, working):
+    """The pivots of one elimination over the valuation ring, in the order
+    they are taken: a dict from each pivot column to ``[row, valuation,
+    minus the lead inverse or None, index of the row in rows]``.
 
-    Divisions by pivots of positive valuation spend working cutoff;
-    when the input data, every scalar that entries() yields, is known
-    deeply enough, the attempt is retried with extra headroom instead of
-    giving up.
+    ``rows`` are sequences of scalars.  Each entry is cut at the working
+    cutoff, which is at least the precision, and exact zeros and entries
+    left with no terms and the full working cutoff are not stored.  Each
+    pivot is an entry of valuation below the precision that is least in
+    its own row and in its own column, among the rows and columns not
+    yet eliminated.  To find one, take the least entry of the lowest
+    live column, ties to the lower row; while that row holds an entry of
+    smaller valuation, move to the column of its least entry and take
+    that column's least entry.  Valuations strictly fall at each move,
+    so the search ends.  The pivot row is set aside and its column is
+    cleared from every live row.
+
+    Why this counts the invariant factors below the precision
+    (Kaplansky, "Elementary divisors and modules", 1949): take a pivot p
+    least in its row and in its column.  Row and column operations whose
+    factors have valuation >= 0 then split the matrix into (p) + M' over
+    the valuation ring, and M' is what the row operations leave on the
+    live rows and columns.  So the pivot valuations are the invariant
+    factors below the precision, as a multiset; no global minimum is
+    needed.  No factor has
+    negative valuation, so an update is known as deeply as its operands
+    (Caruso, Roe and Vaccon, "p-adic stability in linear algebra", 2015).
+
+    An entry with no terms below a cutoff under the precision may hide
+    a term there.  :class:`PrecisionExhaustedError` is raised when such
+    an entry in the pivot's row or column has its cutoff below the
+    pivot's valuation, and when one is left once no live entry is: either
+    way the decision rests on that entry.
     """
-    precision = _frac(precision)
-    last_error = None
-    for pad in (0, 4, 16, 64, 256):
-        try:
-            return attempt(precision, precision + pad)
-        except PrecisionExhaustedError as err:
-            last_error = err
-            deep_enough = all(
-                x.cutoff is None or x.cutoff >= precision for x in entries()
-            )
-            if not deep_enough:
-                raise
-    raise last_error
-
-
-def _greedy_pass(rows, precision, working, husks=False):
-    # one attempt of the greedy pass over rows of (column, scalar) pairs,
-    # entries truncated to the working cutoff and exact zeros skipped,
-    # and so are entries that vanish below it unless husks are kept:
-    # the echelon state of every row
-    slots, spare = {}, []
-    for pairs in rows:
-        row = {}
-        for j, x in pairs:
+    live = []
+    for index, row in enumerate(rows):
+        kept = {}
+        for j, x in enumerate(row):
             if x._terms or x._cutoff is not None:
                 x = x.truncate(working)
-                if x._terms or x._cutoff < working or husks:
-                    row[j] = x
-        if row:
-            _echelon_insert(slots, spare, row, precision, working, husks)
+                if x._terms or x._cutoff < working:
+                    kept[j] = x
+        if kept:
+            live.append((index, kept))
+    slots = {}
+    while True:
+        # per live row, the valuation of each entry below the precision
+        below = [
+            {
+                j: x._terms[0][0]
+                for j, x in row.items()
+                if x._terms and x._terms[0][0] < precision
+            }
+            for _, row in live
+        ]
+        columns = [j for entries in below for j in entries]
+        if not columns:
+            break
+        c = min(columns)
+        v, i = _least_in(below, c)
+        while (least := min((w, j) for j, w in below[i].items()))[0] < v:
+            c = least[1]
+            v, i = _least_in(below, c)
+        index, row = live.pop(i)
+        if any(
+            not x._terms and x._cutoff < v
+            for x in chain(row.values(), (other[c] for _, other in live if c in other))
+        ):
+            raise PrecisionExhaustedError(
+                f"pivot of valuation {v} undecidable: an entry in its row or "
+                f"column is known only below a cutoff under it"
+            )
+        slots[c] = pivot = [row, v, None, index]
+        for _, other in live:
+            if c in other:
+                _eliminate(other, pivot, c, working)
+        live = [(k, other) for k, other in live if other]
+    if any(not x._terms and x._cutoff < precision for _, row in live for x in row.values()):
+        raise PrecisionExhaustedError(
+            f"rank undecidable mod t^({precision}): an entry left without "
+            f"pivots is known only below a cutoff under it"
+        )
     return slots
 
 
@@ -712,67 +690,63 @@ class NovikovMatrix:
     # -- elimination ---------------------------------------------------
 
     def rank_at_precision(self, precision):
-        """Rank certified by the data modulo t**precision: the pivot count
-        of one valuation-ordered echelon pass over the rows in their order
-        (_greedy_pass, the library's one Novikov elimination), whose
-        reductions use factors of nonnegative valuation, run through the
-        headroom ladder of _with_headroom.
+        """Rank certified by the data modulo t**precision: the number of
+        invariant factors below the precision, counted as the pivots of
+        one elimination over the valuation ring at the working cutoff
+        t**precision (_pivot_elimination, the library's one Novikov
+        elimination).  Each pivot is least in its row and in its column
+        among the rows and columns not yet eliminated, so its valuation
+        is an invariant factor.
 
-        Entries whose known terms all vanish below the working precision
-        count as zero when their cutoff reaches the precision, and raise
-        :class:`PrecisionExhaustedError` when it does not.  The pass
-        drops husks, so on rare input the count differs from the
-        kernel's, which keeps them.
+        Entries whose known terms all vanish below the precision count as
+        zero when their cutoff reaches the precision.  One whose cutoff
+        does not raises :class:`PrecisionExhaustedError` when a pivot
+        decision rests on it; nothing is retried.
         """
-        slots = _with_headroom(
-            lambda: (x for row in self._rows for x in row),
-            precision,
-            lambda p, working: _greedy_pass(map(enumerate, self._rows), p, working),
-        )
-        return len(slots)
+        precision = _frac(precision)
+        return len(_pivot_elimination(self._rows, precision, precision))
 
     def kernel_basis_at_precision(self, precision):
         """A basis of the right kernel modulo t**precision.
 
-        One vector per free column of the echelon pass, with 1 at its
-        own free column and 0 at the others; entries are truncated
-        scalars.  Kernel vectors modulo t**precision are not unique, so
-        this is one basis among many.  The pass keeps husks, entries with
-        no terms below their cutoff, so a pivot that a term past the
-        working cutoff could take away raises and the ladder reads
-        deeper: the number of vectors is settled.  Each
-        vector is certified against the original rows before it is
-        returned, so back-substitution shortcuts cannot smuggle in one
-        that visibly fails an equation.
+        One vector per free column of the elimination, with 1 at its own
+        free column and 0 at the others, back-substituted from the pivot
+        rows in reverse pivot order; entries are truncated scalars.  Each
+        step divides by a pivot, so the pad of working cutoff above the
+        precision is read off the pivots: the elimination runs at the
+        precision, as for ``rank_at_precision``, and when the largest
+        pivot valuation is positive it runs once more at the precision
+        plus that valuation, on the pivot rows alone, since a row that
+        takes no pivot reduces no other row.  Those rows have as many
+        invariant factors below the precision, so the number of vectors
+        is the number of columns less the rank.  Kernel vectors modulo
+        t**precision are not unique, so this is one basis among many.
+        Each vector is certified against the original rows before it is
+        returned, so back-substitution cannot smuggle in one that visibly
+        fails an equation.
         """
+        precision = _frac(precision)
+        slots = _pivot_elimination(self._rows, precision, precision)
+        pad = max((pivot[1] for pivot in slots.values()), default=0)
+        if pad > 0:
+            pivot_rows = [self._rows[pivot[3]] for pivot in slots.values()]
+            slots = _pivot_elimination(pivot_rows, precision, precision + pad)
         rows = [
             {j: x for j, x in enumerate(row) if not x.is_exact_zero()}
             for row in self._rows
         ]
-        return _with_headroom(
-            lambda: (x for row in self._rows for x in row),
-            precision,
-            lambda p, working: self._kernel_attempt(p, working, rows),
-        )
-
-    def _kernel_attempt(self, precision, working, rows):
-        # one attempt of the ladder: back-substitution from the pivot rows
-        # of the pass, each vector certified against rows, the original
-        # rows as sparse dicts
-        slots = _greedy_pass(
-            [enumerate(row) for row in self._rows], precision, working, husks=True
-        )
         zero = NovikovScalar.zero()
         basis = []
         for free in (c for c in range(self.ncols) if c not in slots):
             values = {free: NovikovScalar.one()}
-            # a pivot row holds no term in a pivot column left of its own,
+            # a pivot row holds no entry in the column of an earlier pivot,
             # so reverse pivot order only ever consumes assigned values
-            for c in sorted(slots, reverse=True):
+            for c in reversed(slots):
                 total = _dot(slots[c][0], values)
                 if not total.is_exact_zero():
                     values[c] = total * _lead_factor(slots[c], c)
-            if not all(_dot(row, values).is_zero_at(precision) for row in rows):
+            # no term at or past the precision decides a residual
+            if not all(_dot(row, values, precision).is_zero_at(precision) for row in rows):
                 raise PrecisionExhaustedError(
                     f"kernel candidate fails a row at precision t^({precision})"
                 )

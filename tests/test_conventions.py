@@ -10,13 +10,13 @@ Rational elimination lives in ``intlinalg.py`` alone; a second guard
 fails on a function or class whose name reads like a sparse or rational
 kernel, nullspace, row reduction or system defined in any other module.
 
-Novikov elimination is the one echelon pass of ``novikov.py``; a third
+Novikov elimination is the one pivot pass of ``novikov.py``; a third
 guard fails on any other function whose name reads like a row
 reduction, an echelon or elimination step, a greedy pass or an attempt
-of the headroom ladder, outside the rational home.  Its row operations
+of a headroom ladder, outside the rational home.  Its row operations
 go through one fused ``x + sum(a * b)``: a further guard fails when
-``_eliminate``, ``_dot`` or ``_kernel_attempt`` again forms a negated
-product, a running sum of products or a truncated difference.
+``_eliminate``, ``_dot`` or ``kernel_basis_at_precision`` again forms a
+negated product, a running sum of products or a truncated difference.
 
 The determinant reads one input form, sparse rows with the ring's zero;
 a fourth guard fails when ``intlinalg.py`` again tells exact zeros apart
@@ -169,9 +169,7 @@ def test_the_solver_guard_allows_intlinalg_and_other_names():
 
 NOVIKOV_PASS = {
     ("novikov.py", "_eliminate"),
-    ("novikov.py", "_echelon_insert"),
-    ("novikov.py", "_greedy_pass"),
-    ("novikov.py", "_kernel_attempt"),
+    ("novikov.py", "_pivot_elimination"),
     # Fourier-Motzkin elimination of a variable from halfspaces
     ("affine.py", "_fm_eliminate"),
 }
@@ -219,6 +217,9 @@ def test_novikov_elimination_is_one_pass():
         ("novikov.py", "    def _greedy_attempt(self, precision, working, choose):"),
         ("twisted_sheaves.py", "def _echelon_rows(rows, precision):"),
         ("floer_demo.py", "def _eliminate(row, pivot, column, working):"),
+        # the echelon pass the pivot pass replaced
+        ("novikov.py", "def _echelon_insert(slots, spare, row, precision, working, husks=False):"),
+        ("novikov.py", "def _greedy_pass(rows, precision, working, husks=False):"),
     ],
 )
 def test_the_elimination_guard_sees_a_second_pass(filename, line):
@@ -226,27 +227,28 @@ def test_the_elimination_guard_sees_a_second_pass(filename, line):
 
 
 def test_the_elimination_guard_allows_the_one_pass_and_other_names():
-    text = "def _echelon_insert(slots, spare, row, precision, working, husks=False):"
+    text = "def _pivot_elimination(rows, precision, working):"
     assert not elimination_definitions("novikov.py", text)
     assert not elimination_definitions(SOLVER_HOME, "def rational_rref(mat):")
     others = (
         "def rank_at_precision(self, precision):\n"
-        "def _with_headroom(entries, precision, attempt):"
+        "def _lead_factor(pivot, column):"
     )
     assert not elimination_definitions("novikov.py", others)
 
 
 NOVIKOV = SRC / "novikov.py"
-FUSED_CALLERS = {"_eliminate", "_dot", "_kernel_attempt"}
+FUSED_CALLERS = {"_eliminate", "_dot", "kernel_basis_at_precision"}
 UNFUSED_FORM = re.compile(
     r"- factor \*|-\(factor|-\(total \*|total \+ entry \*|\)\.truncate\(working\)"
 )
 
 
 def unfused_row_operations(text):
-    """Lines of _eliminate, _dot and _kernel_attempt that form a negated
-    product, a running sum of products or a truncation of a formed
-    difference: the work the fused row operation does in one pass."""
+    """Lines of _eliminate, _dot and kernel_basis_at_precision that form
+    a negated product, a running sum of products or a truncation of a
+    formed difference: the work the fused row operation does in one
+    pass."""
     found = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.FunctionDef) and node.name in FUSED_CALLERS:
@@ -270,11 +272,11 @@ def test_novikov_row_operations_are_fused():
 @pytest.mark.parametrize(
     "text",
     [
-        # _eliminate, _dot and the back-substitution of _kernel_attempt
-        # as they stood before the fused operation
-        "def _eliminate(row, pivot, column, working, husks):\n"
+        # _eliminate, _dot and the back-substitution of the kernel as
+        # they stood before the fused operation
+        "def _eliminate(row, pivot, column, working):\n"
         "    value = (-(factor * y) if x is None else x - factor * y).truncate(working)",
-        "def _eliminate(row, pivot, column, working, husks):\n"
+        "def _eliminate(row, pivot, column, working):\n"
         "    value = (x - factor * y).truncate(working)",
         "def _dot(row, values):\n"
         "    total = NovikovScalar.zero()\n"
@@ -282,7 +284,7 @@ def test_novikov_row_operations_are_fused():
         "        total = total + entry * x\n"
         "    return total",
         "class NovikovMatrix:\n"
-        "    def _kernel_attempt(self, precision, working):\n"
+        "    def kernel_basis_at_precision(self, precision):\n"
         "        values[c] = -(total * row[c].inverse())",
     ],
 )
@@ -292,9 +294,9 @@ def test_the_fused_row_guard_sees_the_old_forms(text):
 
 def test_the_fused_row_guard_allows_the_fused_calls_and_other_functions():
     fused = (
-        "def _eliminate(row, pivot, column, working, husks):\n"
+        "def _eliminate(row, pivot, column, working):\n"
         "    value = _add_products(x, ((factor, y),), working)\n"
-        "def _greedy_pass(rows, precision, working, husks=False):\n"
+        "def _pivot_elimination(rows, precision, working):\n"
         "    x = x.truncate(working)\n"
         "def _reference(x, factor, y, working):\n"
         "    return (x - factor * y).truncate(working)"

@@ -75,6 +75,19 @@ class TestCoverValidation:
         with pytest.raises(InvalidCoverError, match="cocycle"):
             Cover(2, torus.chart_ids, torus.faces, polys, transitions)
 
+    def test_polytope_keyed_by_a_non_face_rejected(self):
+        # elliptic-demo's nerve has no triangle: a polytope for (0, 1, 2)
+        # would answer polytope((0, 1, 2)) for a face the cover lacks
+        cover = load_catalog("elliptic-demo").cover
+        polys = {f: cover.polytope(f) for f in cover.faces}
+        transitions = {e: cover.transition(*e) for e in cover.faces_of_degree(1)}
+        assert Cover(1, cover.chart_ids, cover.faces, polys, transitions) == cover
+        polys[(2, 1, 0)] = cover.polytope((0,))
+        with pytest.raises(
+            InvalidCoverError, match=r"^polytope keyed by \(0, 1, 2\), not a face of the nerve$"
+        ):
+            Cover(1, cover.chart_ids, cover.faces, polys, transitions)
+
     def test_containment_enforced(self, torus):
         polys = {f: torus.polytope(f) for f in torus.faces}
         # enlarge a triple overlap so it escapes one of its edges

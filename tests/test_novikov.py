@@ -569,7 +569,7 @@ def reference_products():
         yield
 
 
-def reference_eliminate(row, pivot, column, working, husks):
+def reference_eliminate(row, pivot, column, working):
     """_eliminate as it stood: x - factor * y formed as a product, a
     negated copy, a sum and a truncation, the pivot's lead inverse kept
     in pivot[2]."""
@@ -582,7 +582,7 @@ def reference_eliminate(row, pivot, column, working, husks):
             continue
         x = row.get(j)
         value = (-(factor * y) if x is None else x - factor * y).truncate(working)
-        if value.terms or value.cutoff < working or husks:
+        if value.terms or value.cutoff < working:
             row[j] = value
         elif x is not None:
             del row[j]
@@ -642,14 +642,14 @@ def row_seen(row):
     return {j: seen(x) for j, x in row.items()}
 
 
-def eliminate_outcome(eliminate, rows, pivot_row, column, working, husks):
+def eliminate_outcome(eliminate, rows, pivot_row, column, working):
     # the rows after each is reduced by one shared pivot, whose lead
     # inverse the first elimination forms and the others reuse
     pivot = [pivot_row, None, None]
     rows = [dict(row) for row in rows]
     try:
         for row in rows:
-            eliminate(row, pivot, column, working, husks)
+            eliminate(row, pivot, column, working)
     except (ArithmeticError, PrecisionExhaustedError) as err:
         return type(err), str(err)
     return [row_seen(row) for row in rows]
@@ -717,10 +717,9 @@ class TestFusedRowOperation:
                 row[column] = fused_operand(rng)
                 rows.append(row)
             working = F(rng.randint(-2, 16), rng.choice(DENOMINATORS))
-            husks = rng.random() < 0.5
-            ours = eliminate_outcome(novikov._eliminate, rows, pivot_row, column, working, husks)
+            ours = eliminate_outcome(novikov._eliminate, rows, pivot_row, column, working)
             with reference_products():
-                reference = eliminate_outcome(reference_eliminate, rows, pivot_row, column, working, husks)
+                reference = eliminate_outcome(reference_eliminate, rows, pivot_row, column, working)
             assert ours == reference
             answered += isinstance(ours, list)
         # most leads invert; exact leads of several terms raise in both

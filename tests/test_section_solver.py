@@ -767,7 +767,7 @@ def test_global_sections_runs_no_novikov_elimination(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a Novikov elimination ran")
 
-    monkeypatch.setattr(novikov, "_greedy_pass", refused)
+    monkeypatch.setattr(novikov, "_pivot_elimination", refused)
     with pytest.raises(AssertionError, match="elimination ran"):
         NovikovMatrix([[NovikovScalar.one()]]).rank_at_precision(1)
     assert [space.rank for space in spaces] == [2, 0, 1, 2]

@@ -290,14 +290,16 @@ class Cover:
 
     @cached_property
     def restriction_moves(self):
-        """How a monomial moves when restricted to a face, keyed by
-        (face, chart i of the face).
+        """How a monomial moves when restricted to a face, on the cover's
+        integer scaling d: (d, table), with table keyed by (face, chart i
+        of the face).
 
         Each entry holds the transposed linear part of the transition
         from the face's least chart to chart i, which carries a chart-i
-        exponent to the face's, and the face's basepoint written in
-        chart i's coordinates.  The basepoints are moved on the cover's
-        integer scaling.
+        exponent to the face's, and the face's basepoint written in chart
+        i's coordinates, times d, as ints: the basepoint is moved on the
+        scaled corners and translations, as ``edge_sides`` and
+        ``edge_transports`` hold their offsets.
         """
         d, _, corners, taus = self._scaled
         charts = self._face_charts
@@ -305,18 +307,18 @@ class Cover:
         transposed = {step: tuple(zip(*self.transition(*step).linear)) for step in steps}
         identity = self._identity.linear
         table = {}
-        for face, chart in charts.items():
+        for face in charts:
             # the face's own least chart needs no move
-            table[(face, face[0])] = (identity, chart.basepoint)
             q = corners[face][0]
+            table[(face, face[0])] = (identity, q)
             for i in face[1:]:
                 step = (face[0], i)
                 linear, tau = self._transitions[step].linear, taus[step]
                 table[(face, i)] = (
                     transposed[step],
-                    tuple(Fraction(dot(row, q) + t, d) for row, t in zip(linear, tau)),
+                    tuple(dot(row, q) + t for row, t in zip(linear, tau)),
                 )
-        return table
+        return d, table
 
     @cached_property
     def edge_sides(self):
@@ -326,23 +328,23 @@ class Cover:
         corners maps each edge to its polytope's vertices minus the
         edge's basepoint.  sides maps (edge, i), for the edge's first
         chart i then its second, edge by edge in sorted order, to (sign,
-        mt, offset): sign 1 on the first chart and -1 on the second, mt
-        from ``restriction_moves[(edge, i)]``, and offset the edge's
-        basepoint there minus chart i's own basepoint.  Corners and
-        offsets are ints, the values times d.
+        mt, offset): sign 1 on the first chart and -1 on the second, and
+        mt and the edge's basepoint in chart i from
+        ``restriction_moves[(edge, i)]``, whose offset is that basepoint
+        minus chart i's own.  Corners and offsets are ints, the values
+        times d.
         """
-        d, _, vertices, taus = self._scaled
-        moves = self.restriction_moves
+        d, moves = self.restriction_moves
+        vertices = self._scaled[2]
         corners = {}
         sides = {}
         for edge in self.faces_of_degree(1):
             q = vertices[edge][0]
             corners[edge] = [tuple(x - y for x, y in zip(v, q)) for v in vertices[edge]]
-            linear, tau = self._transitions[edge].linear, taus[edge]
-            moved = tuple(dot(row, q) + t for row, t in zip(linear, tau))
-            for sign, i, at in ((1, edge[0], q), (-1, edge[1], moved)):
+            for sign, i in ((1, edge[0]), (-1, edge[1])):
+                mt, at = moves[(edge, i)]
                 offset = tuple(x - y for x, y in zip(at, vertices[(i,)][0]))
-                sides[(edge, i)] = (sign, moves[(edge, i)][0], offset)
+                sides[(edge, i)] = (sign, mt, offset)
         return d, corners, sides
 
     @cached_property
@@ -427,8 +429,8 @@ class AffCochain:
         return self._degree
 
     def value(self, face):
-        face = tuple(sorted(face))
-        return self._values.get(face, AffineFunction.zero(self._cover.dimension))
+        fn = self._values.get(tuple(sorted(face)))
+        return AffineFunction.zero(self._cover.dimension) if fn is None else fn
 
     def support(self):
         return tuple(sorted(self._values))
@@ -572,7 +574,7 @@ class FibrationData:
         a degenerate obstruction value of zero, so its factor is the
         unit.
         """
-        from .mirror_charts import AffinoidElement, _exp_entry
+        from .mirror_charts import _exp_entry, _unit_on
 
         cover = self._cover
         units, out = {}, {}
@@ -583,7 +585,7 @@ class FibrationData:
                 out[(low, mid, top)] = _exp_entry(cover, top, finals[0], value)
             else:
                 if top not in units:
-                    units[top] = AffinoidElement.one(cover, top)
+                    units[top] = _unit_on(cover, top)
                 out[(low, mid, top)] = units[top]
         return out
 

@@ -331,24 +331,26 @@ def patch_global(lagrangian, fibration):
     t^(-g_j(spot)) with g_j(spot) = sigma/2 (spot^2 - q^2) + gamma_j
     (spot - q), read off the sheet gammas in closed form; the module
     gets each restriction as its diagonal, one entry per sheet.  With
-    gamma_j = G_j/d from _sheets, and spot = a/e and q = b/e on their
-    common denominator, the exponent is (constant - G_j*linear)/scale
-    for constant = -sigma*(a^2 - b^2)*d, linear = 2*e*(a - b) and scale
-    = 2*e^2*d, one Fraction per entry.
+    gamma_j = G_j/d from _sheets, spot an int over the cover's scaling
+    in ``restriction_moves``, and spot = a/e and q = b/e on the common
+    denominator e of that scaling and q, the exponent is
+    (constant - G_j*linear)/scale for constant = -sigma*(a^2 - b^2)*d,
+    linear = 2*e*(a - b) and scale = 2*e^2*d, one Fraction per entry.
     """
     cover = fibration.cover
     offsets = chart_offsets(cover)
     basepoints = [cover.face_chart((i,)).basepoint[0] for i in range(len(cover.chart_ids))]
     sheets = [_sheets(lagrangian, q, shift) for q, shift in zip(basepoints, offsets)]
     sigma = 1 if lagrangian.slope > 0 else -1
+    dc, moves = cover.restriction_moves
     restrictions = {}
     for low, top in cover.nested_pairs:
         (member,) = low
-        (spot,) = cover.restriction_moves[(top, member)][1]
+        (spot,) = moves[(top, member)][1]
         q = basepoints[member]
         gammas, _, d = sheets[member]
-        e = lcm(spot.denominator, q.denominator)
-        a = spot.numerator * (e // spot.denominator)
+        e = lcm(dc, q.denominator)
+        a = spot * (e // dc)
         b = q.numerator * (e // q.denominator)
         constant = -sigma * (a * a - b * b) * d
         linear = 2 * e * (a - b)

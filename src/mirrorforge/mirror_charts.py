@@ -31,6 +31,10 @@ from .intlinalg import identity_matrix, mat_mul, principal_minor_sums
 from .novikov import INF, NovikovScalar, _frac
 
 
+_ONE = Fraction(1)
+_UNIT = NovikovScalar._trusted(((Fraction(0), _ONE),), None)
+
+
 def _coerce_scalar(value):
     if isinstance(value, NovikovScalar):
         return value
@@ -227,9 +231,12 @@ class AffinoidElement:
     def with_basepoint(self, new_basepoint):
         """The same element written against another basepoint."""
         new_basepoint = _frac_vec(new_basepoint)
-        shift = tuple(a - b for a, b in zip(new_basepoint, self._basepoint))
-        identity, _ = self._cover.restriction_moves[(self._face, self._face[0])]
-        moved = self._restricted(self._face, (identity, shift, new_basepoint))
+        d = lcm(*(x.denominator for x in new_basepoint))
+        point = tuple(x.numerator * (d // x.denominator) for x in new_basepoint)
+        _, moves = self._cover.restriction_moves
+        identity, _ = moves[(self._face, self._face[0])]
+        move = (identity, *_offset(point, d, self._basepoint), new_basepoint)
+        moved = self._restricted(self._face, move)
         return AffinoidElement(self._cover, self._face, moved._terms, new_basepoint)
 
     def restrict(self, to_face):
@@ -248,9 +255,11 @@ class AffinoidElement:
         return self._restricted(to_face, move)
 
     def _restricted(self, to_face, move):
-        """This element carried along a move (mt, offset, basepoint):
-        z^A goes to t^<offset, A> z^(mt A) on to_face, written at
-        basepoint, and monomials that land on one exponent are added.
+        """This element carried along a move (mt, shift, scale,
+        basepoint): z^A goes to t^(<shift, A>/scale) z^(mt A) on
+        to_face, written at basepoint, and monomials that land on one
+        exponent are added.  shift is an int vector and scale a positive
+        int, so each monomial takes one int dot product and one Fraction.
 
         Nothing is checked; the move comes from ``_restriction_move``
         or is the identity move of a change of basepoint.  Every
@@ -258,11 +267,11 @@ class AffinoidElement:
         and the cocycle passes of the gerbe and of twisted modules on
         their own data.
         """
-        mt, offset, basepoint = move
+        mt, shift, scale, basepoint = move
         out = {}
         for exponent, coeff in self._terms.items():
             moved = tuple(dot(row, exponent) for row in mt)
-            scaled = coeff._shift(dot(offset, exponent))
+            scaled = coeff._shift(Fraction(dot(shift, exponent), scale))
             out[moved] = out[moved] + scaled if moved in out else scaled
         return AffinoidElement._trusted(self._cover, to_face, basepoint, out)
 
@@ -315,36 +324,62 @@ class AffinoidElement:
         return f"AffinoidElement({self._face}, {str(self)!r})"
 
 
+def _offset(point, d, basepoint):
+    # point/d - basepoint, for an int vector point and a vector of
+    # Fractions, as (shift, scale): the int numerators over the least
+    # common denominator scale
+    scale = lcm(d, *(x.denominator for x in basepoint))
+    up = scale // d
+    shift = tuple(
+        p * up - x.numerator * (scale // x.denominator) for p, x in zip(point, basepoint)
+    )
+    return shift, scale
+
+
 def _restriction_move(cover, face, basepoint, to_face):
     """How an element on face, written at basepoint, restricts to a
-    finer face: (mt, offset, the finer face's basepoint) for
+    finer face: (mt, shift, scale, the finer face's basepoint) for
     ``AffinoidElement._restricted``.
 
-    mt and the finer basepoint in the chart face[0] come from
-    ``cover.restriction_moves``; offset is that basepoint minus the
-    element's.  A to_face that is not a face raises ChartMismatchError.
+    mt and the finer basepoint in the chart face[0], an int vector on the
+    cover's scaling d, come from ``cover.restriction_moves``; the offset
+    shift/scale is that basepoint minus the element's, on the least
+    common denominator of d and the element's basepoint, which is d at a
+    canonical basepoint.  A to_face that is not a face raises
+    ChartMismatchError.
     """
     target = cover.face_chart(to_face).basepoint
-    mt, q = cover.restriction_moves[(to_face, face[0])]
-    return mt, tuple(a - b for a, b in zip(q, basepoint)), target
+    d, moves = cover.restriction_moves
+    mt, q = moves[(to_face, face[0])]
+    return (mt, *_offset(q, d, basepoint), target)
 
 
 def _exp_entry(cover, top, a, fn):
     """exp of an affine function given on chart a, written on face top.
 
-    With (mt, q) = ``restriction_moves[(top, a)]`` that is
-    t^(<A, q> + c) z^(mt A) for fn = <A, x> + c, so the function is
-    never composed with the transition.  Nothing is checked: a must be
-    a chart of the face top of the cover, and fn of the cover's
+    With (d, table) = ``restriction_moves`` and (mt, q) = table[(top, a)]
+    that is t^(<A, q>/d + c) z^(mt A) for fn = <A, x> + c, so the
+    function is never composed with the transition, and the valuation is
+    one Fraction over d times c's denominator.  Nothing is checked: a
+    must be a chart of the face top of the cover, and fn of the cover's
     dimension.
     """
-    mt, q = cover.restriction_moves[(top, a)]
-    linear = fn.linear
-    coeff = NovikovScalar._trusted(((dot(linear, q) + fn.constant, Fraction(1)),), None)
+    d, moves = cover.restriction_moves
+    mt, q = moves[(top, a)]
+    linear, c = fn.linear, fn.constant
+    value = Fraction(dot(linear, q) * c.denominator + c.numerator * d, d * c.denominator)
+    coeff = NovikovScalar._trusted(((value, _ONE),), None)
     exponent = tuple(dot(row, linear) for row in mt)
     return AffinoidElement._trusted(
         cover, top, cover.face_chart(top).basepoint, {exponent: coeff}
     )
+
+
+def _unit_on(cover, face):
+    """The exact unit on a face, at its canonical basepoint, built
+    trusted; face must be a sorted face of the cover."""
+    terms = {(0,) * cover.dimension: _UNIT}
+    return AffinoidElement._trusted(cover, face, cover.face_chart(face).basepoint, terms)
 
 
 def exp_aff(cover, face, fn):

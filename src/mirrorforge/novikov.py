@@ -711,26 +711,31 @@ class NovikovMatrix:
 
         One vector per free column of the elimination, with 1 at its own
         free column and 0 at the others, back-substituted from the pivot
-        rows in reverse pivot order; entries are truncated scalars.  Each
-        step divides by a pivot, so the pad of working cutoff above the
-        precision is read off the pivots: the elimination runs at the
-        precision, as for ``rank_at_precision``, and when the largest
-        pivot valuation is positive it runs once more at the precision
-        plus that valuation, on the pivot rows alone, since a row that
-        takes no pivot reduces no other row.  Those rows have as many
-        invariant factors below the precision, so the number of vectors
-        is the number of columns less the rank.  Kernel vectors modulo
+        rows in reverse pivot order; entries are truncated scalars.  A
+        row entry of negative valuation v multiplies a value's unknown
+        tail at the cutoff W into t^(W + v), so the vectors are worked
+        and returned at the cutoff W, the precision plus the lift -v of
+        the least such v, 0 when there is none.  Each step divides by a
+        pivot, so the pad of working cutoff above W is read off the
+        pivots: the elimination runs at W, and when the largest pivot
+        valuation is positive it runs once more at W plus that
+        valuation, on the pivot rows alone, since a row that takes no
+        pivot reduces no other row.  Those rows have as many invariant
+        factors below the precision, so the number of vectors is the
+        number of columns less the rank.  Kernel vectors modulo
         t**precision are not unique, so this is one basis among many.
-        Each vector is certified against the original rows before it is
-        returned, so back-substitution cannot smuggle in one that visibly
-        fails an equation.
+        Each vector is certified, as it is returned, to annihilate the
+        original rows modulo t**precision, so back-substitution cannot
+        smuggle in one that visibly fails an equation.
         """
         precision = _frac(precision)
-        slots = _pivot_elimination(self._rows, precision, precision)
+        least = min((x._terms[0][0] for row in self._rows for x in row if x._terms), default=0)
+        cutoff = precision - min(least, 0)
+        slots = _pivot_elimination(self._rows, precision, cutoff)
         pad = max((pivot[1] for pivot in slots.values()), default=0)
         if pad > 0:
             pivot_rows = [self._rows[pivot[3]] for pivot in slots.values()]
-            slots = _pivot_elimination(pivot_rows, precision, precision + pad)
+            slots = _pivot_elimination(pivot_rows, precision, cutoff + pad)
         rows = [
             {j: x for j, x in enumerate(row) if not x.is_exact_zero()}
             for row in self._rows
@@ -745,14 +750,14 @@ class NovikovMatrix:
                 total = _dot(slots[c][0], values)
                 if not total.is_exact_zero():
                     values[c] = total * _lead_factor(slots[c], c)
+            vector = tuple(values.get(c, zero).truncate(cutoff) for c in range(self.ncols))
             # no term at or past the precision decides a residual
-            if not all(_dot(row, values, precision).is_zero_at(precision) for row in rows):
+            returned = dict(enumerate(vector))
+            if not all(_dot(row, returned, precision).is_zero_at(precision) for row in rows):
                 raise PrecisionExhaustedError(
                     f"kernel candidate fails a row at precision t^({precision})"
                 )
-            basis.append(
-                tuple(values.get(c, zero).truncate(precision) for c in range(self.ncols))
-            )
+            basis.append(vector)
         return basis
 
     def __str__(self):

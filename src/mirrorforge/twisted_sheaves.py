@@ -28,7 +28,7 @@ from .errors import (
     UndecidableDescriptionError,
 )
 from .intlinalg import determinant
-from .mirror_charts import AffinoidElement, _exp_entry, _restriction_move
+from .mirror_charts import AffinoidElement, _exp_entry, _restriction_move, _unit_on
 from .novikov import INF, NovikovMatrix, NovikovScalar, _frac
 
 
@@ -255,7 +255,8 @@ def rank_one_module_from_cochain(fibration, cochain):
     The entry of a pair depends only on the final chart a of its low
     face and on its top face, so each distinct entry is formed once: exp
     of the edge value on chart a, read off the cover's restriction move
-    from chart a to the top face.
+    from chart a to the top face, or, when a is the top face's final
+    chart, the unit, built trusted once per top face.
     """
     cover = fibration.cover
     if cochain.degree != 1:
@@ -269,7 +270,7 @@ def rank_one_module_from_cochain(fibration, cochain):
         entry = entries.get((a, top))
         if entry is None:
             if a == b:
-                entry = AffinoidElement.one(cover, top)
+                entry = _unit_on(cover, top)
             else:
                 entry = _exp_entry(cover, top, a, cochain.value((a, b)))
             entries[(a, top)] = entry
@@ -329,14 +330,83 @@ class ValidationReport:
         }
 
 
-def _equal_and_exact(left, right):
-    """Are two sparse-row matrices on one chart equal entry for entry,
-    with every coefficient exact?  Their difference is then the exact
-    zero, so no residual needs forming."""
-    for row_l, row_r in zip(left, right):
-        terms = {j: x._terms for j, x in row_l.items() if x._terms}
-        if terms != {j: y._terms for j, y in row_r.items() if y._terms} or any(
-            c._cutoff is not None for t in terms.values() for c in t.values()
+def _monomial(element):
+    # (exponent, valuation, coefficient) of an exact single-term
+    # monomial, else None
+    terms = element._terms
+    if len(terms) == 1:
+        ((a, c),) = terms.items()
+        if c._cutoff is None and len(c._terms) == 1:
+            return (a, *c._terms[0])
+    return None
+
+
+def _monomial_keys(module):
+    """The module's rows and twist factors read as int keys, once per
+    call of validate_module: (D, keys, twists).
+
+    keys maps each nested pair to its rows as (column, exponent,
+    valuation times D, coefficient numerator, denominator), or to None
+    unless each row is one exact single-term monomial in a column no
+    other row uses; twists maps each chain to its factor as (exponent,
+    valuation times D, numerator, denominator), or to None.  D is the
+    least common multiple of the scaling d of the cover's
+    restriction_moves and of every keyed valuation's denominator."""
+    read = {}
+    for pair, rows in module._rows.items():
+        monomials = []
+        for row in rows:
+            if len(row) != 1:
+                break
+            ((j, entry),) = row.items()
+            monomial = _monomial(entry)
+            if monomial is None:
+                break
+            monomials.append((j, monomial))
+        else:
+            if len({j for j, _ in monomials}) == len(monomials):
+                read[pair] = monomials
+    factors = {chain: _monomial(x) for chain, x in module.fibration.twist_factors.items()}
+    scale = lcm(
+        module.cover.restriction_moves[0],
+        *{m[1].denominator for monomials in read.values() for _, m in monomials},
+        *{m[1].denominator for m in factors.values() if m is not None},
+    )
+
+    def key(a, v, c):
+        return a, v.numerator * (scale // v.denominator), c.numerator, c.denominator
+
+    keys = dict.fromkeys(module._rows)
+    for pair, monomials in read.items():
+        keys[pair] = tuple((j, *key(*m)) for j, m in monomials)
+    twists = {chain: m and key(*m) for chain, m in factors.items()}
+    return scale, keys, twists
+
+
+def _keys_agree(inner, outer, direct, twist, move, scale):
+    """Does outer times inner carried along move equal twist times
+    direct, entry for entry, read off the int keys of _monomial_keys?
+
+    Row r of outer holds x2 = c2 t^v2 z^A2 in column k alone, and row k
+    of inner x1 = c1 t^v1 z^A1 in column j alone, so row r of the left
+    side is the one entry c1 c2 t^(v1 + v2 + <offset, A1>) z^(A2 + mt A1)
+    in column j; the right side's is the twist times the entry of row r
+    of direct.  offset is shift/d for the move's (shift, d), and d is the
+    cover's scaling at a canonical basepoint, which scale is a multiple
+    of.  A pair or twist with no keys gives False.
+    """
+    if inner is None or outer is None or direct is None or twist is None:
+        return False
+    at, vt, nt, dt = twist
+    mt, shift, d, _ = move
+    up = scale // d
+    for (k, a2, v2, n2, d2), (j, a3, v3, n3, d3) in zip(outer, direct):
+        j1, a1, v1, n1, d1 = inner[k]
+        if (
+            j1 != j
+            or v1 + v2 + dot(shift, a1) * up != vt + v3
+            or n1 * n2 * dt * d3 != nt * n3 * d1 * d2
+            or tuple(x + dot(row, a1) for x, row in zip(a2, mt)) != tuple(map(add, at, a3))
         ):
             return False
     return True
@@ -350,25 +420,39 @@ def validate_module(module, precision, stop_early=False):
     that only need the accept/reject decision; the report then counts
     the chains and pairs examined up to it.
 
-    The module's own sparse rows are trusted: they are read by the
-    sorted keys of the cover's chains, and entries of the low pair are
-    carried to the top face along the cover's restriction move, worked
-    out once per (mid, top) pair in each call.  Both sides of the
-    identity are formed as sparse rows (_rows_product), so an exact zero
-    of the module forms no product.  A residual, and its norm, is formed
-    only where the two sides are not the same exact elements; any
-    truncated coefficient takes that path too, so precision runs out
+    The module's own sparse rows are trusted and read once per call as
+    int keys (_monomial_keys): a pair whose every row is one exact
+    single-term monomial, in a column no other row uses, is keyed by
+    column, exponent, valuation on one common scale D and coefficient,
+    and each twist is read the same way.  A chain whose three pairs and
+    twist have keys is decided on them (_keys_agree): the entries of the
+    low pair are carried to the top face along the cover's restriction
+    move, worked out once per (mid, top) pair in each call on the
+    cover's integer scaling, so the left side's key is a sum of ints.
+    Equal keys mean equal exact elements, whose difference is the exact
+    zero at every precision, so the chain holds with nothing formed.
+    Every other chain forms both sides as sparse rows (_rows_product),
+    so an exact zero of the module forms no product, and a residual and
+    its norm: a truncated coefficient has no key, so precision runs out
     exactly where it does on the residual.  The residual holds the
     entries where either side has one, in row-major order: every other
     entry of the dense residual is 0 - 0, which is zero at any precision
     and has norm INF, so the verdict and the norm are the dense ones.
-    The determinants read the same rows, so a diagonal restriction
-    costs the product of its entries.
+
+    A pair with keys is a generalised permutation matrix whose nonzero
+    entries are exact single-term monomials c t^v z^A.  Its determinant
+    is the sign of the permutation times their product, one exact
+    monomial with nonzero coefficient, and element_is_unit_at accepts an
+    exact monomial at every precision: it is the only term, so nothing
+    can dominate it.  So the pair is counted and no determinant is
+    formed.  Other pairs take intlinalg.determinant on the same rows, so
+    a diagonal restriction costs the product of its entries.
     """
     precision = _frac(precision)
     cover = module.cover
     rows = module._rows
-    twists = module.fibration.twist_factors
+    factors = module.fibration.twist_factors
+    scale, keys, twists = _monomial_keys(module)
     moves = {}
     cocycle_failures = []
     chains = 0
@@ -379,18 +463,20 @@ def validate_module(module, precision, stop_early=False):
         if move is None:
             basepoint = cover.face_chart(mid).basepoint
             move = moves[(mid, top)] = _restriction_move(cover, mid, basepoint, top)
+        if _keys_agree(
+            keys[(low, mid)], keys[(mid, top)], keys[(low, top)], twists[chain], move, scale
+        ):
+            continue
         restricted = tuple(
             {j: entry._restricted(top, move) for j, entry in row.items()}
             for row in rows[(low, mid)]
         )
         left = _rows_product(rows[(mid, top)], restricted)
-        twist = twists[chain]
+        twist = factors[chain]
         right = tuple(
             {j: _aff_product(twist, entry) for j, entry in row.items()}
             for row in rows[(low, top)]
         )
-        if _equal_and_exact(left, right):
-            continue
         zero = _zero_on(cover, top)
         residual = [
             row_l.get(j, zero) - row_r.get(j, zero)
@@ -408,6 +494,8 @@ def validate_module(module, precision, stop_early=False):
         zeros = {}
         for pair in cover.nested_pairs:
             pairs += 1
+            if keys[pair] is not None:
+                continue
             top = pair[1]
             zero = zeros.get(top)
             if zero is None:

@@ -76,7 +76,8 @@ def reference_restrictions(lagrangian, fibration, cutoff=None):
     for low, top in cover.nested_pairs:
         (member,) = low
         data = local_floer_data(lagrangian, cover, member)
-        _, spot = cover.restriction_moves[(top, member)]
+        d, moves = cover.restriction_moves
+        spot = tuple(F(x, d) for x in moves[(top, member)][1])
         exponent = (-sigma * reference_wrap(cover, offsets, top, member),)
         zero = AffinoidElement(cover, top)
         rows = []

@@ -809,3 +809,14 @@ def test_kernel_vectors_are_checked_by_their_properties():
     precision = F(4)
     assert reference_kernel(rows, precision)[0] == [1, 2]
     assert assert_rank_and_kernel_match(rows, precision) == 2
+
+
+def test_kernel_vectors_annihilate_rows_of_negative_valuation():
+    # certified before truncation at the bare precision, the vector was
+    # (-1 + t mod t^2, 1 mod t^2), whose residual against t^(-1) is known
+    # only mod t^1; raised by the lift 1, it is known mod t^3
+    rows = [[t((-1, 1), (0, 1)), t((-1, 1))]]
+    precision = F(2)
+    (vector,) = NovikovMatrix(rows).kernel_basis_at_precision(precision)
+    assert [x.cutoff for x in vector] == [3, 3]
+    assert_kernel_shape(rows, precision, [vector], [1])

@@ -413,7 +413,7 @@ def reached_edge_exponents(module, radius):
     cover = module.cover
     reached = set()
     for (i, edge), sheets in _edge_monomials(module).items():
-        mt, _ = cover.restriction_moves[(edge, i)]
+        mt, _ = cover.restriction_moves[1][(edge, i)]
         for a in _window_exponents(cover.dimension, radius):
             moved = [sum(r * x for r, x in zip(row, a)) for row in mt]
             for b, _, _ in sheets:

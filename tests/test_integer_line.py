@@ -73,7 +73,8 @@ def reference_entries(lagrangian, fibration):
     out = {}
     for low, top in cover.nested_pairs:
         (member,) = low
-        (spot,) = cover.restriction_moves[(top, member)][1]
+        d, moves = cover.restriction_moves
+        spot = F(moves[(top, member)][1][0], d)
         q = cover.face_chart(low).basepoint[0]
         gammas, _ = reference_sheets(lagrangian, q, offsets[member])
         step = spot - q
@@ -91,14 +92,14 @@ def reference_entries(lagrangian, fibration):
 def reference_compose_loop(module, monomials, loop=None):
     # the loop composed on SheetMonodromy values, Fraction by Fraction
     cover = module.cover
-    moves = cover.restriction_moves
+    d, moves = cover.restriction_moves
     if loop is None:
         loop = list(range(len(cover.chart_ids))) + [0]
     state = [SheetMonodromy(0, F(0), F(0)) for _ in range(module.rank)]
     for a, b in zip(loop, loop[1:]):
         edge = tuple(sorted((a, b)))
-        ta = moves[(edge, a)][1][0] - cover.face_chart((a,)).basepoint[0]
-        tb = moves[(edge, b)][1][0] - cover.face_chart((b,)).basepoint[0]
+        ta = F(moves[(edge, a)][1][0], d) - cover.face_chart((a,)).basepoint[0]
+        tb = F(moves[(edge, b)][1][0], d) - cover.face_chart((b,)).basepoint[0]
         weight = ta - tb
         for j in range(module.rank):
             (ea,), va, _ = monomials[(a, edge)][j]

@@ -304,7 +304,8 @@ def reference_patch_global(lagrangian, fibration):
     restrictions = {}
     for low, top in cover.nested_pairs:
         (member,) = low
-        _, spot = cover.restriction_moves[(top, member)]
+        d, moves = cover.restriction_moves
+        spot = tuple(Fraction(x, d) for x in moves[(top, member)][1])
         wrap = _edge_wrap(cover, offsets, top, member)
         matrix = []
         for r in range(count):

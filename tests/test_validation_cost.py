@@ -16,7 +16,13 @@ forms them.
 The cocycle pass reads the module's own sparse rows, carries entries
 along the cover's move table, multiplies rows with no product for an
 exact zero and forms a residual only where the two sides of the
-identity differ or carry a truncated coefficient.  The pass it
+identity differ or carry a truncated coefficient.  A chain whose
+pairs are generalised permutation matrices of exact single-term
+monomials is decided on int keys with no element formed, and such a
+pair forms no determinant: the seeded gauge changes of direct sums
+below, of rank 1 to 6 on every catalog, and their mutants hold the keyed
+pass to the reference, and a guard counts products and determinants on
+the canonical and line modules.  The pass it
 replaced, on dense matrices read through ``module.restriction`` and
 ``entry.restrict`` with a residual for every chain, is kept below as a
 reference with its dense matrix helpers: reports, and every
@@ -299,13 +305,13 @@ def test_restriction_to_a_set_that_is_not_a_face_names_it():
 @pytest.mark.parametrize("name", CATALOGS)
 def test_move_table_has_one_entry_per_chart_of_each_face(name):
     cover = load_catalog(name).cover
-    table = cover.restriction_moves
+    d, table = cover.restriction_moves
     assert set(table) == {(face, i) for face in cover.faces for i in face}
     for (face, i), (transposed, basepoint) in table.items():
         phi = cover.transition(face[0], i)
         assert transposed == tuple(zip(*phi.linear))
-        assert basepoint == phi.apply(cover.face_chart(face).basepoint)
-        assert all(type(x) is Fraction for x in basepoint)
+        assert tuple(F(x, d) for x in basepoint) == phi.apply(cover.face_chart(face).basepoint)
+        assert all(type(x) is int for x in basepoint)
 
 
 def test_the_shift_is_the_product_with_a_unit_monomial():
@@ -578,6 +584,14 @@ def validation_cases():
         for slope in (3, -2):
             line = LinearLagrangian(slope, F(1, 3))
             cases.append((patch_global(line, load_catalog(name)), 10))
+    # modules with no keys, whose every chain forms its products
+    rng = random.Random("unit products")
+    for name in TORUS_TRIVIAL:
+        gauged = unipotent_gauge(direct_sum(canonical_twisted_module(load_catalog(name)), 2), rng)
+        low, top = gauged.pairs[0]
+        x = gauged.restriction(low, top)[1][1]
+        two_term = x + x * AffinoidElement.monomial(gauged.cover, top, S.monomial(1, F(3, 2)), (1, 0))
+        cases += [(gauged, 10), (gauged.with_entry(low, top, 1, 1, two_term), 3)]
     return cases
 
 
@@ -595,6 +609,8 @@ def test_reports_match_the_pass_that_multiplies_by_the_unit(monkeypatch):
     ]
     assert got == expected
     assert any(not report.ok for report in got)
+    gauged = got[-4:]
+    assert [report.ok for report in gauged] == [True, True, False, False]
 
 
 # -- the trusted cocycle pass against the checked one -------------------------------
@@ -853,3 +869,198 @@ def test_the_move_table_is_built_once_per_cover(name, monkeypatch):
     element = module.restriction(*module.pairs[0])[0][0]
     element.with_basepoint(off_basepoint(fibration.cover, element.face))
     assert built == [fibration.cover]
+
+
+# -- generalised permutation modules, decided on int keys ----------------------------
+
+
+PRECISIONS = (F(1, 2), F(3), F(10))
+# the one rank at which each torus is checked at every precision and
+# with its mutants: the checked pass costs cubically in the rank on each
+# of a torus's 540 chains
+TORUS_MUTANT_RANK = {"split-torus-4": 1, "thurston-f1": 2, "thurston-f2": 3}
+PERMUTATION_CASES = [(name, rank) for name in CATALOGS for rank in range(1, 7)]
+
+
+def seeded_cochain(rng, fibration):
+    """The trivialising certificate, or the zero cochain where the class
+    is not trivial, plus the coboundary of seeded chart constants, which
+    leaves the twist of its rank-one module unchanged."""
+    cover = fibration.cover
+    certificate = coboundary_certificate(fibration.obstruction_cocycle())
+    constants = [F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in cover.chart_ids]
+    values = {}
+    for a, b in cover.faces_of_degree(1):
+        if certificate is None:
+            base = AffineFunction((0,) * cover.dimension, 0)
+        else:
+            base = certificate.value((a, b))
+        values[(a, b)] = AffineFunction(base.linear, base.constant + constants[b] - constants[a])
+    return cover_module.AffCochain(cover, 1, values)
+
+
+def monomial_on(rng, cover, face):
+    coeff = S.monomial(
+        F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 7))),
+        F(rng.randint(-4, 4), rng.choice((1, 2, 3))),
+    )
+    exponent = tuple(rng.randint(-2, 2) for _ in range(cover.dimension))
+    return AffinoidElement.monomial(cover, face, coeff, exponent)
+
+
+def permutation_module(rng, fibration, rank):
+    """G_top R (G_low restricted to top)^-1 on every nested pair, for R
+    the direct sum of rank seeded rank-one modules and G a seeded
+    generalised permutation matrix of single monomials c t^v z^A per
+    face: a gauge change, so it keeps the cocycle identity and the
+    twist, and every restriction stays a generalised permutation
+    matrix."""
+    cover = fibration.cover
+    blocks = [
+        rank_one_module_from_cochain(fibration, seeded_cochain(rng, fibration))
+        for _ in range(rank)
+    ]
+    gauges = {}
+    for face in cover.faces:
+        perm = rng.sample(range(rank), rank)
+        gauges[face] = [(perm[r], monomial_on(rng, cover, face)) for r in range(rank)]
+    restrictions = {}
+    for low, top in cover.nested_pairs:
+        # row r of G_low holds g at column c, so row c of its inverse
+        # holds 1/g at column r
+        inverse = {c: (r, g.restrict(top).inverse()) for r, (c, g) in enumerate(gauges[low])}
+        zero = AffinoidElement(cover, top)
+        mat = [[zero] * rank for _ in range(rank)]
+        for r, (c, g) in enumerate(gauges[top]):
+            ((entry,),) = blocks[c].restriction(low, top)
+            column, h = inverse[c]
+            mat[r][column] = g * entry * h
+        restrictions[(low, top)] = mat
+    return TwistedModule(fibration, rank, restrictions)
+
+
+def permutation_mutants(rng, module):
+    """(kind, mutant) for each way one restriction entry x at (i, j) of
+    a seeded pair can go wrong."""
+    cover = module.cover
+    low, top = rng.choice(module.pairs)
+    mat = module.restriction(low, top)
+    i = rng.randrange(module.rank)
+    j = next(c for c, x in enumerate(mat[i]) if x.terms)
+    x = mat[i][j]
+    zero = AffinoidElement(cover, top)
+    step = tuple(int(n == 0) for n in range(cover.dimension))
+    ((a, c),) = x.terms.items()
+    out = [
+        ("t-scaled", x * S.monomial(1, 1)),
+        ("negated", -x),
+        ("exponent moved", x * AffinoidElement.monomial(cover, top, 1, step)),
+        ("truncated", AffinoidElement(cover, top, {a: c.truncate(c.valuation() + F(rng.randint(1, 10), 2))})),
+        ("two-term", x + x * AffinoidElement.monomial(cover, top, S.monomial(1, F(3, 2)), step)),
+        ("exact zero", zero),
+    ]
+    out = [(kind, module.with_entry(low, top, i, j, entry)) for kind, entry in out]
+    if module.rank > 1:
+        k = rng.choice([r for r in range(module.rank) if r != i])
+        jk = next(c for c, y in enumerate(mat[k]) if y.terms)
+        swapped = (
+            module.with_entry(low, top, i, j, zero)
+            .with_entry(low, top, k, jk, zero)
+            .with_entry(low, top, i, jk, x)
+            .with_entry(low, top, k, j, mat[k][jk])
+        )
+        out.append(("columns swapped", swapped))
+    return out
+
+
+@pytest.mark.parametrize("name, rank", PERMUTATION_CASES)
+def test_permutation_modules_and_mutants_match_the_checked_pass(name, rank):
+    fibration = load_catalog(name)
+    rng = random.Random(f"permutation:{name}:{rank}")
+    module = permutation_module(rng, fibration, rank)
+    want = name != "thurston-f1"
+    if name in CIRCLES or TORUS_MUTANT_RANK[name] == rank:
+        precisions = PRECISIONS
+    else:
+        # a torus module at its other ranks at one seeded precision and
+        # with no mutants, to bound the checked pass's cost
+        precisions = [rng.choice(PRECISIONS)]
+    got = verdicts(assert_same_reports([(module, p) for p in precisions]))
+    assert got == [want] * len(precisions)
+    if len(precisions) == 1:
+        return
+    mutants = permutation_mutants(rng, module)
+    assert len(mutants) == (6 if rank == 1 else 7)
+    refused = []
+    for kind, mutant in mutants:
+        if name not in CIRCLES:
+            # each torus mutant at one seeded precision
+            precisions = [rng.choice(PRECISIONS)]
+        got = verdicts(assert_same_reports([(mutant, p) for p in precisions]))
+        if kind == "exact zero":
+            # a singular restriction is refused at every precision
+            assert got == [False] * len(precisions)
+        refused += [kind for verdict in got if verdict is False]
+    # a circle cover has no nested chains, so only a singular
+    # restriction is refused there
+    if name in CIRCLES:
+        assert set(refused) == {"exact zero"}
+    else:
+        assert len(set(refused)) > 1
+
+
+@pytest.mark.parametrize("name", CATALOGS)
+def test_permutation_modules_are_keyed_and_skip_the_determinant(name, monkeypatch):
+    fibration = load_catalog(name)
+    module = permutation_module(random.Random(f"keys:{name}"), fibration, 3)
+    scale, keys, twists = twisted_sheaves._monomial_keys(module)
+    assert all(key is not None for key in (*keys.values(), *twists.values()))
+    assert scale % fibration.cover.restriction_moves[0] == 0
+    calls = []
+
+    def counting_determinant(*args):
+        calls.append(args)
+        return determinant(*args)
+
+    monkeypatch.setattr(twisted_sheaves, "determinant", counting_determinant)
+    report = validate_module(module, 3)
+    assert report.pairs_checked == len(module.pairs) and calls == []
+
+
+def test_validation_of_monomial_modules_forms_no_product_and_no_determinant(monkeypatch):
+    modules = [canonical(name) for name in TORUS_TRIVIAL]
+    modules += [patch_global(LinearLagrangian(s, F(2, 7)), load_catalog(c)) for c in CIRCLES for s in (9, -9)]
+    calls = []
+    multiply = AffinoidElement.__mul__
+
+    def counting_mul(self, other):
+        calls.append("mul")
+        return multiply(self, other)
+
+    def counting_determinant(*args):
+        calls.append("det")
+        return determinant(*args)
+
+    monkeypatch.setattr(AffinoidElement, "__mul__", counting_mul)
+    monkeypatch.setattr(twisted_sheaves, "determinant", counting_determinant)
+    for module in modules:
+        for precision in PRECISIONS:
+            assert validate_module(module, precision).ok
+    assert calls == []
+
+
+def unipotent_gauge(module, rng):
+    """G_top R (G_low restricted to top)^-1 for G = 1 + u E_01 per face,
+    u a seeded monomial: an accepted module whose row 0 holds two
+    entries, so none of its pairs has keys."""
+    cover = module.cover
+    units = {face: monomial_on(rng, cover, face) for face in cover.faces}
+    restrictions = {}
+    for low, top in module.pairs:
+        mat = [list(row) for row in module.restriction(low, top)]
+        u, w = units[top], units[low].restrict(top)
+        # (1 + u E01) R (1 - w E01) on a diagonal R: row 0 gains u R11
+        # and loses R00 w in column 1
+        mat[0][1] = mat[0][1] + u * mat[1][1] - mat[0][0] * w
+        restrictions[(low, top)] = mat
+    return TwistedModule(module.fibration, module.rank, restrictions)

@@ -36,6 +36,8 @@ TORI = CATALOGS[2:]
 LINE_COMMANDS = ("sheaf", "demo")
 MANIFEST_COMMANDS = ("build", "gerbe", "validate")
 SHIFTED = "elliptic-demo-plus-1-7"
+# the manifests of covers scaled by a fraction
+SCALED = ("thurston-f2-times-5-2", "split-torus-4-times-3-7")
 # the manifests of one-dimensional covers, which the line reports read
 CIRCLE_MANIFESTS = (*CIRCLES, SHIFTED)
 
@@ -47,8 +49,10 @@ def commands(manifests=()):
     -1600 and 3200 on elliptic-demo and 1600 on split-torus-2), the
     large precisions -E 240 and 960, offsets outside (-1, 1) in text and
     JSON, the refusals, build, gerbe and validate in text and JSON on
-    each manifest path, and sheaf and demo at slopes 2 and -3 on each
-    circle manifest."""
+    each manifest path, sheaf and demo at slopes 2 and -3 on each
+    circle manifest, validate at -E 1/10 and 1/1000 on every catalog and
+    scaled manifest, and sheaf and demo at slopes 9 and -9 on both
+    circles, whose restrictions are rank-9 monomial matrices."""
     out = []
     for name, catalog, output in product(
         ("build", "gerbe", "validate", "selftest"), CATALOGS, ("text", "json")
@@ -89,6 +93,13 @@ def commands(manifests=()):
         out.append(["sheaf", "--catalog", catalog, "--slope", slope])
     for name, catalog in product(LINE_COMMANDS, TORI):
         out.append([name, "--catalog", catalog, "--slope", "1"])
+    for name, catalog, slope in product(LINE_COMMANDS, CIRCLES, ("9", "-9")):
+        out.append([name, "--catalog", catalog, "--slope", slope])
+    scaled = [["--manifest", str(path)] for path in manifests if Path(path).stem in SCALED]
+    for source, precision in product(
+        [["--catalog", catalog] for catalog in CATALOGS] + scaled, ("1/10", "1/1000")
+    ):
+        out.append(["validate", *source, "-E", precision])
     for path, name, output in product(manifests, MANIFEST_COMMANDS, ("text", "json")):
         out.append([name, "--manifest", str(path), "--output", output])
     circles = [path for path in manifests if Path(path).stem in CIRCLE_MANIFESTS]

@@ -380,12 +380,6 @@ class IntegralAffineMap:
             dot(row, point) + c for row, c in zip(self._linear, self._translation)
         )
 
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        cols = tuple(zip(*other._linear))
-        m = tuple(tuple(dot(row, col) for col in cols) for row in self._linear)
-        return IntegralAffineMap._trusted(m, self.apply(other._translation))
-
     def inverse(self):
         """By Cayley-Hamilton, M^-1 = (-1)^(n+1) e_n (M^(n-1) - e_1 M^(n-2)
         + ... +- e_(n-1)), e_k the principal-minor sums; e_n = det = +-1."""
@@ -541,9 +535,6 @@ class PolyFunction:
     def terms(self):
         return dict(self._terms)
 
-    def degree(self):
-        return max((sum(p) for p in self._terms), default=0)
-
     def is_zero(self):
         return not self._terms
 
@@ -597,29 +588,10 @@ class PolyFunction:
 
     __rmul__ = __mul__
 
-    def compose_with_map(self, phi):
-        """Substitute x = M y + tau."""
-        n = self._dimension
-        coords = []
-        for i in range(n):
-            terms = {(0,) * n: phi.translation[i]}
-            for j in range(n):
-                powers = tuple(1 if k == j else 0 for k in range(n))
-                terms[powers] = Fraction(phi.linear[i][j])
-            coords.append(PolyFunction(n, terms))
-        total = PolyFunction.zero(n)
-        for powers, coeff in self._terms.items():
-            piece = PolyFunction(n, {(0,) * n: coeff})
-            for i, p in enumerate(powers):
-                for _ in range(p):
-                    piece = piece * coords[i]
-            total = total + piece
-        return total
-
     def as_affine(self):
         """View as an AffineFunction; degree-2 terms or non-integer
         differentials are an error."""
-        if self.degree() > 1:
+        if any(sum(powers) > 1 for powers in self._terms):
             raise ValueError("polynomial has a quadratic part")
         linear = [0] * self._dimension
         constant = Fraction(0)

@@ -81,6 +81,35 @@ class Cover:
     """
 
     def __init__(self, dimension, chart_ids, faces, polytopes, transitions):
+        self._read(dimension, chart_ids, faces, polytopes, transitions)
+        self._validate()
+
+    @classmethod
+    def _of_intersections(cls, dimension, chart_ids, faces, polytopes, transitions):
+        """The cover whose face polytopes ``face_polytopes_from_charts``
+        built as chart intersections, given both directions of every
+        transition: every check of ``_validate`` runs but the sub-face
+        containment pass, which cannot fail on such a cover.
+
+        Proof.  The polytope of a face F with least chart l is the
+        intersection X_F of the images phi_(m->l)(P_m) over the charts m
+        of F: its vertices are exact points of X_F, and every point of X_F
+        meets its halfspaces.  Take a sub-face G of F with least chart l'
+        and a vertex p of F's polytope.  If l' = l, X_G intersects fewer
+        of the same sets, so it holds p.  Otherwise G = F - {l}, and for
+        each chart m of G other than l' the closed nerve holds the
+        triangle {l, l', m}, whose cocycle identity was checked; with the
+        exact inverse of each transition it gives phi_(l->l') o
+        phi_(m->l) = phi_(m->l'), as the inverse alone does for m = l'.
+        So phi_(l->l')(p) lies in phi_(m->l')(P_m) for every m of G, that
+        is in X_G, and meets G's halfspaces.
+        """
+        self = object.__new__(cls)
+        self._read(dimension, chart_ids, faces, polytopes, transitions)
+        self._validate_nerve_and_cocycle()
+        return self
+
+    def _read(self, dimension, chart_ids, faces, polytopes, transitions):
         (self._dimension,) = _int_vec((dimension,), "cover dimensions")
         self._chart_ids = tuple(str(c) for c in chart_ids)
         if len(set(self._chart_ids)) != len(self._chart_ids):
@@ -103,11 +132,12 @@ class Cover:
         }
         self._transitions = _directed_transitions(transitions)
         self._identity = IntegralAffineMap.identity(self._dimension)
-        self._validate()
 
     # -- validation ----------------------------------------------------
 
-    def _validate(self):
+    def _validate_nerve_and_cocycle(self):
+        # every check but containment: the nerve, a polytope per face and a
+        # transition per edge, and the cocycle identity on each triangle
         n = len(self._chart_ids)
         for i in range(n):
             if (i,) not in self._faces:
@@ -143,13 +173,25 @@ class Cover:
                 raise InvalidCoverError(
                     f"transition on {self._fmt(edge)} has wrong dimension"
                 )
+        # phi_jk o phi_ij = phi_ik on ints: M_jk M_ij = M_ik and M_jk tau_ij
+        # + tau_jk = tau_ik, the translations times the cover's scaling
+        taus = self._scaled[3]
         for tri in self.faces_of_degree(2):
             i, j, k = tri
-            lhs = self.transition(j, k).compose(self.transition(i, j))
-            if lhs != self.transition(i, k):
+            ij, jk, ik = self._transitions[i, j], self._transitions[j, k], self._transitions[i, k]
+            columns = tuple(zip(*ij.linear))
+            holds = all(
+                tuple(dot(row, col) for col in columns) == target
+                and dot(row, taus[i, j]) + t == s
+                for row, target, t, s in zip(jk.linear, ik.linear, taus[j, k], taus[i, k])
+            )
+            if not holds:
                 raise InvalidCoverError(
                     f"transitions fail the cocycle identity on {self._fmt(tri)}"
                 )
+
+    def _validate(self):
+        self._validate_nerve_and_cocycle()
         # n.y <= b on a sub-face, y = M x + tau, reads (M^T n).x <= b - n.tau
         # in the face's chart, with the whole cover on one integer scaling
         _, lines, corners, taus = self._scaled
@@ -542,23 +584,84 @@ class FibrationData:
         return self._primitives.get(edge, PolyFunction.zero(self._cover.dimension))
 
     def _build_alpha(self):
+        """alpha_ijk = f_ij + f_jk o phi_ij - f_ik on every triangle, on
+        coefficient tables of ints: with the translations times the
+        cover's scaling d and the coefficients of the three primitives
+        times the lcm e of their denominators, x = M y + tau is
+        substituted into f_jk's terms in closed form and every
+        coefficient of the combination is held times e d^2.  A quadratic
+        part is refused, and so is a differential that is not integral.
+
+        The linear parts are merged as PolyFunction addition merges
+        terms, each key where it first appears and a key whose sum
+        vanishes dropped, so that a refusal names the direction that the
+        sum f_ij + f_jk o phi_ij - f_ik of PolyFunctions meets first."""
         cover = self._cover
+        n = cover.dimension
+        d, _, _, taus = cover._scaled
+        zero = PolyFunction.zero(n)
         values = {}
         for tri in cover.faces_of_degree(2):
             i, j, k = tri
-            combo = (
-                self.primitive((i, j))
-                + self.primitive((j, k)).compose_with_map(cover.transition(i, j))
-                - self.primitive((i, k))
-            )
-            try:
-                values[tri] = combo.as_affine()
-            except ValueError as exc:
+            ij, jk, ik = (self._primitives.get(e, zero) for e in ((i, j), (j, k), (i, k)))
+            e = lcm(*(c.denominator for f in (ij, jk, ik) for c in f._terms.values()))
+            scale = e * d * d
+            quadratic, constant, sides = {}, 0, []
+            for f, sign in ((ij, 1), (ik, -1)):
+                side = {}
+                for powers, c in f._terms.items():
+                    value = sign * c.numerator * (scale // c.denominator)
+                    degree = sum(powers)
+                    if degree == 0:
+                        constant += value
+                    elif degree == 1:
+                        side[powers.index(1)] = value
+                    else:
+                        quadratic[powers] = quadratic.get(powers, 0) + value
+                sides.append(side)
+            m, tau = cover.transition(i, j).linear, taus[i, j]
+            moved = {}
+            for powers, c in jk._terms.items():
+                # c x_a x_b = c (M_a.y + tau_a)(M_b.y + tau_b), times e d^2
+                value = c.numerator * (e // c.denominator)
+                axes = [a for a, p in enumerate(powers) for _ in range(p)]
+                if not axes:
+                    constant += value * d * d
+                    continue
+                if len(axes) == 1:
+                    (a,) = axes
+                    piece = [(p, value * d * d * m[a][p]) for p in range(n)]
+                    constant += value * d * tau[a]
+                else:
+                    a, b = axes
+                    piece = [(q, value * d * tau[a] * m[b][q]) for q in range(n)]
+                    piece += [(p, value * d * m[a][p] * tau[b]) for p in range(n)]
+                    constant += value * tau[a] * tau[b]
+                    for p in range(n):
+                        for q in range(n):
+                            key = tuple((p == r) + (q == r) for r in range(n))
+                            product = value * d * d * m[a][p] * m[b][q]
+                            quadratic[key] = quadratic.get(key, 0) + product
+                moved = _merged(moved, _merged({}, piece).items())
+            linear = _merged(_merged(sides[0], moved.items()), sides[1].items())
+            fractional = next((p for p, x in linear.items() if x % scale), None)
+            if any(quadratic.values()) or fractional is not None:
                 ids = tuple(cover.chart_ids[x] for x in tri)
+                problem = (
+                    "polynomial has a quadratic part"
+                    if any(quadratic.values())
+                    else f"differential in direction {fractional} is not integral: "
+                    f"{Fraction(linear[fractional], scale)}"
+                )
                 raise InvalidFibrationError(
-                    f"primitives are incompatible on triple {ids}: {exc}"
-                ) from exc
-        return AffCochain(cover, 2, values)
+                    f"primitives are incompatible on triple {ids}: {problem}"
+                )
+            if constant or linear:
+                values[tri] = AffineFunction._trusted(
+                    tuple(linear.get(p, 0) // scale for p in range(n)),
+                    Fraction(constant, scale),
+                )
+        return AffCochain._trusted(cover, 2, values)
 
     def obstruction_cocycle(self):
         return self._alpha
@@ -588,6 +691,16 @@ class FibrationData:
                     units[top] = _unit_on(cover, top)
                 out[(low, mid, top)] = units[top]
         return out
+
+
+def _merged(terms, more):
+    # PolyFunction addition on one part of the terms: each key where it
+    # first appears, a key whose sum vanishes dropped
+    out = dict(terms)
+    for key, value in more:
+        if value:
+            out[key] = out.get(key, 0) + value
+    return {key: value for key, value in out.items() if value}
 
 
 @dataclass
@@ -769,7 +882,7 @@ def _cover_from_charts(dimension, chart_ids, chart_polytopes, faces, transitions
     """The cover of the chart intersections, each edge inverted once."""
     directed = _directed_transitions(transitions)
     polytopes = face_polytopes_from_charts(dimension, chart_polytopes, faces, directed)
-    return Cover(dimension, chart_ids, faces, polytopes, directed)
+    return Cover._of_intersections(dimension, chart_ids, faces, polytopes, directed)
 
 
 def coboundary_certificate(alpha):

@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers, the rationals and other rings.
 
-The Smith normal form, on small dense integer matrices, drives every
-integer solvability question in the package (coboundary certificates,
-lattice classes).  One sparse echelon elimination over the rationals,
-on rows given as ``{column: value}`` dicts, serves every rational
-solve: the certificate's constant solve and the cokernel of the
+The Smith normal form drives every integer solvability question in
+the package (coboundary certificates, lattice classes, extreme
+points).  It eliminates on sparse ``{column: value}`` rows, as the
+certificate systems of a cover hold only a few entries per row, and
+returns U and S by rows and V by columns.  One sparse echelon
+elimination over the rationals, on the same kind of rows, serves every
+rational solve: the certificate's constant solve and the cokernel of the
 incidence map.  The principal-minor sums and the determinant are
 ring-generic: they use only ``+``, ``-`` and ``*`` of the entries, so
 they serve Fractions, Novikov scalars and affinoid elements alike.  The
@@ -38,37 +40,64 @@ def mat_mul(a, b):
     ]
 
 
-def smith_normal_form(mat):
-    """Compute U, S, V with U*mat*V = S in Smith normal form.
+def _add_scaled(dst, src, q):
+    # dst += q * src on {index: value} dicts, keeping no zero
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            dst.pop(k, None)
 
-    U and V are unimodular; S is diagonal with nonnegative entries and
-    each diagonal entry divides the next.  Each pivot is the first entry
-    of least |value| in row-major order: printed certificates depend on
-    U and V, so this rule is part of the contract.
+
+def smith_normal_form(mat):
+    """Compute U, S, V with U*mat*V = S in Smith normal form, as sparse dicts.
+
+    mat is a list of m rows of n integers.  U and S come back as m rows
+    ``{column: value}``, V as its n columns ``{row: value}``; no zero is
+    stored.  U and V are unimodular; S is diagonal with nonnegative
+    entries and each diagonal entry divides the next.  Each pivot is the
+    first entry of least |value| in row-major order: printed
+    certificates depend on U and V, so this rule, the elimination order
+    and the divisibility sweep are part of the contract.
+
+    Rows t, t+1, ... of S hold nothing left of column t once t pivots
+    are placed, so row and column operations skip the finished rows, and
+    V, kept by columns, takes a column operation as one dict update.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    s = [[int(x) for x in row] for row in mat]
-    u = identity_matrix(m)
-    v = identity_matrix(n)
+    s = [{j: int(x) for j, x in enumerate(row) if x} for row in mat]
+    u = [{i: 1} for i in range(m)]
+    v = [{j: 1} for j in range(n)]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in s + v:
-            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
+        for row in s[t:]:
+            if i in row or j in row:
+                x, y = row.pop(i, None), row.pop(j, None)
+                if x is not None:
+                    row[j] = x
+                if y is not None:
+                    row[i] = y
 
     def add_row(dst, src, q):
         # row dst += q * row src
-        s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        _add_scaled(s[dst], s[src], q)
+        _add_scaled(u[dst], u[src], q)
 
-    def add_col(dst, src, q):
-        for row in s + v:
-            if row[src]:
-                row[dst] += q * row[src]
+    def add_col(dst, src, q, holders):
+        # column dst += q * column src, of which only the rows holders hold
+        # an entry
+        _add_scaled(v[dst], v[src], q)
+        for r in holders:
+            x = s[r].get(src)
+            if x:
+                _add_scaled(s[r], {dst: x}, q)
 
     t = 0
     limit = min(m, n)
@@ -77,11 +106,12 @@ def smith_normal_form(mat):
         # |entry|, where a row holding a unit entry ends the search
         pivot, least = None, 0
         for i in range(t, m):
-            for j, x in enumerate(s[i][t:], t):
-                if x and (not least or abs(x) < least):
-                    pivot, least = (i, j), abs(x)
-            if least == 1:
-                break
+            if s[i]:
+                a, j = min((abs(x), j) for j, x in s[i].items())
+                if not least or a < least:
+                    pivot, least = (i, j), a
+                if least == 1:
+                    break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -90,21 +120,23 @@ def smith_normal_form(mat):
             # clear the pivot column
             dirty = False
             for i in range(t + 1, m):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    add_row(i, t, -q)
-                    if s[i][t]:
+                x = s[i].get(t)
+                if x:
+                    add_row(i, t, -(x // s[t][t]))
+                    if t in s[i]:
                         swap_rows(i, t)
                         dirty = True
             if dirty:
                 continue
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    add_col(j, t, -q)
-                    if s[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
+            # clear the pivot row; the pivot is alone in its column until
+            # a swap brings in another column
+            holders = (t,)
+            for j in sorted(k for k in s[t] if k > t):
+                add_col(j, t, -(s[t][j] // s[t][t]), holders)
+                if j in s[t]:
+                    swap_cols(j, t)
+                    holders = [r for r in range(t, m) if t in s[r]]
+                    dirty = True
             if dirty:
                 continue
             # enforce the divisibility chain, which a unit pivot meets:
@@ -112,47 +144,55 @@ def smith_normal_form(mat):
             p = s[t][t]
             if abs(p) == 1:
                 break
-            rows = (i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :]))
+            rows = (i for i in range(t + 1, m) if any(x % p for x in s[i].values()))
             bad = next(rows, None)
             if bad is None:
                 break
             add_row(t, bad, 1)
         if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            s[t] = {k: -x for k, x in s[t].items()}
+            u[t] = {k: -x for k, x in u[t].items()}
         t += 1
     return u, s, v
 
 
 class PresolvedIntegerSystem:
     """mat*x = rhs over Z, factored once and solved for many rhs: U*mat*V
-    = S kept as S's diagonal and U and V as sparse ``{column: value}`` rows."""
+    = S kept as S's diagonal and the sparse U rows and V columns that
+    ``smith_normal_form`` returns.  A system of no rows over n columns
+    keeps V = I."""
 
     def __init__(self, mat, ncols=None):
         self._m = len(mat)
         self._n = len(mat[0]) if self._m else (ncols or 0)
-        u, s, v = smith_normal_form(mat) if self._m else ([], [], identity_matrix(self._n))
-        self._u, self._v = ([{j: x for j, x in enumerate(r) if x} for r in m] for m in (u, v))
-        self._diagonal = [s[i][i] for i in range(min(self._m, self._n))]
+        if self._m:
+            self._u, s, self._v = smith_normal_form(mat)
+        else:
+            self._u, s, self._v = [], [], [{j: 1} for j in range(self._n)]
+        self._diagonal = [s[i].get(i, 0) for i in range(min(self._m, self._n))]
 
     def solve(self, rhs):
         """One integer solution, or None."""
         if self._m == 0:
             return [0] * self._n
-        y = [0] * self._n
+        x = [0] * self._n
         for i, row in enumerate(self._u):
-            value = sum(x * rhs[j] for j, x in row.items())
+            value = sum(c * rhs[j] for j, c in row.items())
             d = self._diagonal[i] if i < self._n else 0
             if value % d if d else value:
                 return None
-            if d:
-                y[i] = value // d
-        return [sum(x * y[j] for j, x in row.items()) for row in self._v]
+            if d and value:
+                # x += V e_i * (value / d)
+                y = value // d
+                for r, c in self._v[i].items():
+                    x[r] += c * y
+        return x
 
     def kernel_basis(self):
         # the columns of V past the nonzero diagonal entries of S
         rank = sum(1 for d in self._diagonal if d)
-        return [[row.get(j, 0) for row in self._v] for j in range(rank, self._n)]
+        return [[col.get(r, 0) for r in range(self._n)] for col in self._v[rank:]]
+
 
 def _reduce(row, pivots):
     # reduce the dict row in place by the stored pivot rows, smallest

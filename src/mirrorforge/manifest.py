@@ -194,14 +194,19 @@ def manifest_to_fibration(text):
     if not isinstance(fib_obj, dict):
         _fail("manifest.fibration", "expected an object")
     _check_keys(fib_obj, "manifest.fibration", ("primitives",))
-    for i, raw in enumerate(fib_obj.get("primitives", [])):
+    raw_primitives = []
+    if "primitives" in fib_obj:
+        raw_primitives = _get(fib_obj, "manifest.fibration", "primitives", list)
+    for i, raw in enumerate(raw_primitives):
         path = f"manifest.fibration.primitives[{i}]"
         if not isinstance(raw, dict):
             _fail(path, "expected an object")
         _check_keys(raw, path, ("pair", "poly"))
         pair = _get(raw, path, "pair", list)
-        if len(pair) != 2 or any(p not in index for p in pair):
+        if len(pair) != 2 or any(not isinstance(p, str) or p not in index for p in pair):
             _fail(f"{path}.pair", "expected two known chart ids")
+        if pair[0] == pair[1]:
+            _fail(f"{path}.pair", "repeated chart in pair")
         edge = tuple(sorted(index[p] for p in pair))
         if edge in primitives:
             _fail(path, "duplicate primitive for this edge")

@@ -40,6 +40,27 @@ class TestUsageErrors:
         assert code == 2
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize(
+        "primitives, pair, message",
+        [
+            (5, None, "manifest.fibration.primitives: expected list"),
+            ({}, None, "manifest.fibration.primitives: expected list"),
+            (None, [[1], "b"], "manifest.fibration.primitives[0].pair: expected two known chart ids"),
+            (None, ["0,0", "0,0"], "manifest.fibration.primitives[0].pair: repeated chart in pair"),
+        ],
+        ids=["int-primitives", "object-primitives", "list-in-pair", "repeated-pair"],
+    )
+    def test_malformed_primitives(self, capsys, tmp_path, primitives, pair, message):
+        data = json.loads(fibration_to_manifest(load_catalog("thurston-f1")))
+        if pair is None:
+            data["fibration"]["primitives"] = primitives
+        else:
+            data["fibration"]["primitives"][0]["pair"] = pair
+        path = tmp_path / "primitives.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "build", "--manifest", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_manifest_chart_missing_vertices(self, capsys, tmp_path):
         data = json.loads(fibration_to_manifest(load_catalog("split-torus-4")))
         polytope = data["charts"][0]["polytope"]

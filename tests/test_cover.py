@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -36,6 +37,47 @@ def random_cochain(cover, degree, rng, span=4):
         const = F(rng.randrange(-8, 9), rng.randrange(1, 5))
         values[face] = AffineFunction(lin, const)
     return AffCochain(cover, degree, values)
+
+
+def compose_with_map(poly, phi):
+    """PolyFunction.compose_with_map as it stood: x = M y + tau
+    substituted term by term through checked PolyFunction products."""
+    n = poly.dimension
+    coords = []
+    for i in range(n):
+        terms = {(0,) * n: phi.translation[i]}
+        for j in range(n):
+            powers = tuple(1 if k == j else 0 for k in range(n))
+            terms[powers] = Fraction(phi.linear[i][j])
+        coords.append(PolyFunction(n, terms))
+    total = PolyFunction.zero(n)
+    for powers, coeff in poly.terms.items():
+        piece = PolyFunction(n, {(0,) * n: coeff})
+        for i, p in enumerate(powers):
+            for _ in range(p):
+                piece = piece * coords[i]
+        total = total + piece
+    return total
+
+
+def reference_alpha(cover, primitives):
+    """The obstruction cochain as FibrationData built it on checked
+    PolyFunction arithmetic, or the message of its refusal."""
+    zero = PolyFunction.zero(cover.dimension)
+    values = {}
+    for tri in cover.faces_of_degree(2):
+        i, j, k = tri
+        combo = (
+            primitives.get((i, j), zero)
+            + compose_with_map(primitives.get((j, k), zero), cover.transition(i, j))
+            - primitives.get((i, k), zero)
+        )
+        try:
+            values[tri] = combo.as_affine()
+        except ValueError as exc:
+            ids = tuple(cover.chart_ids[x] for x in tri)
+            return f"primitives are incompatible on triple {ids}: {exc}"
+    return AffCochain(cover, 2, values)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +116,27 @@ class TestCoverValidation:
         polys = {f: torus.polytope(f) for f in torus.faces}
         with pytest.raises(InvalidCoverError, match="cocycle"):
             Cover(2, torus.chart_ids, torus.faces, polys, transitions)
+
+    def test_a_broken_cocycle_is_refused_by_both_constructors(self):
+        # three charts [0, 3], phi_ab = phi_bc = id but phi_ac = x + 1/2:
+        # every overlap is an interval, and the one triangle fails
+        from mirrorforge.cover import _cover_from_charts
+        from test_integer_geometry import ReferenceCover
+
+        box = IntegralAffinePolytope.from_box([(0, 3)])
+        charts = {0: box, 1: box, 2: box}
+        faces = {(0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)}
+        identity = IntegralAffineMap.identity(1)
+        transitions = {(0, 1): identity, (1, 2): identity, (0, 2): IntegralAffineMap([[1]], [F(1, 2)])}
+        polys = face_polytopes_from_charts(1, charts, faces, transitions)
+        message = r"^transitions fail the cocycle identity on \{a,b,c\}$"
+        for build in (
+            lambda: Cover(1, "abc", faces, polys, transitions),
+            lambda: ReferenceCover(1, "abc", faces, polys, transitions),
+            lambda: _cover_from_charts(1, "abc", charts, faces, transitions),
+        ):
+            with pytest.raises(InvalidCoverError, match=message):
+                build()
 
     def test_polytope_keyed_by_a_non_face_rejected(self):
         # elliptic-demo's nerve has no triangle: a polytope for (0, 1, 2)
@@ -325,3 +388,62 @@ class TestFacePolytopeBuilder:
                 {(0,), (1,), (0, 1)},
                 {(0, 1): IntegralAffineMap.identity(1)},
             )
+
+
+def seeded_primitives(cover, rng, base):
+    """base's primitives plus an affine function with an integral
+    differential on about half the edges, which keeps them compatible,
+    and in a third of the draws one more term over denominator 2 or 3 on
+    one or two edges: a quadratic one, or a linear one in one or every
+    direction."""
+    n = cover.dimension
+    out = dict(base)
+    edges = cover.faces_of_degree(1)
+    for edge in edges:
+        if rng.random() < 0.5:
+            terms = {(0,) * n: F(rng.randint(-5, 5), rng.randint(1, 4))}
+            for a in range(n):
+                terms[tuple(int(r == a) for r in range(n))] = rng.randint(-2, 2)
+            out[edge] = out.get(edge, PolyFunction.zero(n)) + PolyFunction(n, terms)
+    if rng.random() < 1 / 3:
+        for edge in rng.sample(edges, rng.randint(1, 2)):
+            c = F(rng.choice((-1, 1)), rng.choice((2, 3)))
+            shape = rng.choice(("quadratic", "one", "every"))
+            if shape == "quadratic":
+                powers = rng.choice([p for p in product(range(3), repeat=n) if sum(p) == 2])
+                terms = {powers: c}
+            else:
+                axes = [rng.randrange(n)] if shape == "one" else range(n)
+                terms = {tuple(int(r == a) for r in range(n)): c for a in axes}
+            out[edge] = out.get(edge, PolyFunction.zero(n)) + PolyFunction(n, terms)
+    return out
+
+
+TABLE_COVERS = ["split-torus-4", "thurston-f1", "thurston-f2"]
+
+
+@pytest.mark.parametrize("name", TABLE_COVERS + ["thurston-f2-times-5-2"])
+def test_the_obstruction_tables_match_the_polynomial_arithmetic(name):
+    from test_sparse_solver import scaled_cover
+
+    base = {}
+    if name in TABLE_COVERS:
+        fibration = load_catalog(name)
+        cover = fibration.cover
+        base = {e: fibration.primitive(e) for e in cover.faces_of_degree(1)}
+        assert fibration.obstruction_cocycle() == reference_alpha(cover, base)
+    else:
+        cover = scaled_cover("thurston-f2", F(5, 2))
+    rng = random.Random(sum(map(ord, name)))
+    seen = {"ok": 0, "quadratic part": 0, "not integral": 0}
+    for _ in range(150):
+        primitives = seeded_primitives(cover, rng, base)
+        want = reference_alpha(cover, primitives)
+        if isinstance(want, AffCochain):
+            seen["ok"] += 1
+            assert FibrationData(cover, primitives).obstruction_cocycle() == want
+            continue
+        seen["quadratic part" if "quadratic part" in want else "not integral"] += 1
+        with pytest.raises(InvalidFibrationError, match=f"^{re.escape(want)}$"):
+            FibrationData(cover, primitives)
+    assert min(seen.values()) >= 5, seen

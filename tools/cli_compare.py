@@ -115,8 +115,10 @@ def manifest_texts():
     elliptic-demo with every coordinate plus 1/7, whose translations
     stay integers while its vertices move onto denominator 84, then of
     manifests the reader must refuse: bad JSON, a missing key, a float
-    in powers and in linear, a declared vertex that is not extreme and
-    a chart that declares too few vertices."""
+    in powers and in linear, a declared vertex that is not extreme, a
+    chart that declares too few vertices, primitives given as a number
+    and as an object, and a primitive pair with a list member and with
+    one chart twice."""
     sys.path.insert(0, str(ROOT / "src"))
     from mirrorforge.catalog import load_catalog
     from mirrorforge.manifest import fibration_to_manifest
@@ -180,8 +182,23 @@ def manifest_texts():
     def missing_vertex(data):
         data["charts"][0]["polytope"]["vertices"].pop()
 
+    def int_primitives(data):
+        data["fibration"]["primitives"] = 5
+
+    def object_primitives(data):
+        data["fibration"]["primitives"] = {}
+
+    def list_in_pair(data):
+        data["fibration"]["primitives"][0]["pair"] = [[1], "b"]
+
+    def repeated_pair(data):
+        pair = data["fibration"]["primitives"][0]["pair"]
+        pair[1] = pair[0]
+
     out.append(("bad-json", base[: len(base) // 2]))
-    for edit in (missing_key, float_powers, float_linear, midpoint_vertex, missing_vertex):
+    edits = (missing_key, float_powers, float_linear, midpoint_vertex, missing_vertex)
+    edits += (int_primitives, object_primitives, list_in_pair, repeated_pair)
+    for edit in edits:
         out.append((edit.__name__.replace("_", "-"), broken(edit)))
     return out
 
